@@ -3,30 +3,54 @@
 Everything here is a pure function of the model parameters.  Two
 evaluation paths coexist:
 
-* an exact path using arbitrary-precision integers, kept for n up to
-  EXACT_N_LIMIT, where pair counts are computed as exact integers and
-  only converted to logs at the very end;
-* a log-domain path using log-gamma binomials and log-sum-exp, used for
+* an exact path using arbitrary-precision integers (nh_count), kept for
+  n up to EXACT_N_LIMIT, where pair counts are computed as exact
+  integers and only converted to logs at the very end;
+* a log-domain path (nh_log_profile) that evaluates a regrouped form of
+  the same count with log-gamma binomials, prefix sums along binomial
+  rows and log-sum-exp, in O(K^2) per sparsity level K; it is used for
   large n (the signal-set sizes have hundreds of digits at n = 1000).
 
 The two paths agree to ~1e-15 relative wherever both run, and the
 analytic pair counts are validated against an exhaustive oracle that
 literally walks all ordered signal pairs.
 
-Pair-count derivation (the quantity N_h): fix a signal x with k1
-nonzeros and count candidates x' at Hamming distance h.  Classify the
-positions of x' against x:
+Pair-count derivation (the quantity N_h): classify each position of an
+ordered pair (x, x') of signals:
 
-    a = on-support positions where x' keeps the same nonzero value
-    b = on-support positions where x' is zeroed            (q >= 2)
-    c = on-support positions changed to a different nonzero (q - 2 ways)
-    t = off-support positions where x' gains a nonzero     (q - 1 ways)
+    a = both nonzero and equal                 (q - 1 ways)
+    b = only x nonzero                         (q - 1 ways)
+    c = both nonzero and different             ((q - 1)(q - 2) ways)
+    t = only x' nonzero                        (q - 1 ways)
 
-with a + b + c = k1, weight(x') = a + c + t and h = b + c + t.  Summing
-the multinomial count over the valid (a, b, c, t) and multiplying by the
-number of weight-k1 signals gives N_h.  The AllPairs variant caps
-weight(x') at the model sparsity K; RestrictedPairs caps it at k1,
-counting only pairs the minimum-weight rule could actually confuse.
+and the rest both zero, so weight(x) = a + b + c, weight(x') = a + c + t
+and h = b + c + t.  N_h sums the multinomial count over the valid
+(a, b, c, t).  The AllPairs variant caps both weights at the model
+sparsity K; RestrictedPairs also requires weight(x') <= weight(x)
+(t <= b), counting only pairs the minimum-weight rule could actually
+confuse.  nh_count walks (weight(x), b, c, t) with exact integers.
+
+For the log-domain path, split the multinomial as
+C(n, h) * h!/(b! c! t!) * C(n - h, a) and write r = q - 2 and
+
+    S_R(A) = sum_{a <= A} C(R, a) (q - 1)^a      (prefix of a binomial row)
+    P_v(i) = sum_{c <= i} C(v, c) r^c
+
+so that N_h = C(n, h) (q - 1)^h sum_{b + c + t = h} h!/(b! c! t!) r^c
+S_{n-h}(A), with A = K - max(b + c, h - b) for AllPairs and
+A = K - h + t for RestrictedPairs.  Summing c out where t >= b, and b
+out where t < b (grouped by u = b + c), leaves one prefix sum per term:
+
+    AllPairs:    N_h = C(n, h) (q - 1)^h (T_h + U_h)
+    Restricted:  N_h = C(n, h) (q - 1)^h T_h
+    T_h = sum_{b <= h/2} C(h, b) P_{h-b}(h - 2b) S_{n-h}(K - h + b)
+    U_h = sum_{(h+1)/2 <= u <= h} C(h, u) P_u(2u - h - 1) S_{n-h}(K - u)
+
+RestrictedPairs sums over t <= b, grouped by t; the mirror x <-> x'
+maps these terms onto the t >= b terms of AllPairs grouped by b, so
+both variants share T_h.  The tail sums over b come out as P because
+sum_{b >= i} C(u, b) r^(u-b) = P_u(u - i).  Every term is positive, so
+log-sum-exp is stable, and with the P rows tabulated each h costs O(h).
 """
 
 from __future__ import annotations
@@ -41,7 +65,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import EnumerationCapExceeded, InvalidGamma
-from .field import FiniteField
+from .field import FiniteField, check_prime_power
 from .model import ModelParams, candidate_matrix, signal_set_size
 from .util import log_of_int
 
@@ -210,8 +234,7 @@ def nh_count(n: int, k_max: int, q: int, variant: PairVariant) -> WeightEnumerat
     """
     if not 0 <= k_max <= n:
         raise ValueError("k_max must lie in [0, n]")
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    check_prime_power(q)
     items = _nh_count_cached(n, k_max, q, PairVariant(variant))
     return WeightEnumeration(counts=dict(items), variant=PairVariant(variant))
 
@@ -248,57 +271,42 @@ def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, Weigh
     }
 
 
-def _lgcomb(n, k):
-    """log C(n, k) elementwise; -inf outside the valid range."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    ok = (k >= 0) & (k <= n) & (n >= 0)
-    kk = np.where(ok, k, 0.0)
-    nn = np.where(ok, n, 0.0)
-    v = gammaln(nn + 1) - gammaln(kk + 1) - gammaln(nn - kk + 1)
-    return np.where(ok, v, NEG_INF)
-
-
 @lru_cache(maxsize=64)
 def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarray:
-    logq1 = math.log(q - 1) if q > 1 else NEG_INF
-    logq2 = math.log(q - 2) if q > 2 else NEG_INF
-    out = np.full(2 * k_max + 1, NEG_INF)
-    for k1 in range(k_max + 1):
-        cap = k_max if variant is PairVariant.ALL_PAIRS else k1
-        hmax = k1 + cap
-        if hmax == 0:
-            continue
-        log_size_k1 = float(_lgcomb(n, k1)) + k1 * logq1 if k1 else 0.0
-        # on-support generating factor: coefficient at (zdeg = b + c,
-        # wdeg = k1 - b) is C(k1, c) (q-2)^c C(k1-c, b); the (b, c) ->
-        # (zdeg, wdeg) map is injective so plain assignment suffices
-        b = np.arange(k1 + 1)[:, None]
-        c = np.arange(k1 + 1)[None, :]
-        valid = (b + c) <= k1
-        with np.errstate(invalid="ignore"):
-            cterm = np.where(c == 0, 0.0, c * logq2)  # 0 * -inf would be nan
-            logcoef = np.where(valid, _lgcomb(k1, c) + cterm + _lgcomb(k1 - c, b), NEG_INF)
-        logq_mat = np.full((k1 + 1, k1 + 1), NEG_INF)  # [zdeg, wdeg]
-        bb, cc = np.nonzero(valid)
-        logq_mat[bb + cc, k1 - bb] = logcoef[bb, cc]
-        # cumulative over wdeg so the weight cap on x' becomes one lookup
-        logq_cum = np.logaddexp.accumulate(logq_mat, axis=1)
-        t_all = np.arange(n - k1 + 1)
-        log_t = _lgcomb(n - k1, t_all) + t_all * logq1
-        hs = np.arange(1, hmax + 1)[:, None]
-        zd = np.arange(k1 + 1)[None, :]
-        t = hs - zd
-        ok = (t >= 0) & (t <= n - k1) & (t <= cap)
-        tt = np.where(ok, t, 0)
-        wcap = np.minimum(cap - tt, k1)
-        vals = np.where(
-            ok & (wcap >= 0),
-            log_t[tt] + logq_cum[np.broadcast_to(zd, tt.shape), np.maximum(wcap, 0)],
-            NEG_INF,
-        )
-        prof = logsumexp(vals, axis=1) + log_size_k1
-        out[1 : hmax + 1] = np.logaddexp(out[1 : hmax + 1], prof)
+    hmax = 2 * k_max
+    lfact = gammaln(np.arange(max(n, hmax) + 1) + 1.0)  # log j!
+    logq1 = math.log(q - 1)
+    # log r^c with r = q - 2; for q = 2 only r^0 = 1 survives (no 0 * -inf)
+    if q > 2:
+        log_rpow = np.arange(hmax + 1) * math.log(q - 2)
+    else:
+        log_rpow = np.full(hmax + 1, NEG_INF)
+        log_rpow[0] = 0.0
+    # P[v, i] = log P_v(i), built one row at a time; entries with i > v
+    # are never read
+    P = np.full((hmax + 1, hmax + 1), NEG_INF)
+    for v in range(hmax + 1):
+        c = np.arange(v + 1)
+        P[v, : v + 1] = np.logaddexp.accumulate(lfact[v] - lfact[c] - lfact[v - c] + log_rpow[c])
+    out = np.full(hmax + 1, NEG_INF)
+    for h in range(1, min(hmax, n) + 1):
+        R = n - h
+        # S[h + A] = log S_R(A) for A = -h..K: -inf below A = 0, where the
+        # cap leaves no term, and flat above A = R, where the row ends
+        a = np.arange(min(k_max, R) + 1)
+        S = np.full(h + k_max + 1, NEG_INF)
+        S[h : h + a.size] = np.logaddexp.accumulate(lfact[R] - lfact[a] - lfact[R - a] + a * logq1)
+        S[h + a.size :] = S[h + a.size - 1]
+        log_ch = lfact[h] - lfact[: h + 1] - lfact[h::-1]  # log C(h, j)
+        b = np.arange(h // 2 + 1)
+        terms = log_ch[b] + P[h - b, h - 2 * b] + S[k_max + b]  # T_h
+        if variant is PairVariant.ALL_PAIRS:
+            u = np.arange((h + 2) // 2, h + 1)  # U_h
+            terms = np.concatenate((terms, log_ch[u] + P[u, 2 * u - h - 1] + S[k_max + h - u]))
+        # b = h // 2 keeps A >= 0, so top is finite
+        top = terms.max()
+        lse = top + math.log(np.exp(terms - top).sum())
+        out[h] = lse + lfact[n] - lfact[h] - lfact[R] + h * logq1
     out.setflags(write=False)
     return out
 
@@ -306,17 +314,26 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
 def nh_log_profile(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarray:
     """log of the pair counts, indexed by distance h = 0..2K (entry 0 is -inf).
 
-    Log-gamma/log-sum-exp evaluation of the same closed form as nh_count,
-    usable at n = 1000 where the exact integers are astronomically large.
-    Agrees with the exact path to ~1e-15 relative wherever both run.  The
-    returned array is cached and read-only.
+    Log-gamma/log-sum-exp evaluation of the regrouped closed form in the
+    module docstring, O(K^2) per call, usable at n = 1000 where the exact
+    integers are astronomically large.  Agrees with nh_count to ~1e-15
+    relative wherever both run.  The returned array is cached and
+    read-only.
     """
     if not 0 <= k_max <= n:
         raise ValueError("k_max must lie in [0, n]")
+    check_prime_power(q)
     return _nh_log_profile_cached(n, k_max, q, PairVariant(variant))
 
 
 # bounds ---------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _log_signal_set_size(n: int, k: int, q: int) -> float:
+    """log |L| from the exact big-integer count; every bound evaluation of
+    a curve point needs it, and the count itself is not cheap."""
+    return log_of_int(signal_set_size(n, k, q).total)
 
 
 def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIRS) -> LogProb:
@@ -332,7 +349,7 @@ def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIR
     variant = PairVariant(variant)
     if k == 0:
         return LogProb(NEG_INF)
-    log_l = log_of_int(signal_set_size(n, k, q).total)
+    log_l = _log_signal_set_size(n, k, q)
     if n <= EXACT_N_LIMIT:
         counts = nh_count(n, k, q, variant).counts
         terms = []
@@ -417,8 +434,7 @@ def fano_lower_bound(n: int, k: int, q: int, m: int) -> float:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = signal_set_size(n, k, q).total
-    log_q_l = log_of_int(total) / math.log(q)
+    log_q_l = _log_signal_set_size(n, k, q) / math.log(q)
     if log_q_l <= 0.0:
         return 0.0
     return max(0.0, (log_q_l - m - 1.0) / log_q_l)

@@ -30,7 +30,7 @@ from .errors import (
     InvalidGamma,
     UnsupportedOrder,
 )
-from .field import make_field
+from .field import check_prime_power, make_field
 from .model import (
     ModelParams,
     SensingMatrix,
@@ -334,6 +334,9 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("target must lie in (0, 1)")
     if getattr(args, "trials", 1) < 1:
         raise ValueError("trials must be >= 1")
+    qs = getattr(args, "q", [])
+    for q in qs if isinstance(qs, list) else [qs]:
+        check_prime_power(q)
 
 
 def parse_and_dispatch(argv: list[str] | None = None) -> int:

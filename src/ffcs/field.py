@@ -28,12 +28,17 @@ field object is immutable and safe to share across threads or workers.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 from .errors import DivisionByZero, UnsupportedOrder
 
 MAX_ORDER = 256
+
+# largest order the analytic path accepts; it keeps the trial division
+# in check_prime_power to about 65k steps
+MAX_ANALYTIC_ORDER = 2**32
 
 # bit-packed irreducible polynomials over GF(2), keyed by extension degree
 _DEFAULT_POLY = {
@@ -56,6 +61,26 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_prime_power(q: int) -> None:
+    """Raise UnsupportedOrder unless q = p^m for a prime p and m >= 1.
+
+    GF(q) exists exactly for these q.  The analytic bounds depend on q
+    alone and accept every prime power up to MAX_ANALYTIC_ORDER; building
+    a field's tables (make_field) further requires q prime or a power of
+    two, at most MAX_ORDER.
+    """
+    if q > MAX_ANALYTIC_ORDER:
+        raise UnsupportedOrder(f"field orders above {MAX_ANALYTIC_ORDER} are not supported")
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        r = q
+        while r % p == 0:
+            r //= p
+        if r == 1:
+            return
+    raise UnsupportedOrder(f"q={q} is not a prime power, so GF({q}) does not exist")
 
 
 def supported_orders(limit: int = MAX_ORDER) -> list[int]:

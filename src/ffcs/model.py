@@ -21,7 +21,7 @@ from math import comb, log
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationCapExceeded, InvalidGamma
-from .field import FiniteField
+from .field import FiniteField, check_prime_power
 from .util import randbelow
 
 
@@ -49,8 +49,7 @@ class ModelParams:
             raise ValueError("k must lie in [0, n]")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
+        check_prime_power(self.q)
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidGamma(f"gamma must lie in (0, 1], got {self.gamma}")
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines
-appear as criteria complete.  Criteria 7-9 take minutes; everything else
-finishes in seconds.  Tolerances are pinned here and nowhere else.
+appear as criteria complete.  Criterion 7 takes about three minutes;
+everything else finishes in seconds.  Tolerances are pinned here and
+nowhere else.
 """
 
 import math

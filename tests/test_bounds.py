@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ffcs import (
     InvalidGamma,
     ModelParams,
     PairVariant,
+    UnsupportedOrder,
     binary_entropy,
     closed_dense_bound,
     convolution_oracle,
@@ -117,7 +119,13 @@ class TestPairCounts:
             for h, c in r.items():
                 assert c <= a[h]
 
-    @pytest.mark.parametrize("n,k,q", [(8, 3, 2), (12, 4, 3), (20, 6, 4), (40, 8, 2), (64, 6, 5)])
+    @pytest.mark.parametrize(
+        "n,k,q",
+        [
+            (8, 3, 2), (12, 4, 3), (20, 6, 4), (40, 8, 2), (64, 6, 5),
+            (1, 1, 2), (10, 10, 4), (7, 7, 7), (30, 15, 3), (64, 20, 16),
+        ],
+    )
     def test_log_profile_matches_exact_counts(self, n, k, q):
         for variant in (ALL, RESTRICTED):
             counts = nh_count(n, k, q, variant).counts
@@ -129,6 +137,30 @@ class TestPairCounts:
                     assert prof[h] == float("-inf")
                 else:
                     assert math.isclose(prof[h], want, rel_tol=1e-9), (h, variant)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("k", [200, 500])
+    def test_log_profile_mass_and_order_at_n_1000(self, k, q):
+        # the ALL_PAIRS counts sum to (|L| - 1) |L|; union_bound takes the
+        # exact path up to n = 64, so only this checks the profile above it
+        total = signal_set_size(1000, k, q).total
+        prof_all = nh_log_profile(1000, k, q, ALL)
+        prof_res = nh_log_profile(1000, k, q, RESTRICTED)
+        want = log_of_int((total - 1) * total)
+        assert math.isclose(float(logsumexp(prof_all)), want, rel_tol=1e-12)
+        assert np.all(prof_res <= prof_all + 1e-12)  # up to float rounding
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: nh_count(4, 2, 6, ALL),
+            lambda: nh_log_profile(100, 5, 6, ALL),
+            lambda: ModelParams(n=10, k=2, m=5, q=6, gamma=0.5),
+        ],
+    )
+    def test_non_prime_power_order_rejected(self, call):
+        with pytest.raises(UnsupportedOrder):
+            call()
 
 
 class TestUnionBound:
@@ -172,8 +204,6 @@ class TestUnionBound:
         prof = nh_log_profile(40, 6, 4, ALL)
         hs = np.arange(1, 13, dtype=float)
         p = 1 / 4 + (3 / 4) * (1 - 0.3 / 0.75) ** hs
-        from scipy.special import logsumexp
-
         log_l = log_of_int(signal_set_size(40, 6, 4).total)
         via_profile = float(logsumexp(prof[1:] + 18 * np.log(p)) - log_l)
         assert math.isclose(exact, via_profile, rel_tol=1e-9)

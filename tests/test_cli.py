@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -103,6 +104,33 @@ class TestCurveCommand:
     def test_bad_target(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--n", "30", "--q", "2", "--target", "2.0")
         assert code == 1 and "parameter error" in err
+
+
+class TestFieldOrderValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", "50", "--k", "5", "--m", "20", "--q", "6"],
+            ["curve", "--n", "50", "--q", "6", "--gamma", "dense", "--grid", "0.1"],
+            ["curve", "--n", "50", "--q", "4", "--q", "6", "--grid", "0.1"],
+            ["nh", "--n", "4", "--k", "2", "--q", "6"],
+            # a prime, but far above the supported orders
+            ["bound", "--n", "50", "--k", "5", "--m", "20", "--q", str(2**61 - 1)],
+        ],
+    )
+    def test_unsupported_order_is_parameter_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
+
+    def test_prime_power_bounds_accepted(self, capsys):
+        # GF(9) has no lookup tables here, but the analytic bounds depend
+        # on q alone; n = 100 takes the log-domain profile path
+        code, out, _ = run_cli(capsys, "bound", "--n", "100", "--k", "10", "--m", "40", "--q", "9")
+        assert code == 0
+        obj = json.loads(out)
+        assert math.isclose(obj["union_bound_log"], obj["closed_dense_log"], rel_tol=1e-9)
 
 
 class TestSimulateCommand:
