@@ -18,8 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import PairVariant, evaluate_bounds, nh_count, nh_oracle
 from .curves import GammaMode, curve, default_k_grid
@@ -36,12 +34,11 @@ from .model import (
     SensingMatrix,
     Signal,
     candidate_matrix,
-    dense_gamma,
     matrix_to_json,
     matvec,
     signal_to_json,
 )
-from .montecarlo import run_trials
+from .montecarlo import _sample_trials, run_trials
 
 _VALIDATION_ERRORS = (
     ValueError,
@@ -93,16 +90,12 @@ def _csv_out(header: list[str], rows: list[list], meta: dict, out: str | None) -
 
 
 def _parse_gamma(text: str, q: int, n: int) -> tuple[float, str]:
-    """Accept 'dense', 'c=<real>', or a literal gamma in (0, 1]."""
-    t = text.strip().lower()
-    if t == "dense":
-        return dense_gamma(q), "dense"
-    if t.startswith("c="):
-        mode = GammaMode.parse(t)
+    """Accept a literal gamma (ModelParams checks its range), 'dense' or 'c=<real>'."""
+    try:
+        gamma = float(text)
+    except ValueError:
+        mode = GammaMode.parse(text)
         return mode.resolve(q, n), mode.label
-    gamma = float(t)
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidGamma(f"gamma must lie in (0, 1], got {gamma}")
     return gamma, f"{gamma:g}"
 
 
@@ -243,19 +236,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _dump_instances(params: ModelParams, trials: int, seed: int, dump_dir: Path) -> None:
-    """Re-draw each trial from its substream and write matrix/signal JSON."""
+    """Write each trial's matrix, signal and measurement as JSON."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     field = make_field(params.q)
-    children = np.random.SeedSequence(seed).spawn(trials)
     cands, _ = candidate_matrix(params.n, params.k, params.q)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        zero_mask = rng.random((params.m, params.n)) >= params.gamma
-        values = rng.integers(1, params.q, size=(params.m, params.n), dtype=np.int16)
-        rows = np.where(zero_mask, 0, values).astype(np.int16)
-        idx = int(rng.integers(0, cands.shape[0]))
+    mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
+    for i, (rows, j) in enumerate(zip(mats, idx)):
         mat = SensingMatrix(rows=rows, gamma=params.gamma)
-        sig = Signal.from_entries(cands[idx])
+        sig = Signal.from_entries(cands[j])
         y = matvec(field, mat, sig)
         obj = {
             "matrix": matrix_to_json(mat, params.q, seed),
@@ -352,7 +340,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    except EnumerationCapExceeded as exc:
+    except (EnumerationCapExceeded, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

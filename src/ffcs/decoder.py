@@ -9,25 +9,21 @@ a confusable candidate, not the luck of a tie-break.
 
 This is the ground-truth oracle for the probabilistic machinery, so the
 feasibility check is a direct measurement comparison with no elimination
-shortcuts.
+shortcuts.  Candidates come from model.weight_blocks and are measured
+by model.measure_candidates, the kernel the Monte Carlo path shares.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded
 from .field import FiniteField
-from .model import _as_entries, _as_rows, measure_candidates, signal_set_size
+from .model import _as_entries, _as_rows, check_enumeration_cap, measure_candidates, weight_blocks
 
 DEFAULT_ENUMERATION_CAP = 10**8
-
-# candidates measured per vectorized block; bounds peak memory only
-_BLOCK = 8192
 
 
 class DecodeStatus(str, Enum):
@@ -63,30 +59,6 @@ class ErrorEvents:
     e_error: bool
 
 
-def _weight_blocks(n: int, k: int, q: int):
-    """Yield (block, count) batches of all weight-k vectors in canonical order."""
-    buf = []
-    for support in itertools.combinations(range(n), k):
-        for values in itertools.product(range(1, q), repeat=k):
-            v = np.zeros(n, dtype=np.int16)
-            for pos, val in zip(support, values):
-                v[pos] = val
-            buf.append(v)
-            if len(buf) == _BLOCK:
-                yield np.array(buf, dtype=np.int16)
-                buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int16)
-
-
-def _check_cap(n: int, k_max: int, q: int, cap: int) -> None:
-    total = signal_set_size(n, k_max, q).total
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"exhaustive search over |L| = {total} candidates exceeds cap {cap}"
-        )
-
-
 def decode_l0(
     field: FiniteField,
     matrix,
@@ -98,10 +70,10 @@ def decode_l0(
     rows = _as_rows(matrix)
     y = np.asarray(y, dtype=np.int16)
     n = rows.shape[1]
-    _check_cap(n, k_max, q=field.q, cap=cap)
+    check_enumeration_cap(n, k_max, field.q, cap)
     for k in range(k_max + 1):
         feasible: list[np.ndarray] = []
-        for block in _weight_blocks(n, k, field.q):
+        for block in weight_blocks(n, k, field.q):
             meas = measure_candidates(field, rows, block)
             hits = np.nonzero((meas == y[:, None]).all(axis=0))[0]
             for i in hits:
@@ -132,11 +104,11 @@ def error_events(
     xe = _as_entries(x)
     k1 = int(np.count_nonzero(xe))
     y = measure_candidates(field, rows, xe[None, :])[:, 0]
-    _check_cap(rows.shape[1], k_max, q=field.q, cap=cap)
+    check_enumeration_cap(rows.shape[1], k_max, field.q, cap)
 
     e_error = False
     for k in range(k1 + 1):
-        for block in _weight_blocks(rows.shape[1], k, field.q):
+        for block in weight_blocks(rows.shape[1], k, field.q):
             meas = measure_candidates(field, rows, block)
             feas = (meas == y[:, None]).all(axis=0)
             not_x = (block != xe[None, :]).any(axis=1)

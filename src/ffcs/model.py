@@ -24,6 +24,9 @@ from .errors import DimensionMismatch, EnumerationCapExceeded, InvalidGamma
 from .field import FiniteField, check_prime_power
 from .util import randbelow
 
+# candidates per enumerated block; bounds the peak memory of every scan
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -168,22 +171,22 @@ def matvec(field: FiniteField, matrix, signal) -> np.ndarray:
 
 
 def measure_candidates(field: FiniteField, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Apply an (m, n) matrix to a (c, n) batch of vectors; returns (m, c).
+    """Apply (..., m, n) matrices to a (c, n) batch of vectors; returns (..., m, c).
 
     Prime fields use an integer matmul reduced mod p; binary extensions
-    multiply through the lookup table and fold rows with XOR (field
+    multiply through the lookup table and fold columns with XOR (field
     addition in characteristic 2).
     """
-    if rows.shape[1] != cands.shape[1]:
+    if rows.shape[-1] != cands.shape[1]:
         raise DimensionMismatch(
             f"matrix {rows.shape} incompatible with candidates {cands.shape}"
         )
     if field.m == 1:
         return (rows.astype(np.int64) @ cands.T.astype(np.int64)) % field.p
     mul = field.mul_table
-    out = np.zeros((rows.shape[0], cands.shape[0]), dtype=np.int16)
-    for j in range(rows.shape[1]):
-        out ^= mul[rows[:, j][:, None], cands[:, j][None, :]]
+    out = np.zeros(rows.shape[:-1] + (cands.shape[0],), dtype=np.int16)
+    for j in range(rows.shape[-1]):
+        out ^= mul[rows[..., j][..., None], cands[:, j]]
     return out
 
 
@@ -192,7 +195,8 @@ def enumerate_signals(n: int, k_max: int, q: int):
 
     Order: sparsity-major, then lexicographic support, then lexicographic
     nonzero values.  This is the tie-making order the exhaustive decoder
-    relies on, so it must never change.
+    relies on, so it must never change.  It is the reference for
+    weight_blocks, which the library uses instead.
     """
     for k in range(k_max + 1):
         for support in itertools.combinations(range(n), k):
@@ -203,6 +207,49 @@ def enumerate_signals(n: int, k_max: int, q: int):
                 yield v
 
 
+def weight_blocks(n: int, k: int, q: int):
+    """Yield the weight-k members of L in canonical order, as int16 blocks.
+
+    Row r of the level puts the (r % (q-1)^k)-th value tuple on the
+    (r // (q-1)^k)-th support.  Every block but the last holds exactly
+    _BLOCK rows, so no whole level is ever built.
+    """
+    n_supports = comb(n, k)
+    n_values = (q - 1) ** k
+    # Combinatorial number system: the support at lexicographic rank s,
+    # mirrored (p -> n-1-p), has sorted elements d_i with colex rank
+    # C(n,k)-1-s = sum_i C(d_i, i+1), peeled off greedily from the top.
+    # Clamping the table at C(n,k) keeps it in int64 and changes no result.
+    binom = [
+        np.array([min(comb(x, i + 1), n_supports) for x in range(n)], dtype=np.int64)
+        for i in range(k)
+    ]
+    place = (q - 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    total = n_supports * n_values
+    for start in range(0, total, _BLOCK):
+        s, v = np.divmod(np.arange(start, min(start + _BLOCK, total), dtype=np.int64), n_values)
+        rest = n_supports - 1 - s
+        support = np.empty((s.size, k), dtype=np.int64)
+        for i in range(k - 1, -1, -1):
+            d = np.searchsorted(binom[i], rest, side="right") - 1
+            rest -= binom[i][d]
+            support[:, k - 1 - i] = n - 1 - d
+        values = (v[:, None] // place % (q - 1) + 1).astype(np.int16)
+        block = np.zeros((s.size, n), dtype=np.int16)
+        np.put_along_axis(block, support, values, axis=1)
+        yield block
+
+
+def check_enumeration_cap(n: int, k_max: int, q: int, cap: int) -> int:
+    """Return |L|, raising EnumerationCapExceeded if it exceeds cap."""
+    total = signal_set_size(n, k_max, q).total
+    if total > cap:
+        raise EnumerationCapExceeded(
+            f"|L| = {total} exceeds the enumeration cap {cap}"
+        )
+    return total
+
+
 def candidate_matrix(
     n: int, k_max: int, q: int, cap: int = 10**8
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,14 +257,12 @@ def candidate_matrix(
 
     Raises EnumerationCapExceeded before allocating anything if |L| > cap.
     """
-    total = signal_set_size(n, k_max, q).total
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"|L| = {total} exceeds the enumeration cap {cap}"
-        )
-    out = np.zeros((total, n), dtype=np.int16)
-    for i, v in enumerate(enumerate_signals(n, k_max, q)):
-        out[i] = v
+    out = np.empty((check_enumeration_cap(n, k_max, q, cap), n), dtype=np.int16)
+    start = 0
+    for k in range(k_max + 1):
+        for block in weight_blocks(n, k, q):
+            out[start : start + len(block)] = block
+            start += len(block)
     weights = np.count_nonzero(out, axis=1).astype(np.int64)
     return out, weights
 

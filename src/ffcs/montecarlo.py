@@ -10,11 +10,13 @@ a child stream keyed by the trial index.  Within a trial the draw order
 is fixed: matrix zero-mask uniforms, matrix nonzero values, then the
 signal index (uniform over the canonical enumeration of L).  Trials are
 therefore independent of evaluation order and safe to parallelize.
+`ffcs simulate --dump` writes the instances _sample_trials draws.
 
-The error flags are evaluated by a vectorized batch path that applies
-every trial matrix to the full candidate set at once; it computes the
-same predicates as decoder.error_events, and the test suite pins the
-two routes against each other on sampled instances.
+The error flags are evaluated by a vectorized batch path that applies a
+block of trial matrices to all of L at once through
+model.measure_candidates, the decoder's kernel; it computes the same
+predicates as decoder.error_events, and the test suite pins the two
+routes against each other on sampled instances.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
 from .decoder import DEFAULT_ENUMERATION_CAP
 from .field import FiniteField, make_field
-from .model import ModelParams, candidate_matrix
+from .model import ModelParams, candidate_matrix, measure_candidates
 from .util import wilson_interval
 
 # elements per (trials x m x |L|) work block
@@ -93,18 +95,6 @@ def _sample_trials(
     return mats, idx
 
 
-def _measure_all(field: FiniteField, mats: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """(t, m, n) batch of matrices times (c, n) candidates -> (t, m, c)."""
-    if field.m == 1:
-        return (mats.astype(np.int64) @ cands.T.astype(np.int64)) % field.p
-    mul = field.mul_table
-    t, m, n = mats.shape
-    out = np.zeros((t, m, cands.shape[0]), dtype=np.int16)
-    for j in range(n):
-        out ^= mul[mats[:, :, j][:, :, None], cands[:, j][None, None, :]]
-    return out
-
-
 def run_trials(
     params: ModelParams,
     trials: int,
@@ -133,7 +123,7 @@ def run_trials(
     for s in range(0, trials, block):
         mb = mats[s : s + block]
         ib = idx[s : s + block]
-        meas = _measure_all(field, mb, cands)
+        meas = measure_candidates(field, mb, cands)
         y = np.take_along_axis(meas, ib[:, None, None], axis=2)
         feas = (meas == y).all(axis=1)  # (t, c)
         k1 = weights[ib]
@@ -213,7 +203,7 @@ def equal_weight_nullity_test(
     params = ModelParams(n=n, k=min(h, n), m=m, q=field.q, gamma=gamma)
     mats, _ = _sample_trials(params, trials, seed, n_candidates=1)
     pair = np.stack([d1, d2])
-    meas = _measure_all(field, mats, pair)  # (t, m, 2)
+    meas = measure_candidates(field, mats, pair)  # (t, m, 2)
     null = (meas == 0).all(axis=1)  # (t, 2)
     hits_1 = int(null[:, 0].sum())
     hits_2 = int(null[:, 1].sum())

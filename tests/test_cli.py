@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ffcs import error_events, make_field, matrix_from_json, matvec, signal_from_json
 from ffcs.cli import parse_and_dispatch
 
 
@@ -163,6 +164,31 @@ class TestSimulateCommand:
         assert inst["matrix"]["q"] == 4
         assert len(inst["y"]) == 2
 
+    @pytest.mark.parametrize("q,gamma", [(3, "0.4"), (4, "dense")])
+    def test_dumped_instances_reproduce_counts(self, capsys, tmp_path, q, gamma):
+        dump = tmp_path / "dump"
+        k = 2
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "5", "--k", str(k), "--m", "3", "--q", str(q),
+            "--gamma", gamma, "--trials", "40", "--seed", "9", "--dump", str(dump),
+        )
+        assert code == 0
+        obj = json.loads(out)
+        field = make_field(q)
+        files = sorted(dump.iterdir())
+        assert len(files) == 40
+        e0 = e = 0
+        for path in files:
+            inst = json.loads(path.read_text())
+            mat = matrix_from_json(inst["matrix"])
+            sig = signal_from_json(inst["signal"])
+            assert inst["y"] == matvec(field, mat, sig).tolist()
+            ev = error_events(field, mat, sig, k)
+            e0 += ev.e0_error
+            e += ev.e_error
+        assert obj["e_errors"] > 0
+        assert (obj["e0_errors"], obj["e_errors"]) == (e0, e)
+
     def test_enumeration_cap_is_runtime_error(self, capsys):
         # candidate count is checked before any allocation, so an
         # impossibly large instance fails fast with exit code 2
@@ -170,6 +196,44 @@ class TestSimulateCommand:
             capsys, "simulate", "--n", "60", "--k", "30", "--m", "3", "--q", "4", "--trials", "1"
         )
         assert code == 2 and "runtime error" in err
+
+
+class TestGammaValidation:
+    @pytest.mark.parametrize("gamma", ["1.5", "0", "c=-1", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", "12", "--k", "3", "--m", "6", "--q", "4"],
+            ["simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4", "--trials", "3"],
+        ],
+    )
+    def test_bad_gamma_is_parameter_error(self, capsys, argv, gamma):
+        code, out, err = run_cli(capsys, *argv, "--gamma", gamma)
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
+
+
+class TestFileErrors:
+    def test_out_into_missing_directory_is_runtime_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "bound", "--n", "12", "--k", "3", "--m", "6", "--q", "4",
+            "--out", str(tmp_path / "missing" / "bound.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "runtime error" in err
+
+    def test_dump_under_regular_file_is_runtime_error(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4",
+            "--trials", "3", "--dump", str(blocker / "dump"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "runtime error" in err
 
 
 class TestUsage:

@@ -25,6 +25,7 @@ from ffcs import (
     signal_to_json,
     sparse_gamma,
 )
+from ffcs.model import _BLOCK, measure_candidates, weight_blocks
 
 # 0.999 chi-square quantiles by degrees of freedom
 CHI2_999 = {2: 13.816, 3: 16.266, 18: 42.312}
@@ -189,6 +190,17 @@ class TestMatvec:
             rhs = f.add_table[matvec(f, A, x1), matvec(f, A, x2)]
             assert np.array_equal(lhs, rhs)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 13, 16])
+    def test_batched_kernel_matches_stacked_calls(self, q):
+        f = make_field(q)
+        rng = np.random.default_rng(q)
+        mats = rng.integers(0, q, size=(6, 3, 7)).astype(np.int16)
+        cands = rng.integers(0, q, size=(40, 7)).astype(np.int16)
+        batched = measure_candidates(f, mats, cands)
+        assert batched.shape == (6, 3, 40)
+        stacked = np.stack([measure_candidates(f, A, cands) for A in mats])
+        assert np.array_equal(batched, stacked)
+
 
 class TestEnumeration:
     def test_canonical_order_binary(self):
@@ -202,6 +214,23 @@ class TestEnumeration:
     def test_value_order_within_support(self):
         got = [v.tolist() for v in enumerate_signals(2, 1, 3)]
         assert got == [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]
+
+    @pytest.mark.parametrize(
+        "n,k_max,q",
+        [
+            (4, 0, 3),  # only the zero vector
+            (4, 4, 3),  # k = n
+            (6, 3, 2),  # a single nonzero value
+            (1, 1, 5),  # n = 1
+            (4, 3, 32),  # (q - 1)^k = 29791 > _BLOCK: values split across blocks
+        ],
+    )
+    def test_weight_blocks_match_reference_order(self, n, k_max, q):
+        blocks = [b for k in range(k_max + 1) for b in weight_blocks(n, k, q)]
+        assert max(len(b) for b in blocks) <= _BLOCK
+        reference = np.array(list(enumerate_signals(n, k_max, q)), dtype=np.int16)
+        assert np.array_equal(np.concatenate(blocks), reference)
+        assert np.array_equal(candidate_matrix(n, k_max, q)[0], reference)
 
     def test_candidate_matrix_counts_and_weights(self):
         X, w = candidate_matrix(4, 2, 3)
