@@ -271,23 +271,58 @@ def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, Weigh
     }
 
 
+def _tri(v):
+    """Offset of row v in a flat triangle."""
+    return v * (v + 1) // 2
+
+
+class _BinomialPowerPrefix:
+    """log P_v(i) for v = 0, 1, ... and i = 0..v, for one field order q.
+
+    Row v depends on q alone, so rows are kept across profile misses and
+    a larger K only appends rows.  The rows form a flat triangle: row v
+    starts at offset v(v + 1) / 2.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        self.rows = 0
+        self.flat = np.empty(0)
+
+    def upto(self, vmax: int) -> np.ndarray:
+        """The triangle, grown to hold at least rows 0..vmax."""
+        if vmax < self.rows:
+            return self.flat
+        grown = np.empty(_tri(vmax + 1))
+        grown[: self.flat.size] = self.flat
+        self.flat = grown
+        lfact = gammaln(np.arange(vmax + 1) + 1.0)  # log j!
+        # log r^c with r = q - 2; for q = 2 only r^0 = 1 survives (no 0 * -inf)
+        if self.q > 2:
+            log_rpow = np.arange(vmax + 1) * math.log(self.q - 2)
+        else:
+            log_rpow = np.full(vmax + 1, NEG_INF)
+            log_rpow[0] = 0.0
+        for v in range(self.rows, vmax + 1):
+            c = np.arange(v + 1)
+            row = lfact[v] - lfact[c] - lfact[v - c] + log_rpow[c]
+            np.logaddexp.accumulate(row, out=self.flat[_tri(v) : _tri(v + 1)])
+        self.rows = vmax + 1
+        return self.flat
+
+
+# one field order at a time: a curve sweeps K for one q before the next
+@lru_cache(maxsize=1)
+def _binomial_power_prefix(q: int) -> _BinomialPowerPrefix:
+    return _BinomialPowerPrefix(q)
+
+
 @lru_cache(maxsize=64)
 def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarray:
     hmax = 2 * k_max
     lfact = gammaln(np.arange(max(n, hmax) + 1) + 1.0)  # log j!
     logq1 = math.log(q - 1)
-    # log r^c with r = q - 2; for q = 2 only r^0 = 1 survives (no 0 * -inf)
-    if q > 2:
-        log_rpow = np.arange(hmax + 1) * math.log(q - 2)
-    else:
-        log_rpow = np.full(hmax + 1, NEG_INF)
-        log_rpow[0] = 0.0
-    # P[v, i] = log P_v(i), built one row at a time; entries with i > v
-    # are never read
-    P = np.full((hmax + 1, hmax + 1), NEG_INF)
-    for v in range(hmax + 1):
-        c = np.arange(v + 1)
-        P[v, : v + 1] = np.logaddexp.accumulate(lfact[v] - lfact[c] - lfact[v - c] + log_rpow[c])
+    P = _binomial_power_prefix(q).upto(hmax)  # log P_v(i) at _tri(v) + i
     out = np.full(hmax + 1, NEG_INF)
     for h in range(1, min(hmax, n) + 1):
         R = n - h
@@ -299,10 +334,10 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
         S[h + a.size :] = S[h + a.size - 1]
         log_ch = lfact[h] - lfact[: h + 1] - lfact[h::-1]  # log C(h, j)
         b = np.arange(h // 2 + 1)
-        terms = log_ch[b] + P[h - b, h - 2 * b] + S[k_max + b]  # T_h
+        terms = log_ch[b] + P[_tri(h - b) + h - 2 * b] + S[k_max + b]  # T_h
         if variant is PairVariant.ALL_PAIRS:
             u = np.arange((h + 2) // 2, h + 1)  # U_h
-            terms = np.concatenate((terms, log_ch[u] + P[u, 2 * u - h - 1] + S[k_max + h - u]))
+            terms = np.concatenate((terms, log_ch[u] + P[_tri(u) + 2 * u - h - 1] + S[k_max + h - u]))
         # b = h // 2 keeps A >= 0, so top is finite
         top = terms.max()
         lse = top + math.log(np.exp(terms - top).sum())

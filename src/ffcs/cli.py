@@ -38,7 +38,7 @@ from .model import (
     matvec,
     signal_to_json,
 )
-from .montecarlo import _sample_trials, run_trials
+from .montecarlo import _sample_trials, _trial_block, run_trials
 
 _VALIDATION_ERRORS = (
     ValueError,
@@ -236,21 +236,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _dump_instances(params: ModelParams, trials: int, seed: int, dump_dir: Path) -> None:
-    """Write each trial's matrix, signal and measurement as JSON."""
+    """Write each trial's matrix, signal and measurement as JSON, block by block."""
     dump_dir.mkdir(parents=True, exist_ok=True)
     field = make_field(params.q)
     cands, _ = candidate_matrix(params.n, params.k, params.q)
-    mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
-    for i, (rows, j) in enumerate(zip(mats, idx)):
-        mat = SensingMatrix(rows=rows, gamma=params.gamma)
-        sig = Signal.from_entries(cands[j])
-        y = matvec(field, mat, sig)
-        obj = {
-            "matrix": matrix_to_json(mat, params.q, seed),
-            "signal": signal_to_json(sig, params.q, seed),
-            "y": y.astype(int).tolist(),
-        }
-        (dump_dir / f"trial_{i:05d}.json").write_text(json.dumps(obj, indent=2) + "\n")
+    block = _trial_block(params, cands.shape[0])
+    for start in range(0, trials, block):
+        mats, idx = _sample_trials(params, min(start + block, trials), seed, cands.shape[0], start)
+        for i, (rows, j) in enumerate(zip(mats, idx), start):
+            mat = SensingMatrix(rows=rows, gamma=params.gamma)
+            sig = Signal.from_entries(cands[j])
+            y = matvec(field, mat, sig)
+            obj = {
+                "matrix": matrix_to_json(mat, params.q, seed),
+                "signal": signal_to_json(sig, params.q, seed),
+                "y": y.astype(int).tolist(),
+            }
+            (dump_dir / f"trial_{i:05d}.json").write_text(json.dumps(obj, indent=2) + "\n")
 
 
 # parser ----------------------------------------------------------------------

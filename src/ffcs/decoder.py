@@ -9,8 +9,9 @@ a confusable candidate, not the luck of a tie-break.
 
 This is the ground-truth oracle for the probabilistic machinery, so the
 feasibility check is a direct measurement comparison with no elimination
-shortcuts.  Candidates come from model.weight_blocks and are measured
-by model.measure_candidates, the kernel the Monte Carlo path shares.
+shortcuts.  Candidates come from model.weight_blocks, whose supports and
+values go straight to model.measure_candidates, the kernel the Monte
+Carlo path shares.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def decode_l0(
     check_enumeration_cap(n, k_max, field.q, cap)
     for k in range(k_max + 1):
         feasible: list[np.ndarray] = []
-        for block in weight_blocks(n, k, field.q):
-            meas = measure_candidates(field, rows, block)
+        for block, terms in weight_blocks(n, k, field.q):
+            meas = measure_candidates(field, rows, block, terms=terms)
             hits = np.nonzero((meas == y[:, None]).all(axis=0))[0]
             for i in hits:
                 sol = block[i].copy()
@@ -108,8 +109,8 @@ def error_events(
 
     e_error = False
     for k in range(k1 + 1):
-        for block in weight_blocks(rows.shape[1], k, field.q):
-            meas = measure_candidates(field, rows, block)
+        for block, terms in weight_blocks(rows.shape[1], k, field.q):
+            meas = measure_candidates(field, rows, block, terms=terms)
             feas = (meas == y[:, None]).all(axis=0)
             not_x = (block != xe[None, :]).any(axis=1)
             if bool(np.any(feas & not_x)):

@@ -170,24 +170,62 @@ def matvec(field: FiniteField, matrix, signal) -> np.ndarray:
     return measure_candidates(field, rows, x[None, :])[:, 0]
 
 
-def measure_candidates(field: FiniteField, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Apply (..., m, n) matrices to a (c, n) batch of vectors; returns (..., m, c).
+def candidate_terms(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support positions and values of each row of a (c, n) batch, as (c, K) arrays.
 
-    Prime fields use an integer matmul reduced mod p; binary extensions
-    multiply through the lookup table and fold columns with XOR (field
-    addition in characteristic 2).
+    K is the heaviest row's weight; a lighter row is padded with
+    zero-valued terms, which measure to 0 wherever they point.
+    """
+    nonzero = cands != 0
+    k = int(np.count_nonzero(nonzero, axis=1).max(initial=0))
+    support = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
+    return support, cands[np.arange(len(cands))[:, None], support]
+
+
+def measure_candidates(
+    field: FiniteField, rows: np.ndarray, cands: np.ndarray, terms=None
+) -> np.ndarray:
+    """Apply (..., m, n) matrices to a (c, n) batch of vectors; returns (..., m, c) int16.
+
+    A x' is a sum of at most K scaled columns, K the heaviest weight in
+    the batch: the table v * A[..., :, j] is built once for every value
+    v and column j, and each candidate folds the K entries its terms
+    name, by XOR in characteristic 2, and otherwise by integer addition
+    followed by one lookup in a table of residues mod p.  ``terms`` is
+    the batch's (support, values) pair as candidate_terms returns it
+    (weight_blocks yields it alongside each block); it is extracted from
+    ``cands`` when omitted.
     """
     if rows.shape[-1] != cands.shape[1]:
         raise DimensionMismatch(
             f"matrix {rows.shape} incompatible with candidates {cands.shape}"
         )
-    if field.m == 1:
-        return (rows.astype(np.int64) @ cands.T.astype(np.int64)) % field.p
-    mul = field.mul_table
-    out = np.zeros(rows.shape[:-1] + (cands.shape[0],), dtype=np.int16)
-    for j in range(rows.shape[-1]):
-        out ^= mul[rows[..., j][..., None], cands[:, j]]
-    return out
+    support, values = candidate_terms(cands) if terms is None else terms
+    q, n = field.q, rows.shape[-1]
+    # an entry outside 0..q-1 would index the wrong table column, silently
+    for arr in (rows, values):
+        if arr.size and (arr.min() < 0 or arr.max() >= q):
+            raise ValueError(f"entries outside GF({q})")
+    # scaled[r, j * q + v] = A[r, j] * v over the flattened rows r of every
+    # matrix; v = 0 gives zero columns, so padding terms add nothing
+    scaled = field.mul_table[rows].reshape(-1, n * q)
+    keys = support * q + values
+    shape = rows.shape[:-1] + (cands.shape[0],)
+    if keys.shape[1] == 0:
+        return np.zeros(shape, dtype=np.int16)
+    out = scaled[:, keys[:, 0]]
+    if field.p == 2:
+        for t in range(1, keys.shape[1]):
+            out ^= scaled[:, keys[:, t]]
+        return out.reshape(shape)
+    # K terms below p sum to at most K (p - 1); a lookup table reduces that mod p
+    top = keys.shape[1] * (field.p - 1)
+    if top > np.iinfo(np.int16).max:
+        out = out.astype(np.int32)
+    for t in range(1, keys.shape[1]):
+        out += scaled[:, keys[:, t]]
+    residue = (np.arange(top + 1) % field.p).astype(np.int16)
+    return residue[out].reshape(shape)
 
 
 def enumerate_signals(n: int, k_max: int, q: int):
@@ -208,11 +246,13 @@ def enumerate_signals(n: int, k_max: int, q: int):
 
 
 def weight_blocks(n: int, k: int, q: int):
-    """Yield the weight-k members of L in canonical order, as int16 blocks.
+    """Yield the weight-k members of L in canonical order, as (block, terms).
 
-    Row r of the level puts the (r % (q-1)^k)-th value tuple on the
-    (r // (q-1)^k)-th support.  Every block but the last holds exactly
-    _BLOCK rows, so no whole level is ever built.
+    ``block`` is an int16 (rows, n) array and ``terms`` its (support,
+    values) pair, two (rows, k) arrays in the form measure_candidates
+    takes.  Row r of the level puts the (r % (q-1)^k)-th value tuple on
+    the (r // (q-1)^k)-th support.  Every block but the last holds
+    exactly _BLOCK rows, so no whole level is ever built.
     """
     n_supports = comb(n, k)
     n_values = (q - 1) ** k
@@ -237,7 +277,7 @@ def weight_blocks(n: int, k: int, q: int):
         values = (v[:, None] // place % (q - 1) + 1).astype(np.int16)
         block = np.zeros((s.size, n), dtype=np.int16)
         np.put_along_axis(block, support, values, axis=1)
-        yield block
+        yield block, (support, values)
 
 
 def check_enumeration_cap(n: int, k_max: int, q: int, cap: int) -> int:
@@ -260,7 +300,7 @@ def candidate_matrix(
     out = np.empty((check_enumeration_cap(n, k_max, q, cap), n), dtype=np.int16)
     start = 0
     for k in range(k_max + 1):
-        for block in weight_blocks(n, k, q):
+        for block, _ in weight_blocks(n, k, q):
             out[start : start + len(block)] = block
             start += len(block)
     weights = np.count_nonzero(out, axis=1).astype(np.int64)

@@ -10,13 +10,26 @@ a child stream keyed by the trial index.  Within a trial the draw order
 is fixed: matrix zero-mask uniforms, matrix nonzero values, then the
 signal index (uniform over the canonical enumeration of L).  Trials are
 therefore independent of evaluation order and safe to parallelize.
-`ffcs simulate --dump` writes the instances _sample_trials draws.
 
-The error flags are evaluated by a vectorized batch path that applies a
-block of trial matrices to all of L at once through
-model.measure_candidates, the decoder's kernel; it computes the same
-predicates as decoder.error_events, and the test suite pins the two
-routes against each other on sampled instances.
+Child seeds are computed, not spawned.  Child i's SeedSequence hashes
+the seed's uint32 words (zero-padded to the pool size of 4) followed by
+i's words, and PCG64 asks it for generate_state(4, uint64) and nothing
+else.  _child_seed_words runs that hash for a whole window of trial
+indices in numpy uint32 arithmetic, and _SeedWords hands each row to
+PCG64, so no SeedSequence object is built per trial.  The tests pin
+the rows to numpy's own spawn, spawn keys past 2**32 included.
+
+Trials are drawn, measured and flagged in blocks of at most
+_BLOCK_ELEMS elements per (trials x m x candidates) array, so memory
+depends on the configuration, not on the trial count: _sample_trials
+serves any [start, stop) window of the trial sequence, and
+`ffcs simulate --dump` writes the same windows block by block.
+
+The error flags are evaluated by applying a block of trial matrices to
+all of L at once through model.measure_candidates, the decoder's
+kernel, with the candidates' supports and values extracted once per
+run; it computes the same predicates as decoder.error_events, and the
+test suite pins the two routes against each other on sampled instances.
 """
 
 from __future__ import annotations
@@ -28,11 +41,18 @@ import numpy as np
 from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
 from .decoder import DEFAULT_ENUMERATION_CAP
 from .field import FiniteField, make_field
-from .model import ModelParams, candidate_matrix, measure_candidates
+from .model import ModelParams, candidate_matrix, candidate_terms, measure_candidates
 from .util import wilson_interval
 
-# elements per (trials x m x |L|) work block
-_BLOCK_ELEMS = 1 << 23
+# elements per (trials x m x candidates) work block
+_BLOCK_ELEMS = 1 << 20
+
+# numpy.random.SeedSequence's hash constants (pool size 4, uint32 words)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -78,21 +98,133 @@ class NullityReport:
     seed: int
 
 
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix: each call advances the hash constant once."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        nxt = const * mult & _M32
+        value = (value ^ np.uint32(const)) * np.uint32(nxt)
+        const = nxt
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _uint32_words(value: int) -> list[np.ndarray]:
+    """value's little-endian uint32 words (at least one), as 1-element arrays."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return [np.array([w], dtype=np.uint32) for w in words]
+
+
+def _child_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of child streams start..stop-1 of SeedSequence(seed).
+
+    Row i - start equals
+    ``SeedSequence(seed).spawn(stop)[i].generate_state(4, np.uint64)``.
+    The arithmetic is SeedSequence's, on uint32 arrays (which wrap like
+    its words): the seed's entropy words pass through the pool first,
+    then each spawn-key word of i: one word below 2**32, two above.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    run = _uint32_words(seed)
+    run += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(run))
+    index = np.arange(start, stop, dtype=np.uint64)
+    out = np.empty((index.size, 4), dtype=np.uint64)
+    for sel, n_key in ((index < 2**32, 1), (index >= 2**32, 2)):
+        if not sel.any():
+            continue
+        key = [(index[sel] >> np.uint64(32 * j) & np.uint64(_M32)).astype(np.uint32)
+               for j in range(n_key)]
+        entropy = run + key
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for w in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(w))
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        for j in range(4):
+            out[sel, j] = state[2 * j] | state[2 * j + 1] << np.uint64(32)
+    return out
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 one precomputed row of _child_seed_words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's request, generate_state(4, uint64), is served")
+        return self.words
+
+
 def _sample_trials(
-    params: ModelParams, trials: int, seed: int, n_candidates: int
+    params: ModelParams, stop: int, seed: int, n_candidates: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw all trial matrices and signal indices via per-trial substreams."""
-    children = np.random.SeedSequence(seed).spawn(trials)
-    mats = np.empty((trials, params.m, params.n), dtype=np.int16)
-    idx = np.empty(trials, dtype=np.int64)
+    """Draw the matrices and signal indices of trials start..stop-1.
+
+    Each trial draws from its own child stream, so a window holds the
+    same draws whatever the windows around it.
+    """
     shape = (params.m, params.n)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        zero_mask = rng.random(shape) >= params.gamma
-        values = rng.integers(1, params.q, size=shape, dtype=np.int16)
-        mats[i] = np.where(zero_mask, 0, values)
+    words = _child_seed_words(seed, start, stop)
+    uniforms = np.empty((len(words),) + shape)
+    values = np.empty((len(words),) + shape, dtype=np.int16)
+    idx = np.empty(len(words), dtype=np.int64)
+    for i, w in enumerate(words):
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(w)))
+        rng.random(shape, out=uniforms[i])
+        values[i] = rng.integers(1, params.q, size=shape, dtype=np.int16)
         idx[i] = rng.integers(0, n_candidates)
-    return mats, idx
+    values[uniforms >= params.gamma] = 0
+    return values, idx
+
+
+def _trial_block(params: ModelParams, n_candidates: int) -> int:
+    """Trials per block: keeps every per-block array within _BLOCK_ELEMS."""
+    width = max(n_candidates, params.q * params.n)
+    return max(1, _BLOCK_ELEMS // (params.m * width))
+
+
+def _error_flags(
+    field: FiniteField,
+    mats: np.ndarray,
+    idx: np.ndarray,
+    cands: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """e0 and e flags of a block of trials whose signals are cands[idx]."""
+    meas = measure_candidates(field, mats, cands, terms=terms)
+    y = np.take_along_axis(meas, idx[:, None, None], axis=2)
+    feas = (meas == y).all(axis=1)  # (t, c)
+    k1 = weights[idx]
+    # e: any feasible candidate, other than x itself, of weight <= k1
+    lighter = weights[None, :] < k1[:, None]
+    same_w = weights[None, :] == k1[:, None]
+    n_same = (feas & same_w).sum(axis=1)  # includes x itself
+    e_flags = (feas & lighter).any(axis=1) | (n_same >= 2)
+    # e0: sparsest feasible level below k1, or a tie at that level
+    min_w = np.where(feas, weights[None, :], weights.max() + 1).min(axis=1)
+    n_min = (feas & (weights[None, :] == min_w[:, None])).sum(axis=1)
+    e0_flags = (min_w < k1) | (n_min >= 2)
+    return e0_flags, e_flags
 
 
 def run_trials(
@@ -113,32 +245,17 @@ def run_trials(
         raise ValueError("trials must be >= 1")
     field = make_field(params.q)
     cands, weights = candidate_matrix(params.n, params.k, params.q, cap=enumeration_cap)
+    terms = candidate_terms(cands)
     n_cand = cands.shape[0]
-    mats, idx = _sample_trials(params, trials, seed, n_cand)
+    block = _trial_block(params, n_cand)
+    e0_errors = e_errors = violations = 0
+    for start in range(0, trials, block):
+        mats, idx = _sample_trials(params, min(start + block, trials), seed, n_cand, start)
+        e0_flags, e_flags = _error_flags(field, mats, idx, cands, terms, weights)
+        e0_errors += int(e0_flags.sum())
+        e_errors += int(e_flags.sum())
+        violations += int((e0_flags & ~e_flags).sum())
 
-    e0_flags = np.zeros(trials, dtype=bool)
-    e_flags = np.zeros(trials, dtype=bool)
-    big = np.int64(params.n + 1)
-    block = max(1, _BLOCK_ELEMS // max(1, params.m * n_cand))
-    for s in range(0, trials, block):
-        mb = mats[s : s + block]
-        ib = idx[s : s + block]
-        meas = measure_candidates(field, mb, cands)
-        y = np.take_along_axis(meas, ib[:, None, None], axis=2)
-        feas = (meas == y).all(axis=1)  # (t, c)
-        k1 = weights[ib]
-        # e: any feasible candidate, other than x itself, of weight <= k1
-        lighter = weights[None, :] < k1[:, None]
-        same_w = weights[None, :] == k1[:, None]
-        n_same = (feas & same_w).sum(axis=1)  # includes x itself
-        e_flags[s : s + len(ib)] = (feas & lighter).any(axis=1) | (n_same >= 2)
-        # e0: sparsest feasible level below k1, or a tie at that level
-        min_w = np.where(feas, weights[None, :], big).min(axis=1)
-        n_min = (feas & (weights[None, :] == min_w[:, None])).sum(axis=1)
-        e0_flags[s : s + len(ib)] = (min_w < k1) | (n_min >= 2)
-
-    e0_errors = int(e0_flags.sum())
-    e_errors = int(e_flags.sum())
     e0_lo, e0_hi = wilson_interval(e0_errors, trials)
     e_lo, e_hi = wilson_interval(e_errors, trials)
     ub = union_bound(params)
@@ -153,7 +270,7 @@ def run_trials(
         e0_ci_high=e0_hi,
         e_ci_low=e_lo,
         e_ci_high=e_hi,
-        inclusion_violations=int((e0_flags & ~e_flags).sum()),
+        inclusion_violations=violations,
         union_bound_log=ub.log_value,
         union_bound_value=ub.capped_linear,
         fano_value=fano_lower_bound(params.n, params.k, params.q, params.m),
@@ -201,12 +318,14 @@ def equal_weight_nullity_test(
     """
     d1, d2 = _pick_weight_h_vectors(n, field.q, h)
     params = ModelParams(n=n, k=min(h, n), m=m, q=field.q, gamma=gamma)
-    mats, _ = _sample_trials(params, trials, seed, n_candidates=1)
     pair = np.stack([d1, d2])
-    meas = measure_candidates(field, mats, pair)  # (t, m, 2)
-    null = (meas == 0).all(axis=1)  # (t, 2)
-    hits_1 = int(null[:, 0].sum())
-    hits_2 = int(null[:, 1].sum())
+    hits_1 = hits_2 = 0
+    block = _trial_block(params, len(pair))
+    for start in range(0, trials, block):
+        mats, _ = _sample_trials(params, min(start + block, trials), seed, 1, start)
+        null = (measure_candidates(field, mats, pair) == 0).all(axis=1)  # (t, 2)
+        hits_1 += int(null[:, 0].sum())
+        hits_2 += int(null[:, 1].sum())
     ci_1 = wilson_interval(hits_1, trials)
     ci_2 = wilson_interval(hits_2, trials)
     analytic = row_zero_prob_sparse(field.q, gamma, h).linear ** m

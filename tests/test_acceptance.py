@@ -1,8 +1,10 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines
-appear as criteria complete.  Criterion 7 takes about three minutes;
-everything else finishes in seconds.  Tolerances are pinned here and
+appear as criteria complete.  Criterion 7 (288 configs x 10k trials)
+takes 58-77 s on a 2-core VM, about 20 us per trial, almost all of it
+numpy's per-trial generator set-up and draws; everything else finishes
+in seconds.  Tolerances are pinned here and
 nowhere else.
 """
 

@@ -27,6 +27,7 @@ from ffcs import (
     sufficient_m,
     union_bound,
 )
+from ffcs.bounds import _BinomialPowerPrefix
 from ffcs.util import log_of_int
 
 ALL = PairVariant.ALL_PAIRS
@@ -149,6 +150,20 @@ class TestPairCounts:
         want = log_of_int((total - 1) * total)
         assert math.isclose(float(logsumexp(prof_all)), want, rel_tol=1e-12)
         assert np.all(prof_res <= prof_all + 1e-12)  # up to float rounding
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_binomial_power_table_grows_to_the_exact_rows(self, q):
+        # row v holds log sum_{c <= i} C(v, c) (q - 2)^c for i = 0..v, however
+        # many steps the table grew in; a buffer handed out earlier keeps its rows
+        table = _BinomialPowerPrefix(q)
+        table.upto(4)
+        held = table.upto(9)
+        flat = table.upto(23)
+        assert table.rows == 24 and np.array_equal(held, flat[: held.size])
+        for v in range(24):
+            prefix = np.cumsum([math.comb(v, c) * (q - 2) ** c for c in range(v + 1)])
+            got = flat[v * (v + 1) // 2 : (v + 1) * (v + 2) // 2]
+            assert np.allclose(got, np.log(prefix.astype(float)), rtol=1e-12, atol=0), v
 
     @pytest.mark.parametrize(
         "call",

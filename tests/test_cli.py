@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ffcs import error_events, make_field, matrix_from_json, matvec, signal_from_json
+from ffcs import error_events, make_field, matrix_from_json, matvec, montecarlo, signal_from_json
 from ffcs.cli import parse_and_dispatch
 
 
@@ -188,6 +188,31 @@ class TestSimulateCommand:
             e += ev.e_error
         assert obj["e_errors"] > 0
         assert (obj["e0_errors"], obj["e_errors"]) == (e0, e)
+
+    def test_dump_is_written_block_by_block(self, capsys, tmp_path, monkeypatch):
+        argv = ["simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4",
+                "--gamma", "0.5", "--trials", "10", "--seed", "3"]
+        code, whole, _ = run_cli(capsys, *argv, "--dump", str(tmp_path / "whole"))
+        assert code == 0
+        # width max(|L|, q n) = 20 and m = 2: blocks of 3 trials
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * 2 * 20)
+        code, streamed, _ = run_cli(capsys, *argv, "--dump", str(tmp_path / "streamed"))
+        assert code == 0
+        strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "meta"}
+        assert strip(streamed) == strip(whole)
+        names = sorted(p.name for p in (tmp_path / "whole").iterdir())
+        assert names == [f"trial_{i:05d}.json" for i in range(10)]
+        for name in names:
+            assert (tmp_path / "streamed" / name).read_text() == (tmp_path / "whole" / name).read_text()
+
+    def test_negative_seed_is_parameter_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4",
+            "--trials", "3", "--seed", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
 
     def test_enumeration_cap_is_runtime_error(self, capsys):
         # candidate count is checked before any allocation, so an

@@ -25,7 +25,7 @@ from ffcs import (
     signal_to_json,
     sparse_gamma,
 )
-from ffcs.model import _BLOCK, measure_candidates, weight_blocks
+from ffcs.model import _BLOCK, candidate_terms, measure_candidates, weight_blocks
 
 # 0.999 chi-square quantiles by degrees of freedom
 CHI2_999 = {2: 13.816, 3: 16.266, 18: 42.312}
@@ -177,6 +177,18 @@ class TestMatvec:
         with pytest.raises(DimensionMismatch):
             matvec(f, np.ones((2, 3), dtype=np.int16), np.ones(4, dtype=np.int16))
 
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_entries_outside_the_field_rejected(self, q):
+        f = make_field(q)
+        A = np.ones((2, 3), dtype=np.int16)
+        with pytest.raises(ValueError):
+            matvec(f, A, np.array([q, 0, 0], dtype=np.int16))
+        with pytest.raises(ValueError):
+            matvec(f, A, np.array([-1, 0, 0], dtype=np.int16))
+        A[1, 2] = -1
+        with pytest.raises(ValueError):
+            matvec(f, A, np.array([1, 0, 0], dtype=np.int16))
+
     @pytest.mark.parametrize("q", [2, 3, 4, 8])
     def test_linearity_over_random_instances(self, q):
         f = make_field(q)
@@ -200,6 +212,18 @@ class TestMatvec:
         assert batched.shape == (6, 3, 40)
         stacked = np.stack([measure_candidates(f, A, cands) for A in mats])
         assert np.array_equal(batched, stacked)
+
+
+    def test_heavy_prime_candidates_use_a_wide_accumulator(self):
+        # 140 terms of 250 * 250 in GF(251): the sum before reduction
+        # exceeds int16, so the kernel must accumulate wider
+        f = make_field(251)
+        n = 140
+        A = np.full((2, n), 250, dtype=np.int16)
+        x = np.full(n, 250, dtype=np.int16)
+        assert matvec(f, A, x).tolist() == [n % 251] * 2  # 250 = -1, so each term is 1
+        cands = np.stack([x, np.zeros(n, dtype=np.int16)])
+        assert measure_candidates(f, A, cands).tolist() == [[n, 0], [n, 0]]
 
 
 class TestEnumeration:
@@ -226,8 +250,13 @@ class TestEnumeration:
         ],
     )
     def test_weight_blocks_match_reference_order(self, n, k_max, q):
-        blocks = [b for k in range(k_max + 1) for b in weight_blocks(n, k, q)]
+        pairs = [bt for k in range(k_max + 1) for bt in weight_blocks(n, k, q)]
+        blocks = [b for b, _ in pairs]
         assert max(len(b) for b in blocks) <= _BLOCK
+        for block, (support, values) in pairs:
+            expected = candidate_terms(block)
+            assert np.array_equal(support, expected[0])
+            assert np.array_equal(values, expected[1])
         reference = np.array(list(enumerate_signals(n, k_max, q)), dtype=np.int16)
         assert np.array_equal(np.concatenate(blocks), reference)
         assert np.array_equal(candidate_matrix(n, k_max, q)[0], reference)

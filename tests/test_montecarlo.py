@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from ffcs import (
     make_field,
     run_trials,
 )
-from ffcs.montecarlo import _sample_trials
+from ffcs import montecarlo
+from ffcs.montecarlo import _child_seed_words, _sample_trials
 
 
 class TestReproducibility:
@@ -118,3 +120,82 @@ def test_cap_propagates():
     params = ModelParams(n=40, k=10, m=4, q=4, gamma=0.5)
     with pytest.raises(EnumerationCapExceeded):
         run_trials(params, 10, seed=0, enumeration_cap=10_000)
+
+
+def _per_trial_draws(params, trials, seed, n_candidates):
+    """The per-trial loop the streamed sampler replaced, kept as its oracle."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    mats = np.empty((trials, params.m, params.n), dtype=np.int16)
+    idx = np.empty(trials, dtype=np.int64)
+    shape = (params.m, params.n)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        zero_mask = rng.random(shape) >= params.gamma
+        values = rng.integers(1, params.q, size=shape, dtype=np.int16)
+        mats[i] = np.where(zero_mask, 0, values)
+        idx[i] = rng.integers(0, n_candidates)
+    return mats, idx
+
+
+class TestSeedContract:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**64 - 1, 2**130 + 7])
+    def test_child_words_match_spawn(self, seed):
+        stop = 70
+        expect = [c.generate_state(4, np.uint64) for c in np.random.SeedSequence(seed).spawn(stop)]
+        assert np.array_equal(_child_seed_words(seed, 0, stop), np.array(expect))
+        assert np.array_equal(_child_seed_words(seed, 13, 31), np.array(expect[13:31]))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**130 + 7])
+    def test_window_across_two_word_spawn_keys(self, seed):
+        # children 2**32 - 2 .. 2**32 + 1, where the spawn key grows a
+        # second word; spawn(stop)[i] is SeedSequence(seed, spawn_key=(i,)),
+        # built directly so that no 2**32 siblings are spawned
+        start, stop = 2**32 - 2, 2**32 + 2
+        expect = [
+            np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+            for i in range(start, stop)
+        ]
+        assert np.random.SeedSequence(seed).spawn(3)[2].spawn_key == (2,)
+        assert np.array_equal(_child_seed_words(seed, start, stop), np.array(expect))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            _child_seed_words(-1, 0, 3)
+
+    @pytest.mark.parametrize("q,gamma", [(2, 0.5), (3, 0.3), (16, 0.9)])
+    def test_windows_match_per_trial_loop(self, q, gamma):
+        params = ModelParams(n=5, k=2, m=3, q=q, gamma=gamma)
+        n_cand = candidate_matrix(params.n, params.k, params.q)[0].shape[0]
+        mats, idx = _per_trial_draws(params, 50, 4242, n_cand)
+        got = _sample_trials(params, 50, 4242, n_cand)
+        assert np.array_equal(got[0], mats) and np.array_equal(got[1], idx)
+        for start, stop in [(0, 1), (7, 23), (23, 50), (49, 50)]:
+            w_mats, w_idx = _sample_trials(params, stop, 4242, n_cand, start)
+            assert np.array_equal(w_mats, mats[start:stop])
+            assert np.array_equal(w_idx, idx[start:stop])
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        params = ModelParams(n=5, k=2, m=3, q=4, gamma=0.6)
+        whole = run_trials(params, 300, seed=8)
+        f = make_field(4)
+        null_whole = equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8)
+        # |L| = 106 candidates and m = 3: run_trials blocks of 7 and 83
+        # trials, so every window boundary moves
+        for per_block in (7, 83):
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * 106 * per_block)
+            assert run_trials(params, 300, seed=8) == whole
+            assert equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8) == null_whole
+
+
+def test_memory_does_not_grow_with_trials():
+    params = ModelParams(n=8, k=2, m=5, q=3, gamma=dense_gamma(3))
+    run_trials(params, 10, seed=0)  # field tables and caches outside the measurement
+    peaks = []
+    for trials in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            run_trials(params, trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

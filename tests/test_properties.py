@@ -1,0 +1,95 @@
+"""Property tests: the measurement kernel, the batch error flags and matvec.
+
+Each property holds for every instance; hypothesis draws the instances
+(deterministically, see conftest.py).
+"""
+
+from functools import reduce
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ffcs import ModelParams, candidate_matrix, error_events, make_field, matvec, run_trials
+from ffcs.model import measure_candidates
+from ffcs.montecarlo import _sample_trials
+
+ORDERS = [2, 3, 4, 5, 7, 8, 13, 16]
+
+
+def _reference_measure(field, rows, cands):
+    """(m, c) measurements, one field add and mul at a time through the tables."""
+    add, mul = field.add_table, field.mul_table
+    out = np.zeros((rows.shape[0], cands.shape[0]), dtype=np.int16)
+    for i, row in enumerate(rows):
+        for c, x in enumerate(cands):
+            out[i, c] = reduce(lambda acc, j: add[acc, mul[row[j], x[j]]], range(len(x)), 0)
+    return out
+
+
+@st.composite
+def kernel_instances(draw):
+    q = draw(st.sampled_from(ORDERS))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 9))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, q, size=batch + (m, n)).astype(np.int16)
+    # mixed weights 0..n, values uniform over the nonzeros
+    weights = rng.integers(0, n + 1, size=draw(st.integers(1, 16)))
+    cands = np.zeros((len(weights), n), dtype=np.int16)
+    for c, w in enumerate(weights):
+        cands[c, rng.permutation(n)[:w]] = rng.integers(1, q, size=w)
+    return make_field(q), rows, cands
+
+
+@given(kernel_instances())
+@settings(max_examples=120)
+def test_kernel_matches_table_reference(instance):
+    field, rows, cands = instance
+    got = measure_candidates(field, rows, cands)
+    assert got.shape == rows.shape[:-1] + (cands.shape[0],)
+    flat = rows.reshape((-1,) + rows.shape[-2:])
+    expect = np.stack([_reference_measure(field, A, cands) for A in flat])
+    assert np.array_equal(got.reshape(expect.shape), expect)
+
+
+@st.composite
+def trial_configs(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    m = draw(st.integers(1, 4))
+    gamma = draw(st.floats(0.05, 1.0))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return ModelParams(n=n, k=k, m=m, q=q, gamma=gamma), seed
+
+
+@given(trial_configs())
+@settings(max_examples=60)
+def test_batch_flags_match_error_events(config):
+    params, seed = config
+    trials = 12
+    report = run_trials(params, trials, seed)
+    field = make_field(params.q)
+    cands, _ = candidate_matrix(params.n, params.k, params.q)
+    mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
+    events = [error_events(field, A, cands[j], k_max=params.k) for A, j in zip(mats, idx)]
+    assert report.e0_errors == sum(ev.e0_error for ev in events)
+    assert report.e_errors == sum(ev.e_error for ev in events)
+    assert report.inclusion_violations == 0
+
+
+@given(st.sampled_from(ORDERS), st.integers(1, 9), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=80)
+def test_matvec_is_linear(q, m, n, seed):
+    field = make_field(q)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, q, size=(m, n)).astype(np.int16)
+    x1, x2 = rng.integers(0, q, size=(2, n)).astype(np.int16)
+    a = int(rng.integers(0, q))
+    # A (a x1 + x2) = a (A x1) + A x2
+    lhs = matvec(field, A, field.add_table[field.mul_table[a, x1], x2])
+    rhs = field.add_table[field.mul_table[a, matvec(field, A, x1)], matvec(field, A, x2)]
+    assert np.array_equal(lhs, rhs)
