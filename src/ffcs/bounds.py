@@ -150,9 +150,10 @@ def row_zero_prob_dense(q: int) -> LogProb:
     return LogProb(log_value=-math.log(q))
 
 
-def _row_zero_linear(q: int, gamma: float, h: int) -> float:
+def _row_zero_linear(q: int, gamma: float, h):
     # computed in linear domain: the base may be negative for gamma above
-    # the dense point, but an integer power keeps the value real
+    # the dense point, but an integer power keeps the value real; h may be
+    # an array of distances (base**h is then np.power)
     base = 1.0 - gamma / (1.0 - 1.0 / q)
     return 1.0 / q + (1.0 - 1.0 / q) * base**h
 
@@ -397,9 +398,7 @@ def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIR
             return LogProb(NEG_INF)
         return LogProb(float(logsumexp(np.array(terms)) - log_l))
     prof = nh_log_profile(n, k, q, variant)
-    hs = np.arange(1, 2 * k + 1, dtype=float)
-    base = 1.0 - params.gamma / (1.0 - 1.0 / q)
-    p_rows = 1.0 / q + (1.0 - 1.0 / q) * np.power(base, hs)
+    p_rows = _row_zero_linear(q, params.gamma, np.arange(1, 2 * k + 1, dtype=float))
     with np.errstate(divide="ignore"):
         log_p = np.where(p_rows > 0.0, np.log(np.maximum(p_rows, 1e-300)), NEG_INF)
     return LogProb(float(logsumexp(prof[1:] + m * log_p) - log_l))

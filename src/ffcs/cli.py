@@ -2,7 +2,8 @@
 
 Subcommands: field, bound, nh, curve, simulate.  Data goes to stdout (or
 --out); diagnostics go to stderr only.  Exit codes: 0 success, 1
-parameter/usage error, 2 runtime failure such as an enumeration cap.
+parameter/usage error, 2 runtime failure such as an enumeration cap, an
+unwritable file or exhausted memory.
 
 Every output embeds the tool version, the full parameter echo, the pair
 variant, and the seed, so any emitted artifact can be regenerated from
@@ -29,16 +30,8 @@ from .errors import (
     UnsupportedOrder,
 )
 from .field import check_prime_power, make_field
-from .model import (
-    ModelParams,
-    SensingMatrix,
-    Signal,
-    candidate_matrix,
-    matrix_to_json,
-    matvec,
-    signal_to_json,
-)
-from .montecarlo import _sample_trials, _trial_block, run_trials
+from .model import ModelParams, SensingMatrix, matrix_to_json, signal_to_json
+from .montecarlo import run_trials
 
 _VALIDATION_ERRORS = (
     ValueError,
@@ -213,9 +206,8 @@ def _cmd_curve(args) -> int:
 def _cmd_simulate(args) -> int:
     gamma, label = _parse_gamma(args.gamma, args.q, args.n)
     params = ModelParams(n=args.n, k=args.k, m=args.m, q=args.q, gamma=gamma)
-    report = run_trials(params, args.trials, args.seed)
-    if args.dump:
-        _dump_instances(params, args.trials, args.seed, Path(args.dump))
+    on_block = _dump_writer(params, args.seed, Path(args.dump)) if args.dump else None
+    report = run_trials(params, args.trials, args.seed, on_block=on_block)
     payload = {
         "meta": _meta(args, gamma_value=gamma, gamma_label=label),
         "trials": report.trials,
@@ -235,24 +227,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _dump_instances(params: ModelParams, trials: int, seed: int, dump_dir: Path) -> None:
-    """Write each trial's matrix, signal and measurement as JSON, block by block."""
-    dump_dir.mkdir(parents=True, exist_ok=True)
-    field = make_field(params.q)
-    cands, _ = candidate_matrix(params.n, params.k, params.q)
-    block = _trial_block(params, cands.shape[0])
-    for start in range(0, trials, block):
-        mats, idx = _sample_trials(params, min(start + block, trials), seed, cands.shape[0], start)
-        for i, (rows, j) in enumerate(zip(mats, idx), start):
-            mat = SensingMatrix(rows=rows, gamma=params.gamma)
-            sig = Signal.from_entries(cands[j])
-            y = matvec(field, mat, sig)
+def _dump_writer(params: ModelParams, seed: int, dump_dir: Path):
+    """A run_trials on_block callback writing each trial's matrix, signal and y as JSON."""
+
+    def write_block(start, mats, signals, y):
+        # made here, so a run rejected before its first block leaves no directory
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        for i, (rows, x, y_i) in enumerate(zip(mats, signals, y), start):
             obj = {
-                "matrix": matrix_to_json(mat, params.q, seed),
-                "signal": signal_to_json(sig, params.q, seed),
-                "y": y.astype(int).tolist(),
+                "matrix": matrix_to_json(SensingMatrix(rows=rows, gamma=params.gamma), params.q, seed),
+                "signal": signal_to_json(x, params.q, seed),
+                "y": y_i.astype(int).tolist(),
             }
             (dump_dir / f"trial_{i:05d}.json").write_text(json.dumps(obj, indent=2) + "\n")
+
+    return write_block
 
 
 # parser ----------------------------------------------------------------------
@@ -324,6 +313,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("target must lie in (0, 1)")
     if getattr(args, "trials", 1) < 1:
         raise ValueError("trials must be >= 1")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError("seed must be a non-negative integer")
     qs = getattr(args, "q", [])
     for q in qs if isinstance(qs, list) else [qs]:
         check_prime_power(q)
@@ -342,8 +333,8 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    except (EnumerationCapExceeded, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (EnumerationCapExceeded, OSError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -9,21 +9,24 @@ Reproducibility scheme: trial i draws from
 a child stream keyed by the trial index.  Within a trial the draw order
 is fixed: matrix zero-mask uniforms, matrix nonzero values, then the
 signal index (uniform over the canonical enumeration of L).  Trials are
-therefore independent of evaluation order and safe to parallelize.
+therefore independent of evaluation order and safe to parallelize.  The
+seed may be any non-negative integer.
 
-Child seeds are computed, not spawned.  Child i's SeedSequence hashes
-the seed's uint32 words (zero-padded to the pool size of 4) followed by
-i's words, and PCG64 asks it for generate_state(4, uint64) and nothing
-else.  _child_seed_words runs that hash for a whole window of trial
-indices in numpy uint32 arithmetic, and _SeedWords hands each row to
-PCG64, so no SeedSequence object is built per trial.  The tests pin
-the rows to numpy's own spawn, spawn keys past 2**32 included.
+Child seeds are computed, not spawned.  A child SeedSequence hashes the
+seed's words exactly as SeedSequence(seed) does, then mixes in the
+trial index as spawn-key words.  numpy builds the parent, validating the
+seed and computing its pool; _child_seed_words mixes the spawn keys of a
+whole window of trial indices into that pool in numpy uint32 arithmetic,
+and _SeedWords hands each row to PCG64, so no SeedSequence object is
+built per trial.  The tests pin the rows to numpy's own spawn, for spawn
+keys past 2**32 and seeds past the pool's 4 words.
 
 Trials are drawn, measured and flagged in blocks of at most
 _BLOCK_ELEMS elements per (trials x m x candidates) array, so memory
-depends on the configuration, not on the trial count: _sample_trials
-serves any [start, stop) window of the trial sequence, and
-`ffcs simulate --dump` writes the same windows block by block.
+depends on the configuration, not on the trial count.  _trial_blocks is
+the one stream of those blocks; run_trials hands each measured block to
+its on_block callback, through which `ffcs simulate --dump` writes the
+trials it measured.
 
 The error flags are evaluated by applying a block of trial matrices to
 all of L at once through model.measure_candidates, the decoder's
@@ -34,6 +37,7 @@ test suite pins the two routes against each other on sampled instances.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +51,11 @@ from .util import wilson_interval
 # elements per (trials x m x candidates) work block
 _BLOCK_ELEMS = 1 << 20
 
-# numpy.random.SeedSequence's hash constants (pool size 4, uint32 words)
+# numpy.random.SeedSequence's hash constants (uint32 words)
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,8 @@ class NullityReport:
     seed: int
 
 
-def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix: each call advances the hash constant once."""
-    const = init
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix from hash constant const: each call advances it once."""
 
     def hashmix(value: np.ndarray) -> np.ndarray:
         nonlocal const
@@ -117,46 +119,34 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _uint32_words(value: int) -> list[np.ndarray]:
-    """value's little-endian uint32 words (at least one), as 1-element arrays."""
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return [np.array([w], dtype=np.uint32) for w in words]
-
-
 def _child_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     """PCG64 seed words of child streams start..stop-1 of SeedSequence(seed).
 
     Row i - start equals
     ``SeedSequence(seed).spawn(stop)[i].generate_state(4, np.uint64)``.
-    The arithmetic is SeedSequence's, on uint32 arrays (which wrap like
-    its words): the seed's entropy words pass through the pool first,
-    then each spawn-key word of i: one word below 2**32, two above.
+    A child's pool starts as the parent's, SeedSequence(seed).pool, and
+    then mixes in each spawn-key word of i: one word below 2**32, two
+    above.  The arithmetic is SeedSequence's, on uint32 arrays (which
+    wrap like its words).
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    run = _uint32_words(seed)
-    run += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(run))
+    parent = np.random.SeedSequence(seed)
+    size = parent.pool_size
+    # the parent's pool took size * max(size, seed words) hashes
+    n_words = max(size, -(-int(seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, size * n_words, 1 << 32) & _M32
     index = np.arange(start, stop, dtype=np.uint64)
     out = np.empty((index.size, 4), dtype=np.uint64)
     for sel, n_key in ((index < 2**32, 1), (index >= 2**32, 2)):
         if not sel.any():
             continue
-        key = [(index[sel] >> np.uint64(32 * j) & np.uint64(_M32)).astype(np.uint32)
-               for j in range(n_key)]
-        entropy = run + key
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for w in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], hashmix(w))
+        pool = list(parent.pool[:, None])
+        hashmix = _hasher(const, _MULT_A)
+        for j in range(n_key):
+            word = (index[sel] >> np.uint64(32 * j) & np.uint64(_M32)).astype(np.uint32)
+            for dst in range(size):
+                pool[dst] = _mix(pool[dst], hashmix(word))
         hashmix = _hasher(_INIT_B, _MULT_B)
-        state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        state = [hashmix(pool[i % size]).astype(np.uint64) for i in range(8)]
         for j in range(4):
             out[sel, j] = state[2 * j] | state[2 * j + 1] << np.uint64(32)
     return out
@@ -196,10 +186,18 @@ def _sample_trials(
     return values, idx
 
 
-def _trial_block(params: ModelParams, n_candidates: int) -> int:
-    """Trials per block: keeps every per-block array within _BLOCK_ELEMS."""
+def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int):
+    """Yield (start, mats, idx) for consecutive windows of the trials 0..trials-1.
+
+    A window holds at most _BLOCK_ELEMS elements per (trials x m x width)
+    array, width the larger of the candidate count and the kernel's q n
+    scaled columns.
+    """
     width = max(n_candidates, params.q * params.n)
-    return max(1, _BLOCK_ELEMS // (params.m * width))
+    block = max(1, _BLOCK_ELEMS // (params.m * width))
+    for start in range(0, trials, block):
+        mats, idx = _sample_trials(params, min(start + block, trials), seed, n_candidates, start)
+        yield start, mats, idx
 
 
 def _error_flags(
@@ -209,8 +207,8 @@ def _error_flags(
     cands: np.ndarray,
     terms: tuple[np.ndarray, np.ndarray],
     weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """e0 and e flags of a block of trials whose signals are cands[idx]."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e0 flags, e flags and (t, m) measurements of trials whose signals are cands[idx]."""
     meas = measure_candidates(field, mats, cands, terms=terms)
     y = np.take_along_axis(meas, idx[:, None, None], axis=2)
     feas = (meas == y).all(axis=1)  # (t, c)
@@ -224,7 +222,7 @@ def _error_flags(
     min_w = np.where(feas, weights[None, :], weights.max() + 1).min(axis=1)
     n_min = (feas & (weights[None, :] == min_w[:, None])).sum(axis=1)
     e0_flags = (min_w < k1) | (n_min >= 2)
-    return e0_flags, e_flags
+    return e0_flags, e_flags, y[:, :, 0]
 
 
 def run_trials(
@@ -232,6 +230,7 @@ def run_trials(
     trials: int,
     seed: int,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    on_block: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> TrialReport:
     """Estimate both error probabilities over `trials` sampled instances.
 
@@ -240,6 +239,10 @@ def run_trials(
     and e (a candidate no heavier than the truth collides with it).  A
     zero error count is reported as-is; the Wilson interval then has a
     one-sided shape with its lower edge at 0.
+
+    ``on_block``, if given, is called once per block of trials as
+    on_block(start, mats, signals, y): trial start + i drew the matrix
+    mats[i] and the signal signals[i] and measured y[i].
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -247,14 +250,14 @@ def run_trials(
     cands, weights = candidate_matrix(params.n, params.k, params.q, cap=enumeration_cap)
     terms = candidate_terms(cands)
     n_cand = cands.shape[0]
-    block = _trial_block(params, n_cand)
     e0_errors = e_errors = violations = 0
-    for start in range(0, trials, block):
-        mats, idx = _sample_trials(params, min(start + block, trials), seed, n_cand, start)
-        e0_flags, e_flags = _error_flags(field, mats, idx, cands, terms, weights)
+    for start, mats, idx in _trial_blocks(params, trials, seed, n_cand):
+        e0_flags, e_flags, y = _error_flags(field, mats, idx, cands, terms, weights)
         e0_errors += int(e0_flags.sum())
         e_errors += int(e_flags.sum())
         violations += int((e0_flags & ~e_flags).sum())
+        if on_block is not None:
+            on_block(start, mats, cands[idx], y)
 
     e0_lo, e0_hi = wilson_interval(e0_errors, trials)
     e_lo, e_hi = wilson_interval(e_errors, trials)
@@ -320,9 +323,7 @@ def equal_weight_nullity_test(
     params = ModelParams(n=n, k=min(h, n), m=m, q=field.q, gamma=gamma)
     pair = np.stack([d1, d2])
     hits_1 = hits_2 = 0
-    block = _trial_block(params, len(pair))
-    for start in range(0, trials, block):
-        mats, _ = _sample_trials(params, min(start + block, trials), seed, 1, start)
+    for _, mats, _ in _trial_blocks(params, trials, seed, len(pair)):
         null = (measure_candidates(field, mats, pair) == 0).all(axis=1)  # (t, 2)
         hits_1 += int(null[:, 0].sum())
         hits_2 += int(null[:, 1].sum())

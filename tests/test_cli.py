@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ffcs import error_events, make_field, matrix_from_json, matvec, montecarlo, signal_from_json
+from ffcs import cli, error_events, make_field, matrix_from_json, matvec, montecarlo, signal_from_json
 from ffcs.cli import parse_and_dispatch
 
 
@@ -205,6 +205,25 @@ class TestSimulateCommand:
         for name in names:
             assert (tmp_path / "streamed" / name).read_text() == (tmp_path / "whole" / name).read_text()
 
+    def test_dump_draws_each_trial_once(self, capsys, tmp_path, monkeypatch):
+        # every trial's stream is seeded by one row of _child_seed_words
+        seed_words = montecarlo._child_seed_words
+        drawn = []
+
+        def counting(seed, start, stop):
+            drawn.append(stop - start)
+            return seed_words(seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_child_seed_words", counting)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * 2 * 20)  # blocks of 3 trials
+        code, _, _ = run_cli(
+            capsys, "simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4",
+            "--gamma", "0.5", "--trials", "10", "--seed", "3", "--dump", str(tmp_path / "dump"),
+        )
+        assert code == 0
+        assert drawn == [3, 3, 3, 1]
+        assert len(list((tmp_path / "dump").iterdir())) == 10
+
     def test_negative_seed_is_parameter_error(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4",
@@ -221,6 +240,18 @@ class TestSimulateCommand:
             capsys, "simulate", "--n", "60", "--k", "30", "--m", "3", "--q", "4", "--trials", "1"
         )
         assert code == 2 and "runtime error" in err
+
+    def test_memory_error_is_runtime_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_trials", exhausted)
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4", "--trials", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "runtime error: MemoryError" in err
 
 
 class TestGammaValidation:

@@ -138,14 +138,14 @@ def _per_trial_draws(params, trials, seed, n_candidates):
 
 
 class TestSeedContract:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**64 - 1, 2**130 + 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**64 - 1, 2**96, 2**128, 2**130 + 7])
     def test_child_words_match_spawn(self, seed):
         stop = 70
         expect = [c.generate_state(4, np.uint64) for c in np.random.SeedSequence(seed).spawn(stop)]
         assert np.array_equal(_child_seed_words(seed, 0, stop), np.array(expect))
         assert np.array_equal(_child_seed_words(seed, 13, 31), np.array(expect[13:31]))
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**130 + 7])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**96, 2**128, 2**130 + 7])
     def test_window_across_two_word_spawn_keys(self, seed):
         # children 2**32 - 2 .. 2**32 + 1, where the spawn key grows a
         # second word; spawn(stop)[i] is SeedSequence(seed, spawn_key=(i,)),

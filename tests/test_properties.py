@@ -1,18 +1,41 @@
-"""Property tests: the measurement kernel, the batch error flags and matvec.
+"""Property tests: the measurement kernel, the batch error flags, matvec, the
+log pair-count profile, the threshold search and the JSON round-trip.
 
 Each property holds for every instance; hypothesis draws the instances
 (deterministically, see conftest.py).
 """
 
+import json
+import math
 from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcs import ModelParams, candidate_matrix, error_events, make_field, matvec, run_trials
+from ffcs import (
+    ModelParams,
+    PairVariant,
+    SensingMatrix,
+    Signal,
+    candidate_matrix,
+    error_events,
+    make_field,
+    matrix_from_json,
+    matrix_to_json,
+    matvec,
+    min_measurements,
+    nh_count,
+    nh_log_profile,
+    run_trials,
+    signal_from_json,
+    signal_to_json,
+    union_bound,
+)
+from ffcs.curves import _search_ceiling
 from ffcs.model import measure_candidates
 from ffcs.montecarlo import _sample_trials
+from ffcs.util import log_of_int
 
 ORDERS = [2, 3, 4, 5, 7, 8, 13, 16]
 
@@ -93,3 +116,75 @@ def test_matvec_is_linear(q, m, n, seed):
     lhs = matvec(field, A, field.add_table[field.mul_table[a, x1], x2])
     rhs = field.add_table[field.mul_table[a, matvec(field, A, x1)], matvec(field, A, x2)]
     assert np.array_equal(lhs, rhs)
+
+
+@st.composite
+def profile_configs(draw):
+    n = draw(st.integers(1, 64))
+    return n, draw(st.integers(0, n)), draw(st.sampled_from(ORDERS)), draw(st.sampled_from(PairVariant))
+
+
+@given(profile_configs())
+@settings(max_examples=40)
+def test_log_profile_matches_exact_counts(config):
+    n, k, q, variant = config
+    counts = nh_count(n, k, q, variant).counts
+    prof = nh_log_profile(n, k, q, variant)
+    assert len(prof) == 2 * k + 1 and prof[0] == -math.inf
+    for h in range(1, 2 * k + 1):
+        want = log_of_int(counts.get(h, 0))
+        if want == -math.inf:
+            assert prof[h] == -math.inf
+        else:
+            assert math.isclose(prof[h], want, rel_tol=1e-9), (h, want, prof[h])
+
+
+@st.composite
+def search_configs(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    gamma = draw(st.floats(0.05, 1.0))
+    target = draw(st.floats(1e-4, 0.5))
+    ceiling = draw(st.one_of(st.none(), st.integers(1, 100)))
+    return n, k, q, gamma, target, ceiling
+
+
+@given(search_configs())
+@settings(max_examples=60)
+def test_min_measurements_brackets_the_target(config):
+    n, k, q, gamma, target, ceiling = config
+    res = min_measurements(n, k, q, gamma, target=target, m_ceiling=ceiling)
+
+    def log_bound(m):
+        return union_bound(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)).log_value
+
+    if not res.achieved:
+        assert res.m == (ceiling or _search_ceiling(n, q))
+        assert log_bound(res.m) > math.log(target)
+        return
+    assert log_bound(res.m) <= math.log(target)
+    if res.m > 1:
+        assert log_bound(res.m - 1) > math.log(target)
+
+
+@given(
+    st.sampled_from(ORDERS),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.floats(0.01, 1.0),
+    st.one_of(st.none(), st.integers(0, 2**130)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60)
+def test_json_round_trip(q, m, n, gamma, seed, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    rows = rng.integers(0, q, size=(m, n)).astype(np.int16)
+    entries = rng.integers(0, q, size=n).astype(np.int16)
+    mat_obj = json.loads(json.dumps(matrix_to_json(SensingMatrix(rows=rows, gamma=gamma), q, seed)))
+    sig_obj = json.loads(json.dumps(signal_to_json(Signal.from_entries(entries), q, seed)))
+    mat, sig = matrix_from_json(mat_obj), signal_from_json(sig_obj)
+    assert np.array_equal(mat.rows, rows) and mat.gamma == gamma
+    assert np.array_equal(sig.entries, entries) and sig.sparsity == np.count_nonzero(entries)
+    assert mat_obj["seed"] == sig_obj["seed"] == seed
+    assert mat_obj["q"] == sig_obj["q"] == q
