@@ -55,6 +55,7 @@ log-sum-exp is stable, and with the P rows tabulated each h costs O(h).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,7 +67,7 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import EnumerationCapExceeded, InvalidGamma
 from .field import FiniteField, check_prime_power
-from .model import ModelParams, candidate_matrix, signal_set_size
+from .model import ModelParams, SignalSetSize, candidate_matrix, signal_set_size
 from .util import log_of_int
 
 NEG_INF = float("-inf")
@@ -238,6 +239,21 @@ def nh_count(n: int, k_max: int, q: int, variant: PairVariant) -> WeightEnumerat
     check_prime_power(q)
     items = _nh_count_cached(n, k_max, q, PairVariant(variant))
     return WeightEnumeration(counts=dict(items), variant=PairVariant(variant))
+
+
+def pair_total(sizes: SignalSetSize, variant: PairVariant) -> int:
+    """Exact number of ordered pairs x' != x that enter the pair counts:
+    the sum of N_h over every distance h, which depends on L only
+    through its per-sparsity sizes.
+
+    AllPairs pairs every member of L with every other, (|L| - 1) |L|;
+    RestrictedPairs pairs x with each x' no heavier, sum_w |L_w|
+    sum_{w' <= w} |L_w'|, less the |L| pairs with x' = x.
+    """
+    if PairVariant(variant) is PairVariant.ALL_PAIRS:
+        return (sizes.total - 1) * sizes.total
+    lighter = itertools.accumulate(sizes.per_sparsity)
+    return sum(w * acc for w, acc in zip(sizes.per_sparsity, lighter)) - sizes.total
 
 
 def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, WeightEnumeration]:

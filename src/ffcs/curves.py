@@ -4,6 +4,13 @@ For each sparsity level the smallest integer measurement count m with
 union bound <= target is located by binary search; the bound is monotone
 non-increasing in m (asserted by tests, not assumed silently).  Curve
 generation is fully deterministic: no sampling happens anywhere here.
+
+Dense points take an exact route.  With entries uniform over GF(q) a
+row annihilates every nonzero vector with probability exactly 1/q, so
+the pair counts enter the bound only through their sum,
+bounds.pair_total, and the test at each m compares integers: no
+pair-count profile, no float rounding.  Every other gamma searches the
+log-domain union_bound.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bounds import PairVariant, union_bound
-from .model import ModelParams, dense_gamma, sparse_gamma
+from .bounds import PairVariant, pair_total, union_bound
+from .model import ModelParams, dense_gamma, signal_set_size, sparse_gamma
 
 
 @dataclass(frozen=True)
@@ -92,24 +99,43 @@ def min_measurements(
 ) -> MinMeasurements:
     """Smallest m with union bound <= target, by binary search over m.
 
-    If even the search ceiling misses the target the ceiling is returned
-    with achieved=False rather than raising: a flagged point, not a
-    fatal one.
+    At gamma = dense_gamma(q) the test at each m is exact: every row
+    annihilates a nonzero vector with probability 1/q, so the bound is
+    pair_total / |L| * q^-m.  A float target is exactly num/den, so m
+    passes iff pair_total * den <= num * |L| * q^m, a comparison of
+    integers.  Any other gamma compares the log-domain union_bound with
+    log(target).  If even the search ceiling misses the target the
+    ceiling is returned with achieved=False rather than raising: a
+    flagged point, not a fatal one.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     hi = m_ceiling if m_ceiling is not None else _search_ceiling(n, q)
-    log_target = math.log(target)
+    # rejects what the first union_bound call would, on either route
+    ModelParams(n=n, k=k, m=hi, q=q, gamma=gamma)
 
-    def bound_at(m: int) -> float:
-        return union_bound(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma), variant).log_value
+    if gamma == dense_gamma(q):
+        num, den = target.as_integer_ratio()
+        sizes = signal_set_size(n, k, q)
+        lhs = pair_total(sizes, variant) * den
+        rhs = num * sizes.total
 
-    if bound_at(hi) > log_target:
+        def meets(m: int) -> bool:
+            return lhs <= rhs * q**m
+
+    else:
+        log_target = math.log(target)
+
+        def meets(m: int) -> bool:
+            params = ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)
+            return union_bound(params, variant).log_value <= log_target
+
+    if not meets(hi):
         return MinMeasurements(m=hi, achieved=False)
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if bound_at(mid) <= log_target:
+        if meets(mid):
             hi = mid
         else:
             lo = mid + 1

@@ -94,12 +94,16 @@ class SensingMatrix:
 def signal_set_size(n: int, k: int, q: int) -> SignalSetSize:
     """Exact count of vectors in GF(q)^n with at most k nonzeros.
 
-    per_sparsity[j] = C(n, j) * (q-1)^j, as arbitrary-precision integers.
+    per_sparsity[j] = C(n, j) * (q-1)^j, as arbitrary-precision integers,
+    each from the one before: C(n, j) j = C(n, j-1) (n - j + 1), so the
+    division by j is exact.
     """
     if not 0 <= k <= n:
         raise ValueError("k must lie in [0, n]")
-    per = tuple(comb(n, j) * (q - 1) ** j for j in range(k + 1))
-    return SignalSetSize(per_sparsity=per, total=sum(per))
+    per = [1]
+    for j in range(1, k + 1):
+        per.append(per[-1] * (n - j + 1) * (q - 1) // j)
+    return SignalSetSize(per_sparsity=tuple(per), total=sum(per))
 
 
 def dense_gamma(q: int) -> float:

@@ -21,6 +21,7 @@ from ffcs import (
     nh_count,
     nh_log_profile,
     nh_oracle,
+    pair_total,
     row_zero_prob_dense,
     row_zero_prob_sparse,
     signal_set_size,
@@ -108,6 +109,14 @@ class TestPairCounts:
     def test_all_pairs_mass_identity(self, n, k, q):
         total = signal_set_size(n, k, q).total
         assert nh_count(n, k, q, ALL).total == (total - 1) * total
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+    def test_pair_total_is_the_sum_of_the_counts(self, q):
+        for n in range(1, 13):
+            for k in range(n + 1):
+                sizes = signal_set_size(n, k, q)
+                for variant in (ALL, RESTRICTED):
+                    assert pair_total(sizes, variant) == nh_count(n, k, q, variant).total, (n, k, variant)
 
     def test_zero_sparsity_has_no_pairs(self):
         assert nh_count(5, 0, 3, ALL).counts == {}

@@ -1,19 +1,42 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+import ffcs.bounds
+import ffcs.curves
 from ffcs import (
     GammaMode,
     ModelParams,
     PairVariant,
+    UnsupportedOrder,
     curve,
     default_k_grid,
     dense_gamma,
     min_measurements,
+    nh_count,
     signal_set_size,
     union_bound,
 )
+from ffcs.curves import _search_ceiling
 from ffcs.util import log_of_int
+
+
+def union_bound_threshold(n, k, q, gamma, target, variant):
+    """Smallest m with log union_bound <= log target, by bisection over the
+    log-domain bound; None if the search ceiling misses the target."""
+    log_target = math.log(target)
+
+    def meets(m):
+        return union_bound(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma), variant).log_value <= log_target
+
+    lo, hi = 1, _search_ceiling(n, q)
+    if not meets(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
+    return lo
 
 
 def closed_form_threshold(n, k, q, target):
@@ -76,6 +99,57 @@ class TestMinMeasurements:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             min_measurements(10, 2, 2, 0.5, target=0.0)
+
+    @pytest.mark.parametrize("variant", list(PairVariant))
+    @pytest.mark.parametrize("q,ks", [(2, [10, 250, 500]), (4, [20, 200, 500]), (16, [10, 300, 500]), (256, [50, 120, 500])])
+    def test_exact_dense_route_matches_union_bound_search_at_n_1000(self, q, ks, variant):
+        # the integer comparison against an independent search over the
+        # log-domain profile; a mismatch would be a rounding defect there
+        for k in ks:
+            got = min_measurements(1000, k, q, dense_gamma(q), variant=variant)
+            assert got == (union_bound_threshold(1000, k, q, dense_gamma(q), 1e-2, variant), True), k
+
+    @pytest.mark.parametrize("variant", list(PairVariant))
+    def test_exact_dense_route_meets_ties_with_the_target(self, variant):
+        # the smallest m with sum_h N_h / |L| * q^-m <= target, in Fractions;
+        # dyadic targets meet the bound exactly at some points, e.g. n = 4,
+        # k = 1, q = 2, where (|L| - 1) 2^-3 = 0.5
+        for n in range(1, 9):
+            for k in range(n + 1):
+                for q in (2, 3, 4):
+                    mass = Fraction(nh_count(n, k, q, variant).total, signal_set_size(n, k, q).total)
+                    for target in (0.5, 0.25, 2**-10, 1e-2):
+                        want = next(m for m in range(1, 200) if mass / q**m <= Fraction(target))
+                        got = min_measurements(n, k, q, dense_gamma(q), target=target, variant=variant)
+                        assert got == (want, True), (n, k, q, target)
+
+    def test_exact_dense_route_builds_no_profile(self, monkeypatch):
+        def refuse(*_a, **_kw):
+            raise AssertionError("the dense route evaluated a union bound")
+
+        monkeypatch.setattr(ffcs.curves, "union_bound", refuse)
+        monkeypatch.setattr(ffcs.bounds, "nh_log_profile", refuse)
+        for variant in PairVariant:
+            assert min_measurements(1000, 10, 4, dense_gamma(4), variant=variant).achieved
+
+    def test_union_bound_keeps_the_profile_at_dense_gamma(self, monkeypatch):
+        calls = []
+        real = ffcs.bounds.nh_log_profile
+        monkeypatch.setattr(ffcs.bounds, "nh_log_profile", lambda *a: calls.append(a) or real(*a))
+        union_bound(ModelParams(n=1000, k=10, m=50, q=4, gamma=dense_gamma(4)))
+        assert calls == [(1000, 10, 4, PairVariant.ALL_PAIRS)]
+
+    @pytest.mark.parametrize(
+        "n,k,q,error",
+        [(50, 3, 6, UnsupportedOrder), (4, 5, 2, ValueError), (0, 0, 2, ValueError)],
+    )
+    def test_dense_route_validates_like_the_profile_route(self, n, k, q, error):
+        with pytest.raises(error):
+            min_measurements(n, k, q, 1.0 - 1.0 / q)
+
+    def test_dense_route_rejects_a_ceiling_below_one(self):
+        with pytest.raises(ValueError):
+            min_measurements(20, 4, 2, dense_gamma(2), m_ceiling=0)
 
 
 class TestCurve:

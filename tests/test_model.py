@@ -62,6 +62,19 @@ class TestSignalSetSize:
             assert s.total == sum(census[: k + 1])
             assert list(s.per_sparsity) == census[: k + 1]
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 16])
+    def test_recurrence_matches_binomial_formula(self, q):
+        for n in range(1, 41):
+            for k in range(n + 1):
+                want = tuple(math.comb(n, j) * (q - 1) ** j for j in range(k + 1))
+                s = signal_set_size(n, k, q)
+                assert s.per_sparsity == want, (n, k)
+                assert s.total == sum(want)
+
+    def test_recurrence_stays_exact_at_n_1000(self):
+        s = signal_set_size(1000, 500, 4)
+        assert s.per_sparsity == tuple(math.comb(1000, j) * 3**j for j in range(501))
+
     def test_big_instance_stays_exact(self):
         s = signal_set_size(1000, 200, 2)
         # the top term alone dominates; spot-check against math.comb

@@ -19,6 +19,7 @@ from ffcs import (
     SensingMatrix,
     Signal,
     candidate_matrix,
+    dense_gamma,
     error_events,
     make_field,
     matrix_from_json,
@@ -144,7 +145,8 @@ def search_configs(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 7]))
     n = draw(st.integers(1, 12))
     k = draw(st.integers(0, n))
-    gamma = draw(st.floats(0.05, 1.0))
+    # dense_gamma(q) takes the exact integer route, any other gamma the float search
+    gamma = draw(st.one_of(st.floats(0.05, 1.0), st.just(dense_gamma(q))))
     target = draw(st.floats(1e-4, 0.5))
     ceiling = draw(st.one_of(st.none(), st.integers(1, 100)))
     return n, k, q, gamma, target, ceiling
