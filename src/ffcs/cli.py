@@ -176,6 +176,8 @@ def _cmd_curve(args) -> int:
         k_grid = [k for k in k_grid if k >= 1]
     else:
         k_grid = default_k_grid(args.n)
+    if not k_grid:
+        raise ValueError(f"no sparsity level K >= 1 on the grid at n = {args.n}")
     mode = GammaMode.parse(args.gamma)
     rows = []
     for q in args.q:

@@ -26,6 +26,27 @@ def log_of_int(n: int) -> float:
     return math.log(n >> shift) + shift * _LOG2
 
 
+def log_factorials(n: int) -> np.ndarray:
+    """log j! for j = 0..n, from math.lgamma."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a 1-D float array; -inf when every entry is -inf.
+
+    The same arithmetic as scipy.special.logsumexp, so results agree bit
+    for bit: the largest terms (several, if tied) leave the sum and come
+    back as log1p(s / count) + log(count) + top.
+    """
+    top = a.max()
+    if top == -math.inf:
+        return -math.inf
+    at_top = a == top
+    count = float(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(s / count) + np.log(count) + top)
+
+
 def randbelow(rng: np.random.Generator, n: int) -> int:
     """Exact uniform integer in [0, n) for arbitrary-precision n.
 

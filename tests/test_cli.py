@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffcs
 from ffcs import cli, error_events, make_field, matrix_from_json, matvec, montecarlo, signal_from_json
 from ffcs.cli import parse_and_dispatch
 
@@ -105,6 +110,20 @@ class TestCurveCommand:
     def test_bad_target(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--n", "30", "--q", "2", "--target", "2.0")
         assert code == 1 and "parameter error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "1", "--q", "2"],  # the default ratios all round to K = 0
+            ["--n", "100", "--q", "2", "--grid", "0.001"],
+            ["--n", "100", "--q", "2", "--grid", "0"],
+        ],
+    )
+    def test_grid_without_sparsity_level_is_parameter_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "curve", *argv)
+        assert code == 1
+        assert out == ""
+        assert "parameter error" in err
 
 
 class TestFieldOrderValidation:
@@ -307,3 +326,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["--version"])
         assert exc.value.code == 0
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = "import ffcs, ffcs.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(Path(ffcs.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 """Property tests: the measurement kernel, the batch error flags, matvec, the
-log pair-count profile, the threshold search and the JSON round-trip.
+log pair-count profile, log-sum-exp, the threshold search and the JSON
+round-trip.
 
 Each property holds for every instance; hypothesis draws the instances
 (deterministically, see conftest.py).
@@ -12,6 +13,7 @@ from functools import reduce
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from ffcs import (
     ModelParams,
@@ -36,7 +38,7 @@ from ffcs import (
 from ffcs.curves import _search_ceiling
 from ffcs.model import measure_candidates
 from ffcs.montecarlo import _sample_trials
-from ffcs.util import log_of_int
+from ffcs.util import log_of_int, logsumexp
 
 ORDERS = [2, 3, 4, 5, 7, 8, 13, 16]
 
@@ -138,6 +140,22 @@ def test_log_profile_matches_exact_counts(config):
             assert prof[h] == -math.inf
         else:
             assert math.isclose(prof[h], want, rel_tol=1e-9), (h, want, prof[h])
+
+
+@st.composite
+def lse_arrays(draw):
+    # finite terms and -inf, then copies of the largest term at random places
+    terms = draw(st.lists(st.one_of(st.floats(-800.0, 800.0), st.just(-math.inf)), min_size=1, max_size=300))
+    for _ in range(draw(st.integers(0, 4))):
+        terms.insert(draw(st.integers(0, len(terms))), max(terms))
+    return np.array(terms)
+
+
+@given(lse_arrays())
+@settings(max_examples=300)
+def test_logsumexp_matches_scipy_exactly(a):
+    # union_bound's value, and with it the simulate JSON, depends on every bit
+    assert logsumexp(a) == float(scipy_logsumexp(a))
 
 
 @st.composite
