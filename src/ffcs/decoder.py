@@ -54,6 +54,12 @@ class ErrorEvents:
     e_error  : some candidate x' != x with weight <= weight(x) satisfies
                A x' = A x (the decoder could output it in place of x).
     e0_error : the decoder output is not exactly x (ambiguity counts).
+
+    For this decoder the two are one event.  It counts ties as errors,
+    so its output differs from x exactly when some x' != x of weight
+    <= weight(x) is feasible: one lighter than x makes it stop at a
+    level below x's, one of x's weight makes a tie at x's level.  Both
+    flags stay, computed by separate routes, as a cross-check.
     """
 
     e0_error: bool

@@ -21,18 +21,25 @@ and _SeedWords hands each row to PCG64, so no SeedSequence object is
 built per trial.  The tests pin the rows to numpy's own spawn, for spawn
 keys past 2**32 and seeds past the pool's 4 words.
 
-Trials are drawn, measured and flagged in blocks of at most
-_BLOCK_ELEMS elements per (trials x m x candidates) array, so memory
-depends on the configuration, not on the trial count.  _trial_blocks is
-the one stream of those blocks; run_trials hands each measured block to
-its on_block callback, through which `ffcs simulate --dump` writes the
-trials it measured.
+Trials are drawn, measured and flagged in blocks of t trials, t sized
+so that a (t x m x candidates) array would hold at most _BLOCK_ELEMS
+elements, so memory depends on the configuration, not on the trial
+count.  _trial_blocks is the one stream of those blocks; run_trials
+hands each measured block to its on_block callback, through which
+`ffcs simulate --dump` writes the trials it measured.
 
-The error flags are evaluated by applying a block of trial matrices to
-all of L at once through model.measure_candidates, the decoder's
-kernel, with the candidates' supports and values extracted once per
-run; it computes the same predicates as decoder.error_events, and the
-test suite pins the two routes against each other on sampled instances.
+The error flags are evaluated one measurement row at a time: row r of
+every trial matrix in a block is applied to all of L at once through
+model.measure_candidates, the decoder's kernel, with the candidates'
+supports and values extracted once per run, and the candidates whose
+r-th measurement differs from the signal's are struck from one
+(t x candidates) feasibility mask.  The working set is therefore
+t x |L|, never t x m x |L|.  candidate_matrix enumerates L
+sparsity-major, so each sparsity level is a contiguous run of columns,
+and the flags follow from the number of feasible candidates per level.
+They are the predicates of decoder.error_events, and the test suite
+pins the two routes against each other, trial by trial, on sampled
+instances.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .field import FiniteField, make_field
 from .model import ModelParams, candidate_matrix, candidate_terms, measure_candidates
 from .util import wilson_interval
 
-# elements per (trials x m x candidates) work block
+# a block spans at most this many (trial, row, candidate) triples
 _BLOCK_ELEMS = 1 << 20
 
 # numpy.random.SeedSequence's hash constants (uint32 words)
@@ -200,29 +207,54 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
         yield start, mats, idx
 
 
+def _level_offsets(weights: np.ndarray) -> np.ndarray:
+    """Column where each sparsity level 0..max(weights) starts in candidate_matrix's order.
+
+    _error_flags counts feasible candidates per level with
+    np.add.reduceat over these offsets, which is only right when the
+    weights are nondecreasing and every level is nonempty: reduceat
+    returns the element at an empty slice's offset, not 0.
+    candidate_matrix guarantees both, since it enumerates
+    sparsity-major and ModelParams keeps k <= n.
+    """
+    return np.searchsorted(weights, np.arange(int(weights[-1]) + 1))
+
+
 def _error_flags(
     field: FiniteField,
     mats: np.ndarray,
     idx: np.ndarray,
     cands: np.ndarray,
     terms: tuple[np.ndarray, np.ndarray],
-    weights: np.ndarray,
+    offsets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """e0 flags, e flags and (t, m) measurements of trials whose signals are cands[idx]."""
-    meas = measure_candidates(field, mats, cands, terms=terms)
-    y = np.take_along_axis(meas, idx[:, None, None], axis=2)
-    feas = (meas == y).all(axis=1)  # (t, c)
-    k1 = weights[idx]
-    # e: any feasible candidate, other than x itself, of weight <= k1
-    lighter = weights[None, :] < k1[:, None]
-    same_w = weights[None, :] == k1[:, None]
-    n_same = (feas & same_w).sum(axis=1)  # includes x itself
-    e_flags = (feas & lighter).any(axis=1) | (n_same >= 2)
-    # e0: sparsest feasible level below k1, or a tie at that level
-    min_w = np.where(feas, weights[None, :], weights.max() + 1).min(axis=1)
-    n_min = (feas & (weights[None, :] == min_w[:, None])).sum(axis=1)
-    e0_flags = (min_w < k1) | (n_min >= 2)
-    return e0_flags, e_flags, y[:, :, 0]
+    """e0 flags, e flags and (t, m) measurements of trials whose signals are cands[idx].
+
+    Row r of every matrix is measured against all of L at once, and
+    candidates whose r-th measurement differs from the signal's drop
+    out of one (t, |L|) feasibility mask, so no (t, m, |L|) array is
+    built.  The feasible candidates are then counted per sparsity level
+    (``offsets`` from _level_offsets).  With k1 the signal's level and
+    j the first level holding a feasible candidate (j <= k1, since the
+    signal itself is feasible):
+      e  : j < k1, or at least two feasible candidates at level k1;
+      e0 : j < k1, or at least two feasible candidates at level j.
+    """
+    t, m = mats.shape[:2]
+    trial = np.arange(t)
+    y = np.empty((t, m), dtype=np.int16)
+    feas = np.ones((t, cands.shape[0]), dtype=bool)
+    for r in range(m):
+        meas = measure_candidates(field, mats[:, r : r + 1], cands, terms=terms)[:, 0]
+        y[:, r] = meas[trial, idx]
+        feas &= meas == y[:, r, None]
+    counts = np.add.reduceat(feas, offsets, axis=1)  # (t, k + 1)
+    k1 = np.searchsorted(offsets, idx, side="right") - 1
+    first = (counts > 0).argmax(axis=1)
+    lighter = first < k1
+    e_flags = lighter | (counts[trial, k1] >= 2)
+    e0_flags = lighter | (counts[trial, first] >= 2)
+    return e0_flags, e_flags, y
 
 
 def run_trials(
@@ -249,10 +281,11 @@ def run_trials(
     field = make_field(params.q)
     cands, weights = candidate_matrix(params.n, params.k, params.q, cap=enumeration_cap)
     terms = candidate_terms(cands)
+    offsets = _level_offsets(weights)
     n_cand = cands.shape[0]
     e0_errors = e_errors = violations = 0
     for start, mats, idx in _trial_blocks(params, trials, seed, n_cand):
-        e0_flags, e_flags, y = _error_flags(field, mats, idx, cands, terms, weights)
+        e0_flags, e_flags, y = _error_flags(field, mats, idx, cands, terms, offsets)
         e0_errors += int(e0_flags.sum())
         e_errors += int(e_flags.sum())
         violations += int((e0_flags & ~e_flags).sum())

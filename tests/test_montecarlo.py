@@ -17,7 +17,8 @@ from ffcs import (
     run_trials,
 )
 from ffcs import montecarlo
-from ffcs.montecarlo import _child_seed_words, _sample_trials
+from ffcs.model import signal_set_size
+from ffcs.montecarlo import _child_seed_words, _level_offsets, _sample_trials
 
 
 class TestReproducibility:
@@ -32,6 +33,48 @@ class TestReproducibility:
         r1 = run_trials(params, 500, seed=1)
         r2 = run_trials(params, 500, seed=2)
         assert (r1.e0_errors, r1.e_errors) != (r2.e0_errors, r2.e_errors)
+
+
+# (e0_errors, e_errors, inclusion_violations) of 2,000 trials at seed 7,
+# recorded before the row-at-a-time flag kernel replaced the
+# (trials, m, |L|) comparison
+GOLDEN_COUNTS = [
+    ((10, 2, 6, 2, "dense"), (1006, 1006, 0)),
+    ((10, 2, 6, 2, 0.3), (1269, 1269, 0)),
+    ((10, 2, 6, 3, "dense"), (368, 368, 0)),
+    ((10, 2, 6, 3, 0.3), (1032, 1032, 0)),
+    ((10, 2, 6, 4, "dense"), (166, 166, 0)),
+    ((10, 2, 6, 4, 0.3), (949, 949, 0)),
+    ((10, 2, 6, 5, "dense"), (75, 75, 0)),
+    ((10, 2, 6, 5, 0.3), (943, 943, 0)),
+    ((10, 2, 6, 16, "dense"), (0, 0, 0)),
+    ((10, 2, 6, 16, 0.3), (913, 913, 0)),
+    ((10, 0, 6, 3, 0.3), (0, 0, 0)),
+    ((1, 1, 1, 4, 0.3), (1021, 1021, 0)),
+]
+
+
+@pytest.mark.parametrize("config,counts", GOLDEN_COUNTS)
+def test_golden_counts(config, counts):
+    n, k, m, q, gamma = config
+    gamma = dense_gamma(q) if gamma == "dense" else gamma
+    rep = run_trials(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma), 2000, seed=7)
+    assert (rep.e0_errors, rep.e_errors, rep.inclusion_violations) == counts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_levels_are_contiguous_and_nonempty(q):
+    # _error_flags counts per level with np.add.reduceat, which is wrong
+    # on an empty slice; candidate_matrix must keep every level 0..k a
+    # nonempty run of columns, in order
+    for n in range(1, 9):
+        for k in range(n + 1):
+            _, weights = candidate_matrix(n, k, q)
+            assert np.all(np.diff(weights) >= 0)
+            per_level = np.bincount(weights, minlength=k + 1)
+            assert per_level.tolist() == list(signal_set_size(n, k, q).per_sparsity)
+            assert per_level.min() > 0
+            assert _level_offsets(weights).tolist() == [0] + np.cumsum(per_level)[:-1].tolist()
 
 
 class TestFlagCorrectness:

@@ -1,6 +1,6 @@
-"""Property tests: the measurement kernel, the batch error flags, matvec, the
-log pair-count profile, log-sum-exp, the threshold search and the JSON
-round-trip.
+"""Property tests: the measurement kernel, the batch error flags (summed and
+per trial), the one error event, matvec, the log pair-count profile,
+log-sum-exp, the threshold search and the JSON round-trip.
 
 Each property holds for every instance; hypothesis draws the instances
 (deterministically, see conftest.py).
@@ -9,9 +9,10 @@ Each property holds for every instance; hypothesis draws the instances
 import json
 import math
 from functools import reduce
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -35,9 +36,10 @@ from ffcs import (
     signal_to_json,
     union_bound,
 )
+from ffcs import montecarlo
 from ffcs.curves import _search_ceiling
-from ffcs.model import measure_candidates
-from ffcs.montecarlo import _sample_trials
+from ffcs.model import candidate_terms, measure_candidates
+from ffcs.montecarlo import _error_flags, _level_offsets, _sample_trials, _trial_blocks
 from ffcs.util import log_of_int, logsumexp
 
 ORDERS = [2, 3, 4, 5, 7, 8, 13, 16]
@@ -105,6 +107,60 @@ def test_batch_flags_match_error_events(config):
     assert report.e0_errors == sum(ev.e0_error for ev in events)
     assert report.e_errors == sum(ev.e_error for ev in events)
     assert report.inclusion_violations == 0
+
+
+@st.composite
+def per_trial_configs(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    m = draw(st.integers(1, 4))
+    gamma = draw(st.floats(0.05, 1.0))
+    seed = draw(st.integers(0, 2**64 - 1))
+    per_block = draw(st.sampled_from([1, 3, None]))  # None: one block
+    return ModelParams(n=n, k=k, m=m, q=q, gamma=gamma), seed, per_block
+
+
+@given(per_trial_configs())
+@example((ModelParams(n=4, k=0, m=2, q=3, gamma=0.5), 1, 1))
+@example((ModelParams(n=1, k=1, m=1, q=4, gamma=0.5), 2, 3))
+@example((ModelParams(n=1, k=0, m=3, q=2, gamma=0.5), 3, None))
+@settings(max_examples=60)
+def test_flags_match_error_events_per_trial(config):
+    params, seed, per_block = config
+    trials = 12
+    field = make_field(params.q)
+    cands, weights = candidate_matrix(params.n, params.k, params.q)
+    terms, offsets = candidate_terms(cands), _level_offsets(weights)
+    width = max(len(cands), params.q * params.n)
+    block_elems = params.m * width * (per_block or trials)
+    with mock.patch.object(montecarlo, "_BLOCK_ELEMS", block_elems):
+        blocks = list(_trial_blocks(params, trials, seed, len(cands)))
+    assert len(blocks) == -(-trials // (per_block or trials))
+    for start, mats, idx in blocks:
+        e0, e, y = _error_flags(field, mats, idx, cands, terms, offsets)
+        assert e0.shape == e.shape == (len(idx),) and y.shape == (len(idx), params.m)
+        for i, (A, j) in enumerate(zip(mats, idx)):
+            ev = error_events(field, A, cands[j], k_max=params.k)
+            assert (e0[i], e[i]) == (ev.e0_error, ev.e_error), start + i
+            assert np.array_equal(y[i], matvec(field, A, cands[j])), start + i
+
+
+@given(trial_configs())
+@settings(max_examples=40)
+def test_e0_and_e_are_one_event(config):
+    # the decoder counts ties as errors, so its output differs from x
+    # exactly when some x' != x no heavier than x is feasible
+    params, seed = config
+    report = run_trials(params, 200, seed)
+    assert report.e0_errors == report.e_errors
+    assert report.inclusion_violations == 0
+    field = make_field(params.q)
+    cands, _ = candidate_matrix(params.n, params.k, params.q)
+    mats, idx = _sample_trials(params, 12, seed, cands.shape[0])
+    for A, j in zip(mats, idx):
+        ev = error_events(field, A, cands[j], k_max=params.k)
+        assert ev.e0_error == ev.e_error
 
 
 @given(st.sampled_from(ORDERS), st.integers(1, 9), st.integers(1, 8), st.integers(0, 2**32 - 1))
