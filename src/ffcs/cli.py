@@ -22,24 +22,13 @@ from pathlib import Path
 from . import __version__
 from .bounds import PairVariant, evaluate_bounds, nh_count, nh_oracle
 from .curves import GammaMode, curve, default_k_grid
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    EnumerationCapExceeded,
-    InvalidGamma,
-    UnsupportedOrder,
-)
+from .errors import DivisionByZero, EnumerationCapExceeded
 from .field import check_prime_power, make_field
 from .model import ModelParams, SensingMatrix, matrix_to_json, signal_to_json
 from .montecarlo import run_trials
 
-_VALIDATION_ERRORS = (
-    ValueError,
-    UnsupportedOrder,
-    InvalidGamma,
-    DimensionMismatch,
-    DivisionByZero,
-)
+# UnsupportedOrder, InvalidGamma and DimensionMismatch are ValueErrors
+_VALIDATION_ERRORS = (ValueError, DivisionByZero)
 
 
 class _UsageError(Exception):

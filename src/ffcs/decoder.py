@@ -21,10 +21,16 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .field import FiniteField
-from .model import _as_entries, _as_rows, check_enumeration_cap, measure_candidates, weight_blocks
-
-DEFAULT_ENUMERATION_CAP = 10**8
+from .model import (
+    DEFAULT_ENUMERATION_CAP,
+    _as_entries,
+    _as_rows,
+    check_enumeration_cap,
+    measure_candidates,
+    weight_blocks,
+)
 
 
 class DecodeStatus(str, Enum):
@@ -73,9 +79,11 @@ def decode_l0(
     k_max: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DecodeResult:
-    """Find all sparsest candidates x' with A x' = y and weight <= k_max."""
+    """Find all sparsest candidates x' with A x' = y and weight <= k_max; y has length m."""
     rows = _as_rows(matrix)
     y = np.asarray(y, dtype=np.int16)
+    if y.shape != rows.shape[:1]:
+        raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q, cap)
     for k in range(k_max + 1):
@@ -105,11 +113,13 @@ def error_events(
     The two flags are computed through separate routes: e_error by a
     direct existence scan over candidates no heavier than x, e0_error by
     running the decoder on y = A x.  Their agreement is a checked
-    property, not an assumption.
+    property, not an assumption.  x must weigh at most k_max.
     """
     rows = _as_rows(matrix)
     xe = _as_entries(x)
     k1 = int(np.count_nonzero(xe))
+    if k1 > k_max:
+        raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
     y = measure_candidates(field, rows, xe[None, :])[:, 0]
     check_enumeration_cap(rows.shape[1], k_max, field.q, cap)
 

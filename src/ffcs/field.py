@@ -52,19 +52,8 @@ _DEFAULT_POLY = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def check_prime_power(q: int) -> None:
-    """Raise UnsupportedOrder unless q = p^m for a prime p and m >= 1.
+def check_prime_power(q: int) -> tuple[int, int]:
+    """Return (p, m) with q = p^m, p prime and m >= 1; raise UnsupportedOrder if none exist.
 
     GF(q) exists exactly for these q.  The analytic bounds depend on q
     alone and accept every prime power up to MAX_ANALYTIC_ORDER; building
@@ -75,22 +64,25 @@ def check_prime_power(q: int) -> None:
         raise UnsupportedOrder(f"field orders above {MAX_ANALYTIC_ORDER} are not supported")
     if q >= 2:
         p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        r = q
+        r, m = q, 0
         while r % p == 0:
-            r //= p
+            r, m = r // p, m + 1
         if r == 1:
-            return
+            return p, m
     raise UnsupportedOrder(f"q={q} is not a prime power, so GF({q}) does not exist")
 
 
 def supported_orders(limit: int = MAX_ORDER) -> list[int]:
-    """All field orders this module can construct, up to ``limit``."""
-    orders = {q for q in range(2, limit + 1) if _is_prime(q)}
-    m = 1
-    while (1 << m) <= limit:
-        orders.add(1 << m)
-        m += 1
-    return sorted(orders)
+    """All field orders this module can construct, up to ``limit``: primes and powers of two."""
+    orders = []
+    for q in range(2, limit + 1):
+        try:
+            p, m = check_prime_power(q)
+        except UnsupportedOrder:
+            continue
+        if m == 1 or p == 2:
+            orders.append(q)
+    return orders
 
 
 class FiniteField:
@@ -113,14 +105,13 @@ class FiniteField:
             raise UnsupportedOrder(f"field order must be an integer >= 2, got {q!r}")
         if q > MAX_ORDER:
             raise UnsupportedOrder(f"field orders above {MAX_ORDER} are not supported")
-        if _is_prime(q):
-            self.q, self.p, self.m = q, q, 1
+        p, m = check_prime_power(q)
+        self.q, self.p, self.m = q, p, m
+        if m == 1:
             self.poly_mask = None
             self.reduction_poly = None
             self._build_prime_tables()
-        elif q & (q - 1) == 0:  # power of two
-            m = q.bit_length() - 1
-            self.q, self.p, self.m = q, 2, m
+        elif p == 2:
             self.poly_mask = _DEFAULT_POLY[m]
             self.reduction_poly = [(self.poly_mask >> i) & 1 for i in range(m + 1)]
             self._build_binary_tables()

@@ -194,11 +194,11 @@ def measure_candidates(
     A x' is a sum of at most K scaled columns, K the heaviest weight in
     the batch: the table v * A[..., :, j] is built once for every value
     v and column j, and each candidate folds the K entries its terms
-    name, by XOR in characteristic 2, and otherwise by integer addition
-    followed by one lookup in a table of residues mod p.  ``terms`` is
-    the batch's (support, values) pair as candidate_terms returns it
-    (weight_blocks yields it alongside each block); it is extracted from
-    ``cands`` when omitted.
+    name, by XOR in characteristic 2, and otherwise by adding each term
+    to a running residue mod p and subtracting p when the sum reaches
+    it.  ``terms`` is the batch's (support, values) pair as
+    candidate_terms returns it (weight_blocks yields it alongside each
+    block); it is extracted from ``cands`` when omitted.
     """
     if rows.shape[-1] != cands.shape[1]:
         raise DimensionMismatch(
@@ -212,24 +212,21 @@ def measure_candidates(
             raise ValueError(f"entries outside GF({q})")
     # scaled[r, j * q + v] = A[r, j] * v over the flattened rows r of every
     # matrix; v = 0 gives zero columns, so padding terms add nothing
-    scaled = field.mul_table[rows].reshape(-1, n * q)
+    scaled = field.mul_table[rows].reshape(-1, n * q).view(np.uint16)
     keys = support * q + values
     shape = rows.shape[:-1] + (cands.shape[0],)
     if keys.shape[1] == 0:
         return np.zeros(shape, dtype=np.int16)
     out = scaled[:, keys[:, 0]]
-    if field.p == 2:
-        for t in range(1, keys.shape[1]):
-            out ^= scaled[:, keys[:, t]]
-        return out.reshape(shape)
-    # K terms below p sum to at most K (p - 1); a lookup table reduces that mod p
-    top = keys.shape[1] * (field.p - 1)
-    if top > np.iinfo(np.int16).max:
-        out = out.astype(np.int32)
     for t in range(1, keys.shape[1]):
-        out += scaled[:, keys[:, t]]
-    residue = (np.arange(top + 1) % field.p).astype(np.int16)
-    return residue[out].reshape(shape)
+        if field.p == 2:
+            out ^= scaled[:, keys[:, t]]
+        else:
+            # two residues sum below 2p; from a sum below p, subtracting
+            # p wraps past 2**16 - p, so the minimum is the sum mod p
+            out += scaled[:, keys[:, t]]
+            np.minimum(out, out - field.p, out=out)
+    return out.view(np.int16).reshape(shape)
 
 
 def enumerate_signals(n: int, k_max: int, q: int):
@@ -284,6 +281,9 @@ def weight_blocks(n: int, k: int, q: int):
         yield block, (support, values)
 
 
+DEFAULT_ENUMERATION_CAP = 10**8
+
+
 def check_enumeration_cap(n: int, k_max: int, q: int, cap: int) -> int:
     """Return |L|, raising EnumerationCapExceeded if it exceeds cap."""
     total = signal_set_size(n, k_max, q).total
@@ -295,7 +295,7 @@ def check_enumeration_cap(n: int, k_max: int, q: int, cap: int) -> int:
 
 
 def candidate_matrix(
-    n: int, k_max: int, q: int, cap: int = 10**8
+    n: int, k_max: int, q: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialize all of L as a (|L|, n) matrix plus a weight vector.
 

@@ -22,11 +22,12 @@ built per trial.  The tests pin the rows to numpy's own spawn, for spawn
 keys past 2**32 and seeds past the pool's 4 words.
 
 Trials are drawn, measured and flagged in blocks of t trials, t sized
-so that a (t x m x candidates) array would hold at most _BLOCK_ELEMS
-elements, so memory depends on the configuration, not on the trial
-count.  _trial_blocks is the one stream of those blocks; run_trials
-hands each measured block to its on_block callback, through which
-`ffcs simulate --dump` writes the trials it measured.
+so that t x m x candidates is at most _BLOCK_ELEMS.  That bounds the
+block's (t x m x n) draws and, with room to spare, its (t x candidates)
+masks, so memory depends on the configuration, not on the trial count.
+_trial_blocks is the one stream of those blocks; run_trials hands each
+measured block to its on_block callback, through which `ffcs simulate
+--dump` writes the trials it measured.
 
 The error flags are evaluated one measurement row at a time: row r of
 every trial matrix in a block is applied to all of L at once through
@@ -50,9 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
-from .decoder import DEFAULT_ENUMERATION_CAP
 from .field import FiniteField, make_field
-from .model import ModelParams, candidate_matrix, candidate_terms, measure_candidates
+from .model import (
+    DEFAULT_ENUMERATION_CAP,
+    ModelParams,
+    candidate_matrix,
+    candidate_terms,
+    measure_candidates,
+)
 from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
@@ -196,9 +202,11 @@ def _sample_trials(
 def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int):
     """Yield (start, mats, idx) for consecutive windows of the trials 0..trials-1.
 
-    A window holds at most _BLOCK_ELEMS elements per (trials x m x width)
-    array, width the larger of the candidate count and the kernel's q n
-    scaled columns.
+    A window of t trials keeps t x m x width at most _BLOCK_ELEMS, width
+    the larger of the candidate count and the kernel's q n scaled
+    columns.  That bounds the window's (t, m, n) draws and, with room to
+    spare, its (t, |L|) feasibility masks and the (t, q n) scaled
+    columns of each measured row.
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))

@@ -3,6 +3,7 @@ import pytest
 
 from ffcs import (
     DecodeStatus,
+    DimensionMismatch,
     EnumerationCapExceeded,
     ModelParams,
     decode_l0,
@@ -157,3 +158,20 @@ def test_enumeration_cap_is_hard_error():
     A = np.zeros((2, 40), dtype=np.int16)
     with pytest.raises(EnumerationCapExceeded):
         decode_l0(f, A, np.zeros(2, dtype=np.int16), k_max=10, cap=100)
+
+
+# GF(3), m = 3, n = 4
+WRONG_SHAPE_A = np.array([[1, 2, 0, 1], [0, 1, 1, 2], [2, 0, 1, 1]], dtype=np.int16)
+
+
+@pytest.mark.parametrize("y", [[1], [1, 1], [1, 1, 1, 1], [[1, 1, 1]]])
+def test_measurements_of_the_wrong_shape_rejected(y):
+    # a length-1 y used to broadcast against all three rows and decode
+    with pytest.raises(DimensionMismatch):
+        decode_l0(make_field(3), WRONG_SHAPE_A, y, 2)
+
+
+def test_error_events_rejects_signal_above_k_max():
+    x = np.array([1, 1, 1, 0], dtype=np.int16)
+    with pytest.raises(ValueError, match="k_max"):
+        error_events(make_field(3), WRONG_SHAPE_A, x, 2)

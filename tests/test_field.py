@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffcs import DivisionByZero, UnsupportedOrder, check_axioms, make_field, supported_orders
-from ffcs.field import MAX_ORDER
+from ffcs.field import MAX_ANALYTIC_ORDER, MAX_ORDER, check_prime_power
 
 
 def clmul_mod(a: int, b: int, poly_mask: int, m: int) -> int:
@@ -55,6 +55,19 @@ def test_gf5_arithmetic_mod_p():
 def test_unsupported_orders_rejected(q):
     with pytest.raises(UnsupportedOrder):
         make_field(q)
+
+
+@pytest.mark.parametrize(
+    "q,p,m", [(2, 2, 1), (9, 3, 2), (251, 251, 1), (256, 2, 8), (3**20, 3, 20), (MAX_ANALYTIC_ORDER, 2, 32)]
+)
+def test_check_prime_power_factors_the_order(q, p, m):
+    assert check_prime_power(q) == (p, m)
+
+
+@pytest.mark.parametrize("q,p,m", [(2, 2, 1), (13, 13, 1), (16, 2, 4), (256, 2, 8)])
+def test_field_takes_its_characteristic_and_degree_from_the_order(q, p, m):
+    f = make_field(q)
+    assert (f.q, f.p, f.m) == (q, p, m)
 
 
 def test_inverse_of_zero_rejected():

@@ -238,6 +238,21 @@ class TestMatvec:
         cands = np.stack([x, np.zeros(n, dtype=np.int16)])
         assert measure_candidates(f, A, cands).tolist() == [[n, 0], [n, 0]]
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 251])
+    def test_reduction_at_every_partial_sum(self, p):
+        # rows holding every pair (and, for small p, every triple) of field
+        # elements, measured against the all-ones candidate: each running
+        # sum from 0 to 2p - 2 passes through the reduction mod p
+        f = make_field(p)
+        for n in (2, 3) if p <= 13 else (2,):
+            A = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int16)
+            want = A[:, 0]
+            for col in A.T[1:]:
+                want = f.add_table[want, col]
+            got = measure_candidates(f, A, np.ones((1, n), dtype=np.int16))
+            assert got.dtype == np.int16
+            assert np.array_equal(got[:, 0], want)
+
 
 class TestEnumeration:
     def test_canonical_order_binary(self):
