@@ -9,9 +9,11 @@ a confusable candidate, not the luck of a tie-break.
 
 This is the ground-truth oracle for the probabilistic machinery, so the
 feasibility check is a direct measurement comparison with no elimination
-shortcuts.  Candidates come from model.weight_blocks, whose supports and
-values go straight to model.measure_candidates, the kernel the Monte
-Carlo path shares.
+shortcuts: every candidate is measured.  model.measure_levels, the
+level-sweep kernel the Monte Carlo flags share, measures each level in
+chunks of outer sums, and only the feasible candidates are unranked
+into vectors (model.level_members).  measure_candidates measures x
+itself in error_events.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .model import (
     _as_entries,
     _as_rows,
     check_enumeration_cap,
+    level_members,
     measure_candidates,
-    weight_blocks,
+    measure_levels,
 )
 
 
@@ -86,18 +89,15 @@ def decode_l0(
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q, cap)
-    for k in range(k_max + 1):
-        feasible: list[np.ndarray] = []
-        for block, terms in weight_blocks(n, k, field.q):
-            meas = measure_candidates(field, rows, block, terms=terms)
-            hits = np.nonzero((meas == y[:, None]).all(axis=0))[0]
-            for i in hits:
-                sol = block[i].copy()
-                sol.setflags(write=False)
-                feasible.append(sol)
-        if feasible:
+    for k, chunks in measure_levels(field, rows, k_max):
+        ranks = np.concatenate(
+            [start + np.flatnonzero((meas == y).all(axis=1)) for start, meas in chunks]
+        )
+        if ranks.size:
+            feasible = level_members(n, k, field.q, ranks)
+            feasible.setflags(write=False)
             status = DecodeStatus.UNIQUE if len(feasible) == 1 else DecodeStatus.AMBIGUOUS
-            return DecodeResult(min_sparsity=k, solutions=feasible, status=status)
+            return DecodeResult(min_sparsity=k, solutions=list(feasible), status=status)
     return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
 
 
@@ -121,15 +121,14 @@ def error_events(
     if k1 > k_max:
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
     y = measure_candidates(field, rows, xe[None, :])[:, 0]
-    check_enumeration_cap(rows.shape[1], k_max, field.q, cap)
+    n = rows.shape[1]
+    check_enumeration_cap(n, k_max, field.q, cap)
 
     e_error = False
-    for k in range(k1 + 1):
-        for block, terms in weight_blocks(rows.shape[1], k, field.q):
-            meas = measure_candidates(field, rows, block, terms=terms)
-            feas = (meas == y[:, None]).all(axis=0)
-            not_x = (block != xe[None, :]).any(axis=1)
-            if bool(np.any(feas & not_x)):
+    for k, chunks in measure_levels(field, rows, k1):
+        for start, meas in chunks:
+            ranks = start + np.flatnonzero((meas == y).all(axis=1))
+            if ranks.size and (level_members(n, k, field.q, ranks) != xe).any():
                 e_error = True
                 break
         if e_error:

@@ -73,9 +73,12 @@ def check_prime_power(q: int) -> tuple[int, int]:
 
 
 def supported_orders(limit: int = MAX_ORDER) -> list[int]:
-    """All field orders this module can construct, up to ``limit``: primes and powers of two."""
+    """All field orders this module can construct, up to ``limit``: primes and powers of two.
+
+    No order above MAX_ORDER is listed, whatever the limit.
+    """
     orders = []
-    for q in range(2, limit + 1):
+    for q in range(2, min(limit, MAX_ORDER) + 1):
         try:
             p, m = check_prime_power(q)
         except UnsupportedOrder:

@@ -5,6 +5,15 @@ nonzero entries.  Signals are drawn uniformly from L; sensing matrices
 have i.i.d. entries that are zero with probability 1 - gamma and each
 nonzero value with probability gamma / (q - 1).
 
+Measurement: y = A x over GF(q) has two kernels.  measure_candidates
+applies matrices to explicit vectors (matvec, a signal's own
+measurements, the nullity test's vector pair).  measure_levels sweeps
+L level by level for the exhaustive decoder and the Monte Carlo flags:
+every weight-w support carries the same (q-1)^w value tuples, so a
+chunk of supports is measured as outer sums of the scaled columns
+v * A[:, j], in canonical order, without building a candidate;
+level_members unranks just the candidates a caller keeps.
+
 Randomness contract: all sampling takes an explicit numpy Generator
 (PCG64 via ``numpy.random.default_rng(seed)``).  Given the same 64-bit
 seed and parameters, every draw is reproducible.  Sparsity weights use
@@ -174,38 +183,27 @@ def matvec(field: FiniteField, matrix, signal) -> np.ndarray:
     return measure_candidates(field, rows, x[None, :])[:, 0]
 
 
-def candidate_terms(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support positions and values of each row of a (c, n) batch, as (c, K) arrays.
-
-    K is the heaviest row's weight; a lighter row is padded with
-    zero-valued terms, which measure to 0 wherever they point.
-    """
-    nonzero = cands != 0
-    k = int(np.count_nonzero(nonzero, axis=1).max(initial=0))
-    support = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
-    return support, cands[np.arange(len(cands))[:, None], support]
-
-
-def measure_candidates(
-    field: FiniteField, rows: np.ndarray, cands: np.ndarray, terms=None
-) -> np.ndarray:
+def measure_candidates(field: FiniteField, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Apply (..., m, n) matrices to a (c, n) batch of vectors; returns (..., m, c) int16.
 
     A x' is a sum of at most K scaled columns, K the heaviest weight in
     the batch: the table v * A[..., :, j] is built once for every value
-    v and column j, and each candidate folds the K entries its terms
-    name, by XOR in characteristic 2, and otherwise by adding each term
-    to a running residue mod p and subtracting p when the sum reaches
-    it.  ``terms`` is the batch's (support, values) pair as
-    candidate_terms returns it (weight_blocks yields it alongside each
-    block); it is extracted from ``cands`` when omitted.
+    v and column j, and each candidate folds the K entries its support
+    and values name, by XOR in characteristic 2, and otherwise by adding
+    each term to a running residue mod p and subtracting p when the sum
+    reaches it.  A lighter candidate is padded with zero-valued terms,
+    which measure to 0 wherever they point.  This is the kernel for
+    explicit vectors; measure_levels sweeps whole levels of L.
     """
     if rows.shape[-1] != cands.shape[1]:
         raise DimensionMismatch(
             f"matrix {rows.shape} incompatible with candidates {cands.shape}"
         )
-    support, values = candidate_terms(cands) if terms is None else terms
     q, n = field.q, rows.shape[-1]
+    nonzero = cands != 0
+    k = int(np.count_nonzero(nonzero, axis=1).max(initial=0))
+    support = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
+    values = cands[np.arange(len(cands))[:, None], support]
     # an entry outside 0..q-1 would index the wrong table column, silently
     for arr in (rows, values):
         if arr.size and (arr.min() < 0 or arr.max() >= q):
@@ -215,10 +213,10 @@ def measure_candidates(
     scaled = field.mul_table[rows].reshape(-1, n * q).view(np.uint16)
     keys = support * q + values
     shape = rows.shape[:-1] + (cands.shape[0],)
-    if keys.shape[1] == 0:
+    if k == 0:
         return np.zeros(shape, dtype=np.int16)
     out = scaled[:, keys[:, 0]]
-    for t in range(1, keys.shape[1]):
+    for t in range(1, k):
         if field.p == 2:
             out ^= scaled[:, keys[:, t]]
         else:
@@ -235,7 +233,7 @@ def enumerate_signals(n: int, k_max: int, q: int):
     Order: sparsity-major, then lexicographic support, then lexicographic
     nonzero values.  This is the tie-making order the exhaustive decoder
     relies on, so it must never change.  It is the reference for
-    weight_blocks, which the library uses instead.
+    level_members and measure_levels, which the library uses instead.
     """
     for k in range(k_max + 1):
         for support in itertools.combinations(range(n), k):
@@ -246,39 +244,128 @@ def enumerate_signals(n: int, k_max: int, q: int):
                 yield v
 
 
-def weight_blocks(n: int, k: int, q: int):
-    """Yield the weight-k members of L in canonical order, as (block, terms).
+def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
+    """Supports and leading values at the given ranks of a level with digits value places.
 
-    ``block`` is an int16 (rows, n) array and ``terms`` its (support,
-    values) pair, two (rows, k) arrays in the form measure_candidates
-    takes.  Row r of the level puts the (r % (q-1)^k)-th value tuple on
-    the (r // (q-1)^k)-th support.  Every block but the last holds
-    exactly _BLOCK rows, so no whole level is ever built.
+    The level pairs each weight-w support, in lexicographic order, with
+    the (q-1)^digits tuples of its first ``digits`` values, in
+    lexicographic order: rank r is the (r % (q-1)^digits)-th tuple on
+    the (r // (q-1)^digits)-th support.  With digits = w these are the
+    members of L of weight w in canonical order.  Returns an int64
+    (len, w) support array and an int16 (len, digits) value array.
     """
-    n_supports = comb(n, k)
-    n_values = (q - 1) ** k
     # Combinatorial number system: the support at lexicographic rank s,
     # mirrored (p -> n-1-p), has sorted elements d_i with colex rank
-    # C(n,k)-1-s = sum_i C(d_i, i+1), peeled off greedily from the top.
-    # Clamping the table at C(n,k) keeps it in int64 and changes no result.
+    # C(n,w)-1-s = sum_i C(d_i, i+1), peeled off greedily from the top.
+    # Clamping the table at C(n,w) keeps it in int64 and changes no result.
+    n_supports = comb(n, w)
     binom = [
         np.array([min(comb(x, i + 1), n_supports) for x in range(n)], dtype=np.int64)
-        for i in range(k)
+        for i in range(w)
     ]
-    place = (q - 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    total = n_supports * n_values
-    for start in range(0, total, _BLOCK):
-        s, v = np.divmod(np.arange(start, min(start + _BLOCK, total), dtype=np.int64), n_values)
-        rest = n_supports - 1 - s
-        support = np.empty((s.size, k), dtype=np.int64)
-        for i in range(k - 1, -1, -1):
-            d = np.searchsorted(binom[i], rest, side="right") - 1
-            rest -= binom[i][d]
-            support[:, k - 1 - i] = n - 1 - d
-        values = (v[:, None] // place % (q - 1) + 1).astype(np.int16)
-        block = np.zeros((s.size, n), dtype=np.int16)
-        np.put_along_axis(block, support, values, axis=1)
-        yield block, (support, values)
+    place = (q - 1) ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    s, v = np.divmod(ranks, (q - 1) ** digits)
+    rest = n_supports - 1 - s
+    support = np.empty((len(ranks), w), dtype=np.int64)
+    for i in range(w - 1, -1, -1):
+        d = np.searchsorted(binom[i], rest, side="right") - 1
+        rest -= binom[i][d]
+        support[:, w - 1 - i] = n - 1 - d
+    values = (v[:, None] // place % (q - 1) + 1).astype(np.int16)
+    return support, values
+
+
+def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
+    """The weight-w members of L at the given canonical ranks, as an int16 (len, n) array."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    support, values = _level_terms(n, w, q, ranks, w)
+    out = np.zeros((len(ranks), n), dtype=np.int16)
+    np.put_along_axis(out, support, values, axis=1)
+    return out
+
+
+def _outer_sum(field: FiniteField, acc: np.ndarray, term: np.ndarray, axis: int) -> np.ndarray:
+    """Field sums of every value tuple of acc with every value of term, along axis.
+
+    acc holds X tuples and term V values on ``axis``; the result holds
+    the X * V sums there, tuple-major, which is the lexicographic order
+    of the extended tuples.
+    """
+    pre = (slice(None),) * axis
+    out = acc[pre + (slice(None), None)]  # X tuples -> (X, 1)
+    term = term[pre + (None,)]  # V values -> (1, V)
+    if field.p == 2:
+        out = out ^ term
+    else:
+        # two residues sum below 2p; from a sum below p, subtracting p
+        # wraps past 2**16 - p, so the minimum is the sum mod p
+        out = out + term
+        np.minimum(out, out - field.p, out=out)
+    return out.reshape(out.shape[:axis] + (-1,) + out.shape[axis + 2 :])
+
+
+def measure_levels(field: FiniteField, rows: np.ndarray, k_max: int):
+    """Yield (w, chunks) for w = 0..k_max: the weight-w members of L, measured.
+
+    ``chunks`` yields (start, meas), ``meas`` the (c, b) int16
+    measurement, by each of the b rows of the (b, n) array ``rows``, of
+    the level's members at canonical ranks start..start+c-1; the chunks
+    cover the level in order.  Every support of a level carries the same
+    (q-1)^w value tuples, so a chunk of supports S is measured as outer
+    sums of the scaled columns v * rows[:, S_i], v = 1..q-1: no
+    candidate is built, and a C-order flatten over (support, v_1, ...,
+    v_w) is the canonical order.  A chunk holds at most _BLOCK members:
+    where (q-1)^w exceeds _BLOCK, each support's tuples are split by
+    their leading values, so no whole level is ever built.  The wider of
+    the batch and value axes is laid out innermost.
+    """
+    b, n = rows.shape
+    v = field.q - 1
+    if rows.size and (rows.min() < 0 or rows.max() >= field.q):
+        raise ValueError(f"entries outside GF({field.q})")
+    # scaled[v - 1, r, j] = v * rows[r, j]; in the table, the value axis
+    # is `axis` and the column axis the one before it
+    scaled = field.mul_table[1:][:, rows].view(np.uint16)
+    if b > v:
+        table, axis = np.ascontiguousarray(scaled.transpose(2, 0, 1)), 1  # (n, q-1, b)
+    else:
+        table, axis = np.ascontiguousarray(scaled.transpose(1, 2, 0)), 2  # (b, n, q-1)
+    for w in range(k_max + 1):
+        yield w, _level_chunks(field, table, axis, w)
+
+
+def _level_chunks(field: FiniteField, table: np.ndarray, axis: int, w: int):
+    """The chunks of measure_levels for level w, from its table of scaled columns."""
+    n, v = table.shape[axis - 1], field.q - 1
+    b = table.size // (n * v)
+    if w == 0:
+        yield 0, np.zeros((1, b), dtype=np.int16)
+        return
+    # the table with its column and value axes merged, keyed j * (q-1) + v - 1
+    flat = table.reshape(table.shape[: axis - 1] + (-1,) + table.shape[axis + 1 :])
+    # fix the leading `lead` values of a chunk's tuples, so that each
+    # (support, leading values) unit spans at most _BLOCK members
+    lead = next(i for i in range(w + 1) if v ** (w - i) <= _BLOCK)
+    span = v ** (w - lead)
+    units = comb(n, w) * v**lead
+    step = _BLOCK // span
+    # the units' terms are unranked _BLOCK units at a time, then measured
+    # `step` units a chunk
+    for group in range(0, units, _BLOCK):
+        ranks = np.arange(group, min(group + _BLOCK, units), dtype=np.int64)
+        supports, leadings = _level_terms(n, w, field.q, ranks, lead)
+        for lo in range(0, len(ranks), step):
+            support, leading = supports[lo : lo + step], leadings[lo : lo + step]
+            acc = None
+            for i in range(w):
+                if i < lead:
+                    keys = support[:, i] * v + leading[:, i] - 1
+                    term = np.expand_dims(np.take(flat, keys, axis=axis - 1), axis)
+                else:
+                    term = np.take(table, support[:, i], axis=axis - 1)
+                acc = term if acc is None else _outer_sum(field, acc, term, axis)
+            meas = acc.reshape((-1, b) if axis == 1 else (b, -1)).view(np.int16)
+            yield (group + lo) * span, meas if axis == 1 else meas.T
 
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -303,10 +390,11 @@ def candidate_matrix(
     """
     out = np.empty((check_enumeration_cap(n, k_max, q, cap), n), dtype=np.int16)
     start = 0
-    for k in range(k_max + 1):
-        for block, _ in weight_blocks(n, k, q):
-            out[start : start + len(block)] = block
-            start += len(block)
+    for w, size in enumerate(signal_set_size(n, k_max, q).per_sparsity):
+        for first in range(0, size, _BLOCK):
+            ranks = np.arange(first, min(first + _BLOCK, size))
+            out[start + first : start + first + len(ranks)] = level_members(n, w, q, ranks)
+        start += size
     weights = np.count_nonzero(out, axis=1).astype(np.int64)
     return out, weights
 

@@ -31,13 +31,14 @@ measured block to its on_block callback, through which `ffcs simulate
 
 The error flags are evaluated one measurement row at a time: row r of
 every trial matrix in a block is applied to all of L at once through
-model.measure_candidates, the decoder's kernel, with the candidates'
-supports and values extracted once per run, and the candidates whose
-r-th measurement differs from the signal's are struck from one
-(t x candidates) feasibility mask.  The working set is therefore
-t x |L|, never t x m x |L|.  candidate_matrix enumerates L
-sparsity-major, so each sparsity level is a contiguous run of columns,
-and the flags follow from the number of feasible candidates per level.
+model.measure_levels, the decoder's level-sweep kernel, which lays
+the trials innermost whenever they outnumber the q - 1 values, and the
+candidates whose r-th measurement differs from the signal's are struck
+from one (candidates x t) feasibility mask.  The working set is
+therefore t x |L|, never t x m x |L|.  The sweep and candidate_matrix
+both enumerate L sparsity-major, so each sparsity level is a
+contiguous run of rows, and the flags follow from the number of
+feasible candidates per level.
 They are the predicates of decoder.error_events, and the test suite
 pins the two routes against each other, trial by trial, on sampled
 instances.
@@ -56,8 +57,8 @@ from .model import (
     DEFAULT_ENUMERATION_CAP,
     ModelParams,
     candidate_matrix,
-    candidate_terms,
     measure_candidates,
+    measure_levels,
 )
 from .util import wilson_interval
 
@@ -203,10 +204,9 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
     """Yield (start, mats, idx) for consecutive windows of the trials 0..trials-1.
 
     A window of t trials keeps t x m x width at most _BLOCK_ELEMS, width
-    the larger of the candidate count and the kernel's q n scaled
-    columns.  That bounds the window's (t, m, n) draws and, with room to
-    spare, its (t, |L|) feasibility masks and the (t, q n) scaled
-    columns of each measured row.
+    the larger of the candidate count and q n.  That bounds the window's
+    (t, m, n) draws and, with room to spare, its (|L|, t) feasibility
+    masks and the (n, q - 1, t) scaled columns of each measured row.
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))
@@ -216,7 +216,7 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
 
 
 def _level_offsets(weights: np.ndarray) -> np.ndarray:
-    """Column where each sparsity level 0..max(weights) starts in candidate_matrix's order.
+    """Rank where each sparsity level 0..max(weights) starts in candidate_matrix's order.
 
     _error_flags counts feasible candidates per level with
     np.add.reduceat over these offsets, which is only right when the
@@ -229,18 +229,14 @@ def _level_offsets(weights: np.ndarray) -> np.ndarray:
 
 
 def _error_flags(
-    field: FiniteField,
-    mats: np.ndarray,
-    idx: np.ndarray,
-    cands: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray],
-    offsets: np.ndarray,
+    field: FiniteField, mats: np.ndarray, idx: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """e0 flags, e flags and (t, m) measurements of trials whose signals are cands[idx].
+    """e0 flags, e flags and (t, m) measurements of trials whose signals are at ranks idx of L.
 
-    Row r of every matrix is measured against all of L at once, and
+    Row r of every matrix is measured against all of L at once, level by
+    level through model.measure_levels, and
     candidates whose r-th measurement differs from the signal's drop
-    out of one (t, |L|) feasibility mask, so no (t, m, |L|) array is
+    out of one (|L|, t) feasibility mask, so no (t, m, |L|) array is
     built.  The feasible candidates are then counted per sparsity level
     (``offsets`` from _level_offsets).  With k1 the signal's level and
     j the first level holding a feasible candidate (j <= k1, since the
@@ -251,12 +247,13 @@ def _error_flags(
     t, m = mats.shape[:2]
     trial = np.arange(t)
     y = np.empty((t, m), dtype=np.int16)
-    feas = np.ones((t, cands.shape[0]), dtype=bool)
+    feas = True
     for r in range(m):
-        meas = measure_candidates(field, mats[:, r : r + 1], cands, terms=terms)[:, 0]
-        y[:, r] = meas[trial, idx]
-        feas &= meas == y[:, r, None]
-    counts = np.add.reduceat(feas, offsets, axis=1)  # (t, k + 1)
+        levels = measure_levels(field, mats[:, r], len(offsets) - 1)
+        meas = np.concatenate([c for _, chunks in levels for _, c in chunks])  # (|L|, t)
+        y[:, r] = meas[idx, trial]
+        feas = feas & (meas == y[:, r])
+    counts = np.add.reduceat(feas, offsets, axis=0).T  # (t, k + 1)
     k1 = np.searchsorted(offsets, idx, side="right") - 1
     first = (counts > 0).argmax(axis=1)
     lighter = first < k1
@@ -288,12 +285,11 @@ def run_trials(
         raise ValueError("trials must be >= 1")
     field = make_field(params.q)
     cands, weights = candidate_matrix(params.n, params.k, params.q, cap=enumeration_cap)
-    terms = candidate_terms(cands)
     offsets = _level_offsets(weights)
     n_cand = cands.shape[0]
     e0_errors = e_errors = violations = 0
     for start, mats, idx in _trial_blocks(params, trials, seed, n_cand):
-        e0_flags, e_flags, y = _error_flags(field, mats, idx, cands, terms, offsets)
+        e0_flags, e_flags, y = _error_flags(field, mats, idx, offsets)
         e0_errors += int(e0_flags.sum())
         e_errors += int(e_flags.sum())
         violations += int((e0_flags & ~e_flags).sum())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ffcs import model
 from ffcs import (
     DecodeStatus,
     DimensionMismatch,
@@ -175,3 +176,35 @@ def test_error_events_rejects_signal_above_k_max():
     x = np.array([1, 1, 1, 0], dtype=np.int16)
     with pytest.raises(ValueError, match="k_max"):
         error_events(make_field(3), WRONG_SHAPE_A, x, 2)
+
+
+def test_split_levels_match_brute_reference(monkeypatch):
+    # n = 3, k = 3 over GF(32): 31^3 value tuples exceed the block, so
+    # level 3 splits each support's tuples by their leading values; a
+    # block of 64 splits level 2 too, where the singular matrices (row 3
+    # = row 1 + row 2) tie three weight-2 solutions
+    f = make_field(32)
+    rng = np.random.default_rng(32)
+    instances = [(rng.integers(0, 32, size=(3, 3)), rng.integers(1, 32, size=3))]
+    for _ in range(2):
+        A = rng.integers(0, 32, size=(3, 3))
+        A[2] = f.add_table[A[0], A[1]]
+        x = np.zeros(3, dtype=np.int16)
+        x[rng.choice(3, size=2, replace=False)] = rng.integers(1, 32, size=2)
+        instances.append((A, x))
+    statuses = set()
+    for A, x in instances:
+        A, x = A.astype(np.int16), x.astype(np.int16)
+        y = matvec(f, A, x)
+        ref_k, ref_sols = brute_decode(f, A, y, 3)
+        exact = len(ref_sols) == 1 and np.array_equal(ref_sols[0], x)
+        for block in (model._BLOCK, 64):
+            monkeypatch.setattr(model, "_BLOCK", block)
+            res = decode_l0(f, A, y, k_max=3)
+            assert res.min_sparsity == ref_k
+            assert [s.tolist() for s in res.solutions] == [s.tolist() for s in ref_sols]
+            statuses.add((res.min_sparsity, res.status))
+            # the decoder counts ties as errors, so e and e0 are one event
+            ev = error_events(f, A, x, k_max=3)
+            assert ev.e0_error == ev.e_error == (not exact)
+    assert statuses == {(3, DecodeStatus.UNIQUE), (2, DecodeStatus.AMBIGUOUS)}

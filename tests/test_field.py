@@ -127,6 +127,13 @@ def test_supported_orders_contents():
     assert max(orders) <= MAX_ORDER
 
 
+def test_supported_orders_stop_at_max_order():
+    orders = supported_orders(600)
+    assert orders[-1] == 256
+    for q in orders:
+        assert make_field(q).q == q
+
+
 def test_reduction_poly_exposed_only_for_extensions():
     assert make_field(13).reduction_poly is None
     f = make_field(16)

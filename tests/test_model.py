@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ffcs import (
     signal_to_json,
     sparse_gamma,
 )
-from ffcs.model import _BLOCK, candidate_terms, measure_candidates, weight_blocks
+from ffcs.model import _BLOCK, level_members, measure_candidates, measure_levels
 
 # 0.999 chi-square quantiles by degrees of freedom
 CHI2_999 = {2: 13.816, 3: 16.266, 18: 42.312}
@@ -228,8 +229,8 @@ class TestMatvec:
 
 
     def test_heavy_prime_candidates_use_a_wide_accumulator(self):
-        # 140 terms of 250 * 250 in GF(251): the sum before reduction
-        # exceeds int16, so the kernel must accumulate wider
+        # 140 terms of 250 * 250 in GF(251): the unreduced sum exceeds
+        # int16, so the kernel must reduce each partial sum below p
         f = make_field(251)
         n = 140
         A = np.full((2, n), 250, dtype=np.int16)
@@ -278,16 +279,50 @@ class TestEnumeration:
         ],
     )
     def test_weight_blocks_match_reference_order(self, n, k_max, q):
-        pairs = [bt for k in range(k_max + 1) for bt in weight_blocks(n, k, q)]
-        blocks = [b for b, _ in pairs]
-        assert max(len(b) for b in blocks) <= _BLOCK
-        for block, (support, values) in pairs:
-            expected = candidate_terms(block)
-            assert np.array_equal(support, expected[0])
-            assert np.array_equal(values, expected[1])
+        # measure_levels, its chunks concatenated over the levels, measures
+        # L in enumerate_signals' order, with few rows (value axis
+        # innermost) and many (rows innermost); level_members unranks it
+        field = make_field(q)
         reference = np.array(list(enumerate_signals(n, k_max, q)), dtype=np.int16)
-        assert np.array_equal(np.concatenate(blocks), reference)
+        rng = np.random.default_rng(n * 1000 + q)
+        for m in (2, 40):
+            A = rng.integers(0, q, size=(m, n)).astype(np.int16)
+            chunks = []
+            for _, level in measure_levels(field, A, k_max):
+                covered = 0
+                for start, meas in level:
+                    assert start == covered
+                    assert meas.shape[1] == m and len(meas) <= _BLOCK
+                    covered += len(meas)
+                    chunks.append(meas)
+            got = np.concatenate(chunks)
+            assert np.array_equal(got, measure_candidates(field, A, reference).T)
+        members = [
+            level_members(n, w, q, np.arange(size))
+            for w, size in enumerate(signal_set_size(n, k_max, q).per_sparsity)
+        ]
+        assert np.array_equal(np.concatenate(members), reference)
         assert np.array_equal(candidate_matrix(n, k_max, q)[0], reference)
+
+    @pytest.mark.parametrize("q", [61, 64])
+    def test_split_level_memory_is_bounded_by_the_block(self, q):
+        # (q - 1)^3 > _BLOCK: each support's value tuples are split, and
+        # peak memory follows the block, not the (q - 1)^3-member level
+        n, k, m = 3, 3, 4
+        field = make_field(q)
+        A = np.random.default_rng(q).integers(0, q, size=(m, n)).astype(np.int16)
+        bound = 12 * _BLOCK * m
+        assert math.comb(n, k) * (q - 1) ** k * m * 2 > 4 * bound
+        tracemalloc.start()
+        try:
+            members = sum(
+                len(meas) for _, level in measure_levels(field, A, k) for _, meas in level
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members == signal_set_size(n, k, q).total
+        assert peak < bound, (peak, bound)
 
     def test_candidate_matrix_counts_and_weights(self):
         X, w = candidate_matrix(4, 2, 3)

@@ -38,7 +38,7 @@ from ffcs import (
 )
 from ffcs import montecarlo
 from ffcs.curves import _search_ceiling
-from ffcs.model import candidate_terms, measure_candidates
+from ffcs.model import measure_candidates
 from ffcs.montecarlo import _error_flags, _level_offsets, _sample_trials, _trial_blocks
 from ffcs.util import log_of_int, logsumexp
 
@@ -131,14 +131,14 @@ def test_flags_match_error_events_per_trial(config):
     trials = 12
     field = make_field(params.q)
     cands, weights = candidate_matrix(params.n, params.k, params.q)
-    terms, offsets = candidate_terms(cands), _level_offsets(weights)
+    offsets = _level_offsets(weights)
     width = max(len(cands), params.q * params.n)
     block_elems = params.m * width * (per_block or trials)
     with mock.patch.object(montecarlo, "_BLOCK_ELEMS", block_elems):
         blocks = list(_trial_blocks(params, trials, seed, len(cands)))
     assert len(blocks) == -(-trials // (per_block or trials))
     for start, mats, idx in blocks:
-        e0, e, y = _error_flags(field, mats, idx, cands, terms, offsets)
+        e0, e, y = _error_flags(field, mats, idx, offsets)
         assert e0.shape == e.shape == (len(idx),) and y.shape == (len(idx), params.m)
         for i, (A, j) in enumerate(zip(mats, idx)):
             ev = error_events(field, A, cands[j], k_max=params.k)
