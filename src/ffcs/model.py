@@ -5,14 +5,15 @@ nonzero entries.  Signals are drawn uniformly from L; sensing matrices
 have i.i.d. entries that are zero with probability 1 - gamma and each
 nonzero value with probability gamma / (q - 1).
 
-Measurement: y = A x over GF(q) has two kernels.  measure_candidates
-applies matrices to explicit vectors (matvec, a signal's own
-measurements, the nullity test's vector pair).  measure_levels sweeps
-L level by level for the exhaustive decoder and the Monte Carlo flags:
-every weight-w support carries the same (q-1)^w value tuples, so a
-chunk of supports is measured as outer sums of the scaled columns
+Measurement: y = A x over GF(q).  measure_levels, the one fast kernel,
+sweeps L level by level for the exhaustive decoder and the Monte Carlo
+flags: every weight-w support carries the same (q-1)^w value tuples,
+so a chunk of supports is measured as outer sums of the scaled columns
 v * A[:, j], in canonical order, without building a candidate;
 level_members unranks just the candidates a caller keeps.
+measure_candidates is the definition of A x, a table gather and a
+field sum, for explicit vectors (matvec, a signal's own measurements,
+the nullity test's vector pair).
 
 Randomness contract: all sampling takes an explicit numpy Generator
 (PCG64 via ``numpy.random.default_rng(seed)``).  Given the same 64-bit
@@ -183,48 +184,33 @@ def matvec(field: FiniteField, matrix, signal) -> np.ndarray:
     return measure_candidates(field, rows, x[None, :])[:, 0]
 
 
+def _check_entries(q: int, *arrays) -> None:
+    """Raise ValueError unless every entry is in 0..q-1; others index the field tables wrongly."""
+    for arr in arrays:
+        if arr.size and (arr.min() < 0 or arr.max() >= q):
+            raise ValueError(f"entries outside GF({q})")
+
+
 def measure_candidates(field: FiniteField, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Apply (..., m, n) matrices to a (c, n) batch of vectors; returns (..., m, c) int16.
 
-    A x' is a sum of at most K scaled columns, K the heaviest weight in
-    the batch: the table v * A[..., :, j] is built once for every value
-    v and column j, and each candidate folds the K entries its support
-    and values name, by XOR in characteristic 2, and otherwise by adding
-    each term to a running residue mod p and subtracting p when the sum
-    reaches it.  A lighter candidate is padded with zero-valued terms,
-    which measure to 0 wherever they point.  This is the kernel for
-    explicit vectors; measure_levels sweeps whole levels of L.
+    The definition of A x': the products A[..., r, j] * x'_j are gathered
+    from the multiplication table and summed over j in the field, by XOR
+    in characteristic 2, and otherwise in int64 and reduced once mod p.
+    The gather holds (..., m, c, n) entries, so this is for explicit
+    vectors: matvec and error_events measure one, and the nullity test
+    measures its pair on windows sized on width >= q n, so t m 2 n <=
+    2**21 / q.  measure_levels sweeps whole levels of L.
     """
     if rows.shape[-1] != cands.shape[1]:
         raise DimensionMismatch(
             f"matrix {rows.shape} incompatible with candidates {cands.shape}"
         )
-    q, n = field.q, rows.shape[-1]
-    nonzero = cands != 0
-    k = int(np.count_nonzero(nonzero, axis=1).max(initial=0))
-    support = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
-    values = cands[np.arange(len(cands))[:, None], support]
-    # an entry outside 0..q-1 would index the wrong table column, silently
-    for arr in (rows, values):
-        if arr.size and (arr.min() < 0 or arr.max() >= q):
-            raise ValueError(f"entries outside GF({q})")
-    # scaled[r, j * q + v] = A[r, j] * v over the flattened rows r of every
-    # matrix; v = 0 gives zero columns, so padding terms add nothing
-    scaled = field.mul_table[rows].reshape(-1, n * q).view(np.uint16)
-    keys = support * q + values
-    shape = rows.shape[:-1] + (cands.shape[0],)
-    if k == 0:
-        return np.zeros(shape, dtype=np.int16)
-    out = scaled[:, keys[:, 0]]
-    for t in range(1, k):
-        if field.p == 2:
-            out ^= scaled[:, keys[:, t]]
-        else:
-            # two residues sum below 2p; from a sum below p, subtracting
-            # p wraps past 2**16 - p, so the minimum is the sum mod p
-            out += scaled[:, keys[:, t]]
-            np.minimum(out, out - field.p, out=out)
-    return out.view(np.int16).reshape(shape)
+    _check_entries(field.q, rows, cands)
+    terms = field.mul_table[rows[..., :, None, :], cands]
+    if field.p == 2:
+        return np.bitwise_xor.reduce(terms, axis=-1)
+    return (terms.sum(axis=-1, dtype=np.int64) % field.p).astype(np.int16)
 
 
 def enumerate_signals(n: int, k_max: int, q: int):
@@ -321,8 +307,7 @@ def measure_levels(field: FiniteField, rows: np.ndarray, k_max: int):
     """
     b, n = rows.shape
     v = field.q - 1
-    if rows.size and (rows.min() < 0 or rows.max() >= field.q):
-        raise ValueError(f"entries outside GF({field.q})")
+    _check_entries(field.q, rows)
     # scaled[v - 1, r, j] = v * rows[r, j]; in the table, the value axis
     # is `axis` and the column axis the one before it
     scaled = field.mul_table[1:][:, rows].view(np.uint16)
@@ -417,12 +402,23 @@ def matrix_to_json(matrix: SensingMatrix, q: int, seed: int | None = None) -> di
     }
 
 
+def _entries_from_json(obj: dict) -> np.ndarray:
+    """Serialized entries as int16: integers in 0..q-1, shaped as dims, over a prime power q."""
+    q = obj["q"]
+    entries = np.asarray(obj["entries"], dtype=object)
+    if list(entries.shape) != list(obj["dims"]):
+        raise DimensionMismatch(f"dims {obj['dims']} do not match entries {entries.shape}")
+    # an int16 cast would turn 1.5 into 1 and True into 1, silently
+    for v in (q, *entries.flat):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{v!r} is not an integer")
+    check_prime_power(q)
+    _check_entries(q, entries)
+    return entries.astype(np.int16)
+
+
 def matrix_from_json(obj: dict) -> SensingMatrix:
-    rows = np.asarray(obj["entries"], dtype=np.int16)
-    if list(rows.shape) != list(obj["dims"]):
-        raise DimensionMismatch(f"dims {obj['dims']} do not match entries {rows.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() >= obj["q"]):
-        raise ValueError("entries outside field range")
+    rows = _entries_from_json(obj)
     rows.setflags(write=False)
     gamma = obj.get("gamma")
     return SensingMatrix(rows=rows, gamma=float(gamma) if gamma is not None else float("nan"))
@@ -440,9 +436,4 @@ def signal_to_json(signal: Signal, q: int, seed: int | None = None) -> dict:
 
 
 def signal_from_json(obj: dict) -> Signal:
-    x = np.asarray(obj["entries"], dtype=np.int16)
-    if list(x.shape) != list(obj["dims"]):
-        raise DimensionMismatch(f"dims {obj['dims']} do not match entries {x.shape}")
-    if x.size and (x.min() < 0 or x.max() >= obj["q"]):
-        raise ValueError("entries outside field range")
-    return Signal.from_entries(x)
+    return Signal.from_entries(_entries_from_json(obj))

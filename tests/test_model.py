@@ -230,7 +230,7 @@ class TestMatvec:
 
     def test_heavy_prime_candidates_use_a_wide_accumulator(self):
         # 140 terms of 250 * 250 in GF(251): the unreduced sum exceeds
-        # int16, so the kernel must reduce each partial sum below p
+        # int16, so the kernel sums in int64 and reduces once mod p
         f = make_field(251)
         n = 140
         A = np.full((2, n), 250, dtype=np.int16)
@@ -304,6 +304,27 @@ class TestEnumeration:
         assert np.array_equal(np.concatenate(members), reference)
         assert np.array_equal(candidate_matrix(n, k_max, q)[0], reference)
 
+    @pytest.mark.parametrize(
+        "q,n,k", [(2, 6, 4), (3, 5, 4), (5, 4, 3), (7, 4, 3), (13, 3, 3), (16, 3, 3), (251, 2, 2)]
+    )
+    def test_level_sweep_matches_table_fold(self, q, n, k):
+        # every chunk of measure_levels, concatenated, against an add/mul
+        # table fold over enumerate_signals, with rows <= q - 1 (value axis
+        # innermost) and rows > q - 1 (rows innermost); at k >= 3 the
+        # partial sums pass 2p, so each fold step must reduce mod p
+        field = make_field(q)
+        X = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
+        rng = np.random.default_rng(q * 100 + n)
+        for b in (min(2, q - 1), q):
+            A = rng.integers(0, q, size=(b, n)).astype(np.int16)
+            want = np.zeros((len(X), b), dtype=np.int16)
+            for j in range(n):
+                want = field.add_table[want, field.mul_table[X[:, j, None], A[:, j]]]
+            got = np.concatenate(
+                [meas for _, level in measure_levels(field, A, k) for _, meas in level]
+            )
+            assert np.array_equal(got, want), b
+
     @pytest.mark.parametrize("q", [61, 64])
     def test_split_level_memory_is_bounded_by_the_block(self, q):
         # (q - 1)^3 > _BLOCK: each support's value tuples are split, and
@@ -362,3 +383,32 @@ class TestSerialization:
     def test_out_of_field_entries_rejected(self):
         with pytest.raises(ValueError):
             signal_from_json({"q": 2, "dims": [2], "entries": [0, 5], "gamma": None, "seed": None})
+
+    @pytest.mark.parametrize("bad", [1.5, True, 1.0])
+    def test_non_integer_entries_rejected(self, bad):
+        # an int16 cast would turn 1.5 into 1 and True into 1, silently
+        obj = {"q": 4, "dims": [2], "entries": [0, bad], "gamma": None, "seed": None}
+        with pytest.raises(ValueError, match="not an integer"):
+            signal_from_json(obj)
+        obj = {"q": 4, "dims": [1, 2], "entries": [[0, bad]], "gamma": None, "seed": None}
+        with pytest.raises(ValueError, match="not an integer"):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize("big", [70000, -70000])
+    def test_entries_beyond_int16_raise_value_error(self, big):
+        # checked against 0..q-1 before the int16 cast, which would overflow
+        obj = {"q": 4, "dims": [2], "entries": [big, 0], "gamma": None, "seed": None}
+        with pytest.raises(ValueError, match=r"entries outside GF\(4\)"):
+            signal_from_json(obj)
+        obj = {"q": 4, "dims": [1, 2], "entries": [[0, big]], "gamma": None, "seed": None}
+        with pytest.raises(ValueError, match=r"entries outside GF\(4\)"):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize("q", [6, 4.0])
+    def test_order_that_is_no_field_rejected(self, q):
+        obj = {"q": q, "dims": [2], "entries": [0, 1], "gamma": None, "seed": None}
+        with pytest.raises(ValueError):
+            signal_from_json(obj)
+        obj = {"q": q, "dims": [1, 2], "entries": [[0, 1]], "gamma": None, "seed": None}
+        with pytest.raises(ValueError):
+            matrix_from_json(obj)
