@@ -2,8 +2,8 @@
 
 Subcommands: field, bound, nh, curve, simulate.  Data goes to stdout (or
 --out); diagnostics go to stderr only.  Exit codes: 0 success, 1
-parameter/usage error, 2 runtime failure such as an enumeration cap, an
-unwritable file or exhausted memory.
+parameter/usage error, 2 runtime failure such as more than the 10^8
+candidates of the enumeration cap, an unwritable file or exhausted memory.
 
 Every output embeds the tool version, the full parameter echo, the pair
 variant, and the seed, so any emitted artifact can be regenerated from
@@ -311,7 +311,7 @@ def _validate(args: argparse.Namespace) -> None:
         check_prime_power(q)
 
 
-def parse_and_dispatch(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -327,10 +327,6 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     except (EnumerationCapExceeded, OSError, MemoryError) as exc:
         print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-
-
-def main(argv: list[str] | None = None) -> int:
-    return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -95,7 +95,6 @@ def min_measurements(
     gamma: float,
     target: float = 1e-2,
     variant: PairVariant = PairVariant.ALL_PAIRS,
-    m_ceiling: int | None = None,
 ) -> MinMeasurements:
     """Smallest m with union bound <= target, by binary search over m.
 
@@ -104,13 +103,13 @@ def min_measurements(
     pair_total / |L| * q^-m.  A float target is exactly num/den, so m
     passes iff pair_total * den <= num * |L| * q^m, a comparison of
     integers.  Any other gamma compares the log-domain union_bound with
-    log(target).  If even the search ceiling misses the target the
-    ceiling is returned with achieved=False rather than raising: a
-    flagged point, not a fatal one.
+    log(target).  The search runs up to the ceiling n ceil(log2 q) + 64;
+    if even that misses the target the ceiling is returned with
+    achieved=False rather than raising: a flagged point, not a fatal one.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
-    hi = m_ceiling if m_ceiling is not None else _search_ceiling(n, q)
+    hi = _search_ceiling(n, q)
     # rejects what the first union_bound call would, on either route
     ModelParams(n=n, k=k, m=hi, q=q, gamma=gamma)
 

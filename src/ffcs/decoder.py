@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .field import FiniteField
 from .model import (
-    DEFAULT_ENUMERATION_CAP,
     _as_entries,
     _as_rows,
     check_enumeration_cap,
@@ -75,20 +74,18 @@ class ErrorEvents:
     e_error: bool
 
 
-def decode_l0(
-    field: FiniteField,
-    matrix,
-    y,
-    k_max: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> DecodeResult:
-    """Find all sparsest candidates x' with A x' = y and weight <= k_max; y has length m."""
+def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
+    """Find all sparsest candidates x' with A x' = y and weight <= k_max; y has length m.
+
+    Raises EnumerationCapExceeded if |L| at k_max is above
+    model.ENUMERATION_CAP (10^8 candidates).
+    """
     rows = _as_rows(matrix)
     y = np.asarray(y, dtype=np.int16)
     if y.shape != rows.shape[:1]:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     n = rows.shape[1]
-    check_enumeration_cap(n, k_max, field.q, cap)
+    check_enumeration_cap(n, k_max, field.q)
     for k, chunks in measure_levels(field, rows, k_max):
         ranks = np.concatenate(
             [start + np.flatnonzero((meas == y).all(axis=1)) for start, meas in chunks]
@@ -101,19 +98,14 @@ def decode_l0(
     return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
 
 
-def error_events(
-    field: FiniteField,
-    matrix,
-    x,
-    k_max: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ErrorEvents:
+def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     """Evaluate both error events for a known signal x.
 
     The two flags are computed through separate routes: e_error by a
     direct existence scan over candidates no heavier than x, e0_error by
     running the decoder on y = A x.  Their agreement is a checked
-    property, not an assumption.  x must weigh at most k_max.
+    property, not an assumption.  x must weigh at most k_max, and |L|
+    at k_max must not be above model.ENUMERATION_CAP (10^8 candidates).
     """
     rows = _as_rows(matrix)
     xe = _as_entries(x)
@@ -122,7 +114,7 @@ def error_events(
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
     y = measure_candidates(field, rows, xe[None, :])[:, 0]
     n = rows.shape[1]
-    check_enumeration_cap(n, k_max, field.q, cap)
+    check_enumeration_cap(n, k_max, field.q)
 
     e_error = False
     for k, chunks in measure_levels(field, rows, k1):
@@ -134,7 +126,7 @@ def error_events(
         if e_error:
             break
 
-    result = decode_l0(field, rows, y, k_max, cap=cap)
+    result = decode_l0(field, rows, y, k_max)
     e0_error = not (
         result.status == DecodeStatus.UNIQUE
         and np.array_equal(result.solutions[0], xe)

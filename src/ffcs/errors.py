@@ -18,4 +18,4 @@ class DimensionMismatch(ValueError):
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Exhaustive enumeration would exceed the configured candidate cap."""
+    """Exhaustive enumeration would exceed the fixed candidate cap (model.ENUMERATION_CAP)."""

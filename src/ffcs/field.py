@@ -72,13 +72,10 @@ def check_prime_power(q: int) -> tuple[int, int]:
     raise UnsupportedOrder(f"q={q} is not a prime power, so GF({q}) does not exist")
 
 
-def supported_orders(limit: int = MAX_ORDER) -> list[int]:
-    """All field orders this module can construct, up to ``limit``: primes and powers of two.
-
-    No order above MAX_ORDER is listed, whatever the limit.
-    """
+def supported_orders() -> list[int]:
+    """All field orders this module can construct: primes and powers of two up to MAX_ORDER."""
     orders = []
-    for q in range(2, min(limit, MAX_ORDER) + 1):
+    for q in range(2, MAX_ORDER + 1):
         try:
             p, m = check_prime_power(q)
         except UnsupportedOrder:

@@ -353,27 +353,27 @@ def _level_chunks(field: FiniteField, table: np.ndarray, axis: int, w: int):
             yield (group + lo) * span, meas if axis == 1 else meas.T
 
 
-DEFAULT_ENUMERATION_CAP = 10**8
+# the most candidates any exhaustive scan enumerates
+ENUMERATION_CAP = 10**8
 
 
-def check_enumeration_cap(n: int, k_max: int, q: int, cap: int) -> int:
-    """Return |L|, raising EnumerationCapExceeded if it exceeds cap."""
+def check_enumeration_cap(n: int, k_max: int, q: int) -> int:
+    """Return |L|, raising EnumerationCapExceeded if it exceeds ENUMERATION_CAP."""
     total = signal_set_size(n, k_max, q).total
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"|L| = {total} exceeds the enumeration cap {cap}"
+            f"|L| = {total} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     return total
 
 
-def candidate_matrix(
-    n: int, k_max: int, q: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[np.ndarray, np.ndarray]:
+def candidate_matrix(n: int, k_max: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Materialize all of L as a (|L|, n) matrix plus a weight vector.
 
-    Raises EnumerationCapExceeded before allocating anything if |L| > cap.
+    Raises EnumerationCapExceeded before allocating anything if |L| is
+    above ENUMERATION_CAP (10^8 candidates).
     """
-    out = np.empty((check_enumeration_cap(n, k_max, q, cap), n), dtype=np.int16)
+    out = np.empty((check_enumeration_cap(n, k_max, q), n), dtype=np.int16)
     start = 0
     for w, size in enumerate(signal_set_size(n, k_max, q).per_sparsity):
         for first in range(0, size, _BLOCK):
@@ -403,7 +403,7 @@ def matrix_to_json(matrix: SensingMatrix, q: int, seed: int | None = None) -> di
 
 
 def _entries_from_json(obj: dict) -> np.ndarray:
-    """Serialized entries as int16: integers in 0..q-1, shaped as dims, over a prime power q."""
+    """Serialized entries as int16: integers in 0..q-1, shaped as dims, over a prime power q <= 2^15."""
     q = obj["q"]
     entries = np.asarray(obj["entries"], dtype=object)
     if list(entries.shape) != list(obj["dims"]):
@@ -412,6 +412,8 @@ def _entries_from_json(obj: dict) -> np.ndarray:
     for v in (q, *entries.flat):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"{v!r} is not an integer")
+    if q > 2**15:
+        raise ValueError(f"q={q} is above 2**15, so its entries do not fit int16")
     check_prime_power(q)
     _check_entries(q, entries)
     return entries.astype(np.int16)

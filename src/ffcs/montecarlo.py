@@ -22,9 +22,9 @@ built per trial.  The tests pin the rows to numpy's own spawn, for spawn
 keys past 2**32 and seeds past the pool's 4 words.
 
 Trials are drawn, measured and flagged in blocks of t trials, t sized
-so that t x m x candidates is at most _BLOCK_ELEMS.  That bounds the
-block's (t x m x n) draws and, with room to spare, its (t x candidates)
-masks, so memory depends on the configuration, not on the trial count.
+so that t x m x max(|L|, q n) is at most _BLOCK_ELEMS.  That bounds the
+block's (t x m x n) draws and, with room to spare, its (t x |L|) masks,
+so memory depends on the configuration, not on the trial count.
 _trial_blocks is the one stream of those blocks; run_trials hands each
 measured block to its on_block callback, through which `ffcs simulate
 --dump` writes the trials it measured.
@@ -53,13 +53,7 @@ import numpy as np
 
 from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
 from .field import FiniteField, make_field
-from .model import (
-    DEFAULT_ENUMERATION_CAP,
-    ModelParams,
-    candidate_matrix,
-    measure_candidates,
-    measure_levels,
-)
+from .model import ModelParams, candidate_matrix, measure_candidates, measure_levels
 from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
@@ -266,7 +260,6 @@ def run_trials(
     params: ModelParams,
     trials: int,
     seed: int,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     on_block: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> TrialReport:
     """Estimate both error probabilities over `trials` sampled instances.
@@ -275,7 +268,9 @@ def run_trials(
     flag e0 (decoder output differs from the truth, ambiguity included)
     and e (a candidate no heavier than the truth collides with it).  A
     zero error count is reported as-is; the Wilson interval then has a
-    one-sided shape with its lower edge at 0.
+    one-sided shape with its lower edge at 0.  Raises
+    EnumerationCapExceeded if |L| is above model.ENUMERATION_CAP (10^8
+    candidates).
 
     ``on_block``, if given, is called once per block of trials as
     on_block(start, mats, signals, y): trial start + i drew the matrix
@@ -284,7 +279,7 @@ def run_trials(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     field = make_field(params.q)
-    cands, weights = candidate_matrix(params.n, params.k, params.q, cap=enumeration_cap)
+    cands, weights = candidate_matrix(params.n, params.k, params.q)
     offsets = _level_offsets(weights)
     n_cand = cands.shape[0]
     e0_errors = e_errors = violations = 0

@@ -70,8 +70,8 @@ def randbelow(rng: np.random.Generator, n: int) -> int:
             return u
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval (z = Z95) for a binomial rate.
 
     Well-behaved at rates near 0 and 1; at zero successes the lower edge
     is exactly 0, giving a one-sided interval rather than a degenerate one.
@@ -81,10 +81,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / denom
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high

@@ -9,11 +9,11 @@ import pytest
 
 import ffcs
 from ffcs import cli, error_events, make_field, matrix_from_json, matvec, montecarlo, signal_from_json
-from ffcs.cli import parse_and_dispatch
+from ffcs.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = parse_and_dispatch(list(argv))
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -89,8 +89,8 @@ class TestCurveCommand:
             "--gamma", "dense", "--target", "1e-2", "--grid", "0.1,0.2,0.3",
         ]
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert parse_and_dispatch(args + ["--out", str(f1)]) == 0
-        assert parse_and_dispatch(args + ["--out", str(f2)]) == 0
+        assert main(args + ["--out", str(f1)]) == 0
+        assert main(args + ["--out", str(f2)]) == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
         lines = [l for l in f1.read_text().splitlines() if not l.startswith("#")]
@@ -324,7 +324,7 @@ class TestUsage:
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            parse_and_dispatch(["--version"])
+            main(["--version"])
         assert exc.value.code == 0
 
 

@@ -92,9 +92,10 @@ class TestMinMeasurements:
         assert res.m == closed_form_threshold(n, k, q, 1e-2)
 
     def test_unreachable_target_is_flagged(self):
-        res = min_measurements(20, 4, 2, dense_gamma(2), target=1e-2, m_ceiling=3)
+        # at gamma = 1e-3 the search ceiling, 84 at n = 20, q = 2, misses 1e-2
+        res = min_measurements(20, 4, 2, 1e-3)
         assert res.achieved is False
-        assert res.m == 3
+        assert res.m == _search_ceiling(20, 2) == 84
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
@@ -146,10 +147,6 @@ class TestMinMeasurements:
     def test_dense_route_validates_like_the_profile_route(self, n, k, q, error):
         with pytest.raises(error):
             min_measurements(n, k, q, 1.0 - 1.0 / q)
-
-    def test_dense_route_rejects_a_ceiling_below_one(self):
-        with pytest.raises(ValueError):
-            min_measurements(20, 4, 2, dense_gamma(2), m_ceiling=0)
 
 
 class TestCurve:

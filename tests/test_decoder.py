@@ -158,7 +158,7 @@ def test_enumeration_cap_is_hard_error():
     f = make_field(4)
     A = np.zeros((2, 40), dtype=np.int16)
     with pytest.raises(EnumerationCapExceeded):
-        decode_l0(f, A, np.zeros(2, dtype=np.int16), k_max=10, cap=100)
+        decode_l0(f, A, np.zeros(2, dtype=np.int16), k_max=10)
 
 
 # GF(3), m = 3, n = 4

@@ -128,7 +128,7 @@ def test_supported_orders_contents():
 
 
 def test_supported_orders_stop_at_max_order():
-    orders = supported_orders(600)
+    orders = supported_orders()
     assert orders[-1] == 256
     for q in orders:
         assert make_field(q).q == q

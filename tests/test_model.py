@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ffcs
 from ffcs import (
     DimensionMismatch,
     EnumerationCapExceeded,
@@ -352,7 +353,28 @@ class TestEnumeration:
 
     def test_candidate_cap(self):
         with pytest.raises(EnumerationCapExceeded):
-            candidate_matrix(50, 25, 4, cap=1000)
+            candidate_matrix(50, 25, 4)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda f, A: ffcs.decode_l0(f, A, np.zeros(3, dtype=np.int16), k_max=2),
+            lambda f, A: ffcs.error_events(f, A, np.array([0, 1, 0, 2, 0], dtype=np.int16), k_max=2),
+            lambda f, A: candidate_matrix(5, 2, 3),
+            lambda f, A: ffcs.run_trials(ModelParams(n=5, k=2, m=3, q=3, gamma=0.5), 10, seed=0),
+        ],
+        ids=["decode_l0", "error_events", "candidate_matrix", "run_trials"],
+    )
+    def test_cap_admits_exactly_its_own_count(self, monkeypatch, entry):
+        # |L| = 1 + 5 * 2 + 10 * 4 = 51 at n = 5, k = 2, q = 3
+        f = make_field(3)
+        A = np.random.default_rng(0).integers(0, 3, size=(3, 5)).astype(np.int16)
+        assert signal_set_size(5, 2, 3).total == 51
+        monkeypatch.setattr(ffcs.model, "ENUMERATION_CAP", 51)
+        entry(f, A)
+        monkeypatch.setattr(ffcs.model, "ENUMERATION_CAP", 50)
+        with pytest.raises(EnumerationCapExceeded, match=r"\|L\| = 51 exceeds the enumeration cap 50$"):
+            entry(f, A)
 
 
 class TestSerialization:
@@ -403,6 +425,22 @@ class TestSerialization:
         obj = {"q": 4, "dims": [1, 2], "entries": [[0, big]], "gamma": None, "seed": None}
         with pytest.raises(ValueError, match=r"entries outside GF\(4\)"):
             matrix_from_json(obj)
+
+    @pytest.mark.parametrize("q", [65537, 32771])
+    def test_orders_beyond_int16_rejected(self, q):
+        # q - 1 passes the 0..q-1 check, but the int16 cast would overflow
+        obj = {"q": q, "dims": [2], "entries": [0, q - 1], "gamma": None, "seed": None}
+        with pytest.raises(ValueError, match=r"above 2\*\*15"):
+            signal_from_json(obj)
+        obj = {"q": q, "dims": [1, 2], "entries": [[0, q - 1]], "gamma": None, "seed": None}
+        with pytest.raises(ValueError, match=r"above 2\*\*15"):
+            matrix_from_json(obj)
+
+    def test_largest_int16_order_accepted(self):
+        obj = {"q": 2**15, "dims": [2], "entries": [0, 32767], "gamma": None, "seed": None}
+        assert signal_from_json(obj).entries.tolist() == [0, 32767]
+        obj = {"q": 2**15, "dims": [1, 2], "entries": [[0, 32767]], "gamma": None, "seed": None}
+        assert matrix_from_json(obj).rows.tolist() == [[0, 32767]]
 
     @pytest.mark.parametrize("q", [6, 4.0])
     def test_order_that_is_no_field_rejected(self, q):

@@ -162,7 +162,7 @@ class TestNullity:
 def test_cap_propagates():
     params = ModelParams(n=40, k=10, m=4, q=4, gamma=0.5)
     with pytest.raises(EnumerationCapExceeded):
-        run_trials(params, 10, seed=0, enumeration_cap=10_000)
+        run_trials(params, 10, seed=0)
 
 
 def _per_trial_draws(params, trials, seed, n_candidates):

@@ -222,21 +222,20 @@ def search_configs(draw):
     # dense_gamma(q) takes the exact integer route, any other gamma the float search
     gamma = draw(st.one_of(st.floats(0.05, 1.0), st.just(dense_gamma(q))))
     target = draw(st.floats(1e-4, 0.5))
-    ceiling = draw(st.one_of(st.none(), st.integers(1, 100)))
-    return n, k, q, gamma, target, ceiling
+    return n, k, q, gamma, target
 
 
 @given(search_configs())
 @settings(max_examples=60)
 def test_min_measurements_brackets_the_target(config):
-    n, k, q, gamma, target, ceiling = config
-    res = min_measurements(n, k, q, gamma, target=target, m_ceiling=ceiling)
+    n, k, q, gamma, target = config
+    res = min_measurements(n, k, q, gamma, target=target)
 
     def log_bound(m):
         return union_bound(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)).log_value
 
     if not res.achieved:
-        assert res.m == (ceiling or _search_ceiling(n, q))
+        assert res.m == _search_ceiling(n, q)
         assert log_bound(res.m) > math.log(target)
         return
     assert log_bound(res.m) <= math.log(target)
