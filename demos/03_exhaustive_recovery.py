@@ -14,8 +14,7 @@ from ffcs import (
     error_events,
     make_field,
     matvec,
-    sample_matrix,
-    sample_signal,
+    sample_trials,
 )
 
 f2 = make_field(2)
@@ -35,15 +34,12 @@ print("  recovered:", res.solutions[0].tolist(), res.status.value)
 
 print("\nempirical recovery rate vs measurement count (n=10, k=2, q=4, dense):")
 f4 = make_field(4)
-rng = np.random.default_rng(7)
 for m in (2, 4, 6, 8, 10):
     params = ModelParams(n=10, k=2, m=m, q=4, gamma=dense_gamma(4))
     wins = 0
     trials = 300
-    for _ in range(trials):
-        mat = sample_matrix(params, rng)
-        sig = sample_signal(params, rng)
+    for mat, sig in zip(*sample_trials(params, trials, seed=7)):
         res = decode_l0(f4, mat, matvec(f4, mat, sig), k_max=2)
-        if res.status == DecodeStatus.UNIQUE and np.array_equal(res.solutions[0], sig.entries):
+        if res.status == DecodeStatus.UNIQUE and np.array_equal(res.solutions[0], sig):
             wins += 1
     print(f"  m = {m:2d}: exact recovery in {wins}/{trials}")

@@ -12,7 +12,7 @@ from ffcs import (
     PairVariant,
     closed_dense_bound,
     dense_gamma,
-    evaluate_bounds,
+    exponent_bound,
     fano_lower_bound,
     make_field,
     necessary_m,
@@ -51,10 +51,10 @@ print("\nthe converse lower bound kicks in when measurements are scarce (n=6, k=
 for m in (1, 2, 3, 4, 5):
     print(f"  m = {m}: error probability >= {fano_lower_bound(6, 2, 2, m):.4f}")
 
-print("\nfull bundle for one tuple:")
-res = evaluate_bounds(ModelParams(n=24, k=4, m=12, q=4, gamma=0.3))
-print(f"  union (gamma=0.3)   : log {res.union.log_value:+.4f} -> {res.union.capped_linear:.3e}")
-print(f"  dense closed form   : log {res.closed_dense.log_value:+.4f}")
-print(f"  entropy-form bound  : log {res.exponent.log_value:+.4f}")
-print(f"  converse lower bound: {res.fano_lower:.4f}")
-print(f"  thresholds          : necessary {res.necessary_m:.2f} <= sufficient {res.sufficient_m}")
+print("\nevery bound for one tuple (what ffcs bound reports):")
+union = union_bound(ModelParams(n=24, k=4, m=12, q=4, gamma=0.3))
+print(f"  union (gamma=0.3)   : log {union.log_value:+.4f} -> {union.capped_linear:.3e}")
+print(f"  dense closed form   : log {closed_dense_bound(24, 4, 4, 12).log_value:+.4f}")
+print(f"  entropy-form bound  : log {exponent_bound(24, 4, 4, 12).log_value:+.4f}")
+print(f"  converse lower bound: {fano_lower_bound(24, 4, 4, 12):.4f}")
+print(f"  thresholds          : necessary {necessary_m(24, 4, 4):.2f} <= sufficient {sufficient_m(24, 4, 4)}")

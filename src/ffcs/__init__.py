@@ -1,6 +1,6 @@
 """Compressed sensing over finite fields.
 
-Exact GF(q) arithmetic, random signal/matrix ensembles, exhaustive
+Exact GF(q) arithmetic, seeded signal/matrix draws, exhaustive
 minimum-weight (L0) recovery, closed-form and combinatorial bounds on
 the recovery error probability, measurement thresholds, and
 phase-transition curve generation.
@@ -18,8 +18,6 @@ from .errors import (
 from .field import FiniteField, check_axioms, make_field, supported_orders
 from .model import (
     ModelParams,
-    SensingMatrix,
-    Signal,
     SignalSetSize,
     candidate_matrix,
     dense_gamma,
@@ -27,8 +25,6 @@ from .model import (
     matrix_from_json,
     matrix_to_json,
     matvec,
-    sample_matrix,
-    sample_signal,
     signal_from_json,
     signal_set_size,
     signal_to_json,
@@ -36,14 +32,12 @@ from .model import (
 )
 from .decoder import DecodeResult, DecodeStatus, ErrorEvents, decode_l0, error_events
 from .bounds import (
-    BoundResult,
     LogProb,
     PairVariant,
     WeightEnumeration,
     binary_entropy,
     closed_dense_bound,
     convolution_oracle,
-    evaluate_bounds,
     exponent_bound,
     fano_lower_bound,
     necessary_m,
@@ -64,7 +58,13 @@ from .curves import (
     default_k_grid,
     min_measurements,
 )
-from .montecarlo import NullityReport, TrialReport, equal_weight_nullity_test, run_trials
+from .montecarlo import (
+    NullityReport,
+    TrialReport,
+    equal_weight_nullity_test,
+    run_trials,
+    sample_trials,
+)
 
 __all__ = [
     "__version__",
@@ -78,12 +78,8 @@ __all__ = [
     "check_axioms",
     "supported_orders",
     "ModelParams",
-    "Signal",
-    "SensingMatrix",
     "SignalSetSize",
     "signal_set_size",
-    "sample_signal",
-    "sample_matrix",
     "dense_gamma",
     "sparse_gamma",
     "matvec",
@@ -101,7 +97,6 @@ __all__ = [
     "LogProb",
     "PairVariant",
     "WeightEnumeration",
-    "BoundResult",
     "row_zero_prob_dense",
     "row_zero_prob_sparse",
     "convolution_oracle",
@@ -116,7 +111,6 @@ __all__ = [
     "sufficient_m",
     "necessary_m",
     "fano_lower_bound",
-    "evaluate_bounds",
     "GammaMode",
     "CurvePoint",
     "MinMeasurements",
@@ -126,5 +120,6 @@ __all__ = [
     "TrialReport",
     "NullityReport",
     "run_trials",
+    "sample_trials",
     "equal_weight_nullity_test",
 ]

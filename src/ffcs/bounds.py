@@ -78,6 +78,9 @@ EXACT_N_LIMIT = 64
 # |L|^2 cap for the exhaustive pair oracle
 ORACLE_PAIR_CAP = 10**8
 
+# (x, x', position) triples the pair oracle compares at once
+_ORACLE_BLOCK = 1 << 20
+
 
 class PairVariant(str, Enum):
     """Which ordered signal pairs (x, x') enter the pair counts.
@@ -260,7 +263,9 @@ def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, Weigh
     """Pair counts by brute force: literally walk all of L x L.
 
     Emits both variants from the same enumeration.  Refuses instances
-    with |L|^2 above ORACLE_PAIR_CAP.
+    with |L|^2 above ORACLE_PAIR_CAP.  A block of x is compared with all
+    of L at a time, at most _ORACLE_BLOCK (x, x', position) triples, so
+    memory does not grow with |L|^2 n.
     """
     total = signal_set_size(n, k_max, field.q).total
     if total * total > ORACLE_PAIR_CAP:
@@ -268,23 +273,17 @@ def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, Weigh
             f"|L|^2 = {total * total} exceeds the oracle cap {ORACLE_PAIR_CAP}"
         )
     cands, weights = candidate_matrix(n, k_max, field.q)
-    dist = (cands[:, None, :] != cands[None, :, :]).sum(axis=2)
-    all_counts: dict[int, int] = {}
-    restricted: dict[int, int] = {}
-    hmax = 2 * k_max
-    for h in range(1, hmax + 1):
-        mask = dist == h
-        c_all = int(mask.sum())
-        if c_all:
-            all_counts[h] = c_all
-        c_res = int((mask & (weights[None, :] <= weights[:, None])).sum())
-        if c_res:
-            restricted[h] = c_res
+    # pairs by distance h = 0..2K (x' == x at h = 0), AllPairs then RestrictedPairs
+    counts = np.zeros((2, 2 * k_max + 1), dtype=np.int64)
+    step = max(1, _ORACLE_BLOCK // max(1, total * n))
+    for lo in range(0, total, step):
+        x, w = cands[lo : lo + step], weights[lo : lo + step]
+        dist = (x[:, None, :] != cands[None, :, :]).sum(axis=2)
+        counts[0] += np.bincount(dist.ravel(), minlength=counts.shape[1])
+        counts[1] += np.bincount(dist[weights[None, :] <= w[:, None]], minlength=counts.shape[1])
     return {
-        PairVariant.ALL_PAIRS: WeightEnumeration(all_counts, PairVariant.ALL_PAIRS),
-        PairVariant.RESTRICTED_PAIRS: WeightEnumeration(
-            restricted, PairVariant.RESTRICTED_PAIRS
-        ),
+        variant: WeightEnumeration({h: int(c) for h, c in enumerate(row) if h and c}, variant)
+        for variant, row in zip(PairVariant, counts)
     }
 
 
@@ -488,37 +487,3 @@ def fano_lower_bound(n: int, k: int, q: int, m: int) -> float:
     if log_q_l <= 0.0:
         return 0.0
     return max(0.0, (log_q_l - m - 1.0) / log_q_l)
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """All analytic quantities for one parameter tuple."""
-
-    params: ModelParams
-    variant: PairVariant
-    union: LogProb
-    closed_dense: LogProb
-    exponent: LogProb
-    fano_lower: float
-    sufficient_m: int
-    necessary_m: float
-
-
-def evaluate_bounds(
-    params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIRS
-) -> BoundResult:
-    """Bundle every bound for one parameter tuple (the CLI's unit of work).
-
-    closed_dense and exponent are dense-matrix formulas evaluated from
-    (n, k, q, m) regardless of params.gamma; union respects gamma.
-    """
-    return BoundResult(
-        params=params,
-        variant=PairVariant(variant),
-        union=union_bound(params, variant),
-        closed_dense=closed_dense_bound(params.n, params.k, params.q, params.m),
-        exponent=exponent_bound(params.n, params.k, params.q, params.m),
-        fano_lower=fano_lower_bound(params.n, params.k, params.q, params.m),
-        sufficient_m=sufficient_m(params.n, params.k, params.q),
-        necessary_m=necessary_m(params.n, params.k, params.q),
-    )

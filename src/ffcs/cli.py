@@ -20,11 +20,21 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import PairVariant, evaluate_bounds, nh_count, nh_oracle
+from .bounds import (
+    PairVariant,
+    closed_dense_bound,
+    exponent_bound,
+    fano_lower_bound,
+    necessary_m,
+    nh_count,
+    nh_oracle,
+    sufficient_m,
+    union_bound,
+)
 from .curves import GammaMode, curve, default_k_grid
 from .errors import DivisionByZero, EnumerationCapExceeded
 from .field import check_prime_power, make_field
-from .model import ModelParams, SensingMatrix, matrix_to_json, signal_to_json
+from .model import ModelParams, matrix_to_json, signal_to_json
 from .montecarlo import run_trials
 
 # UnsupportedOrder, InvalidGamma and DimensionMismatch are ValueErrors
@@ -102,19 +112,23 @@ def _cmd_field(args) -> int:
 def _cmd_bound(args) -> int:
     gamma, label = _parse_gamma(args.gamma, args.q, args.n)
     params = ModelParams(n=args.n, k=args.k, m=args.m, q=args.q, gamma=gamma)
-    res = evaluate_bounds(params, PairVariant(args.variant))
+    n, k, m, q = args.n, args.k, args.m, args.q
+    union = union_bound(params, PairVariant(args.variant))
+    # the dense formulas take (n, k, q, m) and ignore gamma
+    closed = closed_dense_bound(n, k, q, m)
+    exponent = exponent_bound(n, k, q, m)
     payload = {
         "meta": _meta(args, gamma_value=gamma, gamma_label=label),
-        "union_bound_log": res.union.log_value,
-        "union_bound_linear": res.union.linear,
-        "union_bound_capped": res.union.capped_linear,
-        "closed_dense_log": res.closed_dense.log_value,
-        "closed_dense_linear": res.closed_dense.linear,
-        "exponent_log": res.exponent.log_value,
-        "exponent_linear": res.exponent.linear,
-        "fano_lower": res.fano_lower,
-        "sufficient_M": res.sufficient_m,
-        "necessary_M": res.necessary_m,
+        "union_bound_log": union.log_value,
+        "union_bound_linear": union.linear,
+        "union_bound_capped": union.capped_linear,
+        "closed_dense_log": closed.log_value,
+        "closed_dense_linear": closed.linear,
+        "exponent_log": exponent.log_value,
+        "exponent_linear": exponent.linear,
+        "fano_lower": fano_lower_bound(n, k, q, m),
+        "sufficient_M": sufficient_m(n, k, q),
+        "necessary_M": necessary_m(n, k, q),
     }
     _json_out(payload, args.out)
     return 0
@@ -226,7 +240,7 @@ def _dump_writer(params: ModelParams, seed: int, dump_dir: Path):
         dump_dir.mkdir(parents=True, exist_ok=True)
         for i, (rows, x, y_i) in enumerate(zip(mats, signals, y), start):
             obj = {
-                "matrix": matrix_to_json(SensingMatrix(rows=rows, gamma=params.gamma), params.q, seed),
+                "matrix": matrix_to_json(rows, params.q, params.gamma, seed),
                 "signal": signal_to_json(x, params.q, seed),
                 "y": y_i.astype(int).tolist(),
             }

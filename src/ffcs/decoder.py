@@ -25,14 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .field import FiniteField
-from .model import (
-    _as_entries,
-    _as_rows,
-    check_enumeration_cap,
-    level_members,
-    measure_candidates,
-    measure_levels,
-)
+from .model import check_enumeration_cap, level_members, measure_candidates, measure_levels
 
 
 class DecodeStatus(str, Enum):
@@ -80,7 +73,7 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     Raises EnumerationCapExceeded if |L| at k_max is above
     model.ENUMERATION_CAP (10^8 candidates).
     """
-    rows = _as_rows(matrix)
+    rows = np.asarray(matrix)
     y = np.asarray(y, dtype=np.int16)
     if y.shape != rows.shape[:1]:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
@@ -107,8 +100,7 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     property, not an assumption.  x must weigh at most k_max, and |L|
     at k_max must not be above model.ENUMERATION_CAP (10^8 candidates).
     """
-    rows = _as_rows(matrix)
-    xe = _as_entries(x)
+    rows, xe = np.asarray(matrix), np.asarray(x)
     k1 = int(np.count_nonzero(xe))
     if k1 > k_max:
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")

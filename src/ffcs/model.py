@@ -1,9 +1,11 @@
-"""Signal set, random sensing-matrix ensemble, and the measurement map.
+"""The signal set, the random sensing-matrix ensemble, and the measurement map.
 
 The signal set L is every length-N vector over GF(q) with at most K
 nonzero entries.  Signals are drawn uniformly from L; sensing matrices
 have i.i.d. entries that are zero with probability 1 - gamma and each
-nonzero value with probability gamma / (q - 1).
+nonzero value with probability gamma / (q - 1).  The one seeded draw
+of instances is montecarlo.sample_trials: matrices and signals are
+plain int16 arrays, the trials that ``ffcs simulate`` measures.
 
 Measurement: y = A x over GF(q).  measure_levels, the one fast kernel,
 sweeps L level by level for the exhaustive decoder and the Monte Carlo
@@ -14,12 +16,6 @@ level_members unranks just the candidates a caller keeps.
 measure_candidates is the definition of A x, a table gather and a
 field sum, for explicit vectors (matvec, a signal's own measurements,
 the nullity test's vector pair).
-
-Randomness contract: all sampling takes an explicit numpy Generator
-(PCG64 via ``numpy.random.default_rng(seed)``).  Given the same 64-bit
-seed and parameters, every draw is reproducible.  Sparsity weights use
-exact big-integer arithmetic, never floating point, because the signal
-counts overflow doubles long before N = 1000.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, EnumerationCapExceeded, InvalidGamma
 from .field import FiniteField, check_prime_power
-from .util import randbelow
 
 # candidates per enumerated block; bounds the peak memory of every scan
 _BLOCK = 8192
@@ -75,32 +70,6 @@ class SignalSetSize:
     total: int
 
 
-@dataclass(frozen=True)
-class Signal:
-    """Length-n vector over GF(q) with its cached number of nonzeros."""
-
-    entries: np.ndarray
-    sparsity: int
-
-    @classmethod
-    def from_entries(cls, entries) -> "Signal":
-        arr = np.asarray(entries, dtype=np.int16).copy()
-        arr.setflags(write=False)
-        return cls(entries=arr, sparsity=int(np.count_nonzero(arr)))
-
-
-@dataclass(frozen=True)
-class SensingMatrix:
-    """m x n matrix over GF(q), tagged with the gamma that generated it."""
-
-    rows: np.ndarray
-    gamma: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
-
-
 def signal_set_size(n: int, k: int, q: int) -> SignalSetSize:
     """Exact count of vectors in GF(q)^n with at most k nonzeros.
 
@@ -128,55 +97,9 @@ def sparse_gamma(c: float, n: int) -> float:
     return c * log(n) / n
 
 
-def sample_signal(params: ModelParams, rng: np.random.Generator) -> Signal:
-    """Draw a signal uniformly from L.
-
-    The sparsity level is drawn with exact big-integer weights
-    |L_j| / |L|, then a uniform support of that size, then i.i.d.
-    uniform nonzero values.  The three stages compose to the exact
-    uniform distribution on L.
-    """
-    sizes = signal_set_size(params.n, params.k, params.q)
-    u = randbelow(rng, sizes.total)
-    acc = 0
-    k1 = 0
-    for j, w in enumerate(sizes.per_sparsity):
-        acc += w
-        if u < acc:
-            k1 = j
-            break
-    entries = np.zeros(params.n, dtype=np.int16)
-    if k1 > 0:
-        support = rng.permutation(params.n)[:k1]
-        entries[support] = rng.integers(1, params.q, size=k1, dtype=np.int16)
-    entries.setflags(write=False)
-    return Signal(entries=entries, sparsity=k1)
-
-
-def sample_matrix(params: ModelParams, rng: np.random.Generator) -> SensingMatrix:
-    """Draw an m x n matrix with i.i.d. entries from the gamma-sparse law."""
-    if not 0.0 < params.gamma <= 1.0:
-        raise InvalidGamma(f"gamma must lie in (0, 1], got {params.gamma}")
-    shape = (params.m, params.n)
-    nonzero = rng.random(shape) < params.gamma
-    values = rng.integers(1, params.q, size=shape, dtype=np.int16)
-    rows = np.where(nonzero, values, 0).astype(np.int16)
-    rows.setflags(write=False)
-    return SensingMatrix(rows=rows, gamma=params.gamma)
-
-
-def _as_rows(matrix) -> np.ndarray:
-    return matrix.rows if isinstance(matrix, SensingMatrix) else np.asarray(matrix)
-
-
-def _as_entries(signal) -> np.ndarray:
-    return signal.entries if isinstance(signal, Signal) else np.asarray(signal)
-
-
 def matvec(field: FiniteField, matrix, signal) -> np.ndarray:
     """Measurement map y = A x with GF(q) arithmetic; returns length-m int16."""
-    rows = _as_rows(matrix)
-    x = _as_entries(signal)
+    rows, x = np.asarray(matrix), np.asarray(signal)
     if rows.ndim != 2 or x.ndim != 1 or rows.shape[1] != x.shape[0]:
         raise DimensionMismatch(
             f"matrix {rows.shape} incompatible with signal {x.shape}"
@@ -391,21 +314,33 @@ def candidate_matrix(n: int, k_max: int, q: int) -> tuple[np.ndarray, np.ndarray
 #    matrices), "gamma": float or null, "seed": int or null}
 
 
-def matrix_to_json(matrix: SensingMatrix, q: int, seed: int | None = None) -> dict:
-    rows = _as_rows(matrix)
+def _to_json(entries, q: int, gamma: float | None, seed: int | None) -> dict:
+    arr = np.asarray(entries)
     return {
         "q": q,
-        "dims": [int(rows.shape[0]), int(rows.shape[1])],
-        "entries": rows.astype(int).tolist(),
-        "gamma": float(matrix.gamma) if isinstance(matrix, SensingMatrix) else None,
+        "dims": [int(d) for d in arr.shape],
+        "entries": arr.astype(int).tolist(),
+        "gamma": None if gamma is None else float(gamma),
         "seed": seed,
     }
 
 
-def _entries_from_json(obj: dict) -> np.ndarray:
-    """Serialized entries as int16: integers in 0..q-1, shaped as dims, over a prime power q <= 2^15."""
+def matrix_to_json(rows, q: int, gamma: float | None = None, seed: int | None = None) -> dict:
+    """An (m, n) matrix as JSON, tagged with the gamma and seed it was drawn with."""
+    return _to_json(rows, q, gamma, seed)
+
+
+def signal_to_json(signal, q: int, seed: int | None = None) -> dict:
+    """A length-n signal as JSON, tagged with the seed it was drawn with."""
+    return _to_json(signal, q, None, seed)
+
+
+def _entries_from_json(obj: dict, ndim: int) -> np.ndarray:
+    """Serialized entries as int16: integers in 0..q-1, shaped as ndim dims, over a prime power q <= 2^15."""
     q = obj["q"]
     entries = np.asarray(obj["entries"], dtype=object)
+    if len(obj["dims"]) != ndim:
+        raise DimensionMismatch(f"dims {obj['dims']} are not {ndim}-dimensional")
     if list(entries.shape) != list(obj["dims"]):
         raise DimensionMismatch(f"dims {obj['dims']} do not match entries {entries.shape}")
     # an int16 cast would turn 1.5 into 1 and True into 1, silently
@@ -416,26 +351,16 @@ def _entries_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"q={q} is above 2**15, so its entries do not fit int16")
     check_prime_power(q)
     _check_entries(q, entries)
-    return entries.astype(np.int16)
+    out = entries.astype(np.int16)
+    out.setflags(write=False)
+    return out
 
 
-def matrix_from_json(obj: dict) -> SensingMatrix:
-    rows = _entries_from_json(obj)
-    rows.setflags(write=False)
-    gamma = obj.get("gamma")
-    return SensingMatrix(rows=rows, gamma=float(gamma) if gamma is not None else float("nan"))
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """The (m, n) matrix of a JSON object, a read-only int16 array; gamma and seed stay in obj."""
+    return _entries_from_json(obj, 2)
 
 
-def signal_to_json(signal: Signal, q: int, seed: int | None = None) -> dict:
-    x = _as_entries(signal)
-    return {
-        "q": q,
-        "dims": [int(x.shape[0])],
-        "entries": x.astype(int).tolist(),
-        "gamma": None,
-        "seed": seed,
-    }
-
-
-def signal_from_json(obj: dict) -> Signal:
-    return Signal.from_entries(_entries_from_json(obj))
+def signal_from_json(obj: dict) -> np.ndarray:
+    """The length-n signal of a JSON object, a read-only int16 array; the seed stays in obj."""
+    return _entries_from_json(obj, 1)

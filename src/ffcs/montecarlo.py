@@ -10,7 +10,10 @@ a child stream keyed by the trial index.  Within a trial the draw order
 is fixed: matrix zero-mask uniforms, matrix nonzero values, then the
 signal index (uniform over the canonical enumeration of L).  Trials are
 therefore independent of evaluation order and safe to parallelize.  The
-seed may be any non-negative integer.
+seed may be any non-negative integer.  This is the library's one draw
+of instances: sample_trials(params, trials, seed) returns as int16
+arrays the matrices and signals that run_trials(params, trials, seed)
+measures and `ffcs simulate --seed seed --dump` writes.
 
 Child seeds are computed, not spawned.  A child SeedSequence hashes the
 seed's words exactly as SeedSequence(seed) does, then mixes in the
@@ -207,6 +210,21 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
     for start in range(0, trials, block):
         mats, idx = _sample_trials(params, min(start + block, trials), seed, n_candidates, start)
         yield start, mats, idx
+
+
+def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (trials, m, n) matrices and (trials, n) signals of trials 0..trials-1, as int16.
+
+    These are the instances run_trials(params, trials, seed) measures,
+    drawn from the same per-trial streams.  Raises
+    EnumerationCapExceeded if |L| is above model.ENUMERATION_CAP (10^8
+    candidates), since a signal is an index into all of L.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cands, _ = candidate_matrix(params.n, params.k, params.q)
+    mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
+    return mats, cands[idx]
 
 
 def _level_offsets(weights: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Numeric helpers: logs of big integers, exact uniform draws, rate intervals."""
+"""Numeric helpers: logs of big integers, log-sum-exp, rate intervals."""
 
 from __future__ import annotations
 
@@ -45,29 +45,6 @@ def logsumexp(a: np.ndarray) -> float:
     count = float(np.count_nonzero(at_top))
     s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
     return float(np.log1p(s / count) + np.log(count) + top)
-
-
-def randbelow(rng: np.random.Generator, n: int) -> int:
-    """Exact uniform integer in [0, n) for arbitrary-precision n.
-
-    Rejection sampling on bit_length(n)-bit draws assembled from 32-bit
-    words, so the result is unbiased even when n far exceeds 2**64.
-    """
-    if n <= 0:
-        raise ValueError("randbelow requires n >= 1")
-    if n == 1:
-        return 0
-    bits = n.bit_length()
-    words = (bits + 31) // 32
-    mask = (1 << bits) - 1
-    while True:
-        chunks = rng.integers(0, 1 << 32, size=words, dtype=np.uint64)
-        u = 0
-        for c in chunks:
-            u = (u << 32) | int(c)
-        u &= mask
-        if u < n:
-            return u
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from ffcs import (
     closed_dense_bound,
     convolution_oracle,
     dense_gamma,
-    evaluate_bounds,
     exponent_bound,
     fano_lower_bound,
     make_field,
@@ -28,6 +29,7 @@ from ffcs import (
     sufficient_m,
     union_bound,
 )
+from ffcs import cli
 from ffcs.bounds import _BinomialPowerPrefix
 from ffcs.util import log_of_int
 
@@ -117,6 +119,22 @@ class TestPairCounts:
                 sizes = signal_set_size(n, k, q)
                 for variant in (ALL, RESTRICTED):
                     assert pair_total(sizes, variant) == nh_count(n, k, q, variant).total, (n, k, variant)
+
+    def test_oracle_memory_does_not_grow_with_all_pairs(self):
+        # n = 40, k = 2, q = 2: |L| = 821, so the whole (|L|, |L|, n)
+        # comparison would take 27 MB, over 6 times the bound
+        n, k, bound = 40, 2, 4 << 20
+        assert signal_set_size(n, k, 2).total ** 2 * n > 6 * bound
+        field = make_field(2)
+        tracemalloc.start()
+        try:
+            oracle = nh_oracle(field, n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+        for variant in (ALL, RESTRICTED):
+            assert oracle[variant].counts == nh_count(n, k, 2, variant).counts
 
     def test_zero_sparsity_has_no_pairs(self):
         assert nh_count(5, 0, 3, ALL).counts == {}
@@ -322,10 +340,11 @@ class TestFano:
         assert fano_lower_bound(5, 0, 2, 0) == 0.0
 
 
-def test_evaluate_bounds_bundle():
-    params = ModelParams(n=12, k=3, m=6, q=4, gamma=dense_gamma(4))
-    res = evaluate_bounds(params, ALL)
-    assert res.sufficient_m == sufficient_m(12, 3, 4)
-    assert math.isclose(res.union.log_value, closed_dense_bound(12, 3, 4, 6).log_value, rel_tol=1e-12)
-    assert res.exponent.log_value >= res.closed_dense.log_value
-    assert 0.0 <= res.fano_lower <= 1.0
+def test_evaluate_bounds_bundle(capsys):
+    # every bound for one tuple, as `ffcs bound` reports them
+    assert cli.main(["bound", "--n", "12", "--k", "3", "--m", "6", "--q", "4", "--gamma", "dense"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["sufficient_M"] == sufficient_m(12, 3, 4)
+    assert math.isclose(res["union_bound_log"], closed_dense_bound(12, 3, 4, 6).log_value, rel_tol=1e-12)
+    assert res["exponent_log"] >= res["closed_dense_log"]
+    assert 0.0 <= res["fano_lower"] <= 1.0

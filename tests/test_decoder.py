@@ -13,8 +13,7 @@ from ffcs import (
     error_events,
     make_field,
     matvec,
-    sample_matrix,
-    sample_signal,
+    sample_trials,
 )
 
 
@@ -104,14 +103,11 @@ def test_zero_signal_never_confusable():
 @pytest.mark.parametrize("q,n,k,m", [(2, 6, 2, 3), (3, 5, 2, 3), (4, 4, 2, 2)])
 def test_matches_brute_reference_on_random_instances(q, n, k, m):
     f = make_field(q)
-    rng = np.random.default_rng(q * 100 + n)
     params = ModelParams(n=n, k=k, m=m, q=q, gamma=dense_gamma(q))
-    for _ in range(20):
-        A = sample_matrix(params, rng)
-        x = sample_signal(params, rng)
+    for A, x in zip(*sample_trials(params, 20, seed=q * 100 + n)):
         y = matvec(f, A, x)
         res = decode_l0(f, A, y, k_max=k)
-        ref_k, ref_sols = brute_decode(f, A.rows, y, k)
+        ref_k, ref_sols = brute_decode(f, A, y, k)
         assert res.min_sparsity == ref_k
         assert len(res.solutions) == len(ref_sols)
         for got, want in zip(res.solutions, ref_sols):
@@ -121,11 +117,8 @@ def test_matches_brute_reference_on_random_instances(q, n, k, m):
 @pytest.mark.parametrize("q,n,k,m", [(2, 7, 2, 2), (3, 5, 2, 2), (4, 4, 2, 3)])
 def test_e0_implies_e_pointwise(q, n, k, m):
     f = make_field(q)
-    rng = np.random.default_rng(q + n + m)
     params = ModelParams(n=n, k=k, m=m, q=q, gamma=dense_gamma(q))
-    for _ in range(40):
-        A = sample_matrix(params, rng)
-        x = sample_signal(params, rng)
+    for A, x in zip(*sample_trials(params, 40, seed=q + n + m)):
         ev = error_events(f, A, x, k_max=k)
         if ev.e0_error:
             assert ev.e_error
@@ -133,14 +126,11 @@ def test_e0_implies_e_pointwise(q, n, k, m):
 
 def test_decoded_weight_never_exceeds_truth():
     f = make_field(3)
-    rng = np.random.default_rng(17)
     params = ModelParams(n=6, k=3, m=2, q=3, gamma=dense_gamma(3))
-    for _ in range(30):
-        A = sample_matrix(params, rng)
-        x = sample_signal(params, rng)
+    for A, x in zip(*sample_trials(params, 30, seed=17)):
         res = decode_l0(f, A, matvec(f, A, x), k_max=3)
         assert res.min_sparsity is not None
-        assert res.min_sparsity <= x.sparsity
+        assert res.min_sparsity <= np.count_nonzero(x)
 
 
 def test_decode_is_deterministic():

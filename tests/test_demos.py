@@ -1,6 +1,8 @@
-"""Each narrative script under demos/ runs to completion and prints something."""
+"""Each narrative script under demos/, and the README's library quick start,
+runs to completion and prints something."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +17,24 @@ def test_demos_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo, tmp_path):
-    # run from a scratch directory: demo 05 writes phase_curves.csv there
+def _run(argv, cwd):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # run from a scratch directory: demo 05 writes phase_curves.csv there
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    _run(["-c", code], tmp_path)

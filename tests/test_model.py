@@ -12,7 +12,6 @@ from ffcs import (
     EnumerationCapExceeded,
     InvalidGamma,
     ModelParams,
-    Signal,
     candidate_matrix,
     dense_gamma,
     enumerate_signals,
@@ -20,8 +19,7 @@ from ffcs import (
     matrix_from_json,
     matrix_to_json,
     matvec,
-    sample_matrix,
-    sample_signal,
+    sample_trials,
     signal_from_json,
     signal_set_size,
     signal_to_json,
@@ -87,58 +85,49 @@ class TestSignalSetSize:
 class TestSampling:
     def test_uniform_over_three_member_set(self):
         params = ModelParams(n=2, k=1, m=1, q=2, gamma=0.5)
-        rng = np.random.default_rng(42)
-        counts = {}
         draws = 100_000
-        for _ in range(draws):
-            key = tuple(sample_signal(params, rng).entries.tolist())
-            counts[key] = counts.get(key, 0) + 1
-        assert set(counts) == {(0, 0), (1, 0), (0, 1)}
+        _, signals = sample_trials(params, draws, seed=42)
+        keys, counts = np.unique(signals, axis=0, return_counts=True)
+        assert {tuple(k) for k in keys.tolist()} == {(0, 0), (1, 0), (0, 1)}
         expect = draws / 3
-        chi2 = sum((c - expect) ** 2 / expect for c in counts.values())
+        chi2 = sum((c - expect) ** 2 / expect for c in counts)
         assert chi2 < CHI2_999[2]
 
     def test_uniform_over_nineteen_member_set(self):
         params = ModelParams(n=3, k=2, m=1, q=3, gamma=0.5)
-        rng = np.random.default_rng(7)
-        counts = {}
         draws = 100_000
-        for _ in range(draws):
-            key = tuple(sample_signal(params, rng).entries.tolist())
-            counts[key] = counts.get(key, 0) + 1
+        _, signals = sample_trials(params, draws, seed=7)
+        _, counts = np.unique(signals, axis=0, return_counts=True)
         assert len(counts) == 19
         expect = draws / 19
-        chi2 = sum((c - expect) ** 2 / expect for c in counts.values())
+        chi2 = sum((c - expect) ** 2 / expect for c in counts)
         assert chi2 < CHI2_999[18]
 
     def test_zero_sparsity_always_zero_signal(self):
         params = ModelParams(n=5, k=0, m=1, q=4, gamma=0.5)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            sig = sample_signal(params, rng)
-            assert sig.sparsity == 0
-            assert not sig.entries.any()
+        _, signals = sample_trials(params, 50, seed=0)
+        assert signals.shape == (50, 5)
+        assert not signals.any()
 
     def test_matrix_entries_uniform_at_dense_gamma(self):
         params = ModelParams(n=40, k=1, m=40, q=4, gamma=dense_gamma(4))
-        rng = np.random.default_rng(3)
-        mat = sample_matrix(params, rng)
-        counts = np.bincount(mat.rows.ravel(), minlength=4)
-        expect = mat.rows.size / 4
+        (mat,), _ = sample_trials(params, 1, seed=3)
+        counts = np.bincount(mat.ravel(), minlength=4)
+        expect = mat.size / 4
         chi2 = float(((counts - expect) ** 2 / expect).sum())
         assert chi2 < CHI2_999[3]
 
     def test_gamma_one_over_binary_gives_all_ones(self):
         params = ModelParams(n=10, k=1, m=10, q=2, gamma=1.0)
-        mat = sample_matrix(params, np.random.default_rng(1))
-        assert np.all(mat.rows == 1)
+        mats, _ = sample_trials(params, 3, seed=1)
+        assert np.all(mats == 1)
 
     def test_sparse_gamma_zero_fraction(self):
         gamma = sparse_gamma(10, 1000)
         params = ModelParams(n=200, k=1, m=500, q=4, gamma=gamma)
-        mat = sample_matrix(params, np.random.default_rng(5))
-        zero_frac = float((mat.rows == 0).mean())
-        sigma = math.sqrt(gamma * (1 - gamma) / mat.rows.size)
+        (mat,), _ = sample_trials(params, 1, seed=5)
+        zero_frac = float((mat == 0).mean())
+        sigma = math.sqrt(gamma * (1 - gamma) / mat.size)
         assert abs(zero_frac - 0.931) < 6 * sigma + 1e-3
 
     def test_invalid_gamma_rejected(self):
@@ -149,11 +138,9 @@ class TestSampling:
 
     def test_sampling_reproducible_from_seed(self):
         params = ModelParams(n=8, k=3, m=5, q=4, gamma=0.6)
-        a1 = sample_matrix(params, np.random.default_rng(99)).rows
-        a2 = sample_matrix(params, np.random.default_rng(99)).rows
+        a1, s1 = sample_trials(params, 20, seed=99)
+        a2, s2 = sample_trials(params, 20, seed=99)
         assert np.array_equal(a1, a2)
-        s1 = sample_signal(params, np.random.default_rng(99)).entries
-        s2 = sample_signal(params, np.random.default_rng(99)).entries
         assert np.array_equal(s1, s2)
 
 
@@ -380,27 +367,35 @@ class TestEnumeration:
 class TestSerialization:
     def test_matrix_round_trip(self):
         params = ModelParams(n=5, k=2, m=3, q=4, gamma=0.6)
-        mat = sample_matrix(params, np.random.default_rng(2))
-        obj = json.loads(json.dumps(matrix_to_json(mat, q=4, seed=2)))
+        (mat,), _ = sample_trials(params, 1, seed=2)
+        obj = json.loads(json.dumps(matrix_to_json(mat, q=4, gamma=params.gamma, seed=2)))
         back = matrix_from_json(obj)
-        assert np.array_equal(back.rows, mat.rows)
-        assert back.gamma == mat.gamma
+        assert np.array_equal(back, mat)
+        assert back.dtype == np.int16 and not back.flags.writeable
+        assert obj["gamma"] == params.gamma
         assert obj["dims"] == [3, 5]
         assert obj["seed"] == 2
 
     def test_signal_round_trip(self):
-        sig = Signal.from_entries([0, 3, 0, 1])
+        sig = np.array([0, 3, 0, 1], dtype=np.int16)
         obj = json.loads(json.dumps(signal_to_json(sig, q=4)))
         back = signal_from_json(obj)
-        assert np.array_equal(back.entries, sig.entries)
-        assert back.sparsity == 2
+        assert np.array_equal(back, sig)
+        assert back.dtype == np.int16 and not back.flags.writeable
+        assert np.count_nonzero(back) == 2
 
     def test_bad_dims_rejected(self):
-        sig = Signal.from_entries([1, 0])
-        obj = signal_to_json(sig, q=2)
+        obj = signal_to_json(np.array([1, 0], dtype=np.int16), q=2)
         obj["dims"] = [3]
         with pytest.raises(DimensionMismatch):
             signal_from_json(obj)
+
+    def test_wrong_rank_rejected(self):
+        # a matrix object is no signal, and a signal object no matrix
+        with pytest.raises(DimensionMismatch, match="not 1-dimensional"):
+            signal_from_json(matrix_to_json(np.array([[0, 1]]), q=4))
+        with pytest.raises(DimensionMismatch, match="not 2-dimensional"):
+            matrix_from_json(signal_to_json(np.array([0, 1]), q=4))
 
     def test_out_of_field_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -438,9 +433,9 @@ class TestSerialization:
 
     def test_largest_int16_order_accepted(self):
         obj = {"q": 2**15, "dims": [2], "entries": [0, 32767], "gamma": None, "seed": None}
-        assert signal_from_json(obj).entries.tolist() == [0, 32767]
+        assert signal_from_json(obj).tolist() == [0, 32767]
         obj = {"q": 2**15, "dims": [1, 2], "entries": [[0, 32767]], "gamma": None, "seed": None}
-        assert matrix_from_json(obj).rows.tolist() == [[0, 32767]]
+        assert matrix_from_json(obj).tolist() == [[0, 32767]]
 
     @pytest.mark.parametrize("q", [6, 4.0])
     def test_order_that_is_no_field_rejected(self, q):

@@ -14,7 +14,9 @@ from ffcs import (
     convolution_oracle,
     fano_lower_bound,
     make_field,
+    matvec,
     run_trials,
+    sample_trials,
 )
 from ffcs import montecarlo
 from ffcs.model import signal_set_size
@@ -163,6 +165,27 @@ def test_cap_propagates():
     params = ModelParams(n=40, k=10, m=4, q=4, gamma=0.5)
     with pytest.raises(EnumerationCapExceeded):
         run_trials(params, 10, seed=0)
+
+
+def test_sample_trials_are_the_measured_instances():
+    # |L| = 436 and m = 6: run_trials measures blocks of 400 trials
+    params = ModelParams(n=10, k=2, m=6, q=4, gamma=0.6)
+    seen = []
+    run_trials(params, 1000, seed=11, on_block=lambda start, *arrays: seen.append((start, arrays)))
+    assert [start for start, _ in seen] == [0, 400, 800]
+    mats, signals, y = (np.concatenate(a) for a in zip(*(arrays for _, arrays in seen)))
+    got_mats, got_signals = sample_trials(params, 1000, seed=11)
+    assert got_mats.dtype == got_signals.dtype == np.int16
+    assert np.array_equal(got_mats, mats) and np.array_equal(got_signals, signals)
+    f = make_field(4)
+    assert all(np.array_equal(matvec(f, a, x), y_i) for a, x, y_i in zip(mats[:50], signals, y))
+
+
+def test_sample_trials_rejects_what_run_trials_rejects():
+    with pytest.raises(ValueError):
+        sample_trials(ModelParams(n=5, k=2, m=3, q=4, gamma=0.5), 0, seed=0)
+    with pytest.raises(EnumerationCapExceeded):
+        sample_trials(ModelParams(n=40, k=10, m=4, q=4, gamma=0.5), 10, seed=0)
 
 
 def _per_trial_draws(params, trials, seed, n_candidates):

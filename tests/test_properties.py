@@ -19,8 +19,6 @@ from scipy.special import logsumexp as scipy_logsumexp
 from ffcs import (
     ModelParams,
     PairVariant,
-    SensingMatrix,
-    Signal,
     candidate_matrix,
     dense_gamma,
     error_events,
@@ -256,10 +254,10 @@ def test_json_round_trip(q, m, n, gamma, seed, draw_seed):
     rng = np.random.default_rng(draw_seed)
     rows = rng.integers(0, q, size=(m, n)).astype(np.int16)
     entries = rng.integers(0, q, size=n).astype(np.int16)
-    mat_obj = json.loads(json.dumps(matrix_to_json(SensingMatrix(rows=rows, gamma=gamma), q, seed)))
-    sig_obj = json.loads(json.dumps(signal_to_json(Signal.from_entries(entries), q, seed)))
+    mat_obj = json.loads(json.dumps(matrix_to_json(rows, q, gamma, seed)))
+    sig_obj = json.loads(json.dumps(signal_to_json(entries, q, seed)))
     mat, sig = matrix_from_json(mat_obj), signal_from_json(sig_obj)
-    assert np.array_equal(mat.rows, rows) and mat.gamma == gamma
-    assert np.array_equal(sig.entries, entries) and sig.sparsity == np.count_nonzero(entries)
+    assert np.array_equal(mat, rows) and mat_obj["gamma"] == gamma
+    assert np.array_equal(sig, entries) and np.count_nonzero(sig) == np.count_nonzero(entries)
     assert mat_obj["seed"] == sig_obj["seed"] == seed
     assert mat_obj["q"] == sig_obj["q"] == q
