@@ -12,7 +12,8 @@ sweeps L level by level for the exhaustive decoder and the Monte Carlo
 flags: every weight-w support carries the same (q-1)^w value tuples,
 so a chunk of supports is measured as outer sums of the scaled columns
 v * A[:, j], in canonical order, without building a candidate;
-level_members unranks just the candidates a caller keeps.
+level_starts gives the rank where each level begins, and level_members
+unranks just the candidates a caller keeps.
 measure_candidates is the definition of A x, a table gather and a
 field sum, for explicit vectors (matvec, a signal's own measurements,
 the nullity test's vector pair).
@@ -185,8 +186,17 @@ def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
 
 
 def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
-    """The weight-w members of L at the given canonical ranks, as an int16 (len, n) array."""
+    """The weight-w members of L at the given canonical ranks, as an int16 (len, n) array.
+
+    Raises ValueError unless 0 <= w <= n and every rank lies in
+    [0, C(n, w) (q-1)^w), the size of the level.
+    """
     ranks = np.asarray(ranks, dtype=np.int64)
+    if not 0 <= w <= n:
+        raise ValueError(f"w must lie in [0, n], got {w}")
+    size = comb(n, w) * (q - 1) ** w
+    if ranks.size and (ranks.min() < 0 or ranks.max() >= size):
+        raise ValueError(f"ranks must lie in [0, {size})")
     support, values = _level_terms(n, w, q, ranks, w)
     out = np.zeros((len(ranks), n), dtype=np.int16)
     np.put_along_axis(out, support, values, axis=1)
@@ -290,6 +300,15 @@ def check_enumeration_cap(n: int, k_max: int, q: int) -> int:
     return total
 
 
+def level_starts(n: int, k_max: int, q: int) -> np.ndarray:
+    """The canonical rank at which each level 0..k_max of L starts, as int64.
+
+    Every level is nonempty (k_max <= n), so the starts strictly
+    increase, as np.add.reduceat over them needs.
+    """
+    return np.cumsum((0,) + signal_set_size(n, k_max, q).per_sparsity[:-1], dtype=np.int64)
+
+
 def candidate_matrix(n: int, k_max: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Materialize all of L as a (|L|, n) matrix plus a weight vector.
 
@@ -297,12 +316,11 @@ def candidate_matrix(n: int, k_max: int, q: int) -> tuple[np.ndarray, np.ndarray
     above ENUMERATION_CAP (10^8 candidates).
     """
     out = np.empty((check_enumeration_cap(n, k_max, q), n), dtype=np.int16)
-    start = 0
-    for w, size in enumerate(signal_set_size(n, k_max, q).per_sparsity):
+    sizes = signal_set_size(n, k_max, q).per_sparsity
+    for w, (start, size) in enumerate(zip(level_starts(n, k_max, q), sizes)):
         for first in range(0, size, _BLOCK):
             ranks = np.arange(first, min(first + _BLOCK, size))
             out[start + first : start + first + len(ranks)] = level_members(n, w, q, ranks)
-        start += size
     weights = np.count_nonzero(out, axis=1).astype(np.int64)
     return out, weights
 

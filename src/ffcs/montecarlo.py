@@ -38,13 +38,14 @@ model.measure_levels, the decoder's level-sweep kernel, which lays
 the trials innermost whenever they outnumber the q - 1 values, and the
 candidates whose r-th measurement differs from the signal's are struck
 from one (candidates x t) feasibility mask.  The working set is
-therefore t x |L|, never t x m x |L|.  The sweep and candidate_matrix
-both enumerate L sparsity-major, so each sparsity level is a
-contiguous run of rows, and the flags follow from the number of
-feasible candidates per level.
-They are the predicates of decoder.error_events, and the test suite
-pins the two routes against each other, trial by trial, on sampled
-instances.
+therefore t x |L|, never t x m x |L|.  The sweep enumerates L
+sparsity-major, so each level is the run of ranks from
+model.level_starts, the flags follow from the number of feasible
+candidates per level, and a signal is just its rank: candidate_matrix
+builds L as rows only for sample_trials and run_trials' on_block,
+which read the signals.  The flags are the predicates of
+decoder.error_events, and the test suite pins the two routes against
+each other, trial by trial, on sampled instances.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ import numpy as np
 
 from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
 from .field import FiniteField, make_field
-from .model import ModelParams, candidate_matrix, measure_candidates, measure_levels
+from .model import ModelParams, candidate_matrix, check_enumeration_cap, level_starts
+from .model import measure_candidates, measure_levels
 from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
@@ -227,19 +229,6 @@ def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarr
     return mats, cands[idx]
 
 
-def _level_offsets(weights: np.ndarray) -> np.ndarray:
-    """Rank where each sparsity level 0..max(weights) starts in candidate_matrix's order.
-
-    _error_flags counts feasible candidates per level with
-    np.add.reduceat over these offsets, which is only right when the
-    weights are nondecreasing and every level is nonempty: reduceat
-    returns the element at an empty slice's offset, not 0.
-    candidate_matrix guarantees both, since it enumerates
-    sparsity-major and ModelParams keeps k <= n.
-    """
-    return np.searchsorted(weights, np.arange(int(weights[-1]) + 1))
-
-
 def _error_flags(
     field: FiniteField, mats: np.ndarray, idx: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,7 +239,7 @@ def _error_flags(
     candidates whose r-th measurement differs from the signal's drop
     out of one (|L|, t) feasibility mask, so no (t, m, |L|) array is
     built.  The feasible candidates are then counted per sparsity level
-    (``offsets`` from _level_offsets).  With k1 the signal's level and
+    (``offsets`` from model.level_starts).  With k1 the signal's level and
     j the first level holding a feasible candidate (j <= k1, since the
     signal itself is feasible):
       e  : j < k1, or at least two feasible candidates at level k1;
@@ -292,14 +281,15 @@ def run_trials(
 
     ``on_block``, if given, is called once per block of trials as
     on_block(start, mats, signals, y): trial start + i drew the matrix
-    mats[i] and the signal signals[i] and measured y[i].
+    mats[i] and the signal signals[i] and measured y[i].  Only then is
+    all of L built, as candidate_matrix's (|L|, n) rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     field = make_field(params.q)
-    cands, weights = candidate_matrix(params.n, params.k, params.q)
-    offsets = _level_offsets(weights)
-    n_cand = cands.shape[0]
+    n_cand = check_enumeration_cap(params.n, params.k, params.q)
+    offsets = level_starts(params.n, params.k, params.q)
+    cands = None if on_block is None else candidate_matrix(params.n, params.k, params.q)[0]
     e0_errors = e_errors = violations = 0
     for start, mats, idx in _trial_blocks(params, trials, seed, n_cand):
         e0_flags, e_flags, y = _error_flags(field, mats, idx, offsets)

@@ -340,6 +340,36 @@ class TestFano:
         assert fano_lower_bound(5, 0, 2, 0) == 0.0
 
 
+class TestInputChecks:
+    # GF(1) and GF(6) do not exist, and k must lie in [0, n], as for nh_count
+    BAD = [(10, 2, 6), (10, 2, 1), (10, -1, 4), (10, 12, 4)]
+
+    @pytest.mark.parametrize("n,k,q", BAD)
+    def test_closed_dense_bound(self, n, k, q):
+        with pytest.raises(ValueError):
+            closed_dense_bound(n, k, q, 3)
+
+    @pytest.mark.parametrize("n,k,q", BAD)
+    def test_exponent_bound(self, n, k, q):
+        with pytest.raises(ValueError):
+            exponent_bound(n, k, q, 3)
+
+    @pytest.mark.parametrize("n,k,q", BAD)
+    def test_fano_lower_bound(self, n, k, q):
+        with pytest.raises(ValueError):
+            fano_lower_bound(n, k, q, 3)
+
+    @pytest.mark.parametrize("n,k,q", BAD)
+    def test_sufficient_m(self, n, k, q):
+        with pytest.raises(ValueError):
+            sufficient_m(n, k, q)
+
+    @pytest.mark.parametrize("n,k,q", BAD)
+    def test_necessary_m(self, n, k, q):
+        with pytest.raises(ValueError):
+            necessary_m(n, k, q)
+
+
 def test_evaluate_bounds_bundle(capsys):
     # every bound for one tuple, as `ffcs bound` reports them
     assert cli.main(["bound", "--n", "12", "--k", "3", "--m", "6", "--q", "4", "--gamma", "dense"]) == 0

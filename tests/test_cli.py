@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -271,6 +272,47 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert "runtime error: MemoryError" in err
+
+
+# sha256 of the simulate JSON (no --dump) at n = 10, k = 2, m = 6, 2,000
+# trials, seed 0, and of the --dump files of n = 6, k = 2, m = 4, 30
+# trials, seed 5, concatenated in trial order.  Recorded at version 0.1.0;
+# only a deliberate change of the seed scheme or the output format may
+# move them, and it re-records them.
+SIMULATE_SHA256 = {
+    (3, "0.3"): "71f476918b0086650fff862e8a0a86a1d6a46f5a660a8d07b3034a0722256716",
+    (4, "dense"): "263e682c86b71bd02cbf86585b4427ff4f734edb7817fbb332ed3cb7eaf92648",
+    (2, "dense"): "098359f868bee36c59a0bac2547780258509190062075287bb714dc4700e93a2",
+}
+DUMP_SHA256 = {
+    (3, "0.4"): "2d7f5b7f08b8e4011ce739d3504db55b533a7786d8f6ae9c7d3687959444977c",
+    (3, "dense"): "a353d030be374afd9a286d5fbe1f401f5b349e25aba35f823f8cc553986ac02e",
+    (4, "0.4"): "01fb36f927a8278e756032e3c8a6cd745c93c72b1846664b89a61e8bfa888935",
+    (4, "dense"): "ec25db64c6ef50db77743b89922ff185c2c78adef069335f2fe13a615f605bd3",
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("q,gamma", list(SIMULATE_SHA256))
+    def test_simulate_json_bytes(self, capsys, q, gamma):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "10", "--k", "2", "--m", "6", "--q", str(q),
+            "--gamma", gamma, "--trials", "2000", "--seed", "0",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_SHA256[q, gamma]
+
+    @pytest.mark.parametrize("q,gamma", list(DUMP_SHA256))
+    def test_dump_bytes(self, capsys, tmp_path, q, gamma):
+        code, _, _ = run_cli(
+            capsys, "simulate", "--n", "6", "--k", "2", "--m", "4", "--q", str(q),
+            "--gamma", gamma, "--trials", "30", "--seed", "5", "--dump", str(tmp_path),
+        )
+        assert code == 0
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 30
+        digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+        assert digest == DUMP_SHA256[q, gamma]
 
 
 class TestGammaValidation:

@@ -343,6 +343,15 @@ class TestEnumeration:
             candidate_matrix(50, 25, 4)
 
     @pytest.mark.parametrize(
+        "w,ranks", [(2, [-1]), (2, [40]), (2, [0, 40]), (6, [0]), (-1, [0])]
+    )
+    def test_level_members_rejects_ranks_outside_the_level(self, w, ranks):
+        # the weight-2 level of n = 5, q = 3 holds C(5, 2) 2^2 = 40 members
+        assert level_members(5, 2, 3, [0, 39]).shape == (2, 5)
+        with pytest.raises(ValueError):
+            level_members(5, w, 3, ranks)
+
+    @pytest.mark.parametrize(
         "entry",
         [
             lambda f, A: ffcs.decode_l0(f, A, np.zeros(3, dtype=np.int16), k_max=2),

@@ -19,8 +19,8 @@ from ffcs import (
     sample_trials,
 )
 from ffcs import montecarlo
-from ffcs.model import signal_set_size
-from ffcs.montecarlo import _child_seed_words, _level_offsets, _sample_trials
+from ffcs.model import level_starts, signal_set_size
+from ffcs.montecarlo import _child_seed_words, _sample_trials
 
 
 class TestReproducibility:
@@ -66,9 +66,10 @@ def test_golden_counts(config, counts):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_levels_are_contiguous_and_nonempty(q):
-    # _error_flags counts per level with np.add.reduceat, which is wrong
-    # on an empty slice; candidate_matrix must keep every level 0..k a
-    # nonempty run of columns, in order
+    # _error_flags counts per level with np.add.reduceat over
+    # level_starts, which is wrong on an empty slice; every level 0..k
+    # must be a nonempty run of rows of candidate_matrix, in order,
+    # starting where level_starts says
     for n in range(1, 9):
         for k in range(n + 1):
             _, weights = candidate_matrix(n, k, q)
@@ -76,7 +77,37 @@ def test_levels_are_contiguous_and_nonempty(q):
             per_level = np.bincount(weights, minlength=k + 1)
             assert per_level.tolist() == list(signal_set_size(n, k, q).per_sparsity)
             assert per_level.min() > 0
-            assert _level_offsets(weights).tolist() == [0] + np.cumsum(per_level)[:-1].tolist()
+            starts = level_starts(n, k, q)
+            assert starts.tolist() == [0] + np.cumsum(per_level)[:-1].tolist()
+            assert weights[starts].tolist() == list(range(k + 1))
+
+
+def test_run_trials_memory_stays_below_the_candidate_matrix():
+    # the flags need each signal's rank only, so run_trials holds no
+    # (|L|, n) int16 matrix of L: 16.2 MiB at n = 20, k = 4, q = 4
+    n, k, q = 20, 4, 4
+    matrix_bytes = signal_set_size(n, k, q).total * n * 2
+    tracemalloc.start()
+    try:
+        run_trials(ModelParams(n=n, k=k, m=4, q=q, gamma=dense_gamma(q)), 3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes, (peak, matrix_bytes)
+
+
+def test_run_trials_builds_the_candidate_matrix_only_for_on_block(monkeypatch):
+    params = ModelParams(n=6, k=2, m=3, q=3, gamma=0.5)
+    blocks = []
+    with_block = run_trials(params, 200, seed=4, on_block=lambda *block: blocks.append(block))
+    assert blocks
+
+    def refuse(*args):
+        raise AssertionError("candidate_matrix called without on_block")
+
+    monkeypatch.setattr(montecarlo, "candidate_matrix", refuse)
+    plain = run_trials(params, 200, seed=4)
+    assert (plain.e0_errors, plain.e_errors) == (with_block.e0_errors, with_block.e_errors)
 
 
 class TestFlagCorrectness:

@@ -36,8 +36,8 @@ from ffcs import (
 )
 from ffcs import montecarlo
 from ffcs.curves import _search_ceiling
-from ffcs.model import measure_candidates
-from ffcs.montecarlo import _error_flags, _level_offsets, _sample_trials, _trial_blocks
+from ffcs.model import level_starts, measure_candidates
+from ffcs.montecarlo import _error_flags, _sample_trials, _trial_blocks
 from ffcs.util import log_of_int, logsumexp
 
 ORDERS = [2, 3, 4, 5, 7, 8, 13, 16]
@@ -128,8 +128,8 @@ def test_flags_match_error_events_per_trial(config):
     params, seed, per_block = config
     trials = 12
     field = make_field(params.q)
-    cands, weights = candidate_matrix(params.n, params.k, params.q)
-    offsets = _level_offsets(weights)
+    cands, _ = candidate_matrix(params.n, params.k, params.q)
+    offsets = level_starts(params.n, params.k, params.q)
     width = max(len(cands), params.q * params.n)
     block_elems = params.m * width * (per_block or trials)
     with mock.patch.object(montecarlo, "_BLOCK_ELEMS", block_elems):
