@@ -52,6 +52,11 @@ maps these terms onto the t >= b terms of AllPairs grouped by b, so
 both variants share T_h.  The tail sums over b come out as P because
 sum_{b >= i} C(u, b) r^(u-b) = P_u(u - i).  Every term is positive, so
 log-sum-exp is stable, and with the P rows tabulated each h costs O(h).
+The distances are evaluated a chunk at a time: _PROFILE_ELEMS // (K + 1)
+of them share one array of S rows and one array of terms j = 0..h
+(T_h's b, then U_h's u), so most numpy calls are made once per chunk
+rather than once per distance, and a chunk's arrays hold about
+2 * _PROFILE_ELEMS entries whatever K is.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ ORACLE_PAIR_CAP = 10**8
 
 # (x, x', position) triples the pair oracle compares at once
 _ORACLE_BLOCK = 1 << 20
+
+# a chunk of profile distances has _PROFILE_ELEMS // (K + 1) rows of at
+# most 2K + 1 terms, so its memory does not grow with K
+_PROFILE_ELEMS = 1 << 13
 
 
 class PairVariant(str, Enum):
@@ -345,24 +354,37 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
     logq1 = math.log(q - 1)
     P = _binomial_power_prefix(q).upto(hmax)  # log P_v(i) at _tri(v) + i
     out = np.full(hmax + 1, NEG_INF)
-    for h in range(1, min(hmax, n) + 1):
-        R = n - h
-        # S[h + A] = log S_R(A) for A = -h..K: -inf below A = 0, where the
-        # cap leaves no term, and flat above A = R, where the row ends
-        a = np.arange(min(k_max, R) + 1)
-        S = np.full(h + k_max + 1, NEG_INF)
-        S[h : h + a.size] = np.logaddexp.accumulate(lfact[R] - lfact[a] - lfact[R - a] + a * logq1)
-        S[h + a.size :] = S[h + a.size - 1]
-        log_ch = lfact[h] - lfact[: h + 1] - lfact[h::-1]  # log C(h, j)
-        b = np.arange(h // 2 + 1)
-        terms = log_ch[b] + P[_tri(h - b) + h - 2 * b] + S[k_max + b]  # T_h
-        if variant is PairVariant.ALL_PAIRS:
-            u = np.arange((h + 2) // 2, h + 1)  # U_h
-            terms = np.concatenate((terms, log_ch[u] + P[_tri(u) + 2 * u - h - 1] + S[k_max + h - u]))
-        # b = h // 2 keeps A >= 0, so top is finite
-        top = terms.max()
-        lse = top + math.log(np.exp(terms - top).sum())
-        out[h] = lse + lfact[n] - lfact[h] - lfact[R] + h * logq1
+    hlast = min(hmax, n)
+    step = max(1, _PROFILE_ELEMS // (k_max + 1))
+    for h0 in range(1, hlast + 1, step):
+        hs = np.arange(h0, min(h0 + step, hlast + 1))
+        h, R = hs[:, None], n - hs[:, None]  # one row per distance
+        # S[:, 1 + A] = log S_R(A) for A = 0..K - ceil(h0 / 2), the most any
+        # term of the chunk reads, and column 0 stands for A < 0, where the
+        # cap leaves no term; past a = R the terms are -inf, so each prefix
+        # stays flat where its row ends
+        a = np.arange(k_max - (h0 + 1) // 2 + 1)
+        row = lfact[R] - lfact[a] - lfact[np.maximum(R - a, 0)] + a * logq1
+        row[a > R] = NEG_INF
+        S = np.empty((hs.size, a.size + 1))
+        S[:, 0] = NEG_INF
+        np.logaddexp.accumulate(row, axis=1, out=S[:, 1:])
+        # term j of distance h: T_h's b = j up to h // 2, U_h's u = j above it
+        j = np.arange(hs[-1] + 1)
+        in_t = j <= h // 2
+        last = h if variant is PairVariant.ALL_PAIRS else h // 2
+        keep = j <= last
+        A = np.where(in_t, k_max - h + j, k_max - j)
+        p_at = np.where(in_t, _tri(h - j) + h - 2 * j, _tri(j) + 2 * j - h - 1)
+        log_ch = lfact[h] - lfact[j] - lfact[np.maximum(h - j, 0)]  # log C(h, j)
+        terms = log_ch + P[np.where(keep, p_at, 0)] + S[np.arange(hs.size)[:, None], np.maximum(A + 1, 0)]
+        terms[~keep] = NEG_INF
+        # b = h // 2 keeps A >= 0, so top is finite; each row sums only its
+        # own terms, in the order of a 1-D sum, so every bit is kept
+        top = terms.max(axis=1)
+        e = np.exp(terms - top[:, None])
+        lse = top + np.array([math.log(e[i, : w + 1].sum()) for i, w in enumerate(last[:, 0])])
+        out[hs] = lse + lfact[n] - lfact[hs] - lfact[n - hs] + hs * logq1
     out.setflags(write=False)
     return out
 
@@ -372,9 +394,11 @@ def nh_log_profile(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarr
 
     Log-gamma/log-sum-exp evaluation of the regrouped closed form in the
     module docstring, O(K^2) per call, usable at n = 1000 where the exact
-    integers are astronomically large.  Agrees with nh_count to ~1e-15
-    relative wherever both run.  The returned array is cached and
-    read-only.
+    integers are astronomically large.  Distances are taken in chunks of
+    max(1, _PROFILE_ELEMS // (K + 1)); each row of a chunk sums its own
+    terms in the order of a 1-D sum, so the result does not depend on
+    the chunking.  Agrees with nh_count to ~1e-15 relative wherever both
+    run.  The returned array is cached and read-only.
     """
     _check_signal_set(n, k_max, q)
     return _nh_log_profile_cached(n, k_max, q, PairVariant(variant))

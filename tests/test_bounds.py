@@ -29,12 +29,39 @@ from ffcs import (
     sufficient_m,
     union_bound,
 )
-from ffcs import cli
-from ffcs.bounds import _BinomialPowerPrefix
-from ffcs.util import log_of_int
+from ffcs import bounds, cli
+from ffcs.bounds import _BinomialPowerPrefix, _binomial_power_prefix, _tri
+from ffcs.util import log_factorials, log_of_int
 
 ALL = PairVariant.ALL_PAIRS
 RESTRICTED = PairVariant.RESTRICTED_PAIRS
+
+
+def reference_log_profile(n, k_max, q, variant):
+    """nh_log_profile one distance at a time: the same terms and the same
+    arithmetic order, so the chunked build must match it bit for bit."""
+    hmax = 2 * k_max
+    lfact = log_factorials(max(n, hmax))
+    logq1 = math.log(q - 1)
+    P = _binomial_power_prefix(q).upto(hmax)
+    out = np.full(hmax + 1, -np.inf)
+    for h in range(1, min(hmax, n) + 1):
+        R = n - h
+        # S[h + A] = log S_R(A) for A = -h..K: -inf below A = 0, flat above A = R
+        a = np.arange(min(k_max, R) + 1)
+        S = np.full(h + k_max + 1, -np.inf)
+        S[h : h + a.size] = np.logaddexp.accumulate(lfact[R] - lfact[a] - lfact[R - a] + a * logq1)
+        S[h + a.size :] = S[h + a.size - 1]
+        log_ch = lfact[h] - lfact[: h + 1] - lfact[h::-1]
+        b = np.arange(h // 2 + 1)
+        terms = log_ch[b] + P[_tri(h - b) + h - 2 * b] + S[k_max + b]  # T_h
+        if variant is ALL:
+            u = np.arange((h + 2) // 2, h + 1)  # U_h
+            terms = np.concatenate((terms, log_ch[u] + P[_tri(u) + 2 * u - h - 1] + S[k_max + h - u]))
+        top = terms.max()
+        lse = top + math.log(np.exp(terms - top).sum())
+        out[h] = lse + lfact[n] - lfact[h] - lfact[R] + h * logq1
+    return out
 
 
 class TestRowNullity:
@@ -177,6 +204,29 @@ class TestPairCounts:
         want = log_of_int((total - 1) * total)
         assert math.isclose(float(logsumexp(prof_all)), want, rel_tol=1e-12)
         assert np.all(prof_res <= prof_all + 1e-12)  # up to float rounding
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 256])
+    def test_log_profile_matches_the_per_distance_reference(self, q):
+        # K = 0 and 1, K = n, 2K > n (a > R masked at n = 333, K = 296), and
+        # n = 1000 with several chunks and a partial last one at K = 28, 296
+        cases = [(1, 0), (6, 0), (1, 1), (9, 1), (7, 7), (20, 20), (50, 9), (333, 296), (1000, 28), (1000, 296)]
+        for n, k in cases:
+            for variant in (ALL, RESTRICTED):
+                want = reference_log_profile(n, k, q, variant)
+                assert np.array_equal(nh_log_profile(n, k, q, variant), want), (n, k, variant)
+
+    def test_log_profile_memory_is_bounded_by_configuration(self):
+        # one (2K x (K + 1)) float64 array at K = 500 would take 4.0 MB alone
+        _binomial_power_prefix(4).upto(1000)
+        bounds._nh_log_profile_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            nh_log_profile(1000, 500, 4, ALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bounds._nh_log_profile_cached.cache_info().misses == 1
+        assert peak < 2 << 20, peak
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_binomial_power_table_grows_to_the_exact_rows(self, q):

@@ -290,6 +290,15 @@ DUMP_SHA256 = {
     (4, "0.4"): "01fb36f927a8278e756032e3c8a6cd745c93c72b1846664b89a61e8bfa888935",
     (4, "dense"): "ec25db64c6ef50db77743b89922ff185c2c78adef069335f2fe13a615f605bd3",
 }
+# sha256 of the curve CSV at n = 1000 on two sparse-gamma grids, the path
+# that builds the log pair-count profiles.  Recorded at version 0.1.0;
+# a faster profile build must leave every byte as it is.
+CURVE_SHA256 = {
+    ("--q", "4", "--gamma", "c=10", "--grid", "0.01,0.05,0.1,0.2,0.3"):
+        "eb5eaf80c6451b68e0f78b5a227488ae1f67499708b32ae3e07ddb52281e0439",
+    ("--q", "2", "--q", "16", "--gamma", "c=5", "--variant", "restricted", "--grid", "0.02,0.1,0.25"):
+        "af2695062f9a42d7035f3d96c0f1c7db02307ecae78f43310964e236ad0ddaf9",
+}
 
 
 class TestGoldenOutputs:
@@ -313,6 +322,12 @@ class TestGoldenOutputs:
         assert len(files) == 30
         digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
         assert digest == DUMP_SHA256[q, gamma]
+
+    @pytest.mark.parametrize("argv", list(CURVE_SHA256), ids=["q4-c10", "q2-q16-c5-restricted"])
+    def test_curve_csv_bytes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "curve", "--n", "1000", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SHA256[argv]
 
 
 class TestGammaValidation:
