@@ -8,7 +8,10 @@ Reproducibility scheme: trial i draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(trials)[i])``, i.e.
 a child stream keyed by the trial index.  Within a trial the draw order
 is fixed: matrix zero-mask uniforms, matrix nonzero values, then the
-signal index (uniform over the canonical enumeration of L).  Trials are
+signal index (uniform over the canonical enumeration of L).  Over
+GF(2) the nonzero values are all 1: numpy's integers(1, 2) returns that
+constant without consuming a bit of the stream, so the draw is not made
+and the order of the other draws is unchanged.  Trials are
 therefore independent of evaluation order and safe to parallelize.  The
 seed may be any non-negative integer.  This is the library's one draw
 of instances: sample_trials(params, trials, seed) returns as int16
@@ -183,17 +186,21 @@ def _sample_trials(
     """Draw the matrices and signal indices of trials start..stop-1.
 
     Each trial draws from its own child stream, so a window holds the
-    same draws whatever the windows around it.
+    same draws whatever the windows around it.  Over GF(2) the value
+    draw, integers(1, 2), is the constant 1 and consumes no bits of the
+    stream, so it is not made: the values start as ones and the draw
+    order of the remaining calls is unchanged.
     """
     shape = (params.m, params.n)
     words = _child_seed_words(seed, start, stop)
     uniforms = np.empty((len(words),) + shape)
-    values = np.empty((len(words),) + shape, dtype=np.int16)
+    values = np.ones((len(words),) + shape, dtype=np.int16)
     idx = np.empty(len(words), dtype=np.int64)
     for i, w in enumerate(words):
         rng = np.random.Generator(np.random.PCG64(_SeedWords(w)))
         rng.random(shape, out=uniforms[i])
-        values[i] = rng.integers(1, params.q, size=shape, dtype=np.int16)
+        if params.q > 2:
+            values[i] = rng.integers(1, params.q, size=shape, dtype=np.int16)
         idx[i] = rng.integers(0, n_candidates)
     values[uniforms >= params.gamma] = 0
     return values, idx

@@ -283,12 +283,15 @@ SIMULATE_SHA256 = {
     (3, "0.3"): "71f476918b0086650fff862e8a0a86a1d6a46f5a660a8d07b3034a0722256716",
     (4, "dense"): "263e682c86b71bd02cbf86585b4427ff4f734edb7817fbb332ed3cb7eaf92648",
     (2, "dense"): "098359f868bee36c59a0bac2547780258509190062075287bb714dc4700e93a2",
+    (2, "0.3"): "8215a003a99369b32760c171c0317446126bfec92238e69bbdd94224d8aa790e",
 }
 DUMP_SHA256 = {
     (3, "0.4"): "2d7f5b7f08b8e4011ce739d3504db55b533a7786d8f6ae9c7d3687959444977c",
     (3, "dense"): "a353d030be374afd9a286d5fbe1f401f5b349e25aba35f823f8cc553986ac02e",
     (4, "0.4"): "01fb36f927a8278e756032e3c8a6cd745c93c72b1846664b89a61e8bfa888935",
     (4, "dense"): "ec25db64c6ef50db77743b89922ff185c2c78adef069335f2fe13a615f605bd3",
+    (2, "dense"): "2806f869e33a05ea3b200734dc3d256c516e083d0bac34f527a0e2130f472616",
+    (2, "0.4"): "2217f7bdada24abbf03de3b2e3f2c8748f75452f7030b3a1cb2aa934d4b866b9",
 }
 # sha256 of the curve CSV at n = 1000 on two sparse-gamma grids, the path
 # that builds the log pair-count profiles.  Recorded at version 0.1.0;

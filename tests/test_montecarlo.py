@@ -261,7 +261,15 @@ class TestSeedContract:
 
     @pytest.mark.parametrize("q,gamma", [(2, 0.5), (3, 0.3), (16, 0.9)])
     def test_windows_match_per_trial_loop(self, q, gamma):
-        params = ModelParams(n=5, k=2, m=3, q=q, gamma=gamma)
+        self._check_windows(q, gamma, m=3)
+
+    @pytest.mark.parametrize("gamma,m", [(1.0, 3), (0.5, 5)])
+    def test_gf2_windows_match_per_trial_loop(self, gamma, m):
+        self._check_windows(2, gamma, m)
+
+    @staticmethod
+    def _check_windows(q, gamma, m):
+        params = ModelParams(n=5, k=2, m=m, q=q, gamma=gamma)
         n_cand = candidate_matrix(params.n, params.k, params.q)[0].shape[0]
         mats, idx = _per_trial_draws(params, 50, 4242, n_cand)
         got = _sample_trials(params, 50, 4242, n_cand)
@@ -270,6 +278,20 @@ class TestSeedContract:
             w_mats, w_idx = _sample_trials(params, stop, 4242, n_cand, start)
             assert np.array_equal(w_mats, mats[start:stop])
             assert np.array_equal(w_idx, idx[start:stop])
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (6, 10), (12, 24)])
+    def test_gf2_value_draw_is_ones_and_consumes_no_bits(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        rng.random(shape)
+        before = rng.bit_generator.state
+        values = rng.integers(1, 2, size=shape, dtype=np.int16)
+        holds = np.array_equal(values, np.ones(shape, dtype=np.int16))
+        holds &= rng.bit_generator.state == before
+        assert holds, (
+            "numpy's integers(1, 2) no longer returns ones without advancing the stream; "
+            "montecarlo._sample_trials skips that draw over GF(2) and relies on both"
+        )
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         params = ModelParams(n=5, k=2, m=3, q=4, gamma=0.6)
