@@ -11,7 +11,9 @@ This is the ground-truth oracle for the probabilistic machinery, so the
 feasibility check is a direct measurement comparison with no elimination
 shortcuts: every candidate is measured.  model.measure_levels, the
 level-sweep kernel the Monte Carlo flags share, measures each level in
-chunks of outer sums, and only the feasible candidates are unranked
+chunks of outer sums, all m rows of a candidate's measurement packed
+into a word or a few; y is packed the same way, a candidate is feasible
+where every word matches, and only the feasible candidates are unranked
 into vectors (model.level_members).  measure_candidates measures x
 itself in error_events.
 """
@@ -25,7 +27,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .field import FiniteField
-from .model import check_enumeration_cap, level_members, measure_candidates, measure_levels
+from .model import check_enumeration_cap, level_members, match_words, measure_candidates
+from .model import measure_levels, pack_measurements
 
 
 class DecodeStatus(str, Enum):
@@ -79,9 +82,13 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q)
+    if y.size and (y.min() < 0 or y.max() >= field.q):
+        # no candidate measures outside GF(q); such entries would not pack
+        return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
+    packed = pack_measurements(field, y)
     for k, chunks in measure_levels(field, rows, k_max):
         ranks = np.concatenate(
-            [start + np.flatnonzero((meas == y).all(axis=1)) for start, meas in chunks]
+            [start + match_words(words, packed).nonzero()[0] for start, words in chunks]
         )
         if ranks.size:
             feasible = level_members(n, k, field.q, ranks)
@@ -108,10 +115,11 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q)
 
+    packed = pack_measurements(field, y)
     e_error = False
     for k, chunks in measure_levels(field, rows, k1):
-        for start, meas in chunks:
-            ranks = start + np.flatnonzero((meas == y).all(axis=1))
+        for start, words in chunks:
+            ranks = start + match_words(words, packed).nonzero()[0]
             if ranks.size and (level_members(n, k, field.q, ranks) != xe).any():
                 e_error = True
                 break

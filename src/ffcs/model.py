@@ -13,10 +13,17 @@ flags: every weight-w support carries the same (q-1)^w value tuples,
 so a chunk of supports is measured as outer sums of the scaled columns
 v * A[:, j], in canonical order, without building a candidate;
 level_starts gives the rank where each level begins, and level_members
-unranks just the candidates a caller keeps.
+unranks just the candidates a caller keeps.  The kernel measures all m
+rows of a matrix at once: each row is a lane of an unsigned machine
+word (SIMD within a register), e bits wide over GF(2^e) and one bit
+wider than p - 1 over prime p, so that a fold of two columns is one
+XOR, or for odd p an add and a lane-wise conditional subtraction of p.
+The word type is the narrowest of 8 to 64 bits that holds the lanes;
+rows beyond 64 bits take further words.  pack_measurements lays a
+measurement out in the same words, and match_words compares them.
 measure_candidates is the definition of A x, a table gather and a
 field sum, for explicit vectors (matvec, a signal's own measurements,
-the nullity test's vector pair).
+the nullity test's vector pair), and the tests' oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -203,61 +210,155 @@ def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
     return out
 
 
-def _outer_sum(field: FiniteField, acc: np.ndarray, term: np.ndarray, axis: int) -> np.ndarray:
-    """Field sums of every value tuple of acc with every value of term, along axis.
+# the unsigned word types of packed measurements, narrowest first
+_WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """How the measurements of m rows over a field pack into words.
+
+    Row r is lane r % per of word r // per: its ``bits`` bits start at
+    bit bits * (r % per).  A lane is as wide as a residue plus, for odd
+    p, one bit that the sum of two residues (at most 2p - 2) carries
+    into, so lanes never spill into their neighbours.  ``count`` words
+    of at most 64 bits hold the m rows, split as evenly as they go, and
+    ``dtype`` is the narrowest type that holds ``per`` lanes.
+    """
+
+    bits: int
+    per: int
+    count: int
+    dtype: np.dtype
+
+
+def _lanes(field: FiniteField, m: int) -> _Lanes:
+    """The word layout of m measurements over field: it depends on (q, m) only."""
+    bits = field.m if field.p == 2 else (field.p - 1).bit_length() + 1
+    count = max(1, -(-m // (64 // bits)))
+    per = -(-m // count)
+    dtype = next(t for t in _WORD_TYPES if 8 * t.itemsize >= per * bits)
+    return _Lanes(bits, per, count, dtype)
+
+
+def _pack_rows(lanes: _Lanes, rows: np.ndarray) -> np.ndarray:
+    """Values (m, ...) in 0..q-1, row r into lane r % per of word r // per: (count, ...) words."""
+    words = np.zeros((lanes.count,) + rows.shape[1:], dtype=lanes.dtype)
+    for r, row in enumerate(rows):
+        shift = lanes.dtype.type(lanes.bits * (r % lanes.per))
+        words[r // lanes.per] |= row.astype(lanes.dtype) << shift
+    return words
+
+
+def pack_measurements(field: FiniteField, y) -> np.ndarray:
+    """Measurements (..., m) with entries in 0..q-1, packed into their (..., count) words.
+
+    The layout is _lanes(field, m)'s: measure_levels yields words of
+    this layout, so a candidate fits y where its words equal these
+    (match_words).
+    """
+    y = np.asarray(y)
+    return np.moveaxis(_pack_rows(_lanes(field, y.shape[-1]), np.moveaxis(y, -1, 0)), 0, -1)
+
+
+def unpack_measurements(field: FiniteField, words: np.ndarray, m: int) -> np.ndarray:
+    """The (..., m) int16 measurements held in (..., count) words: pack_measurements undone."""
+    lanes = _lanes(field, m)
+    shifts = (lanes.bits * np.arange(lanes.per)).astype(lanes.dtype)
+    mask = lanes.dtype.type((1 << lanes.bits) - 1)
+    rows = (words[..., None] >> shifts) & mask
+    return rows.reshape(words.shape[:-1] + (-1,))[..., :m].astype(np.int16)
+
+
+def match_words(words: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Whether every word of words (..., count) equals the one of packed there, as (...) bool."""
+    if words.shape[-1] == 1:
+        return words[..., 0] == packed[..., 0]
+    return (words == packed).all(axis=-1)
+
+
+def _lane_sum(field: FiniteField, lanes: _Lanes):
+    """The lane-wise field sum of two word arrays, as a ufunc-like (a, b) -> words.
+
+    In characteristic 2 it is XOR.  For odd p each lane of s = a + b is
+    below 2p - 1, and adding 2**(bits-1) - p to it sets the lane's top
+    bit exactly where s >= p, without a carry out of the lane; that bit,
+    shifted down and times p, is subtracted, so each lane is again a
+    reduced residue.
+    """
+    if field.p == 2:
+        return np.bitwise_xor
+    word = lanes.dtype.type
+    ones = sum(1 << (lanes.bits * i) for i in range(lanes.per))
+    top = 1 << (lanes.bits - 1)
+    carry, high = word((top - field.p) * ones), word(top * ones)
+    shift, p = word(lanes.bits - 1), word(field.p)
+
+    def lane_sum(a, b):
+        s = a + b
+        over = s + carry
+        over &= high
+        over >>= shift
+        over *= p
+        s -= over
+        return s
+
+    return lane_sum
+
+
+def _outer_sum(lane_sum, acc: np.ndarray, term: np.ndarray, axis: int) -> np.ndarray:
+    """Lane-wise field sums of every value tuple of acc with every value of term, along axis.
 
     acc holds X tuples and term V values on ``axis``; the result holds
     the X * V sums there, tuple-major, which is the lexicographic order
     of the extended tuples.
     """
     pre = (slice(None),) * axis
-    out = acc[pre + (slice(None), None)]  # X tuples -> (X, 1)
-    term = term[pre + (None,)]  # V values -> (1, V)
-    if field.p == 2:
-        out = out ^ term
-    else:
-        # two residues sum below 2p; from a sum below p, subtracting p
-        # wraps past 2**16 - p, so the minimum is the sum mod p
-        out = out + term
-        np.minimum(out, out - field.p, out=out)
+    out = lane_sum(acc[pre + (slice(None), None)], term[pre + (None,)])  # (X, 1) + (1, V)
     return out.reshape(out.shape[:axis] + (-1,) + out.shape[axis + 2 :])
 
 
-def measure_levels(field: FiniteField, rows: np.ndarray, k_max: int):
+def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int):
     """Yield (w, chunks) for w = 0..k_max: the weight-w members of L, measured.
 
-    ``chunks`` yields (start, meas), ``meas`` the (c, b) int16
-    measurement, by each of the b rows of the (b, n) array ``rows``, of
-    the level's members at canonical ranks start..start+c-1; the chunks
-    cover the level in order.  Every support of a level carries the same
-    (q-1)^w value tuples, so a chunk of supports S is measured as outer
-    sums of the scaled columns v * rows[:, S_i], v = 1..q-1: no
-    candidate is built, and a C-order flatten over (support, v_1, ...,
-    v_w) is the canonical order.  A chunk holds at most _BLOCK members:
-    where (q-1)^w exceeds _BLOCK, each support's tuples are split by
-    their leading values, so no whole level is ever built.  The wider of
-    the batch and value axes is laid out innermost.
+    ``mats`` is one (m, n) matrix or a (..., m, n) stack of b of them.
+    ``chunks`` yields (start, words) for the level's members at canonical
+    ranks start..start+c-1, covering the level in order: ``words`` is
+    (c, b * count), each matrix's measurement of a member packed into
+    its ``count`` words (pack_measurements' layout), matrix by matrix.
+    All m rows of a matrix are summed at once, one fold per word.
+    Every support of a level carries the same (q-1)^w value tuples, so
+    a chunk of supports S is measured as outer sums of the scaled
+    columns v * mats[..., S_i], v = 1..q-1: no candidate is built, and a
+    C-order flatten over (support, v_1, ..., v_w) is the canonical order.
+    A chunk holds at most _BLOCK members: where (q-1)^w exceeds _BLOCK,
+    each support's tuples are split by their leading values, so no
+    whole level is ever built.  The wider of the word and value axes is
+    laid out innermost.
     """
-    b, n = rows.shape
+    *_, m, n = mats.shape
     v = field.q - 1
-    _check_entries(field.q, rows)
-    # scaled[v - 1, r, j] = v * rows[r, j]; in the table, the value axis
-    # is `axis` and the column axis the one before it
-    scaled = field.mul_table[1:][:, rows].view(np.uint16)
-    if b > v:
-        table, axis = np.ascontiguousarray(scaled.transpose(2, 0, 1)), 1  # (n, q-1, b)
+    _check_entries(field.q, mats)
+    lanes = _lanes(field, m)
+    # packed[v - 1, i, j]: word i of v * mats[..., j], over every matrix's words
+    scaled = np.take(field.mul_table[1:], np.moveaxis(mats, -2, 0), axis=1)  # (q-1, m, ..., n)
+    packed = np.moveaxis(_pack_rows(lanes, np.moveaxis(scaled, 1, 0)), 0, -2).reshape(v, -1, n)
+    # in the table, the value axis is `axis` and the column axis the one before it
+    if packed.shape[1] > v:
+        table, axis = np.ascontiguousarray(packed.transpose(2, 0, 1)), 1  # (n, q-1, words)
     else:
-        table, axis = np.ascontiguousarray(scaled.transpose(1, 2, 0)), 2  # (b, n, q-1)
+        table, axis = np.ascontiguousarray(packed.transpose(1, 2, 0)), 2  # (words, n, q-1)
+    lane_sum = _lane_sum(field, lanes)
     for w in range(k_max + 1):
-        yield w, _level_chunks(field, table, axis, w)
+        yield w, _level_chunks(lane_sum, table, axis, w)
 
 
-def _level_chunks(field: FiniteField, table: np.ndarray, axis: int, w: int):
-    """The chunks of measure_levels for level w, from its table of scaled columns."""
-    n, v = table.shape[axis - 1], field.q - 1
+def _level_chunks(lane_sum, table: np.ndarray, axis: int, w: int):
+    """The chunks of measure_levels for level w, from its table of packed scaled columns."""
+    n, v = table.shape[axis - 1], table.shape[axis]
     b = table.size // (n * v)
     if w == 0:
-        yield 0, np.zeros((1, b), dtype=np.int16)
+        yield 0, np.zeros((1, b), dtype=table.dtype)
         return
     # the table with its column and value axes merged, keyed j * (q-1) + v - 1
     flat = table.reshape(table.shape[: axis - 1] + (-1,) + table.shape[axis + 1 :])
@@ -271,19 +372,19 @@ def _level_chunks(field: FiniteField, table: np.ndarray, axis: int, w: int):
     # `step` units a chunk
     for group in range(0, units, _BLOCK):
         ranks = np.arange(group, min(group + _BLOCK, units), dtype=np.int64)
-        supports, leadings = _level_terms(n, w, field.q, ranks, lead)
+        supports, leadings = _level_terms(n, w, v + 1, ranks, lead)
         for lo in range(0, len(ranks), step):
             support, leading = supports[lo : lo + step], leadings[lo : lo + step]
             acc = None
             for i in range(w):
                 if i < lead:
                     keys = support[:, i] * v + leading[:, i] - 1
-                    term = np.expand_dims(np.take(flat, keys, axis=axis - 1), axis)
+                    term = np.expand_dims(flat.take(keys, axis=axis - 1), axis)
                 else:
-                    term = np.take(table, support[:, i], axis=axis - 1)
-                acc = term if acc is None else _outer_sum(field, acc, term, axis)
-            meas = acc.reshape((-1, b) if axis == 1 else (b, -1)).view(np.int16)
-            yield (group + lo) * span, meas if axis == 1 else meas.T
+                    term = table.take(support[:, i], axis=axis - 1)
+                acc = term if acc is None else _outer_sum(lane_sum, acc, term, axis)
+            words = acc.reshape((-1, b) if axis == 1 else (b, -1))
+            yield (group + lo) * span, words if axis == 1 else words.T
 
 
 # the most candidates any exhaustive scan enumerates

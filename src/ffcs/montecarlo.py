@@ -35,20 +35,21 @@ _trial_blocks is the one stream of those blocks; run_trials hands each
 measured block to its on_block callback, through which `ffcs simulate
 --dump` writes the trials it measured.
 
-The error flags are evaluated one measurement row at a time: row r of
-every trial matrix in a block is applied to all of L at once through
-model.measure_levels, the decoder's level-sweep kernel, which lays
-the trials innermost whenever they outnumber the q - 1 values, and the
-candidates whose r-th measurement differs from the signal's are struck
-from one (candidates x t) feasibility mask.  The working set is
-therefore t x |L|, never t x m x |L|.  The sweep enumerates L
-sparsity-major, so each level is the run of ranks from
-model.level_starts, the flags follow from the number of feasible
-candidates per level, and a signal is just its rank: candidate_matrix
-builds L as rows only for sample_trials and run_trials' on_block,
-which read the signals.  The flags are the predicates of
-decoder.error_events, and the test suite pins the two routes against
-each other, trial by trial, on sampled instances.
+The error flags of a block come from one model.measure_levels call,
+the decoder's level-sweep kernel: it applies every trial matrix of the
+block to all of L at once, each candidate's m measurements by a matrix
+packed into one word (or a few, beyond 64 bits), and lays the trials'
+words innermost whenever they outnumber the q - 1 values.  A candidate
+is feasible for a trial where its words equal those of the trial's
+signal, read at the signal's rank, so the working set is t x |L| words,
+never t x m x |L| values.  The sweep enumerates L sparsity-major, so
+each level is the run of ranks from model.level_starts, the flags
+follow from the number of feasible candidates per level, and a signal
+is just its rank: candidate_matrix builds L as rows only for
+sample_trials and run_trials' on_block, which read the signals.  The
+flags are the predicates of decoder.error_events, and the test suite
+pins the two routes against each other, trial by trial, on sampled
+instances.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
 from .field import FiniteField, make_field
 from .model import ModelParams, candidate_matrix, check_enumeration_cap, level_starts
-from .model import measure_candidates, measure_levels
+from .model import match_words, measure_candidates, measure_levels, unpack_measurements
 from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
@@ -175,7 +176,8 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself; the identity test skips np.dtype()
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("only PCG64's request, generate_state(4, uint64), is served")
         return self.words
 
@@ -212,7 +214,8 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
     A window of t trials keeps t x m x width at most _BLOCK_ELEMS, width
     the larger of the candidate count and q n.  That bounds the window's
     (t, m, n) draws and, with room to spare, its (|L|, t) feasibility
-    masks and the (n, q - 1, t) scaled columns of each measured row.
+    mask and measurement words and the (q - 1, t, m, n) scaled entries
+    that pack into the words of its matrices.
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))
@@ -241,33 +244,32 @@ def _error_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """e0 flags, e flags and (t, m) measurements of trials whose signals are at ranks idx of L.
 
-    Row r of every matrix is measured against all of L at once, level by
-    level through model.measure_levels, and
-    candidates whose r-th measurement differs from the signal's drop
-    out of one (|L|, t) feasibility mask, so no (t, m, |L|) array is
-    built.  The feasible candidates are then counted per sparsity level
-    (``offsets`` from model.level_starts).  With k1 the signal's level and
-    j the first level holding a feasible candidate (j <= k1, since the
-    signal itself is feasible):
+    One model.measure_levels call measures all of L by every matrix of
+    the block, each candidate's m measurements packed into the words of
+    one matrix, and a candidate stays feasible for a trial where its
+    words equal the signal's, so the (|L|, t) feasibility mask comes
+    from one comparison and no (t, m, |L|) array is built.  The
+    feasible candidates are then counted per sparsity level (``offsets``
+    from model.level_starts).  With k1 the signal's level and j the
+    first level holding a feasible candidate (j <= k1, since the signal
+    itself is feasible):
       e  : j < k1, or at least two feasible candidates at level k1;
       e0 : j < k1, or at least two feasible candidates at level j.
     """
     t, m = mats.shape[:2]
     trial = np.arange(t)
-    y = np.empty((t, m), dtype=np.int16)
-    feas = True
-    for r in range(m):
-        levels = measure_levels(field, mats[:, r], len(offsets) - 1)
-        meas = np.concatenate([c for _, chunks in levels for _, c in chunks])  # (|L|, t)
-        y[:, r] = meas[idx, trial]
-        feas = feas & (meas == y[:, r])
+    levels = measure_levels(field, mats, len(offsets) - 1)
+    words = np.concatenate([c for _, chunks in levels for _, c in chunks])
+    words = words.reshape(len(words), t, -1)  # (|L|, t, words per matrix)
+    signal = words[idx, trial]
+    feas = match_words(words, signal)
     counts = np.add.reduceat(feas, offsets, axis=0).T  # (t, k + 1)
     k1 = np.searchsorted(offsets, idx, side="right") - 1
     first = (counts > 0).argmax(axis=1)
     lighter = first < k1
     e_flags = lighter | (counts[trial, k1] >= 2)
     e0_flags = lighter | (counts[trial, first] >= 2)
-    return e0_flags, e_flags, y
+    return e0_flags, e_flags, unpack_measurements(field, signal, m)
 
 
 def run_trials(

@@ -292,7 +292,13 @@ DUMP_SHA256 = {
     (4, "dense"): "ec25db64c6ef50db77743b89922ff185c2c78adef069335f2fe13a615f605bd3",
     (2, "dense"): "2806f869e33a05ea3b200734dc3d256c516e083d0bac34f527a0e2130f472616",
     (2, "0.4"): "2217f7bdada24abbf03de3b2e3f2c8748f75452f7030b3a1cb2aa934d4b866b9",
+    (13, "0.4"): "5e367027a1347f44a034ebd0bf8539bbecc9cded5f53b3df19edbac97042a1a6",
 }
+# sha256 of the simulate JSON at n = 8, k = 1, m = 10, q = 251, dense,
+# 2,000 trials, seed 0: ten 9-bit lanes take two words per matrix.  This
+# pin and the q = 13 dump (5-bit lanes, 20 of a 32-bit word) were
+# recorded with the row-by-row kernel that packed words replaced.
+SIMULATE_TWO_WORD_SHA256 = "0ab83fa2891c1bcbff84499fbf77e047975096f45bfd7012bb93333165ade865"
 # sha256 of the curve CSV at n = 1000 on two sparse-gamma grids, the path
 # that builds the log pair-count profiles.  Recorded at version 0.1.0;
 # a faster profile build must leave every byte as it is.
@@ -313,6 +319,14 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_SHA256[q, gamma]
+
+    def test_simulate_two_word_json_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "8", "--k", "1", "--m", "10", "--q", "251",
+            "--trials", "2000", "--seed", "0",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_TWO_WORD_SHA256
 
     @pytest.mark.parametrize("q,gamma", list(DUMP_SHA256))
     def test_dump_bytes(self, capsys, tmp_path, q, gamma):

@@ -198,3 +198,42 @@ def test_split_levels_match_brute_reference(monkeypatch):
             ev = error_events(f, A, x, k_max=3)
             assert ev.e0_error == ev.e_error == (not exact)
     assert statuses == {(3, DecodeStatus.UNIQUE), (2, DecodeStatus.AMBIGUOUS)}
+
+
+@pytest.mark.parametrize("q,n,k,m", [(13, 4, 2, 3), (13, 4, 2, 14), (251, 3, 1, 2), (251, 3, 1, 8)])
+def test_matches_brute_reference_at_larger_prime_fields(q, n, k, m):
+    # lanes of 5 bits at q = 13 and 9 at q = 251, so m = 14 and m = 8
+    # take two words; every matrix's rows span at most two dimensions,
+    # so ties happen at any m, and a random y is mostly infeasible.  The
+    # first half of the rows, the first word, span at most one, so the
+    # second word must be matched too
+    f = make_field(q)
+    rng = np.random.default_rng(q * 100 + m)
+    statuses = set()
+    for _ in range(10):
+        basis = rng.integers(0, q, size=(rng.integers(1, 3), n))
+        mix = rng.integers(0, q, size=(m, len(basis)))
+        mix[: m // 2, 1:] = 0
+        A = (mix @ basis % q).astype(np.int16)
+        x = np.zeros(n, dtype=np.int16)
+        w = rng.integers(0, k + 1)
+        x[rng.choice(n, size=w, replace=False)] = rng.integers(1, q, size=w)
+        for y in (matvec(f, A, x), rng.integers(0, q, size=m).astype(np.int16)):
+            res = decode_l0(f, A, y, k_max=k)
+            ref_k, ref_sols = brute_decode(f, A, y, k)
+            assert res.min_sparsity == ref_k
+            assert [s.tolist() for s in res.solutions] == [s.tolist() for s in ref_sols]
+            statuses.add(res.status)
+    assert statuses == set(DecodeStatus)
+
+
+def test_measurements_outside_the_field_are_infeasible():
+    # no candidate measures 32 or -1; packed into 5-bit lanes, 32 would
+    # read as a 1 in the second lane, which x = e_1 measures
+    f = make_field(13)
+    A = np.eye(3, 4, dtype=np.int16)
+    res = decode_l0(f, A, np.array([0, 1, 0], dtype=np.int16), k_max=1)
+    assert res.status == DecodeStatus.UNIQUE
+    for y in ([32, 0, 0], [-1, 0, 0], [0, 0, 13]):
+        res = decode_l0(f, A, np.array(y, dtype=np.int16), k_max=1)
+        assert res.status == DecodeStatus.INFEASIBLE and res.solutions == []

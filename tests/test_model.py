@@ -25,7 +25,8 @@ from ffcs import (
     signal_to_json,
     sparse_gamma,
 )
-from ffcs.model import _BLOCK, level_members, measure_candidates, measure_levels
+from ffcs.model import _BLOCK, _lanes, level_members, match_words, measure_candidates
+from ffcs.model import measure_levels, pack_measurements, unpack_measurements
 
 # 0.999 chi-square quantiles by degrees of freedom
 CHI2_999 = {2: 13.816, 3: 16.266, 18: 42.312}
@@ -268,23 +269,28 @@ class TestEnumeration:
     )
     def test_weight_blocks_match_reference_order(self, n, k_max, q):
         # measure_levels, its chunks concatenated over the levels, measures
-        # L in enumerate_signals' order, with few rows (value axis
-        # innermost) and many (rows innermost); level_members unranks it
+        # L in enumerate_signals' order, with one matrix of few or many
+        # rows (value axis innermost) and a stack of matrices (words
+        # innermost); level_members unranks it
         field = make_field(q)
         reference = np.array(list(enumerate_signals(n, k_max, q)), dtype=np.int16)
         rng = np.random.default_rng(n * 1000 + q)
-        for m in (2, 40):
-            A = rng.integers(0, q, size=(m, n)).astype(np.int16)
+        for shape in ((2, n), (40, n), (q + 1, 3, n)):
+            A = rng.integers(0, q, size=shape).astype(np.int16)
+            mats = A.reshape(-1, *shape[-2:])
+            m, count = shape[-2], _lanes(field, shape[-2]).count
             chunks = []
             for _, level in measure_levels(field, A, k_max):
                 covered = 0
-                for start, meas in level:
+                for start, words in level:
                     assert start == covered
-                    assert meas.shape[1] == m and len(meas) <= _BLOCK
-                    covered += len(meas)
-                    chunks.append(meas)
-            got = np.concatenate(chunks)
-            assert np.array_equal(got, measure_candidates(field, A, reference).T)
+                    assert words.shape[1] == len(mats) * count and len(words) <= _BLOCK
+                    covered += len(words)
+                    chunks.append(words)
+            got = np.concatenate(chunks).reshape(-1, len(mats), count)
+            got = unpack_measurements(field, got, m)
+            want = np.stack([measure_candidates(field, a, reference).T for a in mats], axis=1)
+            assert np.array_equal(got, want)
         members = [
             level_members(n, w, q, np.arange(size))
             for w, size in enumerate(signal_set_size(n, k_max, q).per_sparsity)
@@ -296,22 +302,69 @@ class TestEnumeration:
         "q,n,k", [(2, 6, 4), (3, 5, 4), (5, 4, 3), (7, 4, 3), (13, 3, 3), (16, 3, 3), (251, 2, 2)]
     )
     def test_level_sweep_matches_table_fold(self, q, n, k):
-        # every chunk of measure_levels, concatenated, against an add/mul
-        # table fold over enumerate_signals, with rows <= q - 1 (value axis
-        # innermost) and rows > q - 1 (rows innermost); at k >= 3 the
-        # partial sums pass 2p, so each fold step must reduce mod p
+        # every chunk of measure_levels, concatenated and unpacked, against
+        # an add/mul table fold over enumerate_signals, with one matrix of
+        # few rows and of q rows (value axis innermost; at q = 251, 36
+        # words) and with q one-row matrices (words innermost); at k >= 3
+        # the partial sums pass 2p, so each fold step must reduce mod p
         field = make_field(q)
         X = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
         rng = np.random.default_rng(q * 100 + n)
-        for b in (min(2, q - 1), q):
-            A = rng.integers(0, q, size=(b, n)).astype(np.int16)
-            want = np.zeros((len(X), b), dtype=np.int16)
+        for shape in ((min(2, q - 1), n), (q, n), (q, 1, n)):
+            A = rng.integers(0, q, size=shape).astype(np.int16)
+            rows, m = A.reshape(-1, n), shape[-2]
+            want = np.zeros((len(X), len(rows)), dtype=np.int16)
             for j in range(n):
-                want = field.add_table[want, field.mul_table[X[:, j, None], A[:, j]]]
+                want = field.add_table[want, field.mul_table[X[:, j, None], rows[:, j]]]
             got = np.concatenate(
-                [meas for _, level in measure_levels(field, A, k) for _, meas in level]
+                [words for _, level in measure_levels(field, A, k) for _, words in level]
             )
-            assert np.array_equal(got, want), b
+            got = unpack_measurements(field, got.reshape(len(X), -1, _lanes(field, m).count), m)
+            assert np.array_equal(got.reshape(len(X), -1), want), shape
+
+    @pytest.mark.parametrize(
+        "q,m,count", [(16, 16, 1), (16, 17, 2), (251, 7, 1), (251, 8, 2), (3, 21, 1), (3, 22, 2),
+                      (2, 64, 1), (2, 65, 2)]
+    )
+    def test_packing_at_lane_and_word_boundaries(self, q, m, count):
+        # lanes of 4, 9, 3 and 1 bits: the first m fills a 64-bit word as
+        # far as its lanes go, one row more takes a second word.  A matrix
+        # of all q - 1 puts q - 1 in every lane and, for odd p, the largest
+        # sum 2p - 2 in every lane of the weight-2 candidates of ones
+        field = make_field(q)
+        lanes = _lanes(field, m)
+        assert (lanes.count, lanes.dtype) == (count, np.dtype(np.uint64))
+        rng = np.random.default_rng(q * 1000 + m)
+        y = np.stack([np.full(m, q - 1), np.zeros(m), rng.integers(0, q, size=m)]).astype(np.int16)
+        packed = pack_measurements(field, y)
+        assert packed.shape == (3, count) and packed.dtype == lanes.dtype
+        assert np.array_equal(unpack_measurements(field, packed, m), y)
+        # the last row sits in the last word, and a change there is a mismatch
+        other = y[2].copy()
+        other[-1] = (other[-1] + 1) % q
+        assert match_words(packed[2], packed[2])
+        assert not match_words(pack_measurements(field, other), packed[2])
+        n, k = (3, 2) if q == 251 else (4, 3)
+        reference = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
+        mats = np.stack([np.full((m, n), q - 1), rng.integers(0, q, size=(m, n))]).astype(np.int16)
+        words = np.concatenate(
+            [words for _, level in measure_levels(field, mats, k) for _, words in level]
+        ).reshape(len(reference), 2, count)
+        want = np.stack([measure_candidates(field, a, reference).T for a in mats], axis=1)
+        assert np.array_equal(unpack_measurements(field, words, m), want)
+        # a candidate fits a measurement exactly where all its words match
+        assert np.array_equal(
+            match_words(words, pack_measurements(field, want[7])), (want == want[7]).all(axis=2)
+        )
+
+    @pytest.mark.parametrize(
+        "q,m,dtype",
+        [(2, 6, np.uint8), (2, 8, np.uint8), (2, 9, np.uint16), (4, 6, np.uint16),
+         (3, 6, np.uint32), (16, 7, np.uint32), (13, 7, np.uint64), (256, 4, np.uint32)],
+    )
+    def test_words_are_the_narrowest_type_that_holds_the_lanes(self, q, m, dtype):
+        lanes = _lanes(make_field(q), m)
+        assert (lanes.count, lanes.dtype) == (1, np.dtype(dtype))
 
     @pytest.mark.parametrize("q", [61, 64])
     def test_split_level_memory_is_bounded_by_the_block(self, q):

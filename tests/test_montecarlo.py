@@ -19,8 +19,8 @@ from ffcs import (
     sample_trials,
 )
 from ffcs import montecarlo
-from ffcs.model import level_starts, signal_set_size
-from ffcs.montecarlo import _child_seed_words, _sample_trials
+from ffcs.model import level_starts, measure_candidates, signal_set_size
+from ffcs.montecarlo import _SeedWords, _child_seed_words, _error_flags, _sample_trials
 
 
 class TestReproducibility:
@@ -128,6 +128,31 @@ class TestFlagCorrectness:
             e += ev.e_error
         assert report.e0_errors == e0
         assert report.e_errors == e
+
+    @pytest.mark.parametrize(
+        "q,n,k,m,gamma", [(13, 4, 2, 3, 0.5), (251, 4, 1, 8, 0.15)]
+    )
+    def test_block_flags_match_reference_events_trial_by_trial(self, q, n, k, m, gamma):
+        # 5-bit lanes at q = 13 fit one word; eight 9-bit lanes at q = 251
+        # take two, so a candidate is feasible only where both match.  A
+        # sparse q = 251 matrix often has a zero column, so errors occur.
+        # e is also checked by plain measure_candidates over all of L
+        params = ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)
+        trials, seed = 60, 321
+        field = make_field(q)
+        cands, weights = candidate_matrix(n, k, q)
+        mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
+        e0_flags, e_flags, y = _error_flags(field, mats, idx, level_starts(n, k, q))
+        for i in range(trials):
+            ev = error_events(field, mats[i], cands[idx[i]], k_max=k)
+            assert (e0_flags[i], e_flags[i]) == (ev.e0_error, ev.e_error), i
+            meas = measure_candidates(field, mats[i], cands)  # (m, |L|)
+            confusable = (meas == meas[:, [idx[i]]]).all(axis=0) & (weights <= weights[idx[i]])
+            assert e_flags[i] == (confusable.sum() > 1), i  # x itself is one
+            assert np.array_equal(y[i], matvec(field, mats[i], cands[idx[i]])), i
+        assert 0 < e_flags.sum() < trials
+        report = run_trials(params, trials, seed)
+        assert (report.e0_errors, report.e_errors) == (e0_flags.sum(), e_flags.sum())
 
     def test_inclusion_and_counts(self):
         params = ModelParams(n=8, k=2, m=4, q=2, gamma=0.5)
@@ -254,6 +279,15 @@ class TestSeedContract:
         ]
         assert np.random.SeedSequence(seed).spawn(3)[2].spawn_key == (2,)
         assert np.array_equal(_child_seed_words(seed, start, stop), np.array(expect))
+
+    def test_seed_words_serve_only_pcg64s_request(self):
+        words = _child_seed_words(3, 0, 1)[0]
+        seq = _SeedWords(words)
+        assert seq.generate_state(4, np.uint64) is words
+        assert seq.generate_state(4, np.dtype("uint64")) is words
+        for request in [(4, np.uint32), (8, np.uint64), (4,)]:
+            with pytest.raises(ValueError):
+                seq.generate_state(*request)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
