@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .field import FiniteField
-from .model import check_enumeration_cap, level_members, match_words, measure_candidates
-from .model import measure_levels, pack_measurements
+from .model import _check_entries, check_enumeration_cap, level_members, match_words
+from .model import measure_candidates, measure_levels, pack_measurements
 
 
 class DecodeStatus(str, Enum):
@@ -82,6 +82,7 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q)
+    _check_entries(field.q, rows)
     if y.size and (y.min() < 0 or y.max() >= field.q):
         # no candidate measures outside GF(q); such entries would not pack
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)

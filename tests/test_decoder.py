@@ -237,3 +237,12 @@ def test_measurements_outside_the_field_are_infeasible():
     for y in ([32, 0, 0], [-1, 0, 0], [0, 0, 13]):
         res = decode_l0(f, A, np.array(y, dtype=np.int16), k_max=1)
         assert res.status == DecodeStatus.INFEASIBLE and res.solutions == []
+
+
+@pytest.mark.parametrize("y", [[0, 1, 0], [32, 0, 0]])
+def test_matrix_outside_the_field_raises_whatever_the_measurements(y):
+    f = make_field(13)
+    A = np.eye(3, 4, dtype=np.int16)
+    A[0, 3] = 13
+    with pytest.raises(ValueError, match="outside GF"):
+        decode_l0(f, A, np.array(y, dtype=np.int16), k_max=1)
