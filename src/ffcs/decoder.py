@@ -9,13 +9,14 @@ a confusable candidate, not the luck of a tie-break.
 
 This is the ground-truth oracle for the probabilistic machinery, so the
 feasibility check is a direct measurement comparison with no elimination
-shortcuts: every candidate is measured.  model.measure_levels, the
-level-sweep kernel the Monte Carlo flags share, measures each level in
-chunks of outer sums, all m rows of a candidate's measurement packed
-into a word or a few; y is packed the same way, a candidate is feasible
-where every word matches, and only the feasible candidates are unranked
-into vectors (model.level_members).  measure_candidates measures x
-itself in error_events.
+shortcuts: every candidate is compared in full.  model.measure_levels,
+the level-sweep kernel the Monte Carlo flags share, compares each level
+with y in chunks: the outer sums of a support's first w - 1 scaled
+columns against y - v * A_j for its last column j, all m rows packed
+into a word or a few.  A candidate is feasible where every word
+matches, and only the feasible candidates are unranked into vectors
+(model.level_members).  measure_candidates measures x itself in
+error_events.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .field import FiniteField
-from .model import _check_entries, check_enumeration_cap, level_members, match_words
+from .model import _check_entries, check_enumeration_cap, level_members
 from .model import measure_candidates, measure_levels, pack_measurements
 
 
@@ -78,7 +79,7 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     """
     rows = np.asarray(matrix)
     y = np.asarray(y, dtype=np.int16)
-    if y.shape != rows.shape[:1]:
+    if rows.ndim != 2 or y.shape != rows.shape[:1]:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q)
@@ -86,11 +87,9 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     if y.size and (y.min() < 0 or y.max() >= field.q):
         # no candidate measures outside GF(q); such entries would not pack
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
-    packed = pack_measurements(field, y)
-    for k, chunks in measure_levels(field, rows, k_max):
-        ranks = np.concatenate(
-            [start + match_words(words, packed).nonzero()[0] for start, words in chunks]
-        )
+    targets = pack_measurements(field, y)
+    for k, chunks in measure_levels(field, rows, k_max, targets):
+        ranks = np.concatenate([start + mask[:, 0].nonzero()[0] for start, mask in chunks])
         if ranks.size:
             feasible = level_members(n, k, field.q, ranks)
             feasible.setflags(write=False)
@@ -109,6 +108,8 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     at k_max must not be above model.ENUMERATION_CAP (10^8 candidates).
     """
     rows, xe = np.asarray(matrix), np.asarray(x)
+    if rows.ndim != 2 or xe.shape != rows.shape[1:]:
+        raise DimensionMismatch(f"signal {xe.shape} does not match matrix {rows.shape}")
     k1 = int(np.count_nonzero(xe))
     if k1 > k_max:
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
@@ -116,11 +117,10 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q)
 
-    packed = pack_measurements(field, y)
     e_error = False
-    for k, chunks in measure_levels(field, rows, k1):
-        for start, words in chunks:
-            ranks = start + match_words(words, packed).nonzero()[0]
+    for k, chunks in measure_levels(field, rows, k1, pack_measurements(field, y)):
+        for start, mask in chunks:
+            ranks = start + mask[:, 0].nonzero()[0]
             if ranks.size and (level_members(n, k, field.q, ranks) != xe).any():
                 e_error = True
                 break

@@ -9,21 +9,24 @@ plain int16 arrays, the trials that ``ffcs simulate`` measures.
 
 Measurement: y = A x over GF(q).  measure_levels, the one fast kernel,
 sweeps L level by level for the exhaustive decoder and the Monte Carlo
-flags: every weight-w support carries the same (q-1)^w value tuples,
-so a chunk of supports is measured as outer sums of the scaled columns
-v * A[:, j], in canonical order, without building a candidate;
-level_starts gives the rank where each level begins, and level_members
-unranks just the candidates a caller keeps.  The kernel measures all m
-rows of a matrix at once: each row is a lane of an unsigned machine
-word (SIMD within a register), e bits wide over GF(2^e) and one bit
-wider than p - 1 over prime p, so that a fold of two columns is one
-XOR, or for odd p an add and a lane-wise conditional subtraction of p.
-The word type is the narrowest of 8 to 64 bits that holds the lanes;
-rows beyond 64 bits take further words.  pack_measurements lays a
-measurement out in the same words, and match_words compares them.
-measure_candidates is the definition of A x, a table gather and a
-field sum, for explicit vectors (matvec, a signal's own measurements,
-the nullity test's vector pair), and the tests' oracle for the kernel.
+flags, and says which members measure a target y: every weight-w
+support carries the same (q-1)^w value tuples, so a chunk of supports
+sums its first w - 1 columns as outer sums of the scaled columns
+v * A[:, j], in canonical order, without building a candidate, and
+compares each partial sum with y - v * A_j for the last column j, a
+table built once per sweep.  level_starts gives the rank where each
+level begins, and level_members unranks just the candidates a caller
+keeps.  The kernel handles all m rows of a matrix at once: each row is
+a lane of an unsigned machine word (SIMD within a register), e bits
+wide over GF(2^e) and one bit wider than p - 1 over prime p, so that a
+fold of two columns is one XOR, or for odd p an add and a lane-wise
+conditional subtraction of p.  The word type is the narrowest of 8 to
+64 bits that holds the lanes; rows beyond 64 bits take further words.
+pack_measurements lays a measurement out in the same words, and
+match_words compares them.  measure_candidates is the definition of
+A x, a table gather and a field sum, for explicit vectors (matvec, a
+signal's own measurements, the nullity test's vector pair), and the
+tests' oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ import numpy as np
 from .errors import DimensionMismatch, EnumerationCapExceeded, InvalidGamma
 from .field import FiniteField, check_prime_power
 
-# candidates per enumerated block; bounds the peak memory of every scan
-_BLOCK = 8192
+# words (members x words per member) a chunk of the level sweep spans,
+# and entries a block of candidate_matrix; bounds the peak memory of every scan
+_CHUNK_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -253,9 +257,9 @@ def _pack_rows(lanes: _Lanes, rows: np.ndarray) -> np.ndarray:
 def pack_measurements(field: FiniteField, y) -> np.ndarray:
     """Measurements (..., m) with entries in 0..q-1, packed into their (..., count) words.
 
-    The layout is _lanes(field, m)'s: measure_levels yields words of
-    this layout, so a candidate fits y where its words equal these
-    (match_words).
+    The layout is _lanes(field, m)'s, the one measure_levels takes its
+    targets in and sums columns in, so a partial sum meets a target
+    where all their words are equal (match_words).
     """
     y = np.asarray(y)
     return np.moveaxis(_pack_rows(_lanes(field, y.shape[-1]), np.moveaxis(y, -1, 0)), 0, -1)
@@ -323,73 +327,161 @@ def _outer_sum(lane_sum, acc: np.ndarray, term: np.ndarray, axis: int) -> np.nda
     return out.reshape(out.shape[:axis] + (-1,) + out.shape[axis + 2 :])
 
 
-def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int):
-    """Yield (w, chunks) for w = 0..k_max: the weight-w members of L, measured.
+def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int, targets):
+    """Yield (w, chunks) for w = 0..k_max: which weight-w members of L hit each target.
 
-    ``mats`` is one (m, n) matrix or a (..., m, n) stack of b of them.
-    ``chunks`` yields (start, words) for the level's members at canonical
-    ranks start..start+c-1, covering the level in order: ``words`` is
-    (c, b * count), each matrix's measurement of a member packed into
-    its ``count`` words (pack_measurements' layout), matrix by matrix.
-    All m rows of a matrix are summed at once, one fold per word.
-    Every support of a level carries the same (q-1)^w value tuples, so
-    a chunk of supports S is measured as outer sums of the scaled
-    columns v * mats[..., S_i], v = 1..q-1: no candidate is built, and a
-    C-order flatten over (support, v_1, ..., v_w) is the canonical order.
-    A chunk holds at most _BLOCK members: where (q-1)^w exceeds _BLOCK,
-    each support's tuples are split by their leading values, so no
-    whole level is ever built.  The wider of the word and value axes is
-    laid out innermost.
+    ``mats`` is one (m, n) matrix or a (..., m, n) stack of b of them,
+    and ``targets`` holds one packed measurement per matrix, (..., count)
+    words in pack_measurements' layout with entries in 0..q-1.
+    ``chunks`` yields (start, mask) for the level's members at canonical
+    ranks start..start+c-1, covering the level in order: ``mask`` is a
+    (c, b) bool array, true where the matrix measures the member as its
+    target.  Every member is compared in full; see _ColumnTable.
     """
-    *_, m, n = mats.shape
-    v = field.q - 1
-    _check_entries(field.q, mats)
-    lanes = _lanes(field, m)
-    # packed[v - 1, i, j]: word i of v * mats[..., j], over every matrix's words
-    scaled = np.take(field.mul_table[1:], np.moveaxis(mats, -2, 0), axis=1)  # (q-1, m, ..., n)
-    packed = np.moveaxis(_pack_rows(lanes, np.moveaxis(scaled, 1, 0)), 0, -2).reshape(v, -1, n)
-    # in the table, the value axis is `axis` and the column axis the one before it
-    if packed.shape[1] > v:
-        table, axis = np.ascontiguousarray(packed.transpose(2, 0, 1)), 1  # (n, q-1, words)
-    else:
-        table, axis = np.ascontiguousarray(packed.transpose(1, 2, 0)), 2  # (words, n, q-1)
-    lane_sum = _lane_sum(field, lanes)
-    for w in range(k_max + 1):
-        yield w, _level_chunks(lane_sum, table, axis, w)
+    return _ColumnTable(field, mats).levels(k_max, targets)
 
 
-def _level_chunks(lane_sum, table: np.ndarray, axis: int, w: int):
-    """The chunks of measure_levels for level w, from its table of packed scaled columns."""
-    n, v = table.shape[axis - 1], table.shape[axis]
-    b = table.size // (n * v)
-    if w == 0:
-        yield 0, np.zeros((1, b), dtype=table.dtype)
-        return
-    # the table with its column and value axes merged, keyed j * (q-1) + v - 1
-    flat = table.reshape(table.shape[: axis - 1] + (-1,) + table.shape[axis + 1 :])
-    # fix the leading `lead` values of a chunk's tuples, so that each
-    # (support, leading values) unit spans at most _BLOCK members
-    lead = next(i for i in range(w + 1) if v ** (w - i) <= _BLOCK)
-    span = v ** (w - lead)
-    units = comb(n, w) * v**lead
-    step = _BLOCK // span
-    # the units' terms are unranked _BLOCK units at a time, then measured
-    # `step` units a chunk
-    for group in range(0, units, _BLOCK):
-        ranks = np.arange(group, min(group + _BLOCK, units), dtype=np.int64)
-        supports, leadings = _level_terms(n, w, v + 1, ranks, lead)
-        for lo in range(0, len(ranks), step):
-            support, leading = supports[lo : lo + step], leadings[lo : lo + step]
-            acc = None
-            for i in range(w):
-                if i < lead:
-                    keys = support[:, i] * v + leading[:, i] - 1
-                    term = np.expand_dims(flat.take(keys, axis=axis - 1), axis)
-                else:
-                    term = table.take(support[:, i], axis=axis - 1)
-                acc = term if acc is None else _outer_sum(lane_sum, acc, term, axis)
-            words = acc.reshape((-1, b) if axis == 1 else (b, -1))
-            yield (group + lo) * span, words if axis == 1 else words.T
+class _ColumnTable:
+    """The packed scaled columns v * A[..., j] of a stack of b (m, n) matrices, and the level sweep.
+
+    ``table`` holds word i of v * mats[..., j] for v = 1..q-1, every
+    column j and all b * count words of the matrices, matrix by matrix;
+    its value axis is ``axis`` and the column axis the one before it.
+    The wider of the word and value axes is laid out innermost:
+    (n, q-1, words) with axis 1, else (words, n, q-1) with axis 2.
+
+    The sweep never measures a whole member.  Every support of a level
+    carries the same (q-1)^w value tuples, so a chunk of supports S sums
+    its first w - 1 columns as outer sums of the table's scaled columns,
+    in canonical order, without building a candidate.  A member fits
+    its target y exactly where that partial sum equals y - v * A_j, j
+    and v its last column and value, and those differences are one
+    table, built once per sweep, which the partial sums meet in one
+    comparison.  A chunk spans at most _CHUNK_WORDS words: its members'
+    words, and the int64 columns that unrank each unit, counted in words
+    of the table's width.  Where a support's (q-1)^w tuples are more
+    than that, they are split by their leading values, so no whole
+    level is ever built.
+    """
+
+    def __init__(self, field: FiniteField, mats: np.ndarray):
+        *stack, m, n = mats.shape
+        _check_entries(field.q, mats)
+        self.field, self.lanes, self.stack = field, _lanes(field, m), tuple(stack)
+        self.lane_sum = _lane_sum(field, self.lanes)
+        v = field.q - 1
+        scaled = np.take(field.mul_table[1:], np.moveaxis(mats, -2, 0), axis=1)  # (q-1, m, ..., n)
+        packed = np.moveaxis(_pack_rows(self.lanes, np.moveaxis(scaled, 1, 0)), 0, -2)
+        packed = packed.reshape(v, -1, n)  # (q-1, words, n)
+        if packed.shape[1] > v:
+            self.table, self.axis = np.ascontiguousarray(packed.transpose(2, 0, 1)), 1
+        else:
+            self.table, self.axis = np.ascontiguousarray(packed.transpose(1, 2, 0)), 2
+
+    def member_words(self, weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The (b, count) packed measurement, by matrix i, of the member of weight weights[i] at rank ranks[i] of its level.
+
+        Each member is unranked (_level_terms), or where a level has
+        fewer members than it has ranks here, the whole level once, and
+        its scaled columns are read from the table and summed, so no
+        (b, m, n) array is built.  Unranking is most of the cost, and
+        a Monte Carlo block can hold far more trials than a level has
+        members: at n = 10, k = 2, a q = 2 block of 3,120 trials meets
+        the 45 weight-2 members thousands of times (ROADMAP has the
+        timings).
+        """
+        count, table, axis = self.lanes.count, self.table, self.axis
+        n, v = table.shape[axis - 1], table.shape[axis]
+        # the flat table's steps between (column, value) keys and between words
+        key_step, word_step = (table.shape[-1], 1) if axis == 1 else (1, n * v)
+        flat = table.reshape(-1)
+        out = np.zeros((len(weights), count), dtype=self.lanes.dtype)
+        for w in range(1, int(weights.max(initial=0)) + 1):
+            which = (weights == w).nonzero()[0]
+            size = comb(n, w) * v**w
+            if size < len(which):
+                support, values = _level_terms(n, w, v + 1, np.arange(size), w)
+                keys = (support * v + values - 1).take(ranks[which], axis=0)
+            else:
+                support, values = _level_terms(n, w, v + 1, ranks[which], w)
+                keys = support * v + values - 1
+            words = (which[:, None] * count + np.arange(count)) * word_step
+            acc = flat.take(keys[:, :1] * key_step + words)
+            for i in range(1, w):
+                acc = self.lane_sum(acc, flat.take(keys[:, i : i + 1] * key_step + words))
+            out[which] = acc
+        return out
+
+    def levels(self, k_max: int, targets):
+        """measure_levels' stream of (w, chunks) over this table."""
+        count = self.lanes.count
+        targets = np.asarray(targets)
+        if targets.shape != self.stack + (count,):
+            raise DimensionMismatch(
+                f"targets {targets.shape} are not {self.stack + (count,)} packed words"
+            )
+        targets = targets.astype(self.lanes.dtype).reshape(-1)
+        # goal, laid out like the table: the partial sum that meets the
+        # targets where the last column is j and its value v is
+        # targets + (-v) * A_j
+        neg = self.field.neg_table[1:] - 1
+        words = (1, 1, -1) if self.axis == 1 else (-1, 1, 1)
+        goal = self.lane_sum(targets.reshape(words), self.table.take(neg, axis=self.axis))
+        return ((w, self._chunks(goal, targets, w)) for w in range(k_max + 1))
+
+    def _chunks(self, goal: np.ndarray, targets: np.ndarray, w: int):
+        """The chunks of level w: the table's partial sums compared with goal."""
+        table, axis, count = self.table, self.axis, self.lanes.count
+        n, v, size = table.shape[axis - 1], table.shape[axis], len(targets)
+        b = size // count
+        if w == 0:
+            yield 0, match_words(np.zeros(count, targets.dtype), targets.reshape(b, count))[None]
+            return
+        # a unit costs its members' words and its unranking: _level_terms
+        # holds at most 3w + 4 int64 per rank, counted here in table words
+        unranking = -(-8 * (3 * w + 4) // table.itemsize)
+        # fix the leading `lead` values of a unit's tuples, so that each
+        # (support, leading values) unit fits in a chunk
+        lead = next((i for i in range(w) if v ** (w - i) * size + unranking <= _CHUNK_WORDS), w)
+        span = v ** (w - lead)
+        step = max(1, _CHUNK_WORDS // (span * size + unranking))
+        units = comb(n, w) * v**lead
+        pre = (slice(None),) * axis
+        # the partial sum of no columns, as the table's layout broadcasts it
+        zero = np.zeros((1, 1, size) if axis == 1 else (size, 1, 1), dtype=table.dtype)
+        for lo in range(0, units, step):
+            ranks = np.arange(lo, min(lo + step, units), dtype=np.int64)
+            support, leading = _level_terms(n, w, v + 1, ranks, lead)
+            acc = zero
+            for i in range(w - 1):
+                term = _take_column(table, axis, support, leading, i)
+                acc = term if i == 0 else _outer_sum(self.lane_sum, acc, term, axis)
+            # every partial sum against the goal of every last value: (X, 1) against (1, V)
+            have = acc[pre + (slice(None), None)]
+            want = _take_column(goal, axis, support, leading, w - 1)[pre + (None,)]
+            # split the word axis, last or first, into (b, count) and match each matrix's words
+            if axis == 1:
+                have, want = (a.reshape(a.shape[:-1] + (b, count)) for a in (have, want))
+                yield lo * span, match_words(have, want).reshape(-1, b)
+            else:
+                have, want = (
+                    np.moveaxis(a.reshape((b, count) + a.shape[1:]), 1, -1) for a in (have, want)
+                )
+                yield lo * span, match_words(have, want).reshape(b, -1).T
+
+
+def _take_column(src: np.ndarray, axis: int, support: np.ndarray, leading: np.ndarray, i: int):
+    """Column i of each unit of a chunk from a table of _ColumnTable's layout.
+
+    Where the unit fixes that column's value (i < the leading values it
+    fixes) only that value's entry is read, else all q - 1; either way
+    the value axis stays at ``axis``.
+    """
+    if i < leading.shape[1]:
+        keys = support[:, i] * src.shape[axis] + leading[:, i] - 1
+        flat = src.reshape(src.shape[: axis - 1] + (-1,) + src.shape[axis + 1 :])
+        return np.expand_dims(flat.take(keys, axis=axis - 1), axis)
+    return src.take(support[:, i], axis=axis - 1)
 
 
 # the most candidates any exhaustive scan enumerates
@@ -410,7 +502,7 @@ def level_starts(n: int, k_max: int, q: int) -> np.ndarray:
     """The canonical rank at which each level 0..k_max of L starts, as int64.
 
     Every level is nonempty (k_max <= n), so the starts strictly
-    increase, as np.add.reduceat over them needs.
+    increase, and np.searchsorted over them finds the level of a rank.
     """
     return np.cumsum((0,) + signal_set_size(n, k_max, q).per_sparsity[:-1], dtype=np.int64)
 
@@ -423,9 +515,10 @@ def candidate_matrix(n: int, k_max: int, q: int) -> tuple[np.ndarray, np.ndarray
     """
     out = np.empty((check_enumeration_cap(n, k_max, q), n), dtype=np.int16)
     sizes = signal_set_size(n, k_max, q).per_sparsity
+    step = max(1, _CHUNK_WORDS // n)
     for w, (start, size) in enumerate(zip(level_starts(n, k_max, q), sizes)):
-        for first in range(0, size, _BLOCK):
-            ranks = np.arange(first, min(first + _BLOCK, size))
+        for first in range(0, size, step):
+            ranks = np.arange(first, min(first + step, size))
             out[start + first : start + first + len(ranks)] = level_members(n, w, q, ranks)
     weights = np.count_nonzero(out, axis=1).astype(np.int64)
     return out, weights

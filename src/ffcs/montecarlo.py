@@ -35,21 +35,21 @@ _trial_blocks is the one stream of those blocks; run_trials hands each
 measured block to its on_block callback, through which `ffcs simulate
 --dump` writes the trials it measured.
 
-The error flags of a block come from one model.measure_levels call,
-the decoder's level-sweep kernel: it applies every trial matrix of the
-block to all of L at once, each candidate's m measurements by a matrix
+The error flags of a block come from one sweep of model.measure_levels'
+kernel, the decoder's: it compares every trial matrix of the block
+with all of L at once, each candidate's m measurements by a matrix
 packed into one word (or a few, beyond 64 bits), and lays the trials'
-words innermost whenever they outnumber the q - 1 values.  A candidate
-is feasible for a trial where its words equal those of the trial's
-signal, read at the signal's rank, so the working set is t x |L| words,
-never t x m x |L| values.  The sweep enumerates L sparsity-major, so
-each level is the run of ranks from model.level_starts, the flags
-follow from the number of feasible candidates per level, and a signal
-is just its rank: candidate_matrix builds L as rows only for
-sample_trials and run_trials' on_block, which read the signals.  The
-flags are the predicates of decoder.error_events, and the test suite
-pins the two routes against each other, trial by trial, on sampled
-instances.
+words innermost whenever they outnumber the q - 1 values.  A trial's
+target is its signal's measurement, summed from the sweep's own table
+of scaled columns at the signal's unranked support and values, and
+the sweep yields a (|L|, t) feasibility mask, never t x m x |L|
+values.  The sweep enumerates L sparsity-major, a level at a time
+(mostly in one chunk; see _trial_blocks), so the flags follow from each
+level's count of feasible candidates, and a signal is just its rank:
+candidate_matrix builds L as rows only for sample_trials and
+run_trials' on_block, which read the signals.  The flags are the
+predicates of decoder.error_events, and the test suite pins the two
+routes against each other, trial by trial, on sampled instances.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ import numpy as np
 
 from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
 from .field import FiniteField, make_field
-from .model import ModelParams, candidate_matrix, check_enumeration_cap, level_starts
-from .model import match_words, measure_candidates, measure_levels, unpack_measurements
+from .model import ModelParams, _ColumnTable, candidate_matrix, check_enumeration_cap
+from .model import level_starts, measure_candidates, unpack_measurements
 from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
@@ -214,8 +214,11 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
     A window of t trials keeps t x m x width at most _BLOCK_ELEMS, width
     the larger of the candidate count and q n.  That bounds the window's
     (t, m, n) draws and, with room to spare, its (|L|, t) feasibility
-    mask and measurement words and the (q - 1, t, m, n) scaled entries
-    that pack into the words of its matrices.
+    masks and the (q - 1, t, m, n) scaled entries that pack into the
+    words of its matrices.  A trial packs its m rows into at most m
+    words, so a level's members times the block's words mostly fit one
+    chunk of model._CHUNK_WORDS words, and the sweep takes each level
+    whole (at n = 10, k = 2, every level of a full block).
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))
@@ -244,27 +247,27 @@ def _error_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """e0 flags, e flags and (t, m) measurements of trials whose signals are at ranks idx of L.
 
-    One model.measure_levels call measures all of L by every matrix of
-    the block, each candidate's m measurements packed into the words of
-    one matrix, and a candidate stays feasible for a trial where its
-    words equal the signal's, so the (|L|, t) feasibility mask comes
-    from one comparison and no (t, m, |L|) array is built.  The
-    feasible candidates are then counted per sparsity level (``offsets``
-    from model.level_starts).  With k1 the signal's level and j the
-    first level holding a feasible candidate (j <= k1, since the signal
-    itself is feasible):
+    One level sweep (model.measure_levels' kernel) compares all of L,
+    by every matrix of the block, with the trial's own measurement,
+    packed into words: the signal is unranked and its scaled columns
+    read from the sweep's own table and summed.  The sweep yields a
+    (members, t) feasibility mask per chunk, and its sum over a level's
+    chunks counts the feasible candidates of that level (``offsets``,
+    from model.level_starts, says where each level starts).  With k1
+    the signal's level and j the first level holding a feasible
+    candidate (j <= k1, since the signal itself is feasible):
       e  : j < k1, or at least two feasible candidates at level k1;
       e0 : j < k1, or at least two feasible candidates at level j.
     """
     t, m = mats.shape[:2]
     trial = np.arange(t)
-    levels = measure_levels(field, mats, len(offsets) - 1)
-    words = np.concatenate([c for _, chunks in levels for _, c in chunks])
-    words = words.reshape(len(words), t, -1)  # (|L|, t, words per matrix)
-    signal = words[idx, trial]
-    feas = match_words(words, signal)
-    counts = np.add.reduceat(feas, offsets, axis=0).T  # (t, k + 1)
     k1 = np.searchsorted(offsets, idx, side="right") - 1
+    columns = _ColumnTable(field, mats)
+    signal = columns.member_words(k1, idx - offsets[k1])
+    counts = np.zeros((t, len(offsets)), dtype=np.int64)
+    for w, chunks in columns.levels(len(offsets) - 1, signal):
+        for _, mask in chunks:
+            counts[:, w] += mask.sum(axis=0, dtype=np.int32)  # bool to int32 sums fastest
     first = (counts > 0).argmax(axis=1)
     lighter = first < k1
     e_flags = lighter | (counts[trial, k1] >= 2)

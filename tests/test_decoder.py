@@ -162,6 +162,28 @@ def test_measurements_of_the_wrong_shape_rejected(y):
         decode_l0(make_field(3), WRONG_SHAPE_A, y, 2)
 
 
+@pytest.mark.parametrize(
+    "matrix,y", [(np.zeros(3, dtype=np.int16), np.zeros(3, dtype=np.int16)),
+                 (np.zeros((2, 3, 4), dtype=np.int16), np.zeros(2, dtype=np.int16))],
+    ids=["1-D", "stack"],
+)
+def test_decode_rejects_a_matrix_that_is_not_2d(matrix, y):
+    # the length of y matches the first axis, so only the rank check stops these
+    with pytest.raises(DimensionMismatch):
+        decode_l0(make_field(3), matrix, y, 1)
+
+
+@pytest.mark.parametrize(
+    "matrix,x", [(np.zeros(4, dtype=np.int16), np.array([0, 1, 0, 0], dtype=np.int16)),
+                 (np.zeros((2, 3, 4), dtype=np.int16), np.array([0, 1, 0, 0], dtype=np.int16)),
+                 (WRONG_SHAPE_A, np.array([0, 1, 0], dtype=np.int16))],
+    ids=["1-D", "stack", "short signal"],
+)
+def test_error_events_rejects_mismatched_shapes(matrix, x):
+    with pytest.raises(DimensionMismatch):
+        error_events(make_field(3), matrix, x, 1)
+
+
 def test_error_events_rejects_signal_above_k_max():
     x = np.array([1, 1, 1, 0], dtype=np.int16)
     with pytest.raises(ValueError, match="k_max"):
@@ -169,10 +191,10 @@ def test_error_events_rejects_signal_above_k_max():
 
 
 def test_split_levels_match_brute_reference(monkeypatch):
-    # n = 3, k = 3 over GF(32): 31^3 value tuples exceed the block, so
-    # level 3 splits each support's tuples by their leading values; a
-    # block of 64 splits level 2 too, where the singular matrices (row 3
-    # = row 1 + row 2) tie three weight-2 solutions
+    # n = 3, k = 3 over GF(32): chunks of 4096 words split each level-3
+    # support's 31^3 value tuples by their leading values; chunks of 64
+    # split level 2 too, where the singular matrices (row 3 = row 1 +
+    # row 2) tie three weight-2 solutions
     f = make_field(32)
     rng = np.random.default_rng(32)
     instances = [(rng.integers(0, 32, size=(3, 3)), rng.integers(1, 32, size=3))]
@@ -188,8 +210,8 @@ def test_split_levels_match_brute_reference(monkeypatch):
         y = matvec(f, A, x)
         ref_k, ref_sols = brute_decode(f, A, y, 3)
         exact = len(ref_sols) == 1 and np.array_equal(ref_sols[0], x)
-        for block in (model._BLOCK, 64):
-            monkeypatch.setattr(model, "_BLOCK", block)
+        for chunk in (model._CHUNK_WORDS, 4096, 64):
+            monkeypatch.setattr(model, "_CHUNK_WORDS", chunk)
             res = decode_l0(f, A, y, k_max=3)
             assert res.min_sparsity == ref_k
             assert [s.tolist() for s in res.solutions] == [s.tolist() for s in ref_sols]

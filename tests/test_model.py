@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +26,111 @@ from ffcs import (
     signal_to_json,
     sparse_gamma,
 )
-from ffcs.model import _BLOCK, _lanes, level_members, match_words, measure_candidates
+from ffcs import model
+from ffcs.model import _lanes, level_members, match_words, measure_candidates
 from ffcs.model import measure_levels, pack_measurements, unpack_measurements
 
 # 0.999 chi-square quantiles by degrees of freedom
 CHI2_999 = {2: 13.816, 3: 16.266, 18: 42.312}
+
+
+def swept_masks(field, mats, targets, k_max, want=None):
+    """measure_levels' masks, concatenated over chunks and levels, as (|L|, b).
+
+    Checks on the way that each level's chunks cover it in order and
+    that a chunk of more than one member spans at most _CHUNK_WORDS
+    words.  Given want (|L|, b, m), the reference measurements, it also
+    checks every lane of every member, whatever the targets: a chunk's
+    one comparison (match_words) sets each member's partial sum against
+    its goal y - v * A_j, so the partial sum plus y minus the goal must
+    be the member's measurement.
+    """
+    m = mats.shape[-2]
+    count = _lanes(field, m).count
+    b = targets.size // count
+    ys = unpack_measurements(field, targets.reshape(b, count), m)
+    # the sweep lays the words innermost where they outnumber the q - 1 values
+    innermost = b * count > field.q - 1
+    operands = []
+
+    def spy(have, goal):
+        operands.append(np.broadcast_arrays(have, goal))
+        return match_words(have, goal)
+
+    masks, offset = [], 0
+    with mock.patch.object(model, "match_words", spy):
+        for _, level in measure_levels(field, mats, k_max, targets):
+            covered = 0
+            for start, mask in level:
+                assert start == covered and mask.dtype == bool
+                assert mask.shape == (len(mask), b)
+                assert len(mask) * targets.size <= max(model._CHUNK_WORDS, targets.size)
+                ((have, goal),) = operands
+                operands.clear()
+                if want is not None:
+                    # the operands as (members, b, count) words, then lanes
+                    if innermost:
+                        have, goal = (a.reshape(-1, b, count) for a in (have, goal))
+                    else:
+                        have, goal = (a.reshape(b, -1, count).swapaxes(0, 1) for a in (have, goal))
+                    have, goal = (unpack_measurements(field, a, m) for a in (have, goal))
+                    implied = field.add_table[have, field.add_table[ys, field.neg_table[goal]]]
+                    assert np.array_equal(implied, want[offset : offset + len(mask)])
+                covered += len(mask)
+                offset += len(mask)
+                masks.append(mask)
+    return np.concatenate(masks)
+
+
+def unattained(q, want, rng):
+    """A (1, m) measurement that no row of want (|L|, m) equals, or (0, m) if 100 draws find none."""
+    for y in rng.integers(0, q, size=(100, want.shape[-1])).astype(np.int16):
+        if not (want == y).all(axis=-1).any():
+            return y[None]
+    return np.zeros((0, want.shape[-1]), dtype=np.int16)
+
+
+def check_sweep_of_one_matrix(field, A, k_max, want, rng):
+    """measure_levels of A against want (|L|, m), its reference measurements.
+
+    A is stacked once per target, and the masks must be want compared
+    with each: the targets are every distinct measurement of a member
+    where that makes at most 2^24 (member, target) pairs, else a fixed
+    sample of 16, and then one that no member attains.  A alone is
+    swept against the first target, with every lane of every member
+    checked (swept_masks), and against the last.
+    """
+    distinct, inverse = np.unique(want, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if len(want) * len(distinct) <= 1 << 24:
+        pick = np.arange(len(distinct))
+    else:
+        pick = rng.choice(len(distinct), 16, replace=False)
+    missing = unattained(field.q, want, rng)
+    ys = np.concatenate([distinct[pick], missing])
+    expect = np.concatenate(
+        [inverse[:, None] == pick, np.zeros((len(want), len(missing)), dtype=bool)], axis=1
+    )
+    mats = np.broadcast_to(A, (len(ys),) + A.shape)
+    assert np.array_equal(swept_masks(field, mats, pack_measurements(field, ys), k_max), expect)
+    for i, lanes_of in ((0, want[:, None]), (-1, None)):
+        got = swept_masks(field, A, pack_measurements(field, ys[i]), k_max, lanes_of)
+        assert np.array_equal(got[:, 0], expect[:, i])
+
+
+def check_sweep_of_stack(field, mats, k_max, want, rng):
+    """measure_levels of a stack of b matrices against want (|L|, b, m) compared with one target each.
+
+    Each matrix's target is its measurement of a random member, and
+    then, for the first matrix, one that no member attains; every lane
+    of every member is checked too (swept_masks).
+    """
+    ys = want[rng.integers(0, len(want), size=len(mats)), np.arange(len(mats))]
+    missing = unattained(field.q, want[:, 0], rng)
+    if len(missing):
+        ys[0] = missing[0]
+    got = swept_masks(field, mats, pack_measurements(field, ys), k_max, want)
+    assert np.array_equal(got, (want == ys).all(axis=-1))
 
 
 def brute_weight_census(n, q):
@@ -264,33 +365,24 @@ class TestEnumeration:
             (4, 4, 3),  # k = n
             (6, 3, 2),  # a single nonzero value
             (1, 1, 5),  # n = 1
-            (4, 3, 32),  # (q - 1)^k = 29791 > _BLOCK: values split across blocks
+            (4, 3, 32),  # (q - 1)^k = 29791 value tuples per support
         ],
     )
     def test_weight_blocks_match_reference_order(self, n, k_max, q):
-        # measure_levels, its chunks concatenated over the levels, measures
+        # measure_levels, its masks concatenated over the levels, compares
         # L in enumerate_signals' order, with one matrix of few or many
-        # rows (value axis innermost) and a stack of matrices (words
-        # innermost); level_members unranks it
+        # rows, stacked once per target (words innermost) or alone (value
+        # axis innermost), and a stack of matrices; level_members unranks it
         field = make_field(q)
         reference = np.array(list(enumerate_signals(n, k_max, q)), dtype=np.int16)
         rng = np.random.default_rng(n * 1000 + q)
-        for shape in ((2, n), (40, n), (q + 1, 3, n)):
+        for shape in ((2, n), (40, n)):
             A = rng.integers(0, q, size=shape).astype(np.int16)
-            mats = A.reshape(-1, *shape[-2:])
-            m, count = shape[-2], _lanes(field, shape[-2]).count
-            chunks = []
-            for _, level in measure_levels(field, A, k_max):
-                covered = 0
-                for start, words in level:
-                    assert start == covered
-                    assert words.shape[1] == len(mats) * count and len(words) <= _BLOCK
-                    covered += len(words)
-                    chunks.append(words)
-            got = np.concatenate(chunks).reshape(-1, len(mats), count)
-            got = unpack_measurements(field, got, m)
-            want = np.stack([measure_candidates(field, a, reference).T for a in mats], axis=1)
-            assert np.array_equal(got, want)
+            want = measure_candidates(field, A, reference).T
+            check_sweep_of_one_matrix(field, A, k_max, want, rng)
+        mats = rng.integers(0, q, size=(q + 1, 3, n)).astype(np.int16)
+        want = np.stack([measure_candidates(field, a, reference).T for a in mats], axis=1)
+        check_sweep_of_stack(field, mats, k_max, want, rng)
         members = [
             level_members(n, w, q, np.arange(size))
             for w, size in enumerate(signal_set_size(n, k_max, q).per_sparsity)
@@ -302,25 +394,24 @@ class TestEnumeration:
         "q,n,k", [(2, 6, 4), (3, 5, 4), (5, 4, 3), (7, 4, 3), (13, 3, 3), (16, 3, 3), (251, 2, 2)]
     )
     def test_level_sweep_matches_table_fold(self, q, n, k):
-        # every chunk of measure_levels, concatenated and unpacked, against
-        # an add/mul table fold over enumerate_signals, with one matrix of
-        # few rows and of q rows (value axis innermost; at q = 251, 36
-        # words) and with q one-row matrices (words innermost); at k >= 3
-        # the partial sums pass 2p, so each fold step must reduce mod p
+        # every mask of measure_levels, concatenated, against an add/mul
+        # table fold over enumerate_signals, with one matrix of few rows
+        # and of q rows (at q = 251, 36 words) and with q one-row
+        # matrices; at k >= 3 the partial sums pass 2p, so each fold step
+        # must reduce mod p
         field = make_field(q)
         X = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
         rng = np.random.default_rng(q * 100 + n)
         for shape in ((min(2, q - 1), n), (q, n), (q, 1, n)):
             A = rng.integers(0, q, size=shape).astype(np.int16)
-            rows, m = A.reshape(-1, n), shape[-2]
+            rows = A.reshape(-1, n)
             want = np.zeros((len(X), len(rows)), dtype=np.int16)
             for j in range(n):
                 want = field.add_table[want, field.mul_table[X[:, j, None], rows[:, j]]]
-            got = np.concatenate(
-                [words for _, level in measure_levels(field, A, k) for _, words in level]
-            )
-            got = unpack_measurements(field, got.reshape(len(X), -1, _lanes(field, m).count), m)
-            assert np.array_equal(got.reshape(len(X), -1), want), shape
+            if A.ndim == 2:
+                check_sweep_of_one_matrix(field, A, k, want, rng)
+            else:
+                check_sweep_of_stack(field, A, k, want[:, :, None], rng)
 
     @pytest.mark.parametrize(
         "q,m,count", [(16, 16, 1), (16, 17, 2), (251, 7, 1), (251, 8, 2), (3, 21, 1), (3, 22, 2),
@@ -347,15 +438,71 @@ class TestEnumeration:
         n, k = (3, 2) if q == 251 else (4, 3)
         reference = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
         mats = np.stack([np.full((m, n), q - 1), rng.integers(0, q, size=(m, n))]).astype(np.int16)
-        words = np.concatenate(
-            [words for _, level in measure_levels(field, mats, k) for _, words in level]
-        ).reshape(len(reference), 2, count)
         want = np.stack([measure_candidates(field, a, reference).T for a in mats], axis=1)
-        assert np.array_equal(unpack_measurements(field, words, m), want)
-        # a candidate fits a measurement exactly where all its words match
-        assert np.array_equal(
-            match_words(words, pack_measurements(field, want[7])), (want == want[7]).all(axis=2)
-        )
+        for a, want_a in zip(mats, want.transpose(1, 0, 2)):
+            check_sweep_of_one_matrix(field, a, k, want_a, rng)
+        # a target off by one in the last row only, so its first word matches
+        ys = want[7].copy()
+        ys[:, -1] = (ys[:, -1] + 1) % q
+        got = swept_masks(field, mats, pack_measurements(field, ys), k, want)
+        assert np.array_equal(got, (want == ys).all(axis=2))
+
+    @pytest.mark.parametrize("q,m", [(3, 4), (3, 22), (13, 7), (13, 14), (251, 3), (251, 8),
+                                     (4, 5), (16, 17), (256, 9)])
+    def test_masks_at_levels_0_and_1(self, q, m):
+        # level 0 fits y exactly where y = 0, level 1 where y = v A_j.  For
+        # odd p, -v A_j differs from v A_j, so a target of -v A_j catches a
+        # kernel that subtracts the wrong value; the stack of one matrix
+        # per target has words innermost, a matrix alone the value axis
+        field = make_field(q)
+        n = 5
+        rng = np.random.default_rng(q + m)
+        A = rng.integers(0, q, size=(m, n)).astype(np.int16)
+        A[:, 1] = 0  # a zero column: all of its members measure 0
+        v, j = int(rng.integers(1, q)), 3
+        col = field.mul_table[v, A[:, j]]
+        ys = np.stack([np.zeros(m), col, field.neg_table[col], rng.integers(0, q, size=m)])
+        ys = ys.astype(np.int16)
+        singles = level_members(n, 1, q, np.arange(n * (q - 1)))
+        want_1 = measure_candidates(field, A, singles).T
+        for stack in (ys, ys[:1]):
+            mats = np.broadcast_to(A, (len(stack), m, n))
+            levels = [
+                np.concatenate([mask for _, mask in chunks])
+                for _, chunks in measure_levels(field, mats, 1, pack_measurements(field, stack))
+            ]
+            assert levels[0].tolist() == [(stack == 0).all(axis=1).tolist()]
+            assert np.array_equal(levels[1], (want_1[:, None] == stack).all(axis=2))
+        hits = swept_masks(field, A, pack_measurements(field, ys[1]), 1)[:, 0].nonzero()[0]
+        assert 1 + (j * (q - 1) + v - 1) in hits.tolist()
+        zero_columns = int((A == 0).all(axis=0).sum())
+        hits = swept_masks(field, A, pack_measurements(field, ys[0]), 1)[:, 0]
+        assert hits.sum() == 1 + (q - 1) * zero_columns
+
+    @pytest.mark.parametrize("q,n,k,m", [(3, 5, 3, 4), (5, 4, 3, 2), (16, 3, 3, 5), (2, 7, 4, 3)])
+    def test_chunk_size_does_not_change_masks(self, monkeypatch, q, n, k, m):
+        # chunks of one word fix every value of a unit, of 7 words some
+        # leading values, of 64 words hold a few units, and the default a
+        # whole level; one matrix and a stack of four give both layouts
+        field = make_field(q)
+        rng = np.random.default_rng(q * 10 + n)
+        A = rng.integers(0, q, size=(m, n)).astype(np.int16)
+        X = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
+        ys = measure_candidates(field, A, X[rng.integers(0, len(X), size=4)]).T
+        mats = np.broadcast_to(A, (4, m, n))
+        want = (measure_candidates(field, A, X).T[:, None] == ys).all(axis=2)
+        for chunk in (1, 7, 64, model._CHUNK_WORDS):
+            monkeypatch.setattr(model, "_CHUNK_WORDS", chunk)
+            assert np.array_equal(swept_masks(field, mats, pack_measurements(field, ys), k), want)
+            got = swept_masks(field, A, pack_measurements(field, ys[0]), k)
+            assert np.array_equal(got, want[:, :1])
+
+    def test_targets_must_be_one_packed_measurement_per_matrix(self):
+        field = make_field(13)
+        mats = np.zeros((3, 7, 4), dtype=np.int16)
+        for targets in (np.zeros(3, dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64)):
+            with pytest.raises(DimensionMismatch):
+                measure_levels(field, mats, 1, targets)
 
     @pytest.mark.parametrize(
         "q,m,dtype",
@@ -367,23 +514,76 @@ class TestEnumeration:
         assert (lanes.count, lanes.dtype) == (1, np.dtype(dtype))
 
     @pytest.mark.parametrize("q", [61, 64])
-    def test_split_level_memory_is_bounded_by_the_block(self, q):
-        # (q - 1)^3 > _BLOCK: each support's value tuples are split, and
-        # peak memory follows the block, not the (q - 1)^3-member level
+    def test_split_level_memory_is_bounded_by_the_block(self, monkeypatch, q):
+        # chunks of 8192 words, the block of members this bound was set
+        # for: (q - 1)^3 > 8192, so each support's value tuples are split
+        # by their leading value, and peak memory follows the chunk, not
+        # the (q - 1)^3-member level
+        monkeypatch.setattr(model, "_CHUNK_WORDS", 8192)
         n, k, m = 3, 3, 4
         field = make_field(q)
         A = np.random.default_rng(q).integers(0, q, size=(m, n)).astype(np.int16)
-        bound = 12 * _BLOCK * m
+        targets = pack_measurements(field, matvec(field, A, np.array([1, 2, 3], dtype=np.int16)))
+        bound = 12 * 8192 * m
         assert math.comb(n, k) * (q - 1) ** k * m * 2 > 4 * bound
         tracemalloc.start()
         try:
-            members = sum(
-                len(meas) for _, level in measure_levels(field, A, k) for _, meas in level
-            )
+            members, hits, split = 0, 0, 0
+            for w, level in measure_levels(field, A, k, targets):
+                for _, mask in level:
+                    members, hits, split = members + len(mask), hits + int(mask.sum()), split + (w == k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert members == signal_set_size(n, k, q).total
+        assert members == signal_set_size(n, k, q).total and hits >= 1
+        assert split >= (q - 1) // 2  # level 3's one support takes a chunk per two leading values
+        assert peak < bound, (peak, bound)
+
+    @pytest.mark.parametrize("q,n,k,m", [(251, 3, 3, 2), (2, 30, 5, 20), (2, 24, 5, 8)])
+    def test_sweep_memory_is_bounded_by_the_chunk_words(self, q, n, k, m):
+        # at the module's own chunk size.  At q = 251 the 250^3 value
+        # tuples of the one weight-3 support are split by their leading
+        # value; at q = 2 a unit is one member, and the int64 columns
+        # that unrank its support outweigh its words, so they count in
+        # the chunk too.  A full sweep stays below two chunks' words of
+        # the table's width, where one whole level would not
+        field = make_field(q)
+        itemsize = _lanes(field, m).dtype.itemsize
+        A = np.random.default_rng(q + n).integers(0, q, size=(m, n)).astype(np.int16)
+        targets = pack_measurements(field, np.zeros(m, dtype=np.int16))
+        bound = 2 * model._CHUNK_WORDS * itemsize
+        assert math.comb(n, k) * ((q - 1) ** k * itemsize + 8 * (k + 4)) > bound
+        sweep = lambda: [mask.sum() for _, level in measure_levels(field, A, k, targets)
+                         for _, mask in level]
+        sweep()  # field tables outside the measurement
+        tracemalloc.start()
+        try:
+            hits = sum(sweep())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits >= 1  # the zero member
+        assert peak < bound, (peak, bound)
+
+    def test_full_decode_scan_memory_is_bounded_by_the_chunk(self):
+        # n = 12, k = 3, q = 13, m = 7: |L| = 382,411 members of one word
+        # each, 3.1 MB as packed words; a chunk spans at most
+        # _CHUNK_WORDS words, and its mask, partial sums and their lane
+        # sums stay within two bytes per word
+        field = make_field(13)
+        rng = np.random.default_rng(13)
+        A = rng.integers(0, 13, size=(7, 12)).astype(np.int16)
+        y = rng.integers(0, 13, size=7).astype(np.int16)
+        bound = 2 * model._CHUNK_WORDS
+        assert signal_set_size(12, 3, 13).total * 8 > bound
+        ffcs.decode_l0(field, A, y, k_max=3)  # field tables outside the measurement
+        tracemalloc.start()
+        try:
+            res = ffcs.decode_l0(field, A, y, k_max=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.min_sparsity is None  # every level was scanned
         assert peak < bound, (peak, bound)
 
     def test_candidate_matrix_counts_and_weights(self):

@@ -18,7 +18,7 @@ from ffcs import (
     run_trials,
     sample_trials,
 )
-from ffcs import montecarlo
+from ffcs import model, montecarlo
 from ffcs.model import level_starts, measure_candidates, signal_set_size
 from ffcs.montecarlo import _SeedWords, _child_seed_words, _error_flags, _sample_trials
 
@@ -66,10 +66,9 @@ def test_golden_counts(config, counts):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_levels_are_contiguous_and_nonempty(q):
-    # _error_flags counts per level with np.add.reduceat over
-    # level_starts, which is wrong on an empty slice; every level 0..k
-    # must be a nonempty run of rows of candidate_matrix, in order,
-    # starting where level_starts says
+    # _error_flags reads each signal's level and rank in it from
+    # level_starts; every level 0..k must be a nonempty run of rows of
+    # candidate_matrix, in order, starting where level_starts says
     for n in range(1, 9):
         for k in range(n + 1):
             _, weights = candidate_matrix(n, k, q)
@@ -80,6 +79,28 @@ def test_levels_are_contiguous_and_nonempty(q):
             starts = level_starts(n, k, q)
             assert starts.tolist() == [0] + np.cumsum(per_level)[:-1].tolist()
             assert weights[starts].tolist() == list(range(k + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_flag_blocks_sweep_each_level_in_one_chunk(monkeypatch, q):
+    # a full block at n = 10, k = 2, m = 6 keeps t m |L| <= 2^20, so each
+    # level of its sweep fits in one chunk of model._CHUNK_WORDS words
+    params = ModelParams(n=10, k=2, m=6, q=q, gamma=dense_gamma(q))
+    n_cand = signal_set_size(params.n, params.k, q).total
+    _, mats, idx = next(montecarlo._trial_blocks(params, 10**6, 0, n_cand))
+    assert len(mats) == montecarlo._BLOCK_ELEMS // (params.m * max(n_cand, q * params.n))
+    levels = model._ColumnTable.levels
+    chunks_per_level = []
+
+    def counted(self, k_max, targets):
+        for w, chunks in levels(self, k_max, targets):
+            chunks = list(chunks)
+            chunks_per_level.append(len(chunks))
+            yield w, iter(chunks)
+
+    monkeypatch.setattr(model._ColumnTable, "levels", counted)
+    _error_flags(make_field(q), mats, idx, level_starts(params.n, params.k, q))
+    assert chunks_per_level == [1, 1, 1]
 
 
 def test_run_trials_memory_stays_below_the_candidate_matrix():
