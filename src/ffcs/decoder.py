@@ -10,13 +10,11 @@ a confusable candidate, not the luck of a tie-break.
 This is the ground-truth oracle for the probabilistic machinery, so the
 feasibility check is a direct measurement comparison with no elimination
 shortcuts: every candidate is compared in full.  model.measure_levels,
-the level-sweep kernel the Monte Carlo flags share, compares each level
-with y in chunks: the outer sums of a support's first w - 1 scaled
-columns against y - v * A_j for its last column j, all m rows packed
-into a word or a few.  A candidate is feasible where every word
-matches, and only the feasible candidates are unranked into vectors
-(model.level_members).  measure_candidates measures x itself in
-error_events.
+the level-sweep kernel the Monte Carlo flags share, yields each level's
+feasible ranks in canonical order, a level at a time, so the decoder
+stops at the first level that has any.  Only the feasible candidates
+are unranked into vectors (model.level_members).  measure_candidates
+measures x itself in error_events.
 """
 
 from __future__ import annotations
@@ -77,19 +75,17 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     Raises EnumerationCapExceeded if |L| at k_max is above
     model.ENUMERATION_CAP (10^8 candidates).
     """
-    rows = np.asarray(matrix)
-    y = np.asarray(y, dtype=np.int16)
+    rows, y = np.asarray(matrix), np.asarray(y)
     if rows.ndim != 2 or y.shape != rows.shape[:1]:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q)
     _check_entries(field.q, rows)
-    if y.size and (y.min() < 0 or y.max() >= field.q):
-        # no candidate measures outside GF(q); such entries would not pack
+    if not np.isin(y, np.arange(field.q)).all():
+        # every candidate measures integers in 0..q-1; y is screened as
+        # given, since a cast to int16 would wrap or truncate it into them
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
-    targets = pack_measurements(field, y)
-    for k, chunks in measure_levels(field, rows, k_max, targets):
-        ranks = np.concatenate([start + mask[:, 0].nonzero()[0] for start, mask in chunks])
+    for k, ranks in measure_levels(field, rows, k_max, pack_measurements(field, y)):
         if ranks.size:
             feasible = level_members(n, k, field.q, ranks)
             feasible.setflags(write=False)
@@ -117,15 +113,10 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     n = rows.shape[1]
     check_enumeration_cap(n, k_max, field.q)
 
-    e_error = False
-    for k, chunks in measure_levels(field, rows, k1, pack_measurements(field, y)):
-        for start, mask in chunks:
-            ranks = start + mask[:, 0].nonzero()[0]
-            if ranks.size and (level_members(n, k, field.q, ranks) != xe).any():
-                e_error = True
-                break
-        if e_error:
-            break
+    e_error = any(
+        ranks.size and (level_members(n, k, field.q, ranks) != xe).any()
+        for k, ranks in measure_levels(field, rows, k1, pack_measurements(field, y))
+    )
 
     result = decode_l0(field, rows, y, k_max)
     e0_error = not (

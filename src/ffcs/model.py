@@ -9,8 +9,9 @@ plain int16 arrays, the trials that ``ffcs simulate`` measures.
 
 Measurement: y = A x over GF(q).  measure_levels, the one fast kernel,
 sweeps L level by level for the exhaustive decoder and the Monte Carlo
-flags, and says which members measure a target y: every weight-w
-support carries the same (q-1)^w value tuples, so a chunk of supports
+flags, and yields per level its hits, the members that measure a
+target y.  Its chunks stay private: every weight-w support carries
+the same (q-1)^w value tuples, so a chunk of supports
 sums its first w - 1 columns as outer sums of the scaled columns
 v * A[:, j], in canonical order, without building a candidate, and
 compares each partial sum with y - v * A_j for the last column j, a
@@ -328,15 +329,16 @@ def _outer_sum(lane_sum, acc: np.ndarray, term: np.ndarray, axis: int) -> np.nda
 
 
 def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int, targets):
-    """Yield (w, chunks) for w = 0..k_max: which weight-w members of L hit each target.
+    """Yield (w, hits) for w = 0..k_max: which weight-w members of L hit each target.
 
     ``mats`` is one (m, n) matrix or a (..., m, n) stack of b of them,
     and ``targets`` holds one packed measurement per matrix, (..., count)
     words in pack_measurements' layout with entries in 0..q-1.
-    ``chunks`` yields (start, mask) for the level's members at canonical
-    ranks start..start+c-1, covering the level in order: ``mask`` is a
-    (c, b) bool array, true where the matrix measures the member as its
-    target.  Every member is compared in full; see _ColumnTable.
+    ``hits`` is the sorted int64 array of the flat indices r * b + i
+    where matrix i measures the member at canonical rank r of level w
+    as its target; for one matrix, the ranks.  Every member is compared
+    in full (see _ColumnTable).  The targets are checked at the call,
+    and a level is swept only when reached, so a caller may stop early.
     """
     return _ColumnTable(field, mats).levels(k_max, targets)
 
@@ -413,7 +415,7 @@ class _ColumnTable:
         return out
 
     def levels(self, k_max: int, targets):
-        """measure_levels' stream of (w, chunks) over this table."""
+        """measure_levels' stream of (w, hits) over this table."""
         count = self.lanes.count
         targets = np.asarray(targets)
         if targets.shape != self.stack + (count,):
@@ -427,10 +429,15 @@ class _ColumnTable:
         neg = self.field.neg_table[1:] - 1
         words = (1, 1, -1) if self.axis == 1 else (-1, 1, 1)
         goal = self.lane_sum(targets.reshape(words), self.table.take(neg, axis=self.axis))
-        return ((w, self._chunks(goal, targets, w)) for w in range(k_max + 1))
+        b = len(targets) // count
+        return (
+            (w, np.concatenate([start * b + np.flatnonzero(mask)
+                                for start, mask in self._chunks(goal, targets, w)]))
+            for w in range(k_max + 1)
+        )
 
     def _chunks(self, goal: np.ndarray, targets: np.ndarray, w: int):
-        """The chunks of level w: the table's partial sums compared with goal."""
+        """Level w in order as (start, mask): mask[r, i] is whether matrix i meets goal at rank start + r."""
         table, axis, count = self.table, self.axis, self.lanes.count
         n, v, size = table.shape[axis - 1], table.shape[axis], len(targets)
         b = size // count

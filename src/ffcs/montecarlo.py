@@ -29,8 +29,8 @@ keys past 2**32 and seeds past the pool's 4 words.
 
 Trials are drawn, measured and flagged in blocks of t trials, t sized
 so that t x m x max(|L|, q n) is at most _BLOCK_ELEMS.  That bounds the
-block's (t x m x n) draws and, with room to spare, its (t x |L|) masks,
-so memory depends on the configuration, not on the trial count.
+block's (t x m x n) draws and, with room to spare, its sweep's t x |L|
+comparisons, so memory depends on the configuration, not on the trials.
 _trial_blocks is the one stream of those blocks; run_trials hands each
 measured block to its on_block callback, through which `ffcs simulate
 --dump` writes the trials it measured.
@@ -42,10 +42,10 @@ packed into one word (or a few, beyond 64 bits), and lays the trials'
 words innermost whenever they outnumber the q - 1 values.  A trial's
 target is its signal's measurement, summed from the sweep's own table
 of scaled columns at the signal's unranked support and values, and
-the sweep yields a (|L|, t) feasibility mask, never t x m x |L|
-values.  The sweep enumerates L sparsity-major, a level at a time
-(mostly in one chunk; see _trial_blocks), so the flags follow from each
-level's count of feasible candidates, and a signal is just its rank:
+the sweep yields each level's feasible (candidate, trial) pairs, never
+t x m x |L| values.  The sweep enumerates L sparsity-major, a level at
+a time, so the flags follow from each level's count of feasible
+candidates per trial, and a signal is just its rank:
 candidate_matrix builds L as rows only for sample_trials and
 run_trials' on_block, which read the signals.  The flags are the
 predicates of decoder.error_events, and the test suite pins the two
@@ -213,12 +213,9 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
 
     A window of t trials keeps t x m x width at most _BLOCK_ELEMS, width
     the larger of the candidate count and q n.  That bounds the window's
-    (t, m, n) draws and, with room to spare, its (|L|, t) feasibility
-    masks and the (q - 1, t, m, n) scaled entries that pack into the
-    words of its matrices.  A trial packs its m rows into at most m
-    words, so a level's members times the block's words mostly fit one
-    chunk of model._CHUNK_WORDS words, and the sweep takes each level
-    whole (at n = 10, k = 2, every level of a full block).
+    (t, m, n) draws and, with room to spare, its sweep's |L| x t
+    comparisons and the (q - 1, t, m, n) scaled entries that pack into
+    the words of its matrices.
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))
@@ -250,12 +247,11 @@ def _error_flags(
     One level sweep (model.measure_levels' kernel) compares all of L,
     by every matrix of the block, with the trial's own measurement,
     packed into words: the signal is unranked and its scaled columns
-    read from the sweep's own table and summed.  The sweep yields a
-    (members, t) feasibility mask per chunk, and its sum over a level's
-    chunks counts the feasible candidates of that level (``offsets``,
-    from model.level_starts, says where each level starts).  With k1
-    the signal's level and j the first level holding a feasible
-    candidate (j <= k1, since the signal itself is feasible):
+    read from the sweep's own table and summed.  Its hits r * t + i,
+    counted by trial i, are each level's feasible candidates
+    (``offsets``, from model.level_starts, says where each level
+    starts).  With k1 the signal's level and j the first level holding
+    a feasible candidate (j <= k1, since the signal itself is feasible):
       e  : j < k1, or at least two feasible candidates at level k1;
       e0 : j < k1, or at least two feasible candidates at level j.
     """
@@ -265,9 +261,8 @@ def _error_flags(
     columns = _ColumnTable(field, mats)
     signal = columns.member_words(k1, idx - offsets[k1])
     counts = np.zeros((t, len(offsets)), dtype=np.int64)
-    for w, chunks in columns.levels(len(offsets) - 1, signal):
-        for _, mask in chunks:
-            counts[:, w] += mask.sum(axis=0, dtype=np.int32)  # bool to int32 sums fastest
+    for w, hits in columns.levels(len(offsets) - 1, signal):
+        counts[:, w] = np.bincount(hits % t, minlength=t)
     first = (counts > 0).argmax(axis=1)
     lighter = first < k1
     e_flags = lighter | (counts[trial, k1] >= 2)

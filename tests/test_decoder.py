@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,47 @@ def test_measurements_outside_the_field_are_infeasible():
     for y in ([32, 0, 0], [-1, 0, 0], [0, 0, 13]):
         res = decode_l0(f, A, np.array(y, dtype=np.int16), k_max=1)
         assert res.status == DecodeStatus.INFEASIBLE and res.solutions == []
+
+
+def test_error_events_peaks_no_higher_than_the_decoder():
+    # n = 12, k = 3 over GF(16), m = 7: both scan every level, and the
+    # e scan holds no more than one level's ranks and members, which the
+    # decoder holds too; 16 KiB is room for x, y and the flags.  A scan
+    # whose last chunk outlives it, into the decoder call, peaks 0.75 MB
+    # higher
+    f = make_field(16)
+    rng = np.random.default_rng(16)
+    A = rng.integers(0, 16, size=(7, 12)).astype(np.int16)
+    x = np.zeros(12, dtype=np.int16)
+    x[[2, 5, 9]] = rng.integers(1, 16, size=3)
+    y = matvec(f, A, x)
+    peaks = []
+    for run in (lambda: decode_l0(f, A, y, k_max=3), lambda: error_events(f, A, x, k_max=3)):
+        run()  # field tables outside the measurement
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert decode_l0(f, A, y, k_max=3).min_sparsity == 3
+    assert peaks[1] <= peaks[0] + 16 * 1024, peaks
+
+
+def test_measurements_are_screened_as_given():
+    # an int16 cast would wrap 65537 and -65535 to 1 and truncate 1.5
+    # to 1, each then decoding as y = [1, 2], which three weight-2
+    # candidates measure; integer-valued floats are measurements
+    f = make_field(5)
+    A = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int16)
+    res = decode_l0(f, A, np.array([1, 2]), k_max=2)
+    assert res.status == DecodeStatus.AMBIGUOUS and len(res.solutions) == 3
+    floats = decode_l0(f, A, np.array([1.0, 2.0]), k_max=2)
+    assert floats.min_sparsity == res.min_sparsity and floats.status == res.status
+    assert [s.tolist() for s in floats.solutions] == [s.tolist() for s in res.solutions]
+    for y in ([65537, 2], [-65535, 2], [1.5, 2.0]):
+        res = decode_l0(f, A, np.array(y), k_max=2)
+        assert res.status == DecodeStatus.INFEASIBLE and res.solutions == [], y
 
 
 @pytest.mark.parametrize("y", [[0, 1, 0], [32, 0, 0]])

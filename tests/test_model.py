@@ -34,16 +34,41 @@ from ffcs.model import measure_levels, pack_measurements, unpack_measurements
 CHI2_999 = {2: 13.816, 3: 16.266, 18: 42.312}
 
 
+# every (q, n, k) whose masks the sweep tests below check
+HIT_CASES = [
+    (3, 4, 0), (3, 4, 4), (2, 6, 3), (5, 1, 1), (32, 4, 3),  # reference order
+    (2, 6, 4), (3, 5, 4), (5, 4, 3), (7, 4, 3), (13, 3, 3), (16, 3, 3), (251, 2, 2),  # fold
+    (16, 4, 3), (251, 3, 2), (3, 4, 3), (2, 4, 3),  # lane and word boundaries
+    (3, 5, 1), (13, 5, 1), (251, 5, 1), (4, 5, 1), (16, 5, 1), (256, 5, 1),  # levels 0 and 1
+    (3, 5, 3), (2, 7, 4),  # chunk sizes
+]
+
+
+def spy_chunks(on_chunk):
+    """Patch the sweep's private _ColumnTable._chunks to hand each chunk to on_chunk(w, start, mask)."""
+    chunks = model._ColumnTable._chunks
+
+    def spied(self, goal, targets, w):
+        for start, mask in chunks(self, goal, targets, w):
+            on_chunk(w, start, mask)
+            yield start, mask
+
+    return mock.patch.object(model._ColumnTable, "_chunks", spied)
+
+
 def swept_masks(field, mats, targets, k_max, want=None):
     """measure_levels' masks, concatenated over chunks and levels, as (|L|, b).
 
-    Checks on the way that each level's chunks cover it in order and
-    that a chunk of more than one member spans at most _CHUNK_WORDS
-    words.  Given want (|L|, b, m), the reference measurements, it also
-    checks every lane of every member, whatever the targets: a chunk's
-    one comparison (match_words) sets each member's partial sum against
-    its goal y - v * A_j, so the partial sum plus y minus the goal must
-    be the member's measurement.
+    The masks are the sweep's private chunks, read by a spy on
+    _ColumnTable._chunks.  Checks on the way that each level's chunks
+    cover it in order, that a chunk of more than one member spans at
+    most _CHUNK_WORDS words, and that the hits measure_levels yields for
+    the level are the flat indices of its masks' true entries.  Given
+    want (|L|, b, m), the reference measurements, it also checks every
+    lane of every member, whatever the targets: a chunk's one comparison
+    (match_words) sets each member's partial sum against its goal
+    y - v * A_j, so the partial sum plus y minus the goal must be the
+    member's measurement.
     """
     m = mats.shape[-2]
     count = _lanes(field, m).count
@@ -51,35 +76,60 @@ def swept_masks(field, mats, targets, k_max, want=None):
     ys = unpack_measurements(field, targets.reshape(b, count), m)
     # the sweep lays the words innermost where they outnumber the q - 1 values
     innermost = b * count > field.q - 1
-    operands = []
+    operands, level, masks = [], [], []
 
     def spy(have, goal):
         operands.append(np.broadcast_arrays(have, goal))
         return match_words(have, goal)
 
-    masks, offset = [], 0
-    with mock.patch.object(model, "match_words", spy):
-        for _, level in measure_levels(field, mats, k_max, targets):
-            covered = 0
-            for start, mask in level:
-                assert start == covered and mask.dtype == bool
-                assert mask.shape == (len(mask), b)
-                assert len(mask) * targets.size <= max(model._CHUNK_WORDS, targets.size)
-                ((have, goal),) = operands
-                operands.clear()
-                if want is not None:
-                    # the operands as (members, b, count) words, then lanes
-                    if innermost:
-                        have, goal = (a.reshape(-1, b, count) for a in (have, goal))
-                    else:
-                        have, goal = (a.reshape(b, -1, count).swapaxes(0, 1) for a in (have, goal))
-                    have, goal = (unpack_measurements(field, a, m) for a in (have, goal))
-                    implied = field.add_table[have, field.add_table[ys, field.neg_table[goal]]]
-                    assert np.array_equal(implied, want[offset : offset + len(mask)])
-                covered += len(mask)
-                offset += len(mask)
-                masks.append(mask)
+    def on_chunk(w, start, mask):
+        nonlocal offset
+        assert start == offset - level_start and mask.dtype == bool
+        assert mask.shape == (len(mask), b)
+        assert len(mask) * targets.size <= max(model._CHUNK_WORDS, targets.size)
+        ((have, goal),) = operands
+        operands.clear()
+        if want is not None:
+            # the operands as (members, b, count) words, then lanes
+            if innermost:
+                have, goal = (a.reshape(-1, b, count) for a in (have, goal))
+            else:
+                have, goal = (a.reshape(b, -1, count).swapaxes(0, 1) for a in (have, goal))
+            have, goal = (unpack_measurements(field, a, m) for a in (have, goal))
+            implied = field.add_table[have, field.add_table[ys, field.neg_table[goal]]]
+            assert np.array_equal(implied, want[offset : offset + len(mask)])
+        offset += len(mask)
+        level.append(mask)
+
+    offset = level_start = 0  # members swept, and those of the finished levels
+    with mock.patch.object(model, "match_words", spy), spy_chunks(on_chunk):
+        for _, hits in measure_levels(field, mats, k_max, targets):
+            assert hits.dtype == np.int64
+            assert np.array_equal(hits, np.flatnonzero(np.concatenate(level)))
+            masks += level
+            level.clear()
+            level_start = offset
     return np.concatenate(masks)
+
+
+def sweep_hits(field, mats, k_max, targets):
+    """measure_levels' hits per level, checked against the flat indices of its spied chunk masks.
+
+    Returns the hits and the (w, members) of every chunk; no mask is
+    kept, so the sweep's memory is measured as it runs.
+    """
+    b = np.asarray(targets).size // _lanes(field, mats.shape[-2]).count
+    spied, chunks = [[] for _ in range(k_max + 1)], []
+
+    def on_chunk(w, start, mask):
+        spied[w].append(start * b + np.flatnonzero(mask))
+        chunks.append((w, len(mask)))
+
+    with spy_chunks(on_chunk):
+        levels = [hits for _, hits in measure_levels(field, mats, k_max, targets)]
+    for hits, want in zip(levels, spied):
+        assert np.array_equal(hits, np.concatenate(want))
+    return levels, chunks
 
 
 def unattained(q, want, rng):
@@ -467,12 +517,9 @@ class TestEnumeration:
         want_1 = measure_candidates(field, A, singles).T
         for stack in (ys, ys[:1]):
             mats = np.broadcast_to(A, (len(stack), m, n))
-            levels = [
-                np.concatenate([mask for _, mask in chunks])
-                for _, chunks in measure_levels(field, mats, 1, pack_measurements(field, stack))
-            ]
-            assert levels[0].tolist() == [(stack == 0).all(axis=1).tolist()]
-            assert np.array_equal(levels[1], (want_1[:, None] == stack).all(axis=2))
+            masks = swept_masks(field, mats, pack_measurements(field, stack), 1)
+            assert masks[:1].tolist() == [(stack == 0).all(axis=1).tolist()]
+            assert np.array_equal(masks[1:], (want_1[:, None] == stack).all(axis=2))
         hits = swept_masks(field, A, pack_measurements(field, ys[1]), 1)[:, 0].nonzero()[0]
         assert 1 + (j * (q - 1) + v - 1) in hits.tolist()
         zero_columns = int((A == 0).all(axis=0).sum())
@@ -496,6 +543,48 @@ class TestEnumeration:
             assert np.array_equal(swept_masks(field, mats, pack_measurements(field, ys), k), want)
             got = swept_masks(field, A, pack_measurements(field, ys[0]), k)
             assert np.array_equal(got, want[:, :1])
+
+    @pytest.mark.parametrize("q,n,k", HIT_CASES)
+    def test_level_hits_match_brute_reference(self, monkeypatch, q, n, k):
+        # whatever the route, each level's hits are the sorted r * b + i
+        # of the (member, matrix) pairs that the definition of A x finds
+        # feasible over enumerate_signals: for one matrix (value axis
+        # innermost) and a stack of q (words innermost), each matrix's
+        # target a member's measurement, the first's one no member
+        # attains where there is one.  Chunks of 1, 7 and 64 words hold
+        # about one member each, at about 0.1 ms a chunk, so the four
+        # sets of over 5,000 members, 2-22 s a sweep that way, run at
+        # the default only
+        field = make_field(q)
+        X = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
+        sizes = signal_set_size(n, k, q).per_sparsity
+        starts = np.cumsum((0,) + sizes)
+        rng = np.random.default_rng(q * 1000 + n * 10 + k)
+        m = 1 if q > 2 else 2
+        chunks = (model._CHUNK_WORDS,) + ((1, 7, 64) if len(X) <= 5000 else ())
+        for b in (1, q):
+            mats = rng.integers(0, q, size=(b, m, n)).astype(np.int16)
+            measured = [measure_candidates(field, a, X).T for a in mats]
+            ys = np.stack([y[i] for y, i in zip(measured, rng.integers(0, len(X), size=b))])
+            missing = unattained(q, measured[0], rng)
+            if len(missing):
+                ys[0] = missing[0]
+            want = [[] for _ in sizes]
+            for i, (y_i, target) in enumerate(zip(measured, ys)):
+                rank = np.flatnonzero((y_i == target).all(axis=1))
+                level = np.searchsorted(starts, rank, side="right") - 1
+                for w in range(k + 1):
+                    want[w].append((rank[level == w] - starts[w]) * b + i)
+            want = [np.sort(np.concatenate(hits)) for hits in want]
+            if b == 1:
+                mats, ys = mats[0], ys[0]
+            for chunk in chunks:
+                monkeypatch.setattr(model, "_CHUNK_WORDS", chunk)
+                got = measure_levels(field, mats, k, pack_measurements(field, ys))
+                for (w, hits), size, ref in zip(got, sizes, want, strict=True):
+                    assert hits.dtype == np.int64 and (np.diff(hits) > 0).all()
+                    assert ((0 <= hits) & (hits < size * b)).all()
+                    assert np.array_equal(hits, ref), (b, chunk, w)
 
     def test_targets_must_be_one_packed_measurement_per_matrix(self):
         field = make_field(13)
@@ -528,13 +617,13 @@ class TestEnumeration:
         assert math.comb(n, k) * (q - 1) ** k * m * 2 > 4 * bound
         tracemalloc.start()
         try:
-            members, hits, split = 0, 0, 0
-            for w, level in measure_levels(field, A, k, targets):
-                for _, mask in level:
-                    members, hits, split = members + len(mask), hits + int(mask.sum()), split + (w == k)
+            levels, chunks = sweep_hits(field, A, k, targets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        members = sum(size for _, size in chunks)
+        hits = sum(map(len, levels))
+        split = sum(w == k for w, _ in chunks)
         assert members == signal_set_size(n, k, q).total and hits >= 1
         assert split >= (q - 1) // 2  # level 3's one support takes a chunk per two leading values
         assert peak < bound, (peak, bound)
@@ -553,12 +642,10 @@ class TestEnumeration:
         targets = pack_measurements(field, np.zeros(m, dtype=np.int16))
         bound = 2 * model._CHUNK_WORDS * itemsize
         assert math.comb(n, k) * ((q - 1) ** k * itemsize + 8 * (k + 4)) > bound
-        sweep = lambda: [mask.sum() for _, level in measure_levels(field, A, k, targets)
-                         for _, mask in level]
-        sweep()  # field tables outside the measurement
+        sweep_hits(field, A, k, targets)  # field tables outside the measurement
         tracemalloc.start()
         try:
-            hits = sum(sweep())
+            hits = sum(map(len, sweep_hits(field, A, k, targets)[0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -89,18 +89,27 @@ def test_flag_blocks_sweep_each_level_in_one_chunk(monkeypatch, q):
     n_cand = signal_set_size(params.n, params.k, q).total
     _, mats, idx = next(montecarlo._trial_blocks(params, 10**6, 0, n_cand))
     assert len(mats) == montecarlo._BLOCK_ELEMS // (params.m * max(n_cand, q * params.n))
-    levels = model._ColumnTable.levels
-    chunks_per_level = []
+    # spy on the sweep's private chunks and on the hits it yields from them
+    levels, chunks = model._ColumnTable.levels, model._ColumnTable._chunks
+    spied, yielded = [], []
 
-    def counted(self, k_max, targets):
-        for w, chunks in levels(self, k_max, targets):
-            chunks = list(chunks)
-            chunks_per_level.append(len(chunks))
-            yield w, iter(chunks)
+    def spied_chunks(self, goal, targets, w):
+        spied.append(list(chunks(self, goal, targets, w)))
+        yield from spied[-1]
 
-    monkeypatch.setattr(model._ColumnTable, "levels", counted)
+    def spied_levels(self, k_max, targets):
+        for w, hits in levels(self, k_max, targets):
+            yielded.append(hits)
+            yield w, hits
+
+    monkeypatch.setattr(model._ColumnTable, "_chunks", spied_chunks)
+    monkeypatch.setattr(model._ColumnTable, "levels", spied_levels)
     _error_flags(make_field(q), mats, idx, level_starts(params.n, params.k, q))
-    assert chunks_per_level == [1, 1, 1]
+    assert [len(level) for level in spied] == [1, 1, 1]
+    for level, hits in zip(spied, yielded, strict=True):
+        ((start, mask),) = level
+        assert start == 0 and mask.shape[1] == len(mats)
+        assert np.array_equal(hits, np.flatnonzero(mask))
 
 
 def test_run_trials_memory_stays_below_the_candidate_matrix():
