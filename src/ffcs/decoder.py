@@ -13,8 +13,8 @@ shortcuts: every candidate is compared in full.  model.measure_levels,
 the level-sweep kernel the Monte Carlo flags share, yields each level's
 feasible ranks in canonical order, a level at a time, so the decoder
 stops at the first level that has any.  Only the feasible candidates
-are unranked into vectors (model.level_members).  measure_candidates
-measures x itself in error_events.
+are unranked into vectors (model.level_members).  error_events reads
+both of its flags off the decoder's one sweep on y = A x.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class ErrorEvents:
     so its output differs from x exactly when some x' != x of weight
     <= weight(x) is feasible: one lighter than x makes it stop at a
     level below x's, one of x's weight makes a tie at x's level.  Both
-    flags stay, computed by separate routes, as a cross-check.
+    flags stay, as two predicates on the decoder's one sweep.
     """
 
     e0_error: bool
@@ -78,16 +78,20 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     rows, y = np.asarray(matrix), np.asarray(y)
     if rows.ndim != 2 or y.shape != rows.shape[:1]:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
-    n = rows.shape[1]
-    check_enumeration_cap(n, k_max, field.q)
+    check_enumeration_cap(rows.shape[1], k_max, field.q)
     _check_entries(field.q, rows)
     if not np.isin(y, np.arange(field.q)).all():
         # every candidate measures integers in 0..q-1; y is screened as
         # given, since a cast to int16 would wrap or truncate it into them
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
+    return _first_feasible(field, rows, k_max, y)
+
+
+def _first_feasible(field: FiniteField, rows: np.ndarray, k_max: int, y) -> DecodeResult:
+    """decode_l0's sweep: the first level <= k_max that measures y, its members read-only."""
     for k, ranks in measure_levels(field, rows, k_max, pack_measurements(field, y)):
         if ranks.size:
-            feasible = level_members(n, k, field.q, ranks)
+            feasible = level_members(rows.shape[1], k, field.q, ranks)
             feasible.setflags(write=False)
             status = DecodeStatus.UNIQUE if len(feasible) == 1 else DecodeStatus.AMBIGUOUS
             return DecodeResult(min_sparsity=k, solutions=list(feasible), status=status)
@@ -97,10 +101,10 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
 def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     """Evaluate both error events for a known signal x.
 
-    The two flags are computed through separate routes: e_error by a
-    direct existence scan over candidates no heavier than x, e0_error by
-    running the decoder on y = A x.  Their agreement is a checked
-    property, not an assumption.  x must weigh at most k_max, and |L|
+    Both flags are read off decode_l0's sweep on y = A x, which stops
+    by weight(x) since x is feasible: e0_error if its first feasible
+    level holds anything but x alone, e_error if it holds any x' != x,
+    lighter than x or tied with it.  x must weigh at most k_max, and |L|
     at k_max must not be above model.ENUMERATION_CAP (10^8 candidates).
     """
     rows, xe = np.asarray(matrix), np.asarray(x)
@@ -110,17 +114,11 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     if k1 > k_max:
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
     y = measure_candidates(field, rows, xe[None, :])[:, 0]
-    n = rows.shape[1]
-    check_enumeration_cap(n, k_max, field.q)
-
-    e_error = any(
-        ranks.size and (level_members(n, k, field.q, ranks) != xe).any()
-        for k, ranks in measure_levels(field, rows, k1, pack_measurements(field, y))
-    )
-
-    result = decode_l0(field, rows, y, k_max)
+    check_enumeration_cap(rows.shape[1], k_max, field.q)
+    result = _first_feasible(field, rows, k1, y)
     e0_error = not (
         result.status == DecodeStatus.UNIQUE
         and np.array_equal(result.solutions[0], xe)
     )
+    e_error = any(not np.array_equal(s, xe) for s in result.solutions)
     return ErrorEvents(e0_error=e0_error, e_error=e_error)

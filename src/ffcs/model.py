@@ -121,8 +121,11 @@ def matvec(field: FiniteField, matrix, signal) -> np.ndarray:
 
 
 def _check_entries(q: int, *arrays) -> None:
-    """Raise ValueError unless every entry is in 0..q-1; others index the field tables wrongly."""
+    """Raise ValueError unless every entry is an integer in 0..q-1, an index of the field tables."""
     for arr in arrays:
+        if arr.dtype.kind in "bfc":
+            # 1.0 and True pass the range test, then fail or mask as indices
+            raise ValueError(f"{arr.dtype} entries are not elements of GF({q})")
         if arr.size and (arr.min() < 0 or arr.max() >= q):
             raise ValueError(f"entries outside GF({q})")
 

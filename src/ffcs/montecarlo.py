@@ -47,9 +47,10 @@ t x m x |L| values.  The sweep enumerates L sparsity-major, a level at
 a time, so the flags follow from each level's count of feasible
 candidates per trial, and a signal is just its rank:
 candidate_matrix builds L as rows only for sample_trials and
-run_trials' on_block, which read the signals.  The flags are the
-predicates of decoder.error_events, and the test suite pins the two
-routes against each other, trial by trial, on sampled instances.
+run_trials' on_block, which read the signals.  The flags are the two
+predicates decoder.error_events reads off the decoder's sweep, here
+read off each level's counts, and the test suite pins the two against
+each other, trial by trial, on sampled instances.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffcs import model
+from ffcs import decoder, model
 from ffcs import (
     DecodeStatus,
     DimensionMismatch,
@@ -31,6 +31,18 @@ def brute_decode(field, A, y, k_max):
             best_k = k
             sols.append(cand)
     return best_k, sols
+
+
+def brute_events(field, A, x):
+    """Reference (e0, e) flags: brute_decode's output against x, and a scan of L up to weight(x)."""
+    y, k1 = matvec(field, A, x), int(np.count_nonzero(x))
+    _, sols = brute_decode(field, A, y, k1)
+    e0 = not (len(sols) == 1 and np.array_equal(sols[0], x))
+    e = any(
+        not np.array_equal(cand, x) and np.array_equal(matvec(field, A, cand), y)
+        for cand in enumerate_signals(A.shape[1], k1, field.q)
+    )
+    return e0, e
 
 
 def test_zero_measurement_gives_zero_signal():
@@ -102,11 +114,19 @@ def test_zero_signal_never_confusable():
         assert not ev.e_error
 
 
-@pytest.mark.parametrize("q,n,k,m", [(2, 6, 2, 3), (3, 5, 2, 3), (4, 4, 2, 2)])
+RANDOM_GRID = [(2, 6, 2, 3), (3, 5, 2, 3), (4, 4, 2, 2)]
+
+
+def random_instances(q, n, k, m):
+    """20 dense (A, x) trials of the model at (n, k, m, q)."""
+    params = ModelParams(n=n, k=k, m=m, q=q, gamma=dense_gamma(q))
+    return zip(*sample_trials(params, 20, seed=q * 100 + n))
+
+
+@pytest.mark.parametrize("q,n,k,m", RANDOM_GRID)
 def test_matches_brute_reference_on_random_instances(q, n, k, m):
     f = make_field(q)
-    params = ModelParams(n=n, k=k, m=m, q=q, gamma=dense_gamma(q))
-    for A, x in zip(*sample_trials(params, 20, seed=q * 100 + n)):
+    for A, x in random_instances(q, n, k, m):
         y = matvec(f, A, x)
         res = decode_l0(f, A, y, k_max=k)
         ref_k, ref_sols = brute_decode(f, A, y, k)
@@ -224,16 +244,12 @@ def test_split_levels_match_brute_reference(monkeypatch):
     assert statuses == {(3, DecodeStatus.UNIQUE), (2, DecodeStatus.AMBIGUOUS)}
 
 
-@pytest.mark.parametrize("q,n,k,m", [(13, 4, 2, 3), (13, 4, 2, 14), (251, 3, 1, 2), (251, 3, 1, 8)])
-def test_matches_brute_reference_at_larger_prime_fields(q, n, k, m):
-    # lanes of 5 bits at q = 13 and 9 at q = 251, so m = 14 and m = 8
-    # take two words; every matrix's rows span at most two dimensions,
-    # so ties happen at any m, and a random y is mostly infeasible.  The
-    # first half of the rows, the first word, span at most one, so the
-    # second word must be matched too
-    f = make_field(q)
+PRIME_GRID = [(13, 4, 2, 3), (13, 4, 2, 14), (251, 3, 1, 2), (251, 3, 1, 8)]
+
+
+def prime_field_instances(q, n, k, m):
+    """10 (A, x, random y) over GF(q) whose matrices are rank <= 2, the first half of the rows rank <= 1."""
     rng = np.random.default_rng(q * 100 + m)
-    statuses = set()
     for _ in range(10):
         basis = rng.integers(0, q, size=(rng.integers(1, 3), n))
         mix = rng.integers(0, q, size=(m, len(basis)))
@@ -242,7 +258,20 @@ def test_matches_brute_reference_at_larger_prime_fields(q, n, k, m):
         x = np.zeros(n, dtype=np.int16)
         w = rng.integers(0, k + 1)
         x[rng.choice(n, size=w, replace=False)] = rng.integers(1, q, size=w)
-        for y in (matvec(f, A, x), rng.integers(0, q, size=m).astype(np.int16)):
+        yield A, x, rng.integers(0, q, size=m).astype(np.int16)
+
+
+@pytest.mark.parametrize("q,n,k,m", PRIME_GRID)
+def test_matches_brute_reference_at_larger_prime_fields(q, n, k, m):
+    # lanes of 5 bits at q = 13 and 9 at q = 251, so m = 14 and m = 8
+    # take two words; every matrix's rows span at most two dimensions,
+    # so ties happen at any m, and a random y is mostly infeasible.  The
+    # first half of the rows, the first word, span at most one, so the
+    # second word must be matched too
+    f = make_field(q)
+    statuses = set()
+    for A, x, y_random in prime_field_instances(q, n, k, m):
+        for y in (matvec(f, A, x), y_random):
             res = decode_l0(f, A, y, k_max=k)
             ref_k, ref_sols = brute_decode(f, A, y, k)
             assert res.min_sparsity == ref_k
@@ -264,11 +293,9 @@ def test_measurements_outside_the_field_are_infeasible():
 
 
 def test_error_events_peaks_no_higher_than_the_decoder():
-    # n = 12, k = 3 over GF(16), m = 7: both scan every level, and the
-    # e scan holds no more than one level's ranks and members, which the
-    # decoder holds too; 16 KiB is room for x, y and the flags.  A scan
-    # whose last chunk outlives it, into the decoder call, peaks 0.75 MB
-    # higher
+    # n = 12, k = 3 over GF(16), m = 7: both sweep every level once,
+    # and error_events holds the decoder's sweep and result and, beside
+    # them, only x, y and the flags, for which 16 KiB is room
     f = make_field(16)
     rng = np.random.default_rng(16)
     A = rng.integers(0, 16, size=(7, 12)).astype(np.int16)
@@ -311,3 +338,66 @@ def test_matrix_outside_the_field_raises_whatever_the_measurements(y):
     A[0, 3] = 13
     with pytest.raises(ValueError, match="outside GF"):
         decode_l0(f, A, np.array(y, dtype=np.int16), k_max=1)
+
+
+@pytest.mark.parametrize("q,n,k,m", RANDOM_GRID)
+def test_error_events_match_brute_flags_on_random_instances(q, n, k, m):
+    f = make_field(q)
+    flags = set()
+    for A, x in random_instances(q, n, k, m):
+        ev = error_events(f, A, x, k_max=k)
+        assert (ev.e0_error, ev.e_error) == brute_events(f, A, x), (A, x)
+        flags.add(ev.e_error)
+    assert flags == {False, True}
+
+
+@pytest.mark.parametrize("q,n,k,m", PRIME_GRID)
+def test_error_events_match_brute_flags_at_larger_prime_fields(q, n, k, m):
+    f = make_field(q)
+    flags = set()
+    for A, x, _ in prime_field_instances(q, n, k, m):
+        ev = error_events(f, A, x, k_max=k)
+        assert (ev.e0_error, ev.e_error) == brute_events(f, A, x), (A, x)
+        flags.add(ev.e_error)
+    assert flags == {False, True}
+
+
+def test_error_events_match_brute_flags_on_tied_instance():
+    f = make_field(2)
+    A = np.array([[1, 1]], dtype=np.int16)
+    x = np.array([1, 0], dtype=np.int16)
+    ev = error_events(f, A, x, k_max=1)
+    assert (ev.e0_error, ev.e_error) == brute_events(f, A, x) == (True, True)
+
+
+@pytest.mark.parametrize("weight", [0, 1, 2])
+def test_error_events_sweep_once_up_to_the_weight_of_x(monkeypatch, weight):
+    # k_max = 3 is above every weight(x) here, so a sweep to k_max shows
+    calls, sweep = [], decoder.measure_levels
+
+    def spy(field, mats, k_max, targets):
+        calls.append(k_max)
+        return sweep(field, mats, k_max, targets)
+
+    monkeypatch.setattr(decoder, "measure_levels", spy)
+    f = make_field(3)
+    A = np.array([[1, 2, 0, 1], [0, 1, 1, 2]], dtype=np.int16)
+    x = np.zeros(4, dtype=np.int16)
+    x[:weight] = 2
+    error_events(f, A, x, k_max=3)
+    assert calls == [weight]
+
+
+@pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [True, False, False]], ids=["float", "bool"])
+def test_error_events_reject_a_non_integer_signal(x):
+    # an in-range float or bool x raised IndexError in the table gather
+    A = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int16)
+    with pytest.raises(ValueError, match="GF"):
+        error_events(make_field(5), A, np.array(x), 2)
+
+
+def test_decode_rejects_a_float_matrix():
+    # in-range float entries reached np.take in the column table and raised TypeError
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="GF"):
+        decode_l0(make_field(5), A, np.array([1, 2], dtype=np.int16), k_max=2)

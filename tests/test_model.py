@@ -343,6 +343,15 @@ class TestMatvec:
         with pytest.raises(ValueError):
             matvec(f, A, np.array([1, 0, 0], dtype=np.int16))
 
+    @pytest.mark.parametrize("x", [[1.0, 0.0, 2.0], [True, False, True], [1 + 0j, 0j, 2 + 0j]],
+                             ids=["float", "bool", "complex"])
+    def test_non_integer_signal_rejected(self, x):
+        # every entry is in range, so only the dtype keeps a float out of
+        # the table gather, where it raised IndexError
+        A = np.ones((2, 3), dtype=np.int16)
+        with pytest.raises(ValueError, match="GF"):
+            matvec(make_field(3), A, np.array(x))
+
     @pytest.mark.parametrize("q", [2, 3, 4, 8])
     def test_linearity_over_random_instances(self, q):
         f = make_field(q)
