@@ -52,11 +52,21 @@ maps these terms onto the t >= b terms of AllPairs grouped by b, so
 both variants share T_h.  The tail sums over b come out as P because
 sum_{b >= i} C(u, b) r^(u-b) = P_u(u - i).  Every term is positive, so
 log-sum-exp is stable, and with the P rows tabulated each h costs O(h).
-The distances are evaluated a chunk at a time: _PROFILE_ELEMS // (K + 1)
-of them share one array of S rows and one array of terms j = 0..h
+
+Only the S column a term reads depends on K, so the rest is kept across
+profile misses.  Per field order q, _BinomialPowerPrefix keeps the P
+triangle and a triangle of term weights, log C(h, j) plus the log P
+that term j of distance h reads.  Per (n, q), _BinomialRowPrefix keeps
+log j! up to n and the rows S_{n-h}, which a larger K lengthens from
+each row's last value.  One q and one (n, q) are kept at a time, as a
+curve sweeps K for one q before the next.  A profile miss gathers
+weights and S: the distances are evaluated a chunk at a time,
+_PROFILE_ELEMS // (K + 1) of them sharing one array of terms j = 0..h
 (T_h's b, then U_h's u), so most numpy calls are made once per chunk
 rather than once per distance, and a chunk's arrays hold about
-2 * _PROFILE_ELEMS entries whatever K is.
+2 * _PROFILE_ELEMS entries whatever K is.  The tables grow a block of
+about _PROFILE_ELEMS entries at a time; at n = 1000, K = 500 they hold
+4.0 MB of P, 4.0 MB of weights and 2.0 MB of S rows.
 """
 
 from __future__ import annotations
@@ -87,7 +97,8 @@ ORACLE_PAIR_CAP = 10**8
 _ORACLE_BLOCK = 1 << 20
 
 # a chunk of profile distances has _PROFILE_ELEMS // (K + 1) rows of at
-# most 2K + 1 terms, so its memory does not grow with K
+# most 2K + 1 terms, so its memory does not grow with K; the profile
+# tables grow by blocks of rows of about as many entries
 _PROFILE_ELEMS = 1 << 13
 
 
@@ -306,26 +317,41 @@ def _tri(v):
     return v * (v + 1) // 2
 
 
+def _grown(flat: np.ndarray, size: int) -> np.ndarray:
+    """A copy of flat with room for size entries; a buffer handed out
+    earlier keeps its values."""
+    grown = np.empty(size)
+    grown[: flat.size] = flat
+    return grown
+
+
 class _BinomialPowerPrefix:
-    """log P_v(i) for v = 0, 1, ... and i = 0..v, for one field order q.
+    """log P_v(i) for v = 0, 1, ... and i = 0..v, for one field order q,
+    and the term weights of each distance that read them.
 
     Row v depends on q alone, so rows are kept across profile misses and
     a larger K only appends rows.  The rows form a flat triangle: row v
-    starts at offset v(v + 1) / 2.
+    starts at offset v(v + 1) / 2.  weights is a second triangle: entry
+    j of row h is log C(h, j) plus the log P that term j of distance h
+    reads, P_{h-j}(h - 2j) for T_h's b = j <= h / 2 and P_j(2j - h - 1)
+    for U_h's u = j above it.  It is the K-free part of every term.
     """
 
     def __init__(self, q: int):
         self.q = q
         self.rows = 0
         self.flat = np.empty(0)
+        self.weights = np.empty(0)
 
     def upto(self, vmax: int) -> np.ndarray:
-        """The triangle, grown to hold at least rows 0..vmax."""
+        """The P triangle, both triangles grown to hold at least rows 0..vmax."""
         if vmax < self.rows:
-            return self.flat
-        grown = np.empty(_tri(vmax + 1))
-        grown[: self.flat.size] = self.flat
-        self.flat = grown
+            return self.flat[: _tri(self.rows)]
+        if _tri(vmax + 1) > self.flat.size:
+            # room for twice the rows, so a rising K copies the triangles
+            # only a few times; untouched room costs no resident memory
+            size = _tri(max(vmax + 1, 2 * self.rows))
+            self.flat, self.weights = _grown(self.flat, size), _grown(self.weights, size)
         lfact = log_factorials(vmax)
         # log r^c with r = q - 2; for q = 2 only r^0 = 1 survives (no 0 * -inf)
         if self.q > 2:
@@ -333,12 +359,20 @@ class _BinomialPowerPrefix:
         else:
             log_rpow = np.full(vmax + 1, NEG_INF)
             log_rpow[0] = 0.0
-        for v in range(self.rows, vmax + 1):
-            c = np.arange(v + 1)
-            row = lfact[v] - lfact[c] - lfact[v - c] + log_rpow[c]
-            np.logaddexp.accumulate(row, out=self.flat[_tri(v) : _tri(v + 1)])
+        # a block of rows at a time; a row's columns past c = v are cut off
+        step = max(1, _PROFILE_ELEMS // (vmax + 1))
+        for v0 in range(self.rows, vmax + 1, step):
+            v = np.arange(v0, min(v0 + step, vmax + 1))[:, None]
+            c = np.arange(v[-1, 0] + 1)
+            inside = c <= v
+            block = slice(_tri(v0), _tri(v[-1, 0] + 1))
+            log_cv = lfact[v] - lfact[c] - lfact[np.maximum(v - c, 0)]  # log C(v, c)
+            self.flat[block] = np.logaddexp.accumulate(log_cv + log_rpow[c], axis=1)[inside]
+            # these rows of P are in place, and the terms of distance v read rows <= v
+            p_at = np.where(c <= v // 2, _tri(v - c) + v - 2 * c, _tri(c) + 2 * c - v - 1)
+            self.weights[block] = (log_cv + self.flat[np.where(inside, p_at, 0)])[inside]
         self.rows = vmax + 1
-        return self.flat
+        return self.flat[: _tri(self.rows)]
 
 
 # one field order at a time: a curve sweeps K for one q before the next
@@ -347,44 +381,101 @@ def _binomial_power_prefix(q: int) -> _BinomialPowerPrefix:
     return _BinomialPowerPrefix(q)
 
 
+class _BinomialRowPrefix:
+    """log S_{n-h}(A) for distances h = 1..min(2K, n) and A = 0..K - ceil(h/2),
+    the most any term of distance h reads, for one (n, q).
+
+    Row h starts at starts[h - 1] with a column 0 of -inf that stands for
+    A < 0, where the cap leaves no term, and column A + 1 holds
+    log S_{n-h}(A); past a = n - h the terms are -inf, so the prefix stays
+    flat where its binomial row ends.  A larger K lengthens every row by
+    the same number of columns and appends rows, a block of rows at a
+    time.  Each row goes on accumulating from its last stored value,
+    which gives the bits of one accumulate over the whole row.
+    """
+
+    def __init__(self, n: int, q: int):
+        self.n = n
+        self.lfact = log_factorials(n)
+        self.logq1 = math.log(q - 1)
+        self.k = 0
+        self.flat = np.empty(0)
+        self.starts = np.zeros(1, dtype=np.int64)
+
+    def upto(self, k_max: int) -> "_BinomialRowPrefix":
+        """The rows, grown to serve every K up to at least k_max."""
+        if k_max <= self.k:
+            return self
+        hs = np.arange(1, min(2 * k_max, self.n) + 1)
+        starts = np.zeros(hs.size + 1, dtype=np.int64)
+        np.cumsum(k_max + 2 - (hs + 1) // 2, out=starts[1:])
+        grown = np.empty(starts[-1])
+        old = self.starts.size - 1
+        # each row accumulates on from its last stored column; a new row from column 0
+        col = np.where(hs <= old, self.k + 1 - (hs + 1) // 2, 0)
+        grown[starts[old:-1]] = NEG_INF
+        step = max(1, _PROFILE_ELEMS // (k_max + 2))
+        for lo, hi in ((0, old), (old, hs.size)):
+            for r0 in range(lo, hi, step):
+                r = slice(r0, min(r0 + step, hi))
+                if r0 < old:
+                    was = self.starts[r0 : r.stop + 1]
+                    shift = np.repeat(starts[r] - was[:-1], np.diff(was))
+                    grown[np.arange(was[0], was[-1]) + shift] = self.flat[was[0] : was[-1]]
+                self._accumulate(grown, starts[r] + col[r], hs[r], col[r], k_max)
+        self.flat, self.starts, self.k = grown, starts, k_max
+        return self
+
+    def _accumulate(self, grown, at, hs, col, k_max):
+        """Extend the rows hs from their column col, stored at grown[at],
+        through their last column, A = k_max - ceil(h/2).  The first row
+        gains the most columns."""
+        top = k_max - (hs + 1) // 2
+        a = col[:, None] + np.arange(top[0] - col[0] + 1)
+        R = self.n - hs[:, None]
+        terms = np.empty((hs.size, a.shape[1] + 1))
+        terms[:, 0] = grown[at]
+        row = self.lfact[R] - self.lfact[a] - self.lfact[np.maximum(R - a, 0)] + a * self.logq1
+        row[a > R] = NEG_INF
+        terms[:, 1:] = row
+        sums = np.logaddexp.accumulate(terms, axis=1)[:, 1:]
+        keep = a <= top[:, None]
+        grown[(at[:, None] + 1 + np.arange(a.shape[1]))[keep]] = sums[keep]
+
+
+# one (n, q) at a time, like the P rows: a curve sweeps K for one q before the next
+@lru_cache(maxsize=1)
+def _binomial_row_prefix(n: int, q: int) -> _BinomialRowPrefix:
+    return _BinomialRowPrefix(n, q)
+
+
 @lru_cache(maxsize=64)
 def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarray:
-    hmax = 2 * k_max
-    lfact = log_factorials(max(n, hmax))
-    logq1 = math.log(q - 1)
-    P = _binomial_power_prefix(q).upto(hmax)  # log P_v(i) at _tri(v) + i
-    out = np.full(hmax + 1, NEG_INF)
-    hlast = min(hmax, n)
+    hlast = min(2 * k_max, n)
+    table = _binomial_power_prefix(q)
+    table.upto(hlast)
+    W = table.weights  # log C(h, j) + log P at _tri(h) + j
+    rows = _binomial_row_prefix(n, q).upto(k_max)
+    lfact, S, starts = rows.lfact, rows.flat, rows.starts
+    out = np.full(2 * k_max + 1, NEG_INF)
     step = max(1, _PROFILE_ELEMS // (k_max + 1))
     for h0 in range(1, hlast + 1, step):
         hs = np.arange(h0, min(h0 + step, hlast + 1))
-        h, R = hs[:, None], n - hs[:, None]  # one row per distance
-        # S[:, 1 + A] = log S_R(A) for A = 0..K - ceil(h0 / 2), the most any
-        # term of the chunk reads, and column 0 stands for A < 0, where the
-        # cap leaves no term; past a = R the terms are -inf, so each prefix
-        # stays flat where its row ends
-        a = np.arange(k_max - (h0 + 1) // 2 + 1)
-        row = lfact[R] - lfact[a] - lfact[np.maximum(R - a, 0)] + a * logq1
-        row[a > R] = NEG_INF
-        S = np.empty((hs.size, a.size + 1))
-        S[:, 0] = NEG_INF
-        np.logaddexp.accumulate(row, axis=1, out=S[:, 1:])
-        # term j of distance h: T_h's b = j up to h // 2, U_h's u = j above it
+        h = hs[:, None]  # one row per distance
+        # term j of distance h: T_h's b = j up to h // 2, U_h's u = j above
+        # it; both read S_{n-h}(K - max(h - j, j)), at column 0 where A < 0
         j = np.arange(hs[-1] + 1)
-        in_t = j <= h // 2
         last = h if variant is PairVariant.ALL_PAIRS else h // 2
         keep = j <= last
-        A = np.where(in_t, k_max - h + j, k_max - j)
-        p_at = np.where(in_t, _tri(h - j) + h - 2 * j, _tri(j) + 2 * j - h - 1)
-        log_ch = lfact[h] - lfact[j] - lfact[np.maximum(h - j, 0)]  # log C(h, j)
-        terms = log_ch + P[np.where(keep, p_at, 0)] + S[np.arange(hs.size)[:, None], np.maximum(A + 1, 0)]
+        col = np.maximum(k_max + 1 - np.maximum(h - j, j), 0)
+        terms = W[_tri(h) + np.minimum(j, last)] + S[starts[hs - 1][:, None] + col]
         terms[~keep] = NEG_INF
         # b = h // 2 keeps A >= 0, so top is finite; each row sums only its
         # own terms, in the order of a 1-D sum, so every bit is kept
         top = terms.max(axis=1)
         e = np.exp(terms - top[:, None])
         lse = top + np.array([math.log(e[i, : w + 1].sum()) for i, w in enumerate(last[:, 0])])
-        out[hs] = lse + lfact[n] - lfact[hs] - lfact[n - hs] + hs * logq1
+        out[hs] = lse + lfact[n] - lfact[hs] - lfact[n - hs] + hs * rows.logq1
     out.setflags(write=False)
     return out
 
@@ -397,8 +488,10 @@ def nh_log_profile(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarr
     integers are astronomically large.  Distances are taken in chunks of
     max(1, _PROFILE_ELEMS // (K + 1)); each row of a chunk sums its own
     terms in the order of a 1-D sum, so the result does not depend on
-    the chunking.  Agrees with nh_count to ~1e-15 relative wherever both
-    run.  The returned array is cached and read-only.
+    the chunking, nor on the K asked for before: the kept tables hold
+    K-free terms and prefix sums accumulated in one order.  Agrees with
+    nh_count to ~1e-15 relative wherever both run.  The returned array
+    is cached and read-only.
     """
     _check_signal_set(n, k_max, q)
     return _nh_log_profile_cached(n, k_max, q, PairVariant(variant))

@@ -17,6 +17,7 @@ import argparse
 import io
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -252,6 +253,9 @@ def _dump_writer(params: ModelParams, seed: int, dump_dir: Path):
 # parser ----------------------------------------------------------------------
 
 
+# built once per process: parsing leaves no state in it, and each handler
+# reads the module's globals (run_trials, ...) when it runs, not when bound
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ffcs", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ffcs {__version__}")

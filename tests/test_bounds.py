@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,12 @@ def reference_log_profile(n, k_max, q, variant):
         lse = top + math.log(np.exp(terms - top).sum())
         out[h] = lse + lfact[n] - lfact[h] - lfact[R] + h * logq1
     return out
+
+
+def clear_profile_tables():
+    """Drop the cached profiles and the tables their builds keep."""
+    for cache in (bounds._nh_log_profile_cached, bounds._binomial_power_prefix, bounds._binomial_row_prefix):
+        cache.cache_clear()
 
 
 class TestRowNullity:
@@ -215,9 +222,48 @@ class TestPairCounts:
                 want = reference_log_profile(n, k, q, variant)
                 assert np.array_equal(nh_log_profile(n, k, q, variant), want), (n, k, variant)
 
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_log_profile_is_bit_identical_in_any_k_order(self, order):
+        # cold tables, then each (n, q) runs three K at a time in the given
+        # order before the next takes over: the per-q triangles outlive a
+        # change of n, the per-(n, q) rows are rebuilt, and within a run
+        # the rows grow, or serve a smaller K from a larger one
+        ks = {(333, 3): [0, 1, 2, 29, 150, 296, 333], (1000, 4): [1, 28, 29, 150, 296, 500],
+              (333, 4): [1, 30, 296, 297, 333], (1000, 2): [3, 100, 101, 400]}
+        want = {(n, k, q, v): reference_log_profile(n, k, q, v)
+                for (n, q), kl in ks.items() for k in kl for v in (ALL, RESTRICTED)}
+        runs = {}
+        for (n, q), kl in ks.items():
+            kl = sorted(kl, reverse=order == "descending")
+            if order == "shuffled":
+                random.Random(n * q).shuffle(kl)
+            runs[n, q] = [kl[i : i + 3] for i in range(0, len(kl), 3)]
+        clear_profile_tables()
+        for i in range(max(map(len, runs.values()))):
+            for (n, q), run in runs.items():
+                for k in run[i] if i < len(run) else []:
+                    for v in (ALL, RESTRICTED):
+                        assert np.array_equal(nh_log_profile(n, k, q, v), want[n, k, q, v]), (n, k, q, v)
+
+    def test_cold_log_profile_memory(self):
+        # at n = 1000, K = 500 the tables retain P and the term weights, two
+        # 1001-row triangles of 4.0 MB each, and 2.0 MB of staircase S rows;
+        # they grow a block of rows at a time, with no whole-table temporary
+        clear_profile_tables()
+        tracemalloc.start()
+        try:
+            nh_log_profile(1000, 500, 4, ALL)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 12 << 20, retained
+        assert peak <= 14 << 20, peak
+
     def test_log_profile_memory_is_bounded_by_configuration(self):
-        # one (2K x (K + 1)) float64 array at K = 500 would take 4.0 MB alone
+        # one (2K x (K + 1)) float64 array at K = 500 would take 4.0 MB alone;
+        # the tables a build reads are warmed first, as a curve leaves them
         _binomial_power_prefix(4).upto(1000)
+        bounds._binomial_row_prefix(1000, 4).upto(500)
         bounds._nh_log_profile_cached.cache_clear()
         tracemalloc.start()
         try:

@@ -402,6 +402,42 @@ class TestUsage:
         assert exc.value.code == 0
 
 
+def run_fresh(*argv):
+    """main(argv) as the first call of a new process: (exit code, stdout, stderr)."""
+    code = "import sys; from ffcs.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join(filter(None, [str(Path(ffcs.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+CURVE_ARGS = ("curve", "--n", "20", "--grid", "0.1,0.2")
+
+
+class TestParserReuse:
+    # the parser is built once per process, so a call must leave nothing
+    # in it for the next: each call answers as it would in a new process
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ((*CURVE_ARGS, "--q", "2", "--q", "4"), (*CURVE_ARGS, "--q", "4")),
+            (("bound", "--frobnicate", "1"), ("bound", "--n", "12", "--k", "3", "--m", "6", "--q", "4")),
+            (("simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4", "--trials", "3"), (*CURVE_ARGS, "--q", "2")),
+        ],
+        ids=["curve-then-fewer-q", "usage-error-then-bound", "simulate-then-curve"],
+    )
+    def test_a_call_leaves_no_state_for_the_next(self, capsys, first, second):
+        assert run_cli(capsys, *first) == run_fresh(*first)
+        assert run_cli(capsys, *second) == run_fresh(*second)
+
+    def test_repeated_q_resets_between_calls(self, capsys):
+        run_cli(capsys, *CURVE_ARGS, "--q", "2", "--q", "4")
+        code, out, _ = run_cli(capsys, *CURVE_ARGS, "--q", "4")
+        rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")][1:]
+        assert code == 0 and rows and all(row.startswith("4,") for row in rows)
+        assert "# q: [4]\n" in out
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone
     code = "import ffcs, ffcs.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
