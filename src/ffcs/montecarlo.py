@@ -27,6 +27,20 @@ and _SeedWords hands each row to PCG64, so no SeedSequence object is
 built per trial.  The tests pin the rows to numpy's own spawn, for spawn
 keys past 2**32 and seeds past the pool's 4 words.
 
+Draws are read raw, not through a Generator per trial.  Each trial's
+PCG64 emits, in one random_raw call, the D words its draws consume, and
+numpy's Generator maps are applied to a block of such rows at once:
+random() is (word >> 11) * 2**-53, so the zero mask is one integer
+comparison of the words; integers(1, q, dtype=int16) is Lemire's
+multiply-shift of 16-bit halves of the following uint32 halves, low
+first; integers(0, |L|) is Lemire's map of the next uint32.  A Lemire
+step that would reject makes numpy draw again and shifts every later
+draw, so such a trial is drawn again, whole, through Generator on its
+seed words: about 0.4 % of trials reject a value at q = 7 and m n = 60,
+and about 2 % reject the rank near |L| = 10^8.  The tests pin the raw
+path to numpy's own spawn and default_rng, rejections included, and
+guard the maps themselves against a numpy that changes them.
+
 Trials are drawn, measured and flagged in blocks of t trials, t sized
 so that t x m x max(|L|, q n) is at most _BLOCK_ELEMS.  That bounds the
 block's (t x m x n) draws and, with room to spare, its sweep's t x |L|
@@ -55,6 +69,7 @@ each other, trial by trial, on sampled instances.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -68,6 +83,10 @@ from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
 _BLOCK_ELEMS = 1 << 20
+# _sample_trials maps at most this many raw PCG64 words (or one trial's)
+# to draws at a time, so the words and their copies take less memory
+# than a block's float64 uniforms would
+_RAW_WORDS = 1 << 13
 
 # numpy.random.SeedSequence's hash constants (uint32 words)
 _M32 = 0xFFFFFFFF
@@ -183,30 +202,115 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _raw_width(params: ModelParams, n_candidates: int) -> int:
+    """Raw PCG64 words one trial's draws consume when no Lemire step rejects.
+
+    One word per uniform; over GF(q > 2) one uint32 per two int16
+    values, two uint32 per word; and one uint32 for the signal rank
+    when |L| > 1, which is the buffered high half of the last value
+    word when the values took an odd number of uint32, else the low
+    half of a word of its own.
+    """
+    cells = params.m * params.n
+    halves = (cells + 1) // 2 if params.q > 2 else 0
+    fresh_rank_word = n_candidates > 1 and halves % 2 == 0
+    return cells + (halves + 1) // 2 + fresh_rank_word
+
+
+def _from_raw(
+    params: ModelParams, n_candidates: int, raw: np.ndarray, mats: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Map a (t, D) block of raw words to matrices and ranks as numpy's Generator would.
+
+    Writes the (t, m, n) matrices into ``mats`` and the signal ranks
+    into ``idx``, and returns the trials whose Lemire step would have
+    rejected, where numpy draws again and every later draw moves: those
+    rows of mats and idx are not the trial's and must be redrawn.
+    """
+    t, cells, q = len(raw), params.m * params.n, params.q
+    if q > 2**15 or n_candidates > 2**32:
+        # int16 has no room for the values (the Generator raises), or
+        # the rank is a 64-bit Lemire draw: all left to the Generator
+        return np.ones(t, dtype=bool)
+    out = mats.reshape(t, cells)
+    redraw = np.zeros(t, dtype=bool)
+    # Generator.random: (word >> 11) * 2**-53, exact, so the entry is
+    # nonzero where word >> 11 < ceil(gamma 2**53), gamma in (0, 1]
+    nonzero = raw[:, :cells] <= np.uint64((math.ceil(params.gamma * 2**53) << 11) - 1)
+    halves = 0
+    if q > 2:
+        # integers(1, q, dtype=int16): 1 + (u16 (q - 1) >> 16), u16 the
+        # low then high 16 bits of each uint32, the uint32 the low then
+        # high half of each word (the order of a little-endian view);
+        # rejects where the low 16 bits of the product fall below
+        # 2**16 mod (q - 1)
+        halves = (cells + 1) // 2
+        words = raw[:, cells : cells + (halves + 1) // 2]
+        u16 = words.astype("<u8", copy=False).view("<u2")[:, :cells]
+        scaled = np.multiply(u16, np.uint32(q - 1), dtype=np.uint32)
+        reject = scaled.astype(np.uint16) < 2**16 % (q - 1)
+        if reject.any():
+            redraw |= reject.any(axis=1)
+        scaled >>= np.uint32(16)
+        np.add(scaled, 1, out=out, casting="unsafe")
+        out *= nonzero
+    else:
+        out[...] = nonzero
+    if n_candidates > 1:
+        # integers(0, |L|): u32 |L| >> 32, rejecting where the low 32
+        # bits fall below 2**32 mod |L|
+        if halves % 2:
+            u32 = raw[:, cells + halves // 2] >> np.uint64(32)
+        else:
+            u32 = raw[:, -1] & np.uint64(_M32)
+        scaled = u32 * np.uint64(n_candidates)
+        np.right_shift(scaled, np.uint64(32), out=idx, casting="unsafe")
+        redraw |= (scaled & np.uint64(_M32)) < np.uint64(2**32 % n_candidates)
+    else:
+        idx[:] = 0
+    return redraw
+
+
+def _generator_draws(params: ModelParams, words: np.ndarray, n_candidates: int):
+    """One trial's matrix and signal rank through numpy's Generator on its seed words."""
+    shape = (params.m, params.n)
+    rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    zero = rng.random(shape) >= params.gamma
+    values = rng.integers(1, params.q, size=shape, dtype=np.int16) if params.q > 2 else 1
+    return np.where(zero, 0, values), rng.integers(0, n_candidates)
+
+
 def _sample_trials(
     params: ModelParams, stop: int, seed: int, n_candidates: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the matrices and signal indices of trials start..stop-1.
 
     Each trial draws from its own child stream, so a window holds the
-    same draws whatever the windows around it.  Over GF(2) the value
-    draw, integers(1, 2), is the constant 1 and consumes no bits of the
-    stream, so it is not made: the values start as ones and the draw
-    order of the remaining calls is unchanged.
+    same draws whatever the windows around it.  A trial's stream is read
+    as raw words, D = _raw_width of them in one random_raw call, into a
+    row of a block of at most _RAW_WORDS words; _from_raw then applies
+    numpy's own Generator maps to the whole block.  A trial whose value
+    or rank draw would reject in numpy's Lemire step is drawn again,
+    whole, through Generator on its seed words; where 2**16 mod (q - 1)
+    and 2**32 mod |L| are 0 (q = 3 or 5, |L| a power of two) none can.
+    Over GF(2) the value draw, integers(1, 2), is the constant 1 and
+    consumes no bits of the stream, so it is not made: every nonzero
+    entry is 1 and the rank reads the word after the uniforms.
     """
-    shape = (params.m, params.n)
     words = _child_seed_words(seed, start, stop)
-    uniforms = np.empty((len(words),) + shape)
-    values = np.ones((len(words),) + shape, dtype=np.int16)
+    mats = np.empty((len(words), params.m, params.n), dtype=np.int16)
     idx = np.empty(len(words), dtype=np.int64)
-    for i, w in enumerate(words):
-        rng = np.random.Generator(np.random.PCG64(_SeedWords(w)))
-        rng.random(shape, out=uniforms[i])
-        if params.q > 2:
-            values[i] = rng.integers(1, params.q, size=shape, dtype=np.int16)
-        idx[i] = rng.integers(0, n_candidates)
-    values[uniforms >= params.gamma] = 0
-    return values, idx
+    width = _raw_width(params, n_candidates)
+    step = max(1, _RAW_WORDS // width)
+    for lo in range(0, len(words), step):
+        rows = words[lo : lo + step]
+        raw = np.empty((len(rows), width), dtype=np.uint64)
+        for i, w in enumerate(rows):
+            raw[i] = np.random.PCG64(_SeedWords(w)).random_raw(width)
+        redraw = _from_raw(params, n_candidates, raw, mats[lo : lo + step], idx[lo : lo + step])
+        for i in np.flatnonzero(redraw):
+            mats[lo + i], idx[lo + i] = _generator_draws(params, rows[i], n_candidates)
+    return mats, idx
 
 
 def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int):

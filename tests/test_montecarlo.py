@@ -289,6 +289,16 @@ def _per_trial_draws(params, trials, seed, n_candidates):
     return mats, idx
 
 
+def _assert_windows_match_oracle(params, seed, n_cand):
+    mats, idx = _per_trial_draws(params, 50, seed, n_cand)
+    got = _sample_trials(params, 50, seed, n_cand)
+    assert np.array_equal(got[0], mats) and np.array_equal(got[1], idx)
+    for start, stop in [(0, 1), (7, 23), (23, 50), (49, 50)]:
+        w_mats, w_idx = _sample_trials(params, stop, seed, n_cand, start)
+        assert np.array_equal(w_mats, mats[start:stop])
+        assert np.array_equal(w_idx, idx[start:stop])
+
+
 class TestSeedContract:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**64 - 1, 2**96, 2**128, 2**130 + 7])
     def test_child_words_match_spawn(self, seed):
@@ -335,13 +345,7 @@ class TestSeedContract:
     def _check_windows(q, gamma, m):
         params = ModelParams(n=5, k=2, m=m, q=q, gamma=gamma)
         n_cand = candidate_matrix(params.n, params.k, params.q)[0].shape[0]
-        mats, idx = _per_trial_draws(params, 50, 4242, n_cand)
-        got = _sample_trials(params, 50, 4242, n_cand)
-        assert np.array_equal(got[0], mats) and np.array_equal(got[1], idx)
-        for start, stop in [(0, 1), (7, 23), (23, 50), (49, 50)]:
-            w_mats, w_idx = _sample_trials(params, stop, 4242, n_cand, start)
-            assert np.array_equal(w_mats, mats[start:stop])
-            assert np.array_equal(w_idx, idx[start:stop])
+        _assert_windows_match_oracle(params, 4242, n_cand)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (6, 10), (12, 24)])
@@ -382,3 +386,129 @@ def test_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# (m, n) with m n odd and even, and with the int16 value draw taking an
+# odd and an even number of uint32s: with an odd number the signal rank
+# reads the buffered high half of the last value word
+RAW_SHAPES = [(3, 3), (3, 5), (2, 5), (3, 4)]
+
+
+def _spy_redraws(monkeypatch):
+    """Record the seed words of every trial _sample_trials redraws through Generator."""
+    redrawn = []
+    draws = montecarlo._generator_draws
+
+    def spy(params, words, n_candidates):
+        redrawn.append(words.copy())
+        return draws(params, words, n_candidates)
+
+    monkeypatch.setattr(montecarlo, "_generator_draws", spy)
+    return redrawn
+
+
+class TestRawDraws:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**130 + 7])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 251, 256])
+    def test_sampler_matches_generator_oracle(self, q, sparse, seed):
+        # k = 0 leaves one candidate and draws no rank; n_candidates = 2
+        # is what equal_weight_nullity_test passes
+        gamma = 0.3 if sparse else dense_gamma(q)
+        for m, n in RAW_SHAPES:
+            for k in (0, 2):
+                params = ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)
+                _assert_windows_match_oracle(params, seed, signal_set_size(n, k, q).total)
+            _assert_windows_match_oracle(params, seed, 2)
+
+    def test_value_rejections_are_redrawn(self, monkeypatch):
+        # 2**16 mod 6 = 4 of the 2**16 products reject at q = 7, so at
+        # m n = 60 about 0.4 % of trials reject a value; two candidates
+        # make the rank draw exact
+        params = ModelParams(n=10, k=2, m=6, q=7, gamma=dense_gamma(7))
+        start, stop, seed = 500, 3500, 17
+        redrawn = _spy_redraws(monkeypatch)
+        mats, idx = _sample_trials(params, stop, seed, 2, start)
+        assert 0 < len(redrawn) < 0.01 * (stop - start)
+        expect_mats, expect_idx = _per_trial_draws(params, stop, seed, 2)
+        assert np.array_equal(mats, expect_mats[start:]) and np.array_equal(idx, expect_idx[start:])
+
+    @pytest.mark.parametrize("q,m,n", [(2, 6, 10), (3, 6, 10), (3, 3, 3)])
+    def test_rank_rejections_are_redrawn(self, monkeypatch, q, m, n):
+        # 2**32 mod 10**8 of the 2**32 products reject: 2.2 % of trials
+        params = ModelParams(n=n, k=2, m=m, q=q, gamma=0.4)
+        trials, seed, n_cand = 600, 29, 10**8
+        redrawn = _spy_redraws(monkeypatch)
+        mats, idx = _sample_trials(params, trials, seed, n_cand)
+        assert 0 < len(redrawn) < 0.05 * trials
+        expect_mats, expect_idx = _per_trial_draws(params, trials, seed, n_cand)
+        assert np.array_equal(mats, expect_mats) and np.array_equal(idx, expect_idx)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("n_cand", [1, 2, 2**20])
+    def test_nothing_rejects_where_both_thresholds_are_zero(self, monkeypatch, q, n_cand):
+        # 2**16 mod (q - 1) = 0 and 2**32 mod n_cand = 0
+        redrawn = _spy_redraws(monkeypatch)
+        for m, n in RAW_SHAPES + [(6, 10)]:
+            _sample_trials(ModelParams(n=n, k=2, m=m, q=q, gamma=0.5), 2000, 3, n_cand)
+        assert redrawn == []
+
+    def test_draws_past_the_raw_maps_go_to_the_generator(self, monkeypatch):
+        # a rank past 2**32 is numpy's 64-bit draw, and int16 values
+        # stop at q = 2**15, above which the Generator raises; at
+        # q = 2**16 + 1, 2**16 mod (q - 1) = 0, so no Lemire step rejects
+        params = ModelParams(n=4, k=1, m=3, q=4, gamma=0.5)
+        redrawn = _spy_redraws(monkeypatch)
+        mats, idx = _sample_trials(params, 20, 6, 2**40)
+        assert len(redrawn) == 20 and idx.max() >= 2**32
+        expect_mats, expect_idx = _per_trial_draws(params, 20, 6, 2**40)
+        assert np.array_equal(mats, expect_mats) and np.array_equal(idx, expect_idx)
+        with pytest.raises(ValueError):
+            _sample_trials(ModelParams(n=4, k=1, m=3, q=2**16 + 1, gamma=0.5), 5, 6, 9)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize(
+        "q,cells,n_cand", [(2, 60, 56), (3, 9, 51), (4, 60, 436), (7, 15, 10**8), (256, 10, 2)]
+    )
+    def test_generator_maps_raw_words_as_the_sampler_assumes(self, seed, q, cells, n_cand):
+        # the words a fresh PCG64 emits, mapped by hand: uniforms from
+        # whole words, int16 values from the 16-bit halves of the uint32
+        # halves of the next words, the rank from the next uint32
+        raw = [int(w) for w in np.random.PCG64(seed).random_raw(2 * cells + 2)]
+        halves = [h for w in raw[cells:] for h in (w & 0xFFFFFFFF, w >> 32)]
+        n_halves = (cells + 1) // 2 if q > 2 else 0
+        u16 = [h >> s & 0xFFFF for h in halves[:n_halves] for s in (0, 16)][:cells]
+        u32 = halves[n_halves]
+        expect_values = [1 + (u * (q - 1) >> 16) for u in u16] if q > 2 else [1] * cells
+        # seeds and sizes are chosen so that no Lemire step rejects
+        assert all(u * (q - 1) & 0xFFFF >= 2**16 % (q - 1) for u in u16)
+        assert u32 * n_cand & 0xFFFFFFFF >= 2**32 % n_cand
+        rng = np.random.default_rng(seed)
+        uniforms = rng.random(cells)
+        values = rng.integers(1, q, size=cells, dtype=np.int16)
+        rank = rng.integers(0, n_cand)
+        following = rng.bit_generator.random_raw()
+        holds = uniforms.tolist() == [(w >> 11) * 2.0**-53 for w in raw[:cells]]
+        holds &= values.tolist() == expect_values
+        holds &= rank == u32 * n_cand >> 32
+        holds &= following == raw[cells + (n_halves + 2) // 2]
+        assert holds, (
+            "numpy's Generator no longer maps PCG64's raw words as montecarlo._sample_trials "
+            "assumes (random, then integers as int16 and as a rank, by Lemire's method)"
+        )
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_block_peaks_below_the_generator_draw_arrays(self, q):
+        # drawing through Generator held a block's (t, m, n) float64
+        # uniforms, int16 values and zero mask at once: 11 bytes a cell
+        params = ModelParams(n=10, k=2, m=6, q=q, gamma=dense_gamma(q))
+        n_cand = signal_set_size(params.n, params.k, q).total
+        t = montecarlo._BLOCK_ELEMS // (params.m * max(n_cand, q * params.n))
+        _sample_trials(params, t, 0, n_cand)
+        tracemalloc.start()
+        try:
+            _sample_trials(params, t, 0, n_cand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= t * params.m * params.n * (8 + 2 + 1), peak
