@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -245,9 +246,44 @@ def _dump_writer(params: ModelParams, seed: int, dump_dir: Path):
                 "signal": signal_to_json(x, params.q, seed),
                 "y": y_i.astype(int).tolist(),
             }
-            (dump_dir / f"trial_{i:05d}.json").write_text(json.dumps(obj, indent=2) + "\n")
+            (dump_dir / f"trial_{i:05d}.json").write_text(_indented_json(obj) + "\n")
 
     return write_block
+
+
+def _indented_json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), fast for the dicts, int lists, floats and None of a dump.
+
+    json's C encoder does not indent, and its Python one was most of a
+    dump's time.  Here an int is str(), a finite float float.__repr__
+    and None null, as json writes them; a list of ints is joined at
+    once, and keys and any other scalar go through json.dumps.
+    """
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_json_key(k)}: {_indented_json(v, indent + '  ')}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if {*map(type, value)} == {int}:
+            items = list(map(str, value))
+        else:
+            items = [_indented_json(v, indent + "  ") for v in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
+_json_key = cache(json.dumps)
 
 
 # parser ----------------------------------------------------------------------

@@ -19,35 +19,51 @@ arrays the matrices and signals that run_trials(params, trials, seed)
 measures and `ffcs simulate --seed seed --dump` writes.
 
 Child seeds are computed, not spawned.  A child SeedSequence hashes the
-seed's words exactly as SeedSequence(seed) does, then mixes in the
-trial index as spawn-key words.  numpy builds the parent, validating the
-seed and computing its pool; _child_seed_words mixes the spawn keys of a
+seed's words exactly as SeedSequence(seed) does, then mixes in the trial
+index as spawn-key words.  numpy builds the parent, validating the seed
+and computing its pool; _child_seed_words mixes the spawn keys of a
 whole window of trial indices into that pool in numpy uint32 arithmetic,
-and _SeedWords hands each row to PCG64, so no SeedSequence object is
-built per trial.  The tests pin the rows to numpy's own spawn, for spawn
-keys past 2**32 and seeds past the pool's 4 words.
+so no SeedSequence object is built per trial; _SeedWords hands a row to
+numpy's own PCG64 where a trial is drawn through Generator.  The tests
+pin the rows to numpy's own spawn, for spawn keys past 2**32 and seeds
+past the pool's 4 words.
 
-Draws are read raw, not through a Generator per trial.  Each trial's
-PCG64 emits, in one random_raw call, the D words its draws consume, and
-numpy's Generator maps are applied to a block of such rows at once:
-random() is (word >> 11) * 2**-53, so the zero mask is one integer
-comparison of the words; integers(1, q, dtype=int16) is Lemire's
-multiply-shift of 16-bit halves of the following uint32 halves, low
-first; integers(0, |L|) is Lemire's map of the next uint32.  A Lemire
+Draws are read raw, not asked of a Generator per trial.  For small
+matrices, a group of trials is stepped as uint64 arrays, mapped word by
+word.  Each trial's PCG64 (O'Neill 2014; its 128-bit LCG and XSL-RR
+output are part of numpy's fixed bit stream, not a Generator algorithm)
+is one lane of _PCG64Lanes, seeded from its _child_seed_words row as
+numpy's pcg64_set_seed does, and each step is one multiply-add mod
+2**128 on (high, low) uint64 arrays for the whole group.  A step costs
+about 30 numpy calls however many lanes it steps, and a lane's word
+several times a word of numpy's own random_raw, so the lanes are the
+faster draw only for many trials of few words each; otherwise a trial
+builds its PCG64 and reads, in one random_raw call, the D words its
+draws consume (_as_lanes chooses; every byte is the same either way).
+The words are mapped by numpy's own Generator maps: random() is
+(word >> 11) * 2**-53, so the zero mask is one integer comparison of the
+words; integers(1, q, dtype=int16) is Lemire's multiply-shift of 16-bit
+halves of the following uint32 halves, low first; integers(0, |L|) is
+Lemire's map of the next uint32.  Lanes map each word as it is
+produced, so no (trials, words) block of raw words is built.  A Lemire
 step that would reject makes numpy draw again and shifts every later
 draw, so such a trial is drawn again, whole, through Generator on its
 seed words: about 0.4 % of trials reject a value at q = 7 and m n = 60,
-and about 2 % reject the rank near |L| = 10^8.  The tests pin the raw
-path to numpy's own spawn and default_rng, rejections included, and
-guard the maps themselves against a numpy that changes them.
+and about 2 % reject the rank near |L| = 10^8.  The tests pin the lanes
+to numpy's random_raw and both draws to numpy's own spawn and
+default_rng, rejections included, and guard the maps themselves against
+a numpy that changes them.
 
-Trials are drawn, measured and flagged in blocks of t trials, t sized
-so that t x m x max(|L|, q n) is at most _BLOCK_ELEMS.  That bounds the
-block's (t x m x n) draws and, with room to spare, its sweep's t x |L|
-comparisons, so memory depends on the configuration, not on the trials.
-_trial_blocks is the one stream of those blocks; run_trials hands each
-measured block to its on_block callback, through which `ffcs simulate
---dump` writes the trials it measured.
+Trials are drawn a window at a time and measured and flagged in blocks
+of t trials, t sized so that t x m x max(|L|, q n) is at most
+_BLOCK_ELEMS.  That bounds the block's (t x m x n) draws and, with room
+to spare, its sweep's t x |L| comparisons, so memory depends on the
+configuration, not on the trials.  A window is as many whole blocks as
+hold at most _WINDOW_TRIALS trials and _BLOCK_ELEMS matrix entries, or
+one block, so that a q = 4 block of 400 trials does not pay a lane
+step's calls alone.  _trial_blocks is the one stream of those blocks;
+run_trials hands each measured block to its on_block callback, through
+which `ffcs simulate --dump` writes the trials it measured.
 
 The error flags of a block come from one sweep of model.measure_levels'
 kernel, the decoder's: it compares every trial matrix of the block
@@ -83,10 +99,26 @@ from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
 _BLOCK_ELEMS = 1 << 20
-# _sample_trials maps at most this many raw PCG64 words (or one trial's)
-# to draws at a time, so the words and their copies take less memory
-# than a block's float64 uniforms would
+# trials are drawn a window at a time: as many whole blocks as hold at
+# most _WINDOW_TRIALS trials and _BLOCK_ELEMS matrix entries, or one
+# block; a window's trials are drawn in groups of at most _WINDOW_TRIALS
+_WINDOW_TRIALS = 1 << 12
+# a group of t trials of D raw words each is stepped as t PCG64 lanes
+# when D (t + _STEP_LANES) <= _SETUP_WORDS t, and else builds a PCG64
+# per trial and reads its words by random_raw, about _RAW_WORDS words
+# a group.  A lane step costs about 45 us of numpy calls, as much as
+# stepping _STEP_LANES more lanes, and a PCG64 built per trial about
+# as much as _SETUP_WORDS words stepped in lanes, less the words it
+# reads natively (2-core Xeon VM, numpy 2.4): so 4,096 lanes are the
+# faster draw up to D = 150, 1,024 up to D = 60
+_STEP_LANES = 1 << 12
+_SETUP_WORDS = 300
 _RAW_WORDS = 1 << 13
+
+# numpy's PCG64 (O'Neill 2014): state <- state * _PCG_MULT + inc mod
+# 2**128, and each word is the XSL-RR output of the new state
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_M64 = (1 << 64) - 1
 
 # numpy.random.SeedSequence's hash constants (uint32 words)
 _M32 = 0xFFFFFFFF
@@ -217,26 +249,128 @@ def _raw_width(params: ModelParams, n_candidates: int) -> int:
     return cells + (halves + 1) // 2 + fresh_rank_word
 
 
-def _from_raw(
-    params: ModelParams, n_candidates: int, raw: np.ndarray, mats: np.ndarray, idx: np.ndarray
-) -> np.ndarray:
-    """Map a (t, D) block of raw words to matrices and ranks as numpy's Generator would.
+def _as_lanes(width: int, t: int) -> bool:
+    """Whether t trials of width raw words each are drawn as PCG64 lanes."""
+    return width * (t + _STEP_LANES) <= _SETUP_WORDS * t
 
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc: tuple, buf: np.ndarray) -> None:
+    """(hi, lo) <- (hi, lo) _PCG_MULT + inc mod 2**128, in place, on uint64 word arrays.
+
+    ``inc`` is (high, low, low & M32, low >> 32), arrays that broadcast
+    against hi, and ``buf`` four scratch arrays of hi's shape.  The
+    high word of lo A_lo + inc_lo, A_lo the low word of _PCG_MULT,
+    comes from 32-bit partial products with inc_lo's halves added in,
+    so it carries the low word's sum; no partial sum reaches 2**64.
+    """
+    a, b, c, d = buf
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    m_lo = np.uint64(_PCG_MULT & _M64)
+    m0, m1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
+    np.bitwise_and(lo, m32, out=a)
+    np.right_shift(lo, s32, out=b)
+    np.multiply(a, m0, out=c)
+    c += inc[2]
+    c >>= s32
+    np.multiply(b, m0, out=d)
+    d += c
+    d += inc[3]
+    a *= m1
+    np.bitwise_and(d, m32, out=c)
+    a += c
+    b *= m1
+    d >>= s32
+    b += d
+    a >>= s32
+    b += a  # the high word of lo A_lo + inc_lo
+    hi *= m_lo
+    np.multiply(lo, np.uint64(_PCG_MULT >> 64), out=a)
+    hi += a
+    hi += b
+    hi += inc[0]
+    lo *= m_lo
+    lo += inc[1]
+
+
+class _PCG64Lanes:
+    """numpy's PCG64 of every trial of a group, stepped at once on uint64 arrays.
+
+    Each trial's stream is a lane: its 128-bit state is a (high, low)
+    pair of entries of two uint64 arrays, and every sum and product
+    wraps in array arithmetic (numpy warns on scalar overflow, not on
+    arrays).  take(n) returns the next n words of every trial, those
+    ``np.random.PCG64(_SeedWords(w)).random_raw(...)`` returns, as a
+    (t, n) array.
+    """
+
+    def __init__(self, words: np.ndarray):
+        # numpy's pcg64_set_seed: words 0-1 are the initial state's high
+        # and low words, 2-3 the stream id's, inc = (id << 1) | 1; then
+        # srandom steps from 0 (to inc), adds the initial state and
+        # steps again.  A word is the XSL-RR output of the next state.
+        one = np.uint64(1)
+        inc_lo = words[:, 3] << one | one
+        self._inc = (words[:, 2] << one | words[:, 3] >> np.uint64(63), inc_lo,
+                     inc_lo & np.uint64(_M32), inc_lo >> np.uint64(32))
+        self._buf = np.empty((4, len(words)), dtype=np.uint64)
+        self.lo = inc_lo + words[:, 1]
+        self.hi = self._inc[0] + words[:, 0]
+        self.hi += self.lo < inc_lo  # the low word's sum wrapped
+        _pcg_step(self.hi, self.lo, self._inc, self._buf)
+
+    def take(self, n: int) -> np.ndarray:
+        out = np.empty((len(self.hi), n), dtype=np.uint64)
+        x, r = self._buf[:2]
+        for word in out.T:
+            _pcg_step(self.hi, self.lo, self._inc, self._buf)
+            # XSL-RR: (hi ^ lo) rotated right by the top 6 bits of hi;
+            # numpy shifts a uint64 left by 64 to 0, so a rotation by 0
+            # keeps x
+            np.bitwise_xor(self.hi, self.lo, out=x)
+            np.right_shift(self.hi, np.uint64(58), out=r)
+            np.right_shift(x, r, out=word)
+            np.subtract(np.uint64(64), r, out=r)
+            x <<= r
+            word |= x
+        return out
+
+
+def _raw_take(words: np.ndarray, width: int):
+    """take(n) over the group's raw words, one random_raw call per trial."""
+    raw = np.empty((len(words), width), dtype=np.uint64)
+    for i, w in enumerate(words):
+        raw[i] = np.random.PCG64(_SeedWords(w)).random_raw(width)
+    taken = 0
+
+    def take(n: int) -> np.ndarray:
+        nonlocal taken
+        taken += n
+        return raw[:, taken - n : taken]
+
+    return take
+
+
+def _map_words(
+    params: ModelParams, n_candidates: int, take, chunk: int, mats: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Map a group's raw words to matrices and ranks as numpy's Generator would.
+
+    ``take(c)`` returns the group's next c words of each trial as a
+    (t, c) array, and is asked for at most ``chunk`` words at a time.
     Writes the (t, m, n) matrices into ``mats`` and the signal ranks
     into ``idx``, and returns the trials whose Lemire step would have
     rejected, where numpy draws again and every later draw moves: those
     rows of mats and idx are not the trial's and must be redrawn.
     """
-    t, cells, q = len(raw), params.m * params.n, params.q
-    if q > 2**15 or n_candidates > 2**32:
-        # int16 has no room for the values (the Generator raises), or
-        # the rank is a 64-bit Lemire draw: all left to the Generator
-        return np.ones(t, dtype=bool)
+    t, cells, q = len(idx), params.m * params.n, params.q
     out = mats.reshape(t, cells)
-    redraw = np.zeros(t, dtype=bool)
     # Generator.random: (word >> 11) * 2**-53, exact, so the entry is
     # nonzero where word >> 11 < ceil(gamma 2**53), gamma in (0, 1]
-    nonzero = raw[:, :cells] <= np.uint64((math.ceil(params.gamma * 2**53) << 11) - 1)
+    below = np.uint64((math.ceil(params.gamma * 2**53) << 11) - 1)
+    for j in range(0, cells, chunk):
+        c = min(chunk, cells - j)
+        np.less_equal(take(c), below, out=out[:, j : j + c])
+    redraw = np.zeros(t, dtype=bool)
     halves = 0
     if q > 2:
         # integers(1, q, dtype=int16): 1 + (u16 (q - 1) >> 16), u16 the
@@ -244,28 +378,29 @@ def _from_raw(
         # high half of each word (the order of a little-endian view);
         # rejects where the low 16 bits of the product fall below
         # 2**16 mod (q - 1)
-        halves = (cells + 1) // 2
-        words = raw[:, cells : cells + (halves + 1) // 2]
-        u16 = words.astype("<u8", copy=False).view("<u2")[:, :cells]
-        scaled = np.multiply(u16, np.uint32(q - 1), dtype=np.uint32)
-        reject = scaled.astype(np.uint16) < 2**16 % (q - 1)
-        if reject.any():
-            redraw |= reject.any(axis=1)
-        scaled >>= np.uint32(16)
-        np.add(scaled, 1, out=out, casting="unsafe")
-        out *= nonzero
-    else:
-        out[...] = nonzero
+        halves, n_words = (cells + 1) // 2, (cells + 3) // 4
+        for j in range(0, n_words, chunk):
+            value_words = take(min(chunk, n_words - j))
+            u16 = value_words.astype("<u8", copy=False).view("<u2")[:, : cells - 4 * j]
+            scaled = np.multiply(u16, np.uint32(q - 1), dtype=np.uint32)
+            reject = scaled.astype(np.uint16) < 2**16 % (q - 1)
+            if reject.any():
+                redraw |= reject.any(axis=1)
+            values = (scaled >> np.uint32(16)).astype(np.int16)
+            values += np.int16(1)
+            out[:, 4 * j : 4 * j + values.shape[1]] *= values
     if n_candidates > 1:
         # integers(0, |L|): u32 |L| >> 32, rejecting where the low 32
-        # bits fall below 2**32 mod |L|
+        # bits fall below 2**32 mod |L|; u32 is the buffered high half of
+        # the last value word when the values took an odd number of
+        # uint32, else the low half of a word of its own
         if halves % 2:
-            u32 = raw[:, cells + halves // 2] >> np.uint64(32)
+            u32 = value_words[:, -1] >> np.uint64(32)
         else:
-            u32 = raw[:, -1] & np.uint64(_M32)
-        scaled = u32 * np.uint64(n_candidates)
-        np.right_shift(scaled, np.uint64(32), out=idx, casting="unsafe")
-        redraw |= (scaled & np.uint64(_M32)) < np.uint64(2**32 % n_candidates)
+            u32 = take(1)[:, 0] & np.uint64(_M32)
+        u32 *= np.uint64(n_candidates)
+        np.right_shift(u32, np.uint64(32), out=idx, casting="unsafe")
+        redraw |= (u32 & np.uint64(_M32)) < np.uint64(2**32 % n_candidates)
     else:
         idx[:] = 0
     return redraw
@@ -286,47 +421,65 @@ def _sample_trials(
     """Draw the matrices and signal indices of trials start..stop-1.
 
     Each trial draws from its own child stream, so a window holds the
-    same draws whatever the windows around it.  A trial's stream is read
-    as raw words, D = _raw_width of them in one random_raw call, into a
-    row of a block of at most _RAW_WORDS words; _from_raw then applies
-    numpy's own Generator maps to the whole block.  A trial whose value
-    or rank draw would reject in numpy's Lemire step is drawn again,
-    whole, through Generator on its seed words; where 2**16 mod (q - 1)
-    and 2**32 mod |L| are 0 (q = 3 or 5, |L| a power of two) none can.
-    Over GF(2) the value draw, integers(1, 2), is the constant 1 and
-    consumes no bits of the stream, so it is not made: every nonzero
-    entry is 1 and the rank reads the word after the uniforms.
+    same draws whatever the windows around it.  The trials are drawn in
+    groups, and each group's raw words are mapped by numpy's own
+    Generator maps (_map_words), so no (trials, words) block of raw
+    words is built.  A group of up to _WINDOW_TRIALS trials is stepped
+    as uint64 arrays, one PCG64 lane per trial (_PCG64Lanes), where
+    _as_lanes finds that faster for its size and the trials' D raw
+    words; else a group of about _RAW_WORDS words' trials builds a
+    PCG64 per trial and reads its D words in one random_raw call.  A
+    trial whose value or rank draw would reject in numpy's Lemire step
+    is drawn again, whole, through Generator on its seed words; where
+    2**16 mod (q - 1) and 2**32 mod |L| are 0 (q = 3 or 5, |L| a power
+    of two) none can.  So are all trials when q > 2**15 (int16 has no
+    room for the values and Generator raises) or |L| > 2**32 (the rank
+    is a 64-bit Lemire draw).  Over GF(2) the value draw,
+    integers(1, 2), is the constant 1 and consumes no bits of the
+    stream, so it is not made: every nonzero entry is 1 and the rank
+    reads the word after the uniforms.
     """
     words = _child_seed_words(seed, start, stop)
     mats = np.empty((len(words), params.m, params.n), dtype=np.int16)
     idx = np.empty(len(words), dtype=np.int64)
-    width = _raw_width(params, n_candidates)
-    step = max(1, _RAW_WORDS // width)
-    for lo in range(0, len(words), step):
-        rows = words[lo : lo + step]
-        raw = np.empty((len(rows), width), dtype=np.uint64)
-        for i, w in enumerate(rows):
-            raw[i] = np.random.PCG64(_SeedWords(w)).random_raw(width)
-        redraw = _from_raw(params, n_candidates, raw, mats[lo : lo + step], idx[lo : lo + step])
-        for i in np.flatnonzero(redraw):
-            mats[lo + i], idx[lo + i] = _generator_draws(params, rows[i], n_candidates)
+    redraw = np.ones(len(words), dtype=bool)
+    if params.q <= 2**15 and n_candidates <= 2**32:
+        width, lo = _raw_width(params, n_candidates), 0
+        while lo < len(words):
+            t = min(len(words) - lo, _WINDOW_TRIALS)
+            if _as_lanes(width, t):
+                take, chunk = _PCG64Lanes(words[lo : lo + t]).take, 1
+            else:
+                t = min(t, max(1, _RAW_WORDS // width))
+                take, chunk = _raw_take(words[lo : lo + t], width), width
+            group = slice(lo, lo + t)
+            redraw[group] = _map_words(params, n_candidates, take, chunk, mats[group], idx[group])
+            lo += t
+    for i in np.flatnonzero(redraw):
+        mats[i], idx[i] = _generator_draws(params, words[i], n_candidates)
     return mats, idx
 
 
 def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int):
-    """Yield (start, mats, idx) for consecutive windows of the trials 0..trials-1.
+    """Yield (start, mats, idx) for consecutive blocks of the trials 0..trials-1.
 
-    A window of t trials keeps t x m x width at most _BLOCK_ELEMS, width
-    the larger of the candidate count and q n.  That bounds the window's
-    (t, m, n) draws and, with room to spare, its sweep's |L| x t
-    comparisons and the (q - 1, t, m, n) scaled entries that pack into
-    the words of its matrices.
+    A block of t trials keeps t x m x width at most _BLOCK_ELEMS, width
+    the larger of the candidate count and q n.  That bounds the block's
+    sweep, its |L| x t comparisons and the (q - 1, t, m, n) scaled
+    entries that pack into the words of its matrices.  The draws come a
+    window at a time: as many whole blocks as hold at most
+    _WINDOW_TRIALS trials and _BLOCK_ELEMS matrix entries, or one
+    block, so the window depends on (n, k, m, q), never on the trials;
+    the blocks are views into it.
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))
-    for start in range(0, trials, block):
-        mats, idx = _sample_trials(params, min(start + block, trials), seed, n_candidates, start)
-        yield start, mats, idx
+    per_window = min(_WINDOW_TRIALS, _BLOCK_ELEMS // (params.m * params.n))
+    window = block * max(1, per_window // block)
+    for first in range(0, trials, window):
+        mats, idx = _sample_trials(params, min(first + window, trials), seed, n_candidates, first)
+        for lo in range(0, len(idx), block):
+            yield first + lo, mats[lo : lo + block], idx[lo : lo + block]
 
 
 def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines
 appear as criteria complete.  Criterion 7 (288 configs x 10k trials)
-takes 50-57 s on a 2-core VM, about 17-20 us per trial, most of it
-numpy's per-trial generator set-up and draws; everything else finishes
-in seconds.  Tolerances are pinned here and
-nowhere else.
+takes 7-8 s on a 2-core VM, about 3 us per trial; everything else
+finishes in seconds.  Tolerances are pinned here and nowhere else.
 """
 
 import math

@@ -236,12 +236,13 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(montecarlo, "_child_seed_words", counting)
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * 2 * 20)  # blocks of 3 trials
+        monkeypatch.setattr(montecarlo, "_WINDOW_TRIALS", 6)  # drawn two blocks at a time
         code, _, _ = run_cli(
             capsys, "simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4",
             "--gamma", "0.5", "--trials", "10", "--seed", "3", "--dump", str(tmp_path / "dump"),
         )
         assert code == 0
-        assert drawn == [3, 3, 3, 1]
+        assert drawn == [6, 4]
         assert len(list((tmp_path / "dump").iterdir())) == 10
 
     def test_negative_seed_is_parameter_error(self, capsys):
@@ -339,6 +340,19 @@ class TestGoldenOutputs:
         assert len(files) == 30
         digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
         assert digest == DUMP_SHA256[q, gamma]
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {}, [], (), 7, -3, 2**70, 0.3, -0.0, 1e-300, float("inf"), float("nan"), None, True, "k\u00e9\"",
+            [[]], [{}], [1, True], [0.5, 1], [None, 2], (1, [2, (3,)]),
+            {"a": [], "b": {}, "c": [[0, 1], [2]], "d": {"e": None, "f": 0.75}, "\u00e9": False},
+        ],
+    )
+    def test_dump_writer_formats_json_as_json_dumps_indent_2(self, value):
+        # the --dump pins above cover the dump's own shape; these are the
+        # other types and nestings the formatter may meet
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("argv", list(CURVE_SHA256), ids=["q4-c10", "q2-q16-c5-restricted"])
     def test_curve_csv_bytes(self, capsys, argv):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from ffcs import (
 )
 from ffcs import model, montecarlo
 from ffcs.model import level_starts, measure_candidates, signal_set_size
-from ffcs.montecarlo import _SeedWords, _child_seed_words, _error_flags, _sample_trials
+from ffcs.montecarlo import _PCG64Lanes, _SeedWords, _child_seed_words, _error_flags, _sample_trials
+from ffcs.montecarlo import _pcg_step
 
 
 class TestReproducibility:
@@ -290,13 +292,16 @@ def _per_trial_draws(params, trials, seed, n_candidates):
 
 
 def _assert_windows_match_oracle(params, seed, n_cand):
+    # both draw paths, PCG64 lanes and a PCG64 per trial, forced in turn
     mats, idx = _per_trial_draws(params, 50, seed, n_cand)
-    got = _sample_trials(params, 50, seed, n_cand)
-    assert np.array_equal(got[0], mats) and np.array_equal(got[1], idx)
-    for start, stop in [(0, 1), (7, 23), (23, 50), (49, 50)]:
-        w_mats, w_idx = _sample_trials(params, stop, seed, n_cand, start)
-        assert np.array_equal(w_mats, mats[start:stop])
-        assert np.array_equal(w_idx, idx[start:stop])
+    for lanes in (True, False):
+        with mock.patch.object(montecarlo, "_as_lanes", lambda width, t: lanes):
+            got = _sample_trials(params, 50, seed, n_cand)
+            assert np.array_equal(got[0], mats) and np.array_equal(got[1], idx)
+            for start, stop in [(0, 1), (7, 23), (23, 50), (49, 50)]:
+                w_mats, w_idx = _sample_trials(params, stop, seed, n_cand, start)
+                assert np.array_equal(w_mats, mats[start:stop])
+                assert np.array_equal(w_idx, idx[start:stop])
 
 
 class TestSeedContract:
@@ -370,6 +375,27 @@ class TestSeedContract:
         # trials, so every window boundary moves
         for per_block in (7, 83):
             monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * 106 * per_block)
+            assert run_trials(params, 300, seed=8) == whole
+            assert equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8) == null_whole
+
+    @pytest.mark.parametrize("lanes", [True, False])
+    def test_window_and_block_edges_do_not_change_results(self, monkeypatch, lanes):
+        # the draw window is always whole sweep blocks: here windows of
+        # 1 block (83 trials, or 7 under a 5-trial constant, stepped as
+        # lane groups of 5 and 2), 2 (14 trials) and 5 (35), and
+        # run_trials and the nullity test end mid-window and mid-block,
+        # so every window and block edge moves; each draw path is forced
+        params = ModelParams(n=5, k=2, m=3, q=7, gamma=0.6)
+        f = make_field(7)
+        n_cand = signal_set_size(5, 2, 7).total
+        whole = run_trials(params, 300, seed=8)
+        null_whole = equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8)
+        monkeypatch.setattr(montecarlo, "_as_lanes", lambda width, t: lanes)
+        for per_block, window in [(7, 5), (7, 20), (7, 37), (83, 100)]:
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * n_cand * per_block)
+            monkeypatch.setattr(montecarlo, "_WINDOW_TRIALS", window)
+            starts = [start for start, _, _ in montecarlo._trial_blocks(params, 300, 8, n_cand)]
+            assert starts == list(range(0, 300, per_block))
             assert run_trials(params, 300, seed=8) == whole
             assert equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8) == null_whole
 
@@ -512,3 +538,146 @@ class TestRawDraws:
         finally:
             tracemalloc.stop()
         assert peak <= t * params.m * params.n * (8 + 2 + 1), peak
+
+
+# seed rows whose 128-bit sums carry: the state words' own sums with
+# inc, the stream id's top bit (shifted into inc's high word, or out of
+# it), and every word at 0 or 2**64 - 1
+CARRY_ROWS = [
+    [0, 0, 0, 0],
+    [2**64 - 1] * 4,
+    [0, 2**64 - 1, 0, 0],
+    [5, 2**64 - 1, 3, 2**64 - 1],
+    [0, 0, 0, 2**63],
+    [0, 0, 2**63, 0],
+    [2**64 - 1, 2**64 - 1, 0, 0],
+    [2**63, 1, 2**63 + 1, 2**63 + 1],
+]
+
+
+def _raw_words(words, width):
+    return np.stack([np.random.PCG64(_SeedWords(w)).random_raw(width) for w in words])
+
+
+def _take(lanes, chunks):
+    return np.concatenate([lanes.take(c) for c in chunks], axis=1)
+
+
+class TestLaneStream:
+    @pytest.mark.parametrize("width", [1, 2, 61, 121, 130])
+    def test_lanes_match_random_raw(self, width):
+        # 121 words and more is past 2 m n at m n = 60, where a trial's
+        # draws end; about one word in 64 has rotation 0
+        words = np.concatenate(
+            [np.array(CARRY_ROWS, dtype=np.uint64), _child_seed_words(2**130 + 7, 0, 40)]
+        )
+        expect = _raw_words(words, width)
+        assert np.array_equal(_take(_PCG64Lanes(words), [1] * width), expect)
+        chunks = [c for c in (3, 7, 20) if width > 30]
+        chunks.append(width - sum(chunks))
+        assert np.array_equal(_take(_PCG64Lanes(words), chunks), expect)
+
+    def test_pcg_step_matches_integer_arithmetic(self):
+        # the low words' sums are steered to end at 2**64 - 1, 2**64 and
+        # 2**64 + 1, so a carry out of bit 31 or bit 63 reaches the high
+        # word or just fails to, which random words almost never do
+        mult = montecarlo._PCG_MULT
+        rng = np.random.default_rng(5)
+        hi = [0, 2**64 - 1, 2**63, *map(int, rng.integers(0, 2**64, 29, dtype=np.uint64))]
+        lo = [2**64 - 1, 0, 2**32 - 1, *map(int, rng.integers(0, 2**64, 29, dtype=np.uint64))]
+        rows = []
+        for h, l in zip(hi, lo):
+            to_wrap = -(l * mult) % 2**64
+            for add_lo in (to_wrap - 1, to_wrap, to_wrap + 1, to_wrap & 2**32 - 1, 2**64 - 1):
+                rows.append((h, l, int(rng.integers(0, 2**64, dtype=np.uint64)), add_lo % 2**64))
+        h, l, add_hi, add_lo = (np.array(col, dtype=np.uint64) for col in zip(*rows))
+        add = (add_hi, add_lo, add_lo & np.uint64(2**32 - 1), add_lo >> np.uint64(32))
+        _pcg_step(h, l, add, np.empty((4, len(rows)), dtype=np.uint64))
+        expect = [((a << 64 | b) * mult + (c << 64 | d)) % 2**128 for a, b, c, d in rows]
+        assert [int(a) << 64 | int(b) for a, b in zip(h, l)] == expect
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 97])
+    def test_lanes_of_any_window_match_random_raw(self, t):
+        words = _child_seed_words(11, 2**32 - 3, 2**32 - 3 + t)
+        assert np.array_equal(_take(_PCG64Lanes(words), [5, 64, 1]), _raw_words(words, 70))
+
+    @pytest.mark.parametrize("q,trials", [(2, 1), (7, 3), (4, 130)])
+    def test_large_matrices_match_the_oracle(self, q, trials):
+        # m n = 2,000 builds a PCG64 per trial, 3 or 4 trials a group
+        params = ModelParams(n=50, k=1, m=40, q=q, gamma=0.5)
+        n_cand = signal_set_size(50, 1, q).total
+        mats, idx = _sample_trials(params, trials, 19, n_cand)
+        expect_mats, expect_idx = _per_trial_draws(params, trials, 19, n_cand)
+        assert np.array_equal(mats, expect_mats) and np.array_equal(idx, expect_idx)
+
+    @pytest.mark.parametrize(
+        "n,m,trials,expect",
+        [
+            # groups of at most _WINDOW_TRIALS lanes, the remainder too
+            # while D (t + 4,096) <= 300 t; else _RAW_WORDS // D trials
+            (10, 6, 10_000, [("lanes", 4096), ("lanes", 4096), ("lanes", 1808)]),
+            (10, 6, 8292, [("lanes", 4096), ("lanes", 4096), ("raw", 100)]),
+            (1, 1, 9000, [("lanes", 4096), ("lanes", 4096), ("lanes", 808)]),
+            (50, 20, 20, [("raw", 8), ("raw", 8), ("raw", 4)]),
+        ],
+    )
+    def test_each_group_takes_the_faster_draw(self, monkeypatch, n, m, trials, expect):
+        params = ModelParams(n=n, k=1, m=m, q=2, gamma=0.5)
+        groups = []
+        lanes, raw = montecarlo._PCG64Lanes, montecarlo._raw_take
+
+        def spy_lanes(words):
+            groups.append(("lanes", len(words)))
+            return lanes(words)
+
+        def spy_raw(words, width):
+            groups.append(("raw", len(words)))
+            return raw(words, width)
+
+        monkeypatch.setattr(montecarlo, "_PCG64Lanes", spy_lanes)
+        monkeypatch.setattr(montecarlo, "_raw_take", spy_raw)
+        _sample_trials(params, trials, 3, params.n + 1)
+        assert groups == expect
+
+    def test_numpy_shifts_a_word_by_64_to_zero(self):
+        # XSL-RR rotates by (x >> r) | (x << (64 - r)), which keeps x at
+        # r = 0 only because numpy defines a shift by the full width as 0
+        x = np.array([1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+        shifted = np.left_shift(x, np.array([64, 64, 64], dtype=np.uint64))
+        assert np.array_equal(shifted, np.zeros(3, dtype=np.uint64)), (
+            "numpy no longer shifts a uint64 by 64 to 0; montecarlo._PCG64Lanes relies on it"
+        )
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_window_peaks_below_its_raw_words(self, q):
+        # a (t, D) block of a window's raw words would take at least
+        # 8 m n bytes a trial, for the uniforms alone
+        params = ModelParams(n=10, k=2, m=6, q=q, gamma=dense_gamma(q))
+        n_cand = signal_set_size(params.n, params.k, q).total
+        t = montecarlo._WINDOW_TRIALS
+        _sample_trials(params, t, 0, n_cand)
+        tracemalloc.start()
+        try:
+            _sample_trials(params, t, 0, n_cand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t * params.m * params.n * 8, peak
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_large_matrix_draws_peak_below_two_blocks_of_entries(self, q):
+        # m n = 1,000 and 8,192 trials: a window holds at most
+        # _BLOCK_ELEMS int16 entries, whatever its trial count, and its
+        # raw words are mapped _RAW_WORDS at a time; the blocks of one
+        # window are still held while the next is drawn
+        params = ModelParams(n=50, k=1, m=20, q=q, gamma=0.5)
+        n_cand = signal_set_size(50, 1, q).total
+        list(montecarlo._trial_blocks(params, 10, 0, n_cand))
+        tracemalloc.start()
+        try:
+            for _ in montecarlo._trial_blocks(params, 8192, 0, n_cand):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * montecarlo._BLOCK_ELEMS, peak
