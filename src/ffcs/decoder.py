@@ -8,13 +8,18 @@ always counted as a recovery error: the error event is the existence of
 a confusable candidate, not the luck of a tie-break.
 
 This is the ground-truth oracle for the probabilistic machinery, so the
-feasibility check is a direct measurement comparison with no elimination
-shortcuts: every candidate is compared in full.  model.measure_levels,
-the level-sweep kernel the Monte Carlo flags share, yields each level's
+feasibility check is exact, with no elimination shortcuts: a candidate
+of weight w is feasible exactly where the packed sum of its first w - 1
+scaled columns equals y less its last scaled column, in every lane of
+the measurement word.  model.measure_levels, the level kernel the Monte
+Carlo flags share, decides that equality for every candidate: by a
+sweep that compares each candidate's partial sum, or, from level 2 on
+where it costs less, by a join that sorts the words of level w - 1 and
+looks up each of those differences among them.  It yields each level's
 feasible ranks in canonical order, a level at a time, so the decoder
 stops at the first level that has any.  Only the feasible candidates
 are unranked into vectors (model.level_members).  error_events reads
-both of its flags off the decoder's one sweep on y = A x.
+both of its flags off the decoder's one scan on y = A x.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class ErrorEvents:
     so its output differs from x exactly when some x' != x of weight
     <= weight(x) is feasible: one lighter than x makes it stop at a
     level below x's, one of x's weight makes a tie at x's level.  Both
-    flags stay, as two predicates on the decoder's one sweep.
+    flags stay, as two predicates on the decoder's one scan.
     """
 
     e0_error: bool
@@ -88,7 +93,7 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
 
 
 def _first_feasible(field: FiniteField, rows: np.ndarray, k_max: int, y) -> DecodeResult:
-    """decode_l0's sweep: the first level <= k_max that measures y, its members read-only."""
+    """decode_l0's scan: the first level <= k_max that measures y, its members read-only."""
     for k, ranks in measure_levels(field, rows, k_max, pack_measurements(field, y)):
         if ranks.size:
             feasible = level_members(rows.shape[1], k, field.q, ranks)
@@ -101,7 +106,7 @@ def _first_feasible(field: FiniteField, rows: np.ndarray, k_max: int, y) -> Deco
 def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     """Evaluate both error events for a known signal x.
 
-    Both flags are read off decode_l0's sweep on y = A x, which stops
+    Both flags are read off decode_l0's scan on y = A x, which stops
     by weight(x) since x is feasible: e0_error if its first feasible
     level holds anything but x alone, e_error if it holds any x' != x,
     lighter than x or tied with it.  x must weigh at most k_max, and |L|

@@ -7,15 +7,20 @@ nonzero value with probability gamma / (q - 1).  The one seeded draw
 of instances is montecarlo.sample_trials: matrices and signals are
 plain int16 arrays, the trials that ``ffcs simulate`` measures.
 
-Measurement: y = A x over GF(q).  measure_levels, the one fast kernel,
-sweeps L level by level for the exhaustive decoder and the Monte Carlo
+Measurement: y = A x over GF(q).  measure_levels, the level kernel,
+scans L level by level for the exhaustive decoder and the Monte Carlo
 flags, and yields per level its hits, the members that measure a
-target y.  Its chunks stay private: every weight-w support carries
-the same (q-1)^w value tuples, so a chunk of supports
-sums its first w - 1 columns as outer sums of the scaled columns
-v * A[:, j], in canonical order, without building a candidate, and
-compares each partial sum with y - v * A_j for the last column j, a
-table built once per sweep.  level_starts gives the rank where each
+target y.  A member hits exactly where the sum of its first w - 1
+scaled columns v * A[:, j] equals y - v * A_j for its last column j,
+a table built once per scan, and each level decides that equality for
+every member by one of two routes (_joins chooses from the shape).
+Every weight-w support carries the same (q-1)^w value tuples, so
+chunks of supports sum their columns as outer sums, in canonical
+order, without building a candidate.  The sweep compares each partial
+sum with its goals; the join, for one matrix, sorts the words of level
+w - 1 with their last columns and looks each goal up among them, which
+costs |L_{w-1}| sorted keys instead of |L_w| comparisons.  Both stay
+private, as do their chunks.  level_starts gives the rank where each
 level begins, and level_members unranks just the candidates a caller
 keeps.  The kernel handles all m rows of a matrix at once: each row is
 a lane of an unsigned machine word (SIMD within a register), e bits
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, log
 
 import numpy as np
@@ -44,6 +50,10 @@ from .field import FiniteField, check_prime_power
 # words (members x words per member) a chunk of the level sweep spans,
 # and entries a block of candidate_matrix; bounds the peak memory of every scan
 _CHUNK_WORDS = 1 << 20
+# the word comparisons of the sweep that one prefix of the join (its sum
+# and filter lookup) or one partial sum of the sweep costs, as timed on
+# levels 2 to 6 of one matrix over q = 2 to 251 (_joins)
+_PREFIX_COST = 4
 
 
 @dataclass(frozen=True)
@@ -169,6 +179,21 @@ def enumerate_signals(n: int, k_max: int, q: int):
                 yield v
 
 
+@lru_cache(maxsize=64)
+def _binomials(n: int, w: int) -> np.ndarray:
+    """The read-only (w, n) int64 table binom[i, x] = C(x, i + 1), clamped at C(n, w) to stay in int64.
+
+    The clamp changes no rank of a weight-w support: each term of its
+    colex rank below is at most the rank, which is below C(n, w).
+    """
+    n_supports = comb(n, w)
+    binom = np.array(
+        [[min(comb(x, i + 1), n_supports) for x in range(n)] for i in range(w)], dtype=np.int64
+    ).reshape(w, n)
+    binom.setflags(write=False)
+    return binom
+
+
 def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
     """Supports and leading values at the given ranks of a level with digits value places.
 
@@ -182,12 +207,8 @@ def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
     # Combinatorial number system: the support at lexicographic rank s,
     # mirrored (p -> n-1-p), has sorted elements d_i with colex rank
     # C(n,w)-1-s = sum_i C(d_i, i+1), peeled off greedily from the top.
-    # Clamping the table at C(n,w) keeps it in int64 and changes no result.
     n_supports = comb(n, w)
-    binom = [
-        np.array([min(comb(x, i + 1), n_supports) for x in range(n)], dtype=np.int64)
-        for i in range(w)
-    ]
+    binom = _binomials(n, w)
     place = (q - 1) ** np.arange(digits - 1, -1, -1, dtype=np.int64)
     s, v = np.divmod(ranks, (q - 1) ** digits)
     rest = n_supports - 1 - s
@@ -198,6 +219,14 @@ def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
         support[:, w - 1 - i] = n - 1 - d
     values = (v[:, None] // place % (q - 1) + 1).astype(np.int16)
     return support, values
+
+
+def _support_ranks(n: int, support: np.ndarray) -> np.ndarray:
+    """The lexicographic ranks of the increasing weight-w supports (len, w): _level_terms' unranking undone."""
+    w = support.shape[1]
+    binom = _binomials(n, w)
+    colex = sum(binom[w - 1 - i, n - 1 - support[:, i]] for i in range(w))
+    return comb(n, w) - 1 - colex
 
 
 def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
@@ -214,7 +243,7 @@ def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
         raise ValueError(f"ranks must lie in [0, {size})")
     support, values = _level_terms(n, w, q, ranks, w)
     out = np.zeros((len(ranks), n), dtype=np.int16)
-    np.put_along_axis(out, support, values, axis=1)
+    out[np.arange(len(ranks))[:, None], support] = values
     return out
 
 
@@ -240,38 +269,51 @@ class _Lanes:
     dtype: np.dtype
 
 
-def _lanes(field: FiniteField, m: int) -> _Lanes:
-    """The word layout of m measurements over field: it depends on (q, m) only."""
-    bits = field.m if field.p == 2 else (field.p - 1).bit_length() + 1
+def _lanes(q: int, m: int) -> _Lanes:
+    """The word layout of m measurements over GF(q)."""
+    p, e = check_prime_power(q)
+    bits = e if p == 2 else (p - 1).bit_length() + 1
     count = max(1, -(-m // (64 // bits)))
     per = -(-m // count)
     dtype = next(t for t in _WORD_TYPES if 8 * t.itemsize >= per * bits)
     return _Lanes(bits, per, count, dtype)
 
 
-def _pack_rows(lanes: _Lanes, rows: np.ndarray) -> np.ndarray:
-    """Values (m, ...) in 0..q-1, row r into lane r % per of word r // per: (count, ...) words."""
-    words = np.zeros((lanes.count,) + rows.shape[1:], dtype=lanes.dtype)
+def _pack_rows(lanes: _Lanes, rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rows (m, ...) of entries in 0..q-1, scaled by an (s, q) table, as (count, s, ...) words.
+
+    Row r packs as scale[:, rows[r]] into lane r % per of word r // per.
+    Each row is gathered on its own, so the build holds one row's index
+    and values beside the words, not the whole (s, m, ...) gather.
+    """
+    words = np.zeros((lanes.count,) + scale.shape[:1] + rows.shape[1:], dtype=lanes.dtype)
     for r, row in enumerate(rows):
-        shift = lanes.dtype.type(lanes.bits * (r % lanes.per))
-        words[r // lanes.per] |= row.astype(lanes.dtype) << shift
+        vals = np.take(scale, row, axis=1)
+        vals <<= lanes.dtype.type(lanes.bits * (r % lanes.per))
+        words[r // lanes.per] |= vals
     return words
 
 
 def pack_measurements(field: FiniteField, y) -> np.ndarray:
     """Measurements (..., m) with entries in 0..q-1, packed into their (..., count) words.
 
-    The layout is _lanes(field, m)'s, the one measure_levels takes its
-    targets in and sums columns in, so a partial sum meets a target
-    where all their words are equal (match_words).
+    Row r goes into lane r % per of word r // per: the layout of
+    _lanes(q, m), the one measure_levels takes its targets in and sums
+    columns in, so a partial sum meets a target where all their words
+    are equal (match_words).
     """
     y = np.asarray(y)
-    return np.moveaxis(_pack_rows(_lanes(field, y.shape[-1]), np.moveaxis(y, -1, 0)), 0, -1)
+    *stack, m = y.shape
+    lanes = _lanes(field.q, m)
+    vals = np.zeros((*stack, lanes.count * lanes.per), dtype=lanes.dtype)
+    vals[..., :m] = y
+    vals <<= (lanes.bits * (np.arange(vals.shape[-1]) % lanes.per)).astype(lanes.dtype)
+    return np.bitwise_or.reduce(vals.reshape(*stack, lanes.count, lanes.per), axis=-1)
 
 
 def unpack_measurements(field: FiniteField, words: np.ndarray, m: int) -> np.ndarray:
     """The (..., m) int16 measurements held in (..., count) words: pack_measurements undone."""
-    lanes = _lanes(field, m)
+    lanes = _lanes(field.q, m)
     shifts = (lanes.bits * np.arange(lanes.per)).astype(lanes.dtype)
     mask = lanes.dtype.type((1 << lanes.bits) - 1)
     rows = (words[..., None] >> shifts) & mask
@@ -339,15 +381,37 @@ def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int, targets):
     words in pack_measurements' layout with entries in 0..q-1.
     ``hits`` is the sorted int64 array of the flat indices r * b + i
     where matrix i measures the member at canonical rank r of level w
-    as its target; for one matrix, the ranks.  Every member is compared
-    in full (see _ColumnTable).  The targets are checked at the call,
-    and a level is swept only when reached, so a caller may stop early.
+    as its target; for one matrix, the ranks.  Every member's
+    measurement is decided exactly, by the sweep or the join (see
+    _ColumnTable).  The targets are checked at the call, and a level is
+    scanned only when reached, so a caller may stop early.
     """
     return _ColumnTable(field, mats).levels(k_max, targets)
 
 
+def _joins(n: int, w: int, q: int, m: int, b: int) -> bool:
+    """Whether level w of a scan of b (m, n) matrices over GF(q) takes the join, else the sweep.
+
+    The join (_ColumnTable._join) needs one matrix, b = 1, w >= 2, one
+    word per packed measurement, and a sort key of that word, a column
+    below n and an index below the largest chunk of level w - 1 within
+    64 bits.  It is then taken where it costs less.  It sums and looks
+    up |L_{w-1}| prefixes, where the sweep forms |L_w| / (q - 1) partial
+    sums and makes |L_w| comparisons; a prefix or a partial sum costs
+    about _PREFIX_COST comparisons, so the join is taken where
+    _PREFIX_COST |L_{w-1}| <= (_PREFIX_COST / (q - 1) + 1) |L_w|, that
+    is _PREFIX_COST w <= (n - w + 1) (q - 1 + _PREFIX_COST).
+    """
+    if b != 1 or w < 2 or _PREFIX_COST * w > (n - w + 1) * (q - 1 + _PREFIX_COST):
+        return False
+    lanes = _lanes(q, m)
+    prefixes = min(comb(n, w - 1) * (q - 1) ** (w - 1), _CHUNK_WORDS)
+    used = m * lanes.bits + (n - 1).bit_length() + (prefixes - 1).bit_length()
+    return lanes.count == 1 and used <= 64
+
+
 class _ColumnTable:
-    """The packed scaled columns v * A[..., j] of a stack of b (m, n) matrices, and the level sweep.
+    """The packed scaled columns v * A[..., j] of a stack of b (m, n) matrices, and the level scan.
 
     ``table`` holds word i of v * mats[..., j] for v = 1..q-1, every
     column j and all b * count words of the matrices, matrix by matrix;
@@ -355,33 +419,46 @@ class _ColumnTable:
     The wider of the word and value axes is laid out innermost:
     (n, q-1, words) with axis 1, else (words, n, q-1) with axis 2.
 
-    The sweep never measures a whole member.  Every support of a level
-    carries the same (q-1)^w value tuples, so a chunk of supports S sums
-    its first w - 1 columns as outer sums of the table's scaled columns,
-    in canonical order, without building a candidate.  A member fits
-    its target y exactly where that partial sum equals y - v * A_j, j
-    and v its last column and value, and those differences are one
-    table, built once per sweep, which the partial sums meet in one
-    comparison.  A chunk spans at most _CHUNK_WORDS words: its members'
-    words, and the int64 columns that unrank each unit, counted in words
-    of the table's width.  Where a support's (q-1)^w tuples are more
-    than that, they are split by their leading values, so no whole
-    level is ever built.
+    A member fits its target y exactly where the sum of its first w - 1
+    scaled columns equals y - v * A_j, j and v its last column and
+    value; those goals are one table, built once per scan.  Each level
+    takes one of two exact routes to that equality (_joins chooses):
+
+    * The sweep (_chunks).  Every support of a level carries the same
+      (q-1)^w value tuples, so a chunk of supports sums its first w - 1
+      columns as outer sums of the table's scaled columns, in canonical
+      order, without building a candidate, and compares each partial
+      sum with its goals: |L_w| comparisons per matrix.
+    * The join (_join), for one matrix.  The prefixes, level w - 1's
+      members, are summed in chunks the same way; those whose words'
+      low bits meet a goal's are sorted as keys (word, last column,
+      index), and the goal of last column j and value v then meets, by
+      two binary searches, exactly the prefixes whose word equals it
+      and whose last column lies below j: |L_{w-1}| prefixes and
+      n (q - 1) searches.
+
+    A chunk spans at most _CHUNK_WORDS words: its members' words (and
+    for the join their indices or keys), and the int64 columns that
+    unrank each unit, counted in words of the table's width.  Where a
+    support's (q-1)^w tuples are more than that, they are split by their
+    leading values, so no whole level is ever built.
     """
 
     def __init__(self, field: FiniteField, mats: np.ndarray):
         *stack, m, n = mats.shape
         _check_entries(field.q, mats)
-        self.field, self.lanes, self.stack = field, _lanes(field, m), tuple(stack)
+        self.field, self.lanes, self.stack = field, _lanes(field.q, m), tuple(stack)
         self.lane_sum = _lane_sum(field, self.lanes)
-        v = field.q - 1
-        scaled = np.take(field.mul_table[1:], np.moveaxis(mats, -2, 0), axis=1)  # (q-1, m, ..., n)
-        packed = np.moveaxis(_pack_rows(self.lanes, np.moveaxis(scaled, 1, 0)), 0, -2)
-        packed = packed.reshape(v, -1, n)  # (q-1, words, n)
-        if packed.shape[1] > v:
-            self.table, self.axis = np.ascontiguousarray(packed.transpose(2, 0, 1)), 1
-        else:
-            self.table, self.axis = np.ascontiguousarray(packed.transpose(1, 2, 0)), 2
+        v, rows = field.q - 1, mats.reshape(-1, m, n).swapaxes(0, 1)  # (m, b, n)
+        # scaled[v - 1, x] = v * x in the word type, packed a row at a time: (count, q-1, b, n)
+        scaled = field.mul_table[1:].astype(self.lanes.dtype)
+        packed = _pack_rows(self.lanes, rows, scaled)
+        if rows.shape[1] * self.lanes.count > v:  # (n, q-1, b, count)
+            self.axis, order, shape = 1, (3, 1, 2, 0), (n, v, -1)
+        else:  # (b, count, n, q-1)
+            self.axis, order, shape = 2, (2, 0, 3, 1), (-1, n, v)
+        self.table = np.ascontiguousarray(packed.transpose(order)).reshape(shape)
+        self.m = m
 
     def member_words(self, weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """The (b, count) packed measurement, by matrix i, of the member of weight weights[i] at rank ranks[i] of its level.
@@ -432,52 +509,153 @@ class _ColumnTable:
         neg = self.field.neg_table[1:] - 1
         words = (1, 1, -1) if self.axis == 1 else (-1, 1, 1)
         goal = self.lane_sum(targets.reshape(words), self.table.take(neg, axis=self.axis))
-        b = len(targets) // count
-        return (
-            (w, np.concatenate([start * b + np.flatnonzero(mask)
-                                for start, mask in self._chunks(goal, targets, w)]))
-            for w in range(k_max + 1)
-        )
+        return self._scan(goal, targets, k_max)
 
-    def _chunks(self, goal: np.ndarray, targets: np.ndarray, w: int):
-        """Level w in order as (start, mask): mask[r, i] is whether matrix i meets goal at rank start + r."""
-        table, axis, count = self.table, self.axis, self.lanes.count
-        n, v, size = table.shape[axis - 1], table.shape[axis], len(targets)
-        b = size // count
-        if w == 0:
-            yield 0, match_words(np.zeros(count, targets.dtype), targets.reshape(b, count))[None]
-            return
+    def _scan(self, goal: np.ndarray, targets: np.ndarray, k_max: int):
+        """Levels 0..k_max as (w, hits), each by the route _joins picks."""
+        b = len(targets) // self.lanes.count
+        n, q = self.table.shape[self.axis - 1], self.field.q
+        queries = None
+        for w in range(k_max + 1):
+            if _joins(n, w, q, self.m, b):
+                queries = self._queries(goal) if queries is None else queries
+                yield w, self._join(queries, w)
+            else:
+                chunks = self._chunks(goal, targets, w)
+                yield w, np.concatenate([start * b + np.flatnonzero(mask) for start, mask in chunks])
+
+    def _sums(self, w: int, cost: int, cols: int):
+        """Level w in chunks of units as (start, support, leading, sums).
+
+        A unit is a support and its leading values, and ``sums`` holds,
+        in canonical order, each unit member's sum of its first ``cols``
+        scaled columns (all q - 1 values of a column past the leading
+        ones), laid out like the table; start is the rank of the chunk's
+        first member.  A member costs ``cost`` words.
+        """
+        table, axis = self.table, self.axis
+        n, v = table.shape[axis - 1], table.shape[axis]
+        size = table.shape[2] if axis == 1 else table.shape[0]  # words per member
         # a unit costs its members' words and its unranking: _level_terms
         # holds at most 3w + 4 int64 per rank, counted here in table words
         unranking = -(-8 * (3 * w + 4) // table.itemsize)
         # fix the leading `lead` values of a unit's tuples, so that each
         # (support, leading values) unit fits in a chunk
-        lead = next((i for i in range(w) if v ** (w - i) * size + unranking <= _CHUNK_WORDS), w)
+        lead = next((i for i in range(w) if v ** (w - i) * cost + unranking <= _CHUNK_WORDS), w)
         span = v ** (w - lead)
-        step = max(1, _CHUNK_WORDS // (span * size + unranking))
+        step = max(1, _CHUNK_WORDS // (span * cost + unranking))
         units = comb(n, w) * v**lead
-        pre = (slice(None),) * axis
         # the partial sum of no columns, as the table's layout broadcasts it
         zero = np.zeros((1, 1, size) if axis == 1 else (size, 1, 1), dtype=table.dtype)
         for lo in range(0, units, step):
             ranks = np.arange(lo, min(lo + step, units), dtype=np.int64)
             support, leading = _level_terms(n, w, v + 1, ranks, lead)
             acc = zero
-            for i in range(w - 1):
+            for i in range(cols):
                 term = _take_column(table, axis, support, leading, i)
                 acc = term if i == 0 else _outer_sum(self.lane_sum, acc, term, axis)
+            yield lo * span, support, leading, acc
+
+    def _chunks(self, goal: np.ndarray, targets: np.ndarray, w: int):
+        """Level w in order as (start, mask): mask[r, i] is whether matrix i meets goal at rank start + r."""
+        axis, count, size = self.axis, self.lanes.count, len(targets)
+        b = size // count
+        if w == 0:
+            yield 0, match_words(np.zeros(count, targets.dtype), targets.reshape(b, count))[None]
+            return
+        pre = (slice(None),) * axis
+        for start, support, leading, acc in self._sums(w, size, w - 1):
             # every partial sum against the goal of every last value: (X, 1) against (1, V)
             have = acc[pre + (slice(None), None)]
             want = _take_column(goal, axis, support, leading, w - 1)[pre + (None,)]
             # split the word axis, last or first, into (b, count) and match each matrix's words
             if axis == 1:
                 have, want = (a.reshape(a.shape[:-1] + (b, count)) for a in (have, want))
-                yield lo * span, match_words(have, want).reshape(-1, b)
+                yield start, match_words(have, want).reshape(-1, b)
             else:
                 have, want = (
                     np.moveaxis(a.reshape((b, count) + a.shape[1:]), 1, -1) for a in (have, want)
                 )
-                yield lo * span, match_words(have, want).reshape(b, -1).T
+                yield start, match_words(have, want).reshape(b, -1).T
+
+    def _queries(self, goal: np.ndarray):
+        """The join's key layout, queries and word filter for one matrix.
+
+        A key is (word, column, index) from the top bit down, the index
+        taking the bits that the word and a column below n leave.  Query
+        j * (q-1) + v - 1, for last column j and value v, spans the keys
+        [(g, 0, 0), (g, j, 0)) of its goal word g.  The filter ``seen``
+        marks the low ``low`` bits of every goal word: a word whose low
+        bits it does not mark equals no goal.
+        """
+        n, v = self.table.shape[1:]
+        word_bits = self.m * self.lanes.bits
+        index_bits = 64 - word_bits - (n - 1).bit_length()
+        goals = goal.reshape(-1)
+        lower = goals.astype(np.uint64) << np.uint64(64 - word_bits)
+        columns = np.arange(n, dtype=np.uint64) << np.uint64(index_bits)
+        # about 64 filter entries a goal, at most _CHUNK_WORDS
+        low = (1 << min(word_bits, (64 * len(goals)).bit_length(), _CHUNK_WORDS.bit_length() - 1)) - 1
+        seen = np.zeros(low + 1, dtype=bool)
+        seen[goals.astype(np.intp) & low] = True
+        return index_bits, lower, lower | np.repeat(columns, v), low, seen
+
+    def _join(self, queries, w: int) -> np.ndarray:
+        """Level w's hits for one matrix of one-word measurements (w >= 2), by sort and join.
+
+        A member of weight w splits, at its last column j and value v,
+        into a prefix of weight w - 1, whose last column lies below j,
+        and v * A_j; it hits exactly where the prefix's word is the goal
+        y - v * A_j.  Of a chunk of prefixes, those whose words pass the
+        filter are keyed (word, last column, index in the chunk) in one
+        uint64 and sorted, so each query's key range holds exactly the
+        prefixes that complete to a hit (_queries).  Each hit is ranked
+        from its prefix's support and value tuple, and the level's hits
+        are returned sorted.
+        """
+        index_bits, lower, upper, low, seen = queries
+        n, v = self.table.shape[1:]
+        shift = np.uint64(64 - self.m * self.lanes.bits)
+        mask, tuples = np.uint64((1 << index_bits) - 1), v ** (w - 1)
+        cost = 1 + -(-8 // self.table.itemsize)  # a prefix's word and its index or key
+        # a hit's ranking holds about w + 12 int64, so the hits are ranked a
+        # run of queries at a time, a run holding one query or at most
+        # per_run hits
+        per_run = max(1, _CHUNK_WORDS // (w + 12))
+        found = []
+        for start, support, _, acc in self._sums(w - 1, cost, w - 1):
+            words = acc.reshape(-1)
+            span = len(words) // len(support)
+            low_bits = words.astype(np.intp)
+            low_bits &= low
+            kept = np.flatnonzero(seen[low_bits])
+            keys = words[kept].astype(np.uint64)
+            keys <<= shift
+            keys |= support[kept // span, -1].astype(np.uint64) << np.uint64(index_bits)
+            keys |= kept.astype(np.uint64)
+            keys.sort()
+            first = np.searchsorted(keys, lower)
+            counts = np.searchsorted(keys, upper) - first
+            ends = np.cumsum(counts)
+            if not ends[-1]:
+                continue
+            runs = np.searchsorted(ends, np.arange(0, ends[-1], per_run), side="right")
+            for a, b in zip(runs, [*runs[1:], len(counts)]):
+                if a == b:
+                    continue
+                run = counts[a:b]
+                query = np.repeat(np.arange(a, b), run)
+                # a hit's key: its query's first key, then its place among the query's hits
+                at = np.arange(len(query)) + np.repeat(first[a:b] - (np.cumsum(run) - run), run)
+                index = (keys[at] & mask).astype(np.int64)
+                last, value = np.divmod(query, v)
+                supports = np.concatenate([support[index // span], last[:, None]], axis=1)
+                found.append(
+                    _support_ranks(n, supports) * (tuples * v) + (start + index) % tuples * v + value
+                )
+        hits = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+        hits.sort()
+        return hits
 
 
 def _take_column(src: np.ndarray, axis: int, support: np.ndarray, leading: np.ndarray, i: int):

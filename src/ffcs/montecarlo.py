@@ -65,20 +65,22 @@ step's calls alone.  _trial_blocks is the one stream of those blocks;
 run_trials hands each measured block to its on_block callback, through
 which `ffcs simulate --dump` writes the trials it measured.
 
-The error flags of a block come from one sweep of model.measure_levels'
+The error flags of a block come from one scan by model.measure_levels'
 kernel, the decoder's: it compares every trial matrix of the block
 with all of L at once, each candidate's m measurements by a matrix
 packed into one word (or a few, beyond 64 bits), and lays the trials'
-words innermost whenever they outnumber the q - 1 values.  A trial's
-target is its signal's measurement, summed from the sweep's own table
-of scaled columns at the signal's unranked support and values, and
-the sweep yields each level's feasible (candidate, trial) pairs, never
-t x m x |L| values.  The sweep enumerates L sparsity-major, a level at
-a time, so the flags follow from each level's count of feasible
-candidates per trial, and a signal is just its rank:
-candidate_matrix builds L as rows only for sample_trials and
+words innermost whenever they outnumber the q - 1 values.  A block of
+one trial, as where m |L| passes 2^19, takes the kernel's join from
+level 2 on, which sorts level w - 1 instead of comparing all of level
+w.  A trial's target is its signal's measurement, summed from the
+kernel's own table of scaled columns at the signal's unranked support
+and values, and the scan yields each level's feasible (candidate,
+trial) pairs, never t x m x |L| values.  The scan enumerates L
+sparsity-major, a level at a time, so the flags follow from each
+level's count of feasible candidates per trial, and a signal is just
+its rank: candidate_matrix builds L as rows only for sample_trials and
 run_trials' on_block, which read the signals.  The flags are the two
-predicates decoder.error_events reads off the decoder's sweep, here
+predicates decoder.error_events reads off the decoder's scan, here
 read off each level's counts, and the test suite pins the two against
 each other, trial by trial, on sampled instances.
 """
@@ -502,10 +504,10 @@ def _error_flags(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """e0 flags, e flags and (t, m) measurements of trials whose signals are at ranks idx of L.
 
-    One level sweep (model.measure_levels' kernel) compares all of L,
+    One level scan (model.measure_levels' kernel) compares all of L,
     by every matrix of the block, with the trial's own measurement,
     packed into words: the signal is unranked and its scaled columns
-    read from the sweep's own table and summed.  Its hits r * t + i,
+    read from the kernel's own table and summed.  Its hits r * t + i,
     counted by trial i, are each level's feasible candidates
     (``offsets``, from model.level_starts, says where each level
     starts).  With k1 the signal's level and j the first level holding

@@ -44,6 +44,23 @@ HIT_CASES = [
 ]
 
 
+def sweep_only():
+    """Patch the route chooser so that every level of every scan takes the sweep."""
+    return mock.patch.object(model, "_joins", lambda n, w, q, m, b: False)
+
+
+def join_where_it_fits():
+    """Patch the chooser's cost weight to 0, so that every level the join can take takes it."""
+    return mock.patch.object(model, "_PREFIX_COST", 0)
+
+
+# (q, n, k, m) of the one-matrix scans both routes are checked on
+ROUTE_CASES = [
+    (2, 8, 5, 3), (2, 10, 5, 40), (3, 6, 5, 3), (4, 6, 4, 3), (5, 5, 4, 3), (7, 5, 3, 3),
+    (8, 5, 3, 3), (13, 4, 3, 3), (16, 4, 3, 3), (251, 3, 2, 3),
+]
+
+
 def spy_chunks(on_chunk):
     """Patch the sweep's private _ColumnTable._chunks to hand each chunk to on_chunk(w, start, mask)."""
     chunks = model._ColumnTable._chunks
@@ -59,19 +76,19 @@ def spy_chunks(on_chunk):
 def swept_masks(field, mats, targets, k_max, want=None):
     """measure_levels' masks, concatenated over chunks and levels, as (|L|, b).
 
-    The masks are the sweep's private chunks, read by a spy on
-    _ColumnTable._chunks.  Checks on the way that each level's chunks
-    cover it in order, that a chunk of more than one member spans at
-    most _CHUNK_WORDS words, and that the hits measure_levels yields for
-    the level are the flat indices of its masks' true entries.  Given
-    want (|L|, b, m), the reference measurements, it also checks every
-    lane of every member, whatever the targets: a chunk's one comparison
-    (match_words) sets each member's partial sum against its goal
-    y - v * A_j, so the partial sum plus y minus the goal must be the
-    member's measurement.
+    Every level takes the sweep, whose private chunks are the masks,
+    read by a spy on _ColumnTable._chunks.  Checks on the way that each
+    level's chunks cover it in order, that a chunk of more than one
+    member spans at most _CHUNK_WORDS words, and that the hits
+    measure_levels yields for the level are the flat indices of its
+    masks' true entries.  Given want (|L|, b, m), the reference
+    measurements, it also checks every lane of every member, whatever
+    the targets: a chunk's one comparison (match_words) sets each
+    member's partial sum against its goal y - v * A_j, so the partial
+    sum plus y minus the goal must be the member's measurement.
     """
     m = mats.shape[-2]
-    count = _lanes(field, m).count
+    count = _lanes(field.q, m).count
     b = targets.size // count
     ys = unpack_measurements(field, targets.reshape(b, count), m)
     # the sweep lays the words innermost where they outnumber the q - 1 values
@@ -102,7 +119,7 @@ def swept_masks(field, mats, targets, k_max, want=None):
         level.append(mask)
 
     offset = level_start = 0  # members swept, and those of the finished levels
-    with mock.patch.object(model, "match_words", spy), spy_chunks(on_chunk):
+    with mock.patch.object(model, "match_words", spy), spy_chunks(on_chunk), sweep_only():
         for _, hits in measure_levels(field, mats, k_max, targets):
             assert hits.dtype == np.int64
             assert np.array_equal(hits, np.flatnonzero(np.concatenate(level)))
@@ -113,19 +130,19 @@ def swept_masks(field, mats, targets, k_max, want=None):
 
 
 def sweep_hits(field, mats, k_max, targets):
-    """measure_levels' hits per level, checked against the flat indices of its spied chunk masks.
+    """measure_levels' hits per level, every level by the sweep, checked against its spied chunk masks.
 
     Returns the hits and the (w, members) of every chunk; no mask is
     kept, so the sweep's memory is measured as it runs.
     """
-    b = np.asarray(targets).size // _lanes(field, mats.shape[-2]).count
+    b = np.asarray(targets).size // _lanes(field.q, mats.shape[-2]).count
     spied, chunks = [[] for _ in range(k_max + 1)], []
 
     def on_chunk(w, start, mask):
         spied[w].append(start * b + np.flatnonzero(mask))
         chunks.append((w, len(mask)))
 
-    with spy_chunks(on_chunk):
+    with spy_chunks(on_chunk), sweep_only():
         levels = [hits for _, hits in measure_levels(field, mats, k_max, targets)]
     for hits, want in zip(levels, spied):
         assert np.array_equal(hits, np.concatenate(want))
@@ -482,7 +499,7 @@ class TestEnumeration:
         # of all q - 1 puts q - 1 in every lane and, for odd p, the largest
         # sum 2p - 2 in every lane of the weight-2 candidates of ones
         field = make_field(q)
-        lanes = _lanes(field, m)
+        lanes = _lanes(q, m)
         assert (lanes.count, lanes.dtype) == (count, np.dtype(np.uint64))
         rng = np.random.default_rng(q * 1000 + m)
         y = np.stack([np.full(m, q - 1), np.zeros(m), rng.integers(0, q, size=m)]).astype(np.int16)
@@ -595,6 +612,73 @@ class TestEnumeration:
                     assert ((0 <= hits) & (hits < size * b)).all()
                     assert np.array_equal(hits, ref), (b, chunk, w)
 
+    @pytest.mark.parametrize("gamma", [None, 0.3], ids=["dense", "0.3"])
+    @pytest.mark.parametrize("q,n,k,m", ROUTE_CASES)
+    def test_forced_routes_match_brute_reference(self, monkeypatch, q, n, k, m, gamma):
+        # one matrix, dense or zero with probability 0.7, with a zero
+        # first column and a third column that repeats the second, so
+        # that members tie within and across supports.  Each level's
+        # hits, with every level forced to the sweep and with every level
+        # the join can take forced to it, equal the hits that the
+        # definition of A x finds over enumerate_signals, for a member's
+        # measurement and one that no member attains.  Chunks of 1, 7 and
+        # 64 words hold one or a few of the join's prefixes; the sweep
+        # takes them where L has at most 5,000 members
+        field = make_field(q)
+        X = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
+        starts = np.cumsum((0,) + signal_set_size(n, k, q).per_sparsity)
+        rng = np.random.default_rng(q * 1000 + n * 10 + k)
+        A = rng.integers(0 if gamma is None else 1, q, size=(m, n)).astype(np.int16)
+        if gamma is not None:
+            A[rng.random((m, n)) >= gamma] = 0
+        A[:, 0], A[:, 2] = 0, A[:, 1]
+        measured = measure_candidates(field, A, X).T
+        ys = np.concatenate([measured[rng.integers(0, len(X), size=1)], unattained(q, measured, rng)])
+        with join_where_it_fits():
+            assert all(model._joins(n, w, q, m, 1) for w in range(2, k + 1))
+        default = model._CHUNK_WORDS
+        for y in ys:
+            rank = np.flatnonzero((measured == y).all(axis=1))
+            want = [rank[(lo <= rank) & (rank < hi)] - lo for lo, hi in zip(starts, starts[1:])]
+            for chunk in (default, 1, 7, 64):
+                monkeypatch.setattr(model, "_CHUNK_WORDS", chunk)
+                routes = [("join", join_where_it_fits)]
+                if chunk == default or len(X) <= 5000:
+                    routes.append(("sweep", sweep_only))
+                for route, forced in routes:
+                    with forced():
+                        got = measure_levels(field, A, k, pack_measurements(field, y))
+                        for (w, hits), ref in zip(got, want, strict=True):
+                            assert hits.dtype == np.int64
+                            assert np.array_equal(hits, ref), (route, chunk, w)
+
+    @pytest.mark.parametrize(
+        "n,k,q,m",
+        [(12, 3, 16, 7), (12, 3, 13, 7), (12, 3, 16, 4), (12, 3, 16, 3), (12, 3, 13, 3),
+         (12, 3, 13, 4), (24, 5, 2, 20), (1000, 2, 4, 15)],
+    )
+    def test_chooser_joins_every_level_above_1_of_one_matrix(self, n, k, q, m):
+        # the decode benchmark's shapes, the q = 2, n = 24, k = 5 scan and
+        # one-trial Monte Carlo blocks at n = 1000, k = 2; levels 0 and 1
+        # and every stack of matrices take the sweep
+        assert [model._joins(n, w, q, m, 1) for w in range(k + 1)] == [False, False] + [True] * (k - 1)
+        assert not any(model._joins(n, w, q, m, 2) for w in range(k + 1))
+
+    @pytest.mark.parametrize(
+        "n,w,q,m", [(5, 5, 16, 4), (7, 6, 5, 4), (5, 5, 7, 4), (6, 5, 4, 7), (10, 8, 2, 8)]
+    )
+    def test_chooser_sweeps_a_level_near_the_size_of_its_prefixes(self, n, w, q, m):
+        # where level w - 1 is about as large as level w, or larger, the
+        # join's prefixes outweigh the sweep's comparisons.  Only the
+        # sweep fits two words (m = 17 at q = 16), a word of 63 bits
+        # (m = 7 at q = 251), or 60 bits beside the 10 of a column below
+        # 1000
+        assert not model._joins(n, w, q, m, 1)
+        with join_where_it_fits():
+            assert model._joins(n, w, q, m, 1)
+            for shape in ((12, 2, 16, 17), (12, 2, 251, 7), (1000, 2, 2, 60)):
+                assert not model._joins(*shape, 1)
+
     def test_targets_must_be_one_packed_measurement_per_matrix(self):
         field = make_field(13)
         mats = np.zeros((3, 7, 4), dtype=np.int16)
@@ -608,7 +692,7 @@ class TestEnumeration:
          (3, 6, np.uint32), (16, 7, np.uint32), (13, 7, np.uint64), (256, 4, np.uint32)],
     )
     def test_words_are_the_narrowest_type_that_holds_the_lanes(self, q, m, dtype):
-        lanes = _lanes(make_field(q), m)
+        lanes = _lanes(q, m)
         assert (lanes.count, lanes.dtype) == (1, np.dtype(dtype))
 
     @pytest.mark.parametrize("q", [61, 64])
@@ -644,9 +728,11 @@ class TestEnumeration:
         # value; at q = 2 a unit is one member, and the int64 columns
         # that unrank its support outweigh its words, so they count in
         # the chunk too.  A full sweep stays below two chunks' words of
-        # the table's width, where one whole level would not
+        # the table's width, where one whole level would not.  The join,
+        # which keys the prefixes of every level above 1, holds the same
+        # bound
         field = make_field(q)
-        itemsize = _lanes(field, m).dtype.itemsize
+        itemsize = _lanes(q, m).dtype.itemsize
         A = np.random.default_rng(q + n).integers(0, q, size=(m, n)).astype(np.int16)
         targets = pack_measurements(field, np.zeros(m, dtype=np.int16))
         bound = 2 * model._CHUNK_WORDS * itemsize
@@ -659,6 +745,59 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert hits >= 1  # the zero member
+        assert peak < bound, (peak, bound)
+        with join_where_it_fits():
+            assert all(model._joins(n, w, q, m, 1) for w in range(2, k + 1))
+            tracemalloc.start()
+            try:
+                joined = sum(len(level) for _, level in measure_levels(field, A, k, targets))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert joined == hits
+        assert peak < bound, (peak, bound)
+
+    def test_scan_of_all_hits_is_bounded_by_the_hits(self):
+        # a zero matrix measures every member as 0, so each level is all
+        # hits: 757,531 of them at n = 12, k = 3 over GF(16), 6.1 MB as
+        # int64.  Both routes hold the hits and their chunk's working
+        # set, and the join ranks its hits a run of at most about
+        # _CHUNK_WORDS int64 at a time, not all of a chunk's at once
+        field = make_field(16)
+        A = np.zeros((7, 12), dtype=np.int16)
+        targets = pack_measurements(field, np.zeros(7, dtype=np.int16))
+        total = signal_set_size(12, 3, 16).total
+        bound = 2 * total * 8 + 2 * model._CHUNK_WORDS * _lanes(16, 7).dtype.itemsize
+        for forced in (sweep_only, join_where_it_fits):
+            with forced():
+                list(measure_levels(field, A, 1, targets))  # field tables outside the measurement
+                tracemalloc.start()
+                try:
+                    hits = sum(len(level) for _, level in measure_levels(field, A, 3, targets))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert hits == total
+            assert peak < bound, (forced.__name__, peak, bound)
+
+    @pytest.mark.parametrize("q,b,m,n", [(2, 524, 20, 50), (2, 3120, 6, 10), (4, 400, 6, 10), (13, 20, 7, 12)])
+    def test_column_table_build_is_bounded_by_one_row(self, q, b, m, n):
+        # the scaled entries are gathered a row of the matrices at a
+        # time: beside the matrices, the build holds the table's packed
+        # words, their copy in the table's layout, and one row's intp
+        # index and gathered words.  A gather of all rows at once held
+        # the matrices as intp, 5 MB for a 0.1 MB table at n = 50, m = 20
+        field = make_field(q)
+        mats = np.random.default_rng(b).integers(0, q, size=(b, m, n)).astype(np.int16)
+        model._ColumnTable(field, mats)  # field tables outside the measurement
+        tracemalloc.start()
+        try:
+            table = model._ColumnTable(field, mats).table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = b * n * (8 + (q - 1) * table.itemsize)
+        bound = 2 * table.nbytes + row + 16 * 1024
         assert peak < bound, (peak, bound)
 
     def test_full_decode_scan_memory_is_bounded_by_the_chunk(self):
