@@ -1,23 +1,24 @@
 """Phase-transition curves: minimum measurements versus sparsity ratio.
 
-For each sparsity level the smallest integer measurement count m with
-union bound <= target is located by binary search; the bound is monotone
-non-increasing in m (asserted by tests, not assumed silently).  Curve
-generation is fully deterministic: no sampling happens anywhere here.
+For each sparsity level one search, _smallest_m (a stdlib bisection),
+finds the smallest integer measurement count m with meets(m), a
+predicate each bound supplies and the tests check for monotonicity in
+m on a grid.  Curve generation is deterministic: nothing is sampled.
 
-Dense points take an exact route.  With entries uniform over GF(q) a
-row annihilates every nonzero vector with probability exactly 1/q, so
+Dense points take an exact predicate.  With entries uniform over GF(q)
+a row annihilates every nonzero vector with probability exactly 1/q, so
 the pair counts enter the bound only through their sum,
-bounds.pair_total, and the test at each m compares integers: no
-pair-count profile, no float rounding.  Every other gamma searches the
-log-domain union_bound.
+bounds.pair_total, and each m compares integers: no pair-count profile,
+no float rounding, and a bound equal to the target meets it.  Every
+other gamma compares the log-domain union_bound with log(target).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bounds import PairVariant, pair_total, union_bound
 from .model import ModelParams, dense_gamma, signal_set_size, sparse_gamma
@@ -88,6 +89,13 @@ def _search_ceiling(n: int, q: int) -> int:
     return n * math.ceil(math.log2(q)) + 64
 
 
+def _smallest_m(meets: Callable[[int], bool], hi: int) -> MinMeasurements:
+    """Smallest m in [1, hi] with meets(m), meets monotone; (hi, False) if none."""
+    if not meets(hi):
+        return MinMeasurements(m=hi, achieved=False)
+    return MinMeasurements(m=bisect.bisect_left(range(1, hi), True, key=meets) + 1, achieved=True)
+
+
 def min_measurements(
     n: int,
     k: int,
@@ -96,16 +104,16 @@ def min_measurements(
     target: float = 1e-2,
     variant: PairVariant = PairVariant.ALL_PAIRS,
 ) -> MinMeasurements:
-    """Smallest m with union bound <= target, by binary search over m.
+    """Smallest m with union bound <= target, by _smallest_m over one predicate.
 
-    At gamma = dense_gamma(q) the test at each m is exact: every row
+    At gamma = dense_gamma(q) the predicate is exact: every row
     annihilates a nonzero vector with probability 1/q, so the bound is
     pair_total / |L| * q^-m.  A float target is exactly num/den, so m
-    passes iff pair_total * den <= num * |L| * q^m, a comparison of
-    integers.  Any other gamma compares the log-domain union_bound with
-    log(target).  The search runs up to the ceiling n ceil(log2 q) + 64;
-    if even that misses the target the ceiling is returned with
-    achieved=False rather than raising: a flagged point, not a fatal one.
+    passes iff pair_total * den <= num * |L| * q^m, an integer test that
+    a tie passes.  Any other gamma compares the log-domain union_bound
+    with log(target).  The search runs up to the ceiling n ceil(log2 q)
+    + 64; if even that misses the target the ceiling is returned with
+    achieved=False: a flagged point, not a fatal one.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
@@ -129,16 +137,7 @@ def min_measurements(
             params = ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)
             return union_bound(params, variant).log_value <= log_target
 
-    if not meets(hi):
-        return MinMeasurements(m=hi, achieved=False)
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return MinMeasurements(m=lo, achieved=True)
+    return _smallest_m(meets, hi)
 
 
 def default_k_grid(n: int) -> list[int]:

@@ -472,7 +472,9 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
     window at a time: as many whole blocks as hold at most
     _WINDOW_TRIALS trials and _BLOCK_ELEMS matrix entries, or one
     block, so the window depends on (n, k, m, q), never on the trials;
-    the blocks are views into it.
+    the blocks are views into it.  A block still referenced keeps its
+    whole window alive, so this generator and its callers drop theirs
+    before the next window is drawn: the draws peak at one window.
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))
@@ -482,6 +484,7 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
         mats, idx = _sample_trials(params, min(first + window, trials), seed, n_candidates, first)
         for lo in range(0, len(idx), block):
             yield first + lo, mats[lo : lo + block], idx[lo : lo + block]
+        del mats, idx
 
 
 def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -565,6 +568,7 @@ def run_trials(
         violations += int((e0_flags & ~e_flags).sum())
         if on_block is not None:
             on_block(start, mats, cands[idx], y)
+        del mats, idx
 
     e0_lo, e0_hi = wilson_interval(e0_errors, trials)
     e_lo, e_hi = wilson_interval(e_errors, trials)
@@ -634,6 +638,7 @@ def equal_weight_nullity_test(
         null = (measure_candidates(field, mats, pair) == 0).all(axis=1)  # (t, 2)
         hits_1 += int(null[:, 0].sum())
         hits_2 += int(null[:, 1].sum())
+        del mats
     ci_1 = wilson_interval(hits_1, trials)
     ci_2 = wilson_interval(hits_2, trials)
     analytic = row_zero_prob_sparse(field.q, gamma, h).linear ** m

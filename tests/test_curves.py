@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from ffcs import (
     min_measurements,
     nh_count,
     signal_set_size,
+    sparse_gamma,
     union_bound,
 )
 from ffcs.curves import _search_ceiling
@@ -37,6 +40,33 @@ def union_bound_threshold(n, k, q, gamma, target, variant):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
     return lo
+
+
+SEARCH_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16)
+SEARCH_TARGETS = (0.5, 0.25, 0.125, 0.1, 1e-2, 1e-3, 2**-10, 0.3)
+
+
+def rational_union_bound(n, k, q, gamma, variant):
+    """m -> the union bound (1/|L|) sum_h N_h p_h^m in exact rationals, for
+    gamma a Fraction, as an unreduced (numerator, denominator) pair.
+
+    With gamma = G/E, u = (q - 1) E and v = u - q G, the row nullity
+    1/q + (1 - 1/q) (1 - gamma / (1 - 1/q))^h is (u^h + (q - 1) v^h) /
+    (q u^h), so every term shares the denominator q u^H, H the largest
+    distance, and the sum needs no gcd of its 10^5-bit integers.
+    """
+    u = (q - 1) * gamma.denominator
+    v = u - q * gamma.numerator
+    counts = nh_count(n, k, q, variant).counts
+    top = max(counts)
+    terms = [(nh, (u**h + (q - 1) * v**h) * u ** (top - h)) for h, nh in counts.items()]
+    size = signal_set_size(n, k, q).total
+
+    @functools.cache
+    def at(m):
+        return sum(nh * x**m for nh, x in terms), size * (q * u**top) ** m
+
+    return at
 
 
 def closed_form_threshold(n, k, q, target):
@@ -112,17 +142,87 @@ class TestMinMeasurements:
 
     @pytest.mark.parametrize("variant", list(PairVariant))
     def test_exact_dense_route_meets_ties_with_the_target(self, variant):
-        # the smallest m with sum_h N_h / |L| * q^-m <= target, in Fractions;
-        # dyadic targets meet the bound exactly at some points, e.g. n = 4,
-        # k = 1, q = 2, where (|L| - 1) 2^-3 = 0.5
-        for n in range(1, 9):
-            for k in range(n + 1):
-                for q in (2, 3, 4):
-                    mass = Fraction(nh_count(n, k, q, variant).total, signal_set_size(n, k, q).total)
-                    for target in (0.5, 0.25, 2**-10, 1e-2):
-                        want = next(m for m in range(1, 200) if mass / q**m <= Fraction(target))
+        # the smallest m with pairs / |L| * q^-m <= target in exact rationals,
+        # the ordered pairs (x, x' != x) counted from the level sizes
+        # C(n, w) (q - 1)^w; dyadic targets meet the bound exactly at some
+        # points, e.g. n = 4, k = 1, q = 2, where (|L| - 1) 2^-3 = 0.5
+        for q in SEARCH_ORDERS:
+            for n in range(1, 31):
+                for k in range(n + 1):
+                    level = [math.comb(n, w) * (q - 1) ** w for w in range(k + 1)]
+                    size = sum(level)
+                    if variant is PairVariant.ALL_PAIRS:
+                        pairs = size * size - size
+                    else:
+                        pairs = sum(a * b for w, a in enumerate(level) for b in level[: w + 1]) - size
+                    for target in SEARCH_TARGETS:
+                        t, want = Fraction(target), 1
+                        while pairs * t.denominator > t.numerator * size * q**want:
+                            want += 1
                         got = min_measurements(n, k, q, dense_gamma(q), target=target, variant=variant)
                         assert got == (want, True), (n, k, q, target)
+
+    def test_each_predicate_is_monotone_and_brackets_the_rational_bound(self, monkeypatch):
+        # both predicates, captured from the search, are monotone on
+        # 1..ceiling, and M brackets the union bound in exact rationals.
+        # c = 5 puts gamma above 1 at every n <= 12 (5 ln 12 / 12 = 1.035),
+        # so 0.95, above every dense point up to q = 16, stands in for it.
+        # The grid is trimmed to about 5 s: n = 4 and 8 at every order,
+        # 7,680 points; n = 12 would add about 1.5 s per order.
+        predicates = []
+        search = ffcs.curves._smallest_m
+        monkeypatch.setattr(ffcs.curves, "_smallest_m", lambda meets, hi: predicates.append(meets) or search(meets, hi))
+        # union_bound is pure; the memo spares each target's predicate
+        # recomputing the bounds another target's scan already took
+        monkeypatch.setattr(ffcs.curves, "union_bound", functools.cache(union_bound))
+        for n, q in itertools.product((4, 8), SEARCH_ORDERS):
+            for k, variant in itertools.product(range(1, n + 1), PairVariant):
+                hi = _search_ceiling(n, q)
+                for gamma in (0.05, 0.3, sparse_gamma(1, n), 0.95, dense_gamma(q)):
+                    exact_gamma = Fraction(q - 1, q) if gamma == dense_gamma(q) else Fraction(gamma)
+                    bound = rational_union_bound(n, k, q, exact_gamma, variant)
+                    for target in SEARCH_TARGETS:
+                        t = Fraction(target)
+
+                        def above(m):
+                            num, den = bound(m)
+                            return num * t.denominator > t.numerator * den
+
+                        got = min_measurements(n, k, q, gamma, target=target, variant=variant)
+                        meets = predicates.pop()
+                        flags = [meets(m) for m in range(1, hi + 1)]
+                        point = (n, k, q, gamma, target, variant)
+                        assert flags == sorted(flags), point
+                        assert got.m == (flags.index(True) + 1 if got.achieved else hi), point
+                        assert above(got.m) != got.achieved, point
+                        assert not got.achieved or got.m == 1 or above(got.m - 1), point
+
+    def test_sparse_thresholds_keep_clear_of_float_ties_at_n_1000(self):
+        # Every point of the default sparse grids.  The float search can
+        # be off by one only where a log bound it compares lies within the
+        # log-domain path's rounding error of log(target); the exact bound
+        # is monotone, so probes below M - 1 or above M lie farther out.
+        # Each float operation rounds by at most 2^-53 of its result.  At
+        # n = 1000 the P and S prefix rows are chains of at most 2K <= 1000
+        # logaddexp steps on values below 1000 log 256 = 5545, each off by
+        # at most 2 * 2^-53 of its value: 1000 * 2^-52 * 5545 = 1.2e-9.
+        # log j! (lgamma, a few ulp) reaches log 1000! = 5912, and the
+        # final logsumexp takes terms |log N_h| + m |log p_h| <= 6918 +
+        # 12586 (largest on this grid) less log |L| <= 3461: a few roundings
+        # of 2e4 each, about 1e-11 in all.  So the log bound is within
+        # 1.3e-9 of its exact value, and a margin above band = 1e-8 leaves
+        # M as the exact bound would place it.  The smallest margin
+        # measured is 4.7e-5 (q = 4, c = 1, K = 220, at M - 1); the 50
+        # unachieved points (q = 2, c = 1) clear it by 0.51.
+        band, n, log_target = 1e-8, 1000, math.log(1e-2)
+        for c, q in itertools.product((1, 5, 10), (2, 4, 16, 256)):
+            gamma = sparse_gamma(c, n)
+            for k in default_k_grid(n):
+                got = min_measurements(n, k, q, gamma)
+                for m in (got.m, got.m - 1) if got.achieved else (got.m,):
+                    log_bound = union_bound(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)).log_value
+                    assert abs(log_bound - log_target) > band, (c, q, k, m)
+
 
     def test_exact_dense_route_builds_no_profile(self, monkeypatch):
         def refuse(*_a, **_kw):

@@ -456,6 +456,23 @@ def test_memory_does_not_grow_with_trials():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def test_run_trials_frees_each_draw_window_before_the_next():
+    # windows of 1,048 trials here (two blocks of 524); a block left
+    # referenced while the next window is drawn kept two windows alive,
+    # 4.41 MB against 2.54 MB for one
+    params = ModelParams(n=50, k=1, m=20, q=2, gamma=0.5)
+    run_trials(params, 10, seed=0)  # field tables and caches outside the measurement
+    peaks = []
+    for windows in (1, 2, 4):
+        tracemalloc.start()
+        try:
+            run_trials(params, 1_048 * windows, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) <= 1.1 * peaks[0], peaks
+
+
 # (m, n) with m n odd and even, and with the int16 value draw taking an
 # odd and an even number of uint32s: with an odd number the signal rank
 # reads the buffered high half of the last value word

@@ -8,6 +8,7 @@ Each property holds for every instance; hypothesis draws the instances
 
 import json
 import math
+from fractions import Fraction
 from functools import reduce
 from unittest import mock
 
@@ -29,8 +30,10 @@ from ffcs import (
     min_measurements,
     nh_count,
     nh_log_profile,
+    pair_total,
     run_trials,
     signal_from_json,
+    signal_set_size,
     signal_to_json,
     union_bound,
 )
@@ -225,20 +228,33 @@ def search_configs(draw):
 
 @given(search_configs())
 @settings(max_examples=60)
+# exact ties at dense gamma, where the float bound rounds above log(target)
+@example((4, 1, 2, dense_gamma(2), 0.5))
+@example((16, 16, 8, dense_gamma(8), 0.125))
 def test_min_measurements_brackets_the_target(config):
     n, k, q, gamma, target = config
     res = min_measurements(n, k, q, gamma, target=target)
+    if gamma == dense_gamma(q):
+        # the dense route is exact, so its oracle is the rational bound
+        # pair_total / |L| q^-m, not the float log bound
+        sizes = signal_set_size(n, k, q)
+        mass = Fraction(pair_total(sizes, PairVariant.ALL_PAIRS), sizes.total)
 
-    def log_bound(m):
-        return union_bound(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)).log_value
+        def above(m):
+            return mass / q**m > Fraction(target)
+
+    else:
+
+        def above(m):
+            return union_bound(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma)).log_value > math.log(target)
 
     if not res.achieved:
         assert res.m == _search_ceiling(n, q)
-        assert log_bound(res.m) > math.log(target)
+        assert above(res.m)
         return
-    assert log_bound(res.m) <= math.log(target)
+    assert not above(res.m)
     if res.m > 1:
-        assert log_bound(res.m - 1) > math.log(target)
+        assert above(res.m - 1)
 
 
 @given(
