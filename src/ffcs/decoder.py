@@ -85,9 +85,14 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     check_enumeration_cap(rows.shape[1], k_max, field.q)
     _check_entries(field.q, rows)
-    if not np.isin(y, np.arange(field.q)).all():
-        # every candidate measures integers in 0..q-1; y is screened as
-        # given, since a cast to int16 would wrap or truncate it into them
+    # every candidate measures integers in 0..q-1; y is screened as
+    # given, since a cast to int16 would wrap or truncate it into them:
+    # integers by their range, other types (floats, bools, objects) by value
+    if y.dtype.kind in "iu":
+        inside = not y.size or (y.min() >= 0 and y.max() < field.q)
+    else:
+        inside = np.isin(y, np.arange(field.q)).all()
+    if not inside:
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
     return _first_feasible(field, rows, k_max, y)
 

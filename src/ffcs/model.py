@@ -20,14 +20,17 @@ order, without building a candidate.  The sweep compares each partial
 sum with its goals; the join, for one matrix, sorts the words of level
 w - 1 with their last columns and looks each goal up among them, which
 costs |L_{w-1}| sorted keys instead of |L_w| comparisons.  Both stay
-private, as do their chunks.  level_starts gives the rank where each
-level begins, and level_members unranks just the candidates a caller
-keeps.  The kernel handles all m rows of a matrix at once: each row is
-a lane of an unsigned machine word (SIMD within a register), e bits
-wide over GF(2^e) and one bit wider than p - 1 over prime p, so that a
-fold of two columns is one XOR, or for odd p an add and a lane-wise
-conditional subtraction of p.  The word type is the narrowest of 8 to
-64 bits that holds the lanes; rows beyond 64 bits take further words.
+private, as do their chunks.  A level's supports come from a kept
+table of them in lexicographic order, built on first use, up to a
+bounded size, and are unranked above it.  level_starts gives the rank
+where each level begins, and level_members unranks just the candidates
+a caller keeps.  The kernel handles all m rows of a matrix at once:
+each row is a lane of an unsigned machine word (SIMD within a
+register), e bits wide over GF(2^e) and one bit wider than p - 1 over
+prime p, so that a fold of two columns is one XOR, or for odd p an add
+and a lane-wise conditional subtraction of p.  The word type is the
+narrowest of 8 to 64 bits that holds the lanes; rows beyond 64 bits
+take further words.  The layout of (q, m) is kept after first use.
 pack_measurements lays a measurement out in the same words, and
 match_words compares them.  measure_candidates is the definition of
 A x, a table gather and a field sum, for explicit vectors (matvec, a
@@ -37,6 +40,7 @@ tests' oracle for the kernel.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -194,6 +198,50 @@ def _binomials(n: int, w: int) -> np.ndarray:
     return binom
 
 
+def _unrank_supports(n: int, w: int, s: np.ndarray) -> np.ndarray:
+    """The weight-w supports of n columns at lexicographic ranks s, unranked one by one, as int64 (len, w)."""
+    # Combinatorial number system: the support at lexicographic rank s,
+    # mirrored (p -> n-1-p), has sorted elements d_i with colex rank
+    # C(n,w)-1-s = sum_i C(d_i, i+1), peeled off greedily from the top.
+    binom = _binomials(n, w)
+    rest = comb(n, w) - 1 - s
+    support = np.empty((len(s), w), dtype=np.int64)
+    for i in range(w - 1, -1, -1):
+        d = np.searchsorted(binom[i], rest, side="right") - 1
+        rest -= binom[i][d]
+        support[:, w - 1 - i] = n - 1 - d
+    return support
+
+
+# the most entries C(n, w) w of a kept support table (_supports), and the
+# most tables kept: all of them together hold at most _CHUNK_WORDS int64
+_KEPT_TABLES = 16
+_KEPT_ENTRIES = _CHUNK_WORDS // _KEPT_TABLES
+
+
+@lru_cache(maxsize=_KEPT_TABLES)
+def _support_table(n: int, w: int) -> np.ndarray:
+    """The read-only (C(n, w), w) int64 table of every weight-w support of n columns, in lexicographic order."""
+    table = _unrank_supports(n, w, np.arange(comb(n, w), dtype=np.int64))
+    table.setflags(write=False)
+    return table
+
+
+def _supports(n: int, w: int, s) -> np.ndarray:
+    """The weight-w supports of n columns at lexicographic ranks s, an int64 array or a slice, as int64 (len, w).
+
+    A level of at most _KEPT_ENTRIES entries C(n, w) w reads them from
+    its kept table (_support_table, built on first use; a slice is a
+    read-only view of it); a larger one, such as weight 2 at n = 1000,
+    unranks each rank.
+    """
+    if comb(n, w) * w <= _KEPT_ENTRIES:
+        return _support_table(n, w)[s]
+    if isinstance(s, slice):
+        s = np.arange(s.start, s.stop, dtype=np.int64)
+    return _unrank_supports(n, w, s)
+
+
 def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
     """Supports and leading values at the given ranks of a level with digits value places.
 
@@ -201,28 +249,19 @@ def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
     the (q-1)^digits tuples of its first ``digits`` values, in
     lexicographic order: rank r is the (r % (q-1)^digits)-th tuple on
     the (r // (q-1)^digits)-th support.  With digits = w these are the
-    members of L of weight w in canonical order.  Returns an int64
-    (len, w) support array and an int16 (len, digits) value array.
+    members of L of weight w in canonical order.  Returns int64 (len, w)
+    supports and int64 (len, digits) values.  The supports are gathered
+    from the kept lexicographic table of the level's supports where
+    C(n, w) w is at most _KEPT_ENTRIES (2^16 entries, 512 KiB), and
+    only above that bound unranked one by one (_supports).
     """
-    # Combinatorial number system: the support at lexicographic rank s,
-    # mirrored (p -> n-1-p), has sorted elements d_i with colex rank
-    # C(n,w)-1-s = sum_i C(d_i, i+1), peeled off greedily from the top.
-    n_supports = comb(n, w)
-    binom = _binomials(n, w)
-    place = (q - 1) ** np.arange(digits - 1, -1, -1, dtype=np.int64)
     s, v = np.divmod(ranks, (q - 1) ** digits)
-    rest = n_supports - 1 - s
-    support = np.empty((len(ranks), w), dtype=np.int64)
-    for i in range(w - 1, -1, -1):
-        d = np.searchsorted(binom[i], rest, side="right") - 1
-        rest -= binom[i][d]
-        support[:, w - 1 - i] = n - 1 - d
-    values = (v[:, None] // place % (q - 1) + 1).astype(np.int16)
-    return support, values
+    place = np.array([(q - 1) ** i for i in range(digits - 1, -1, -1)], dtype=np.int64)
+    return _supports(n, w, s), v[:, None] // place % (q - 1) + 1
 
 
 def _support_ranks(n: int, support: np.ndarray) -> np.ndarray:
-    """The lexicographic ranks of the increasing weight-w supports (len, w): _level_terms' unranking undone."""
+    """The lexicographic ranks of the increasing weight-w supports (len, w): _supports undone."""
     w = support.shape[1]
     binom = _binomials(n, w)
     colex = sum(binom[w - 1 - i, n - 1 - support[:, i]] for i in range(w))
@@ -256,41 +295,60 @@ class _Lanes:
     """How the measurements of m rows over a field pack into words.
 
     Row r is lane r % per of word r // per: its ``bits`` bits start at
-    bit bits * (r % per).  A lane is as wide as a residue plus, for odd
-    p, one bit that the sum of two residues (at most 2p - 2) carries
-    into, so lanes never spill into their neighbours.  ``count`` words
-    of at most 64 bits hold the m rows, split as evenly as they go, and
-    ``dtype`` is the narrowest type that holds ``per`` lanes.
+    bit bits * (r % per), its entry of ``shifts``, in the word type.  A
+    lane is as wide as a residue plus, for odd p, one bit that the sum
+    of two residues (at most 2p - 2) carries into, so lanes never spill
+    into their neighbours.  ``count`` words of at most 64 bits hold the
+    m rows, split as evenly as they go, and ``dtype`` is the narrowest
+    type that holds ``per`` lanes.
     """
 
     bits: int
     per: int
     count: int
     dtype: np.dtype
+    shifts: np.ndarray = dataclasses.field(compare=False, repr=False)
 
 
+@lru_cache(maxsize=64)
 def _lanes(q: int, m: int) -> _Lanes:
-    """The word layout of m measurements over GF(q)."""
+    """The word layout of m measurements over GF(q), kept per (q, m) like its read-only shifts."""
     p, e = check_prime_power(q)
     bits = e if p == 2 else (p - 1).bit_length() + 1
     count = max(1, -(-m // (64 // bits)))
     per = -(-m // count)
     dtype = next(t for t in _WORD_TYPES if 8 * t.itemsize >= per * bits)
-    return _Lanes(bits, per, count, dtype)
+    shifts = (bits * (np.arange(count * per) % per)).astype(dtype)
+    shifts.setflags(write=False)
+    return _Lanes(bits, per, count, dtype, shifts)
+
+
+# the most entries (s, m, ...) that _pack_rows gathers at once
+_GATHER_ENTRIES = _CHUNK_WORDS // 64
 
 
 def _pack_rows(lanes: _Lanes, rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Rows (m, ...) of entries in 0..q-1, scaled by an (s, q) table, as (count, s, ...) words.
 
-    Row r packs as scale[:, rows[r]] into lane r % per of word r // per.
-    Each row is gathered on its own, so the build holds one row's index
-    and values beside the words, not the whole (s, m, ...) gather.
+    Row r packs as scale[:, rows[r]] into lane r % per of word r // per,
+    and lanes do not overlap, so a word ORs its rows together.  All rows
+    are gathered at once where that is at most _GATHER_ENTRIES entries,
+    as for one matrix of a decode; otherwise each row on its own, so the
+    build holds one row's index and values beside the words, not the
+    whole (s, m, ...) gather.
     """
+    m, per = len(rows), lanes.per
     words = np.zeros((lanes.count,) + scale.shape[:1] + rows.shape[1:], dtype=lanes.dtype)
+    if scale.shape[0] * rows.size <= _GATHER_ENTRIES:
+        vals = np.take(scale, rows, axis=1)
+        vals <<= lanes.shifts[:m].reshape((m,) + (1,) * (rows.ndim - 1))
+        for i, word in enumerate(words):
+            np.bitwise_or.reduce(vals[:, i * per : (i + 1) * per], axis=1, out=word)
+        return words
     for r, row in enumerate(rows):
         vals = np.take(scale, row, axis=1)
-        vals <<= lanes.dtype.type(lanes.bits * (r % lanes.per))
-        words[r // lanes.per] |= vals
+        vals <<= lanes.shifts[r]
+        words[r // per] |= vals
     return words
 
 
@@ -307,7 +365,7 @@ def pack_measurements(field: FiniteField, y) -> np.ndarray:
     lanes = _lanes(field.q, m)
     vals = np.zeros((*stack, lanes.count * lanes.per), dtype=lanes.dtype)
     vals[..., :m] = y
-    vals <<= (lanes.bits * (np.arange(vals.shape[-1]) % lanes.per)).astype(lanes.dtype)
+    vals <<= lanes.shifts
     return np.bitwise_or.reduce(vals.reshape(*stack, lanes.count, lanes.per), axis=-1)
 
 
@@ -332,8 +390,9 @@ def match_words(words: np.ndarray, packed: np.ndarray) -> np.ndarray:
     return match
 
 
-def _lane_sum(field: FiniteField, lanes: _Lanes):
-    """The lane-wise field sum of two word arrays, as a ufunc-like (a, b) -> words.
+@lru_cache(maxsize=64)
+def _lane_sum(p: int, lanes: _Lanes):
+    """The lane-wise field sum over GF(p^e) of two word arrays, as a ufunc-like (a, b) -> words.
 
     In characteristic 2 it is XOR.  For odd p each lane of s = a + b is
     below 2p - 1, and adding 2**(bits-1) - p to it sets the lane's top
@@ -341,13 +400,13 @@ def _lane_sum(field: FiniteField, lanes: _Lanes):
     shifted down and times p, is subtracted, so each lane is again a
     reduced residue.
     """
-    if field.p == 2:
+    if p == 2:
         return np.bitwise_xor
     word = lanes.dtype.type
     ones = sum(1 << (lanes.bits * i) for i in range(lanes.per))
     top = 1 << (lanes.bits - 1)
-    carry, high = word((top - field.p) * ones), word(top * ones)
-    shift, p = word(lanes.bits - 1), word(field.p)
+    carry, high = word((top - p) * ones), word(top * ones)
+    shift, p = word(lanes.bits - 1), word(p)
 
     def lane_sum(a, b):
         s = a + b
@@ -448,9 +507,9 @@ class _ColumnTable:
         *stack, m, n = mats.shape
         _check_entries(field.q, mats)
         self.field, self.lanes, self.stack = field, _lanes(field.q, m), tuple(stack)
-        self.lane_sum = _lane_sum(field, self.lanes)
+        self.lane_sum = _lane_sum(field.p, self.lanes)
         v, rows = field.q - 1, mats.reshape(-1, m, n).swapaxes(0, 1)  # (m, b, n)
-        # scaled[v - 1, x] = v * x in the word type, packed a row at a time: (count, q-1, b, n)
+        # scaled[v - 1, x] = v * x in the word type, packed by _pack_rows: (count, q-1, b, n)
         scaled = field.mul_table[1:].astype(self.lanes.dtype)
         packed = _pack_rows(self.lanes, rows, scaled)
         if rows.shape[1] * self.lanes.count > v:  # (n, q-1, b, count)
@@ -463,14 +522,14 @@ class _ColumnTable:
     def member_words(self, weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """The (b, count) packed measurement, by matrix i, of the member of weight weights[i] at rank ranks[i] of its level.
 
-        Each member is unranked (_level_terms), or where a level has
-        fewer members than it has ranks here, the whole level once, and
-        its scaled columns are read from the table and summed, so no
-        (b, m, n) array is built.  Unranking is most of the cost, and
-        a Monte Carlo block can hold far more trials than a level has
-        members: at n = 10, k = 2, a q = 2 block of 3,120 trials meets
-        the 45 weight-2 members thousands of times (ROADMAP has the
-        timings).
+        Each member is unranked (_level_terms: its support read from
+        the level's kept table, its values by division), or where a
+        level has fewer members than it has ranks here, the whole level
+        once, and its scaled columns are read from the table and summed,
+        so no (b, m, n) array is built.  A Monte Carlo block can hold far
+        more trials than a level has members: at n = 10, k = 2, a q = 2
+        block of 3,120 trials meets the 45 weight-2 members thousands of
+        times.
         """
         count, table, axis = self.lanes.count, self.table, self.axis
         n, v = table.shape[axis - 1], table.shape[axis]
@@ -536,8 +595,9 @@ class _ColumnTable:
         table, axis = self.table, self.axis
         n, v = table.shape[axis - 1], table.shape[axis]
         size = table.shape[2] if axis == 1 else table.shape[0]  # words per member
-        # a unit costs its members' words and its unranking: _level_terms
-        # holds at most 3w + 4 int64 per rank, counted here in table words
+        # a unit costs its members' words and its supports: _level_terms,
+        # where it unranks them, holds at most 3w + 4 int64 per rank,
+        # counted here in table words
         unranking = -(-8 * (3 * w + 4) // table.itemsize)
         # fix the leading `lead` values of a unit's tuples, so that each
         # (support, leading values) unit fits in a chunk
@@ -548,8 +608,13 @@ class _ColumnTable:
         # the partial sum of no columns, as the table's layout broadcasts it
         zero = np.zeros((1, 1, size) if axis == 1 else (size, 1, 1), dtype=table.dtype)
         for lo in range(0, units, step):
-            ranks = np.arange(lo, min(lo + step, units), dtype=np.int64)
-            support, leading = _level_terms(n, w, v + 1, ranks, lead)
+            hi = min(lo + step, units)
+            if lead:
+                ranks = np.arange(lo, hi, dtype=np.int64)
+                support, leading = _level_terms(n, w, v + 1, ranks, lead)
+            else:  # a unit is a support: a run of its level's, and no leading values
+                support = _supports(n, w, slice(lo, hi))
+                leading = support[:, :0]
             acc = zero
             for i in range(cols):
                 term = _take_column(table, axis, support, leading, i)
@@ -572,9 +637,9 @@ class _ColumnTable:
             if axis == 1:
                 have, want = (a.reshape(a.shape[:-1] + (b, count)) for a in (have, want))
                 yield start, match_words(have, want).reshape(-1, b)
-            else:
+            else:  # (b, count, units, X, V) with the count axis moved last
                 have, want = (
-                    np.moveaxis(a.reshape((b, count) + a.shape[1:]), 1, -1) for a in (have, want)
+                    a.reshape((b, count) + a.shape[1:]).transpose(0, 2, 3, 4, 1) for a in (have, want)
                 )
                 yield start, match_words(have, want).reshape(b, -1).T
 
@@ -584,21 +649,26 @@ class _ColumnTable:
         A key is (word, column, index) from the top bit down, the index
         taking the bits that the word and a column below n leave.  Query
         j * (q-1) + v - 1, for last column j and value v, spans the keys
-        [(g, 0, 0), (g, j, 0)) of its goal word g.  The filter ``seen``
-        marks the low ``low`` bits of every goal word: a word whose low
-        bits it does not mark equals no goal.
+        [(g, 0, 0), (g, j, 0)) of its goal word g.  The queries are
+        sorted once per scan, ``order`` holding their ids in sorted
+        order, so that each chunk's searches take them in key order.
+        The filter ``seen`` marks the low ``low`` bits of every goal
+        word: a word whose low bits it does not mark equals no goal.
         """
         n, v = self.table.shape[1:]
         word_bits = self.m * self.lanes.bits
         index_bits = 64 - word_bits - (n - 1).bit_length()
         goals = goal.reshape(-1)
-        lower = goals.astype(np.uint64) << np.uint64(64 - word_bits)
-        columns = np.arange(n, dtype=np.uint64) << np.uint64(index_bits)
+        shift = np.uint64(64 - word_bits)
+        upper = goals.astype(np.uint64) << shift
+        upper |= np.repeat(np.arange(n, dtype=np.uint64) << np.uint64(index_bits), v)
+        order = upper.argsort()
+        upper = upper[order]
         # about 64 filter entries a goal, at most _CHUNK_WORDS
         low = (1 << min(word_bits, (64 * len(goals)).bit_length(), _CHUNK_WORDS.bit_length() - 1)) - 1
         seen = np.zeros(low + 1, dtype=bool)
         seen[goals.astype(np.intp) & low] = True
-        return index_bits, lower, lower | np.repeat(columns, v), low, seen
+        return index_bits, order, upper >> shift << shift, upper, low, seen
 
     def _join(self, queries, w: int) -> np.ndarray:
         """Level w's hits for one matrix of one-word measurements (w >= 2), by sort and join.
@@ -613,9 +683,9 @@ class _ColumnTable:
         from its prefix's support and value tuple, and the level's hits
         are returned sorted.
         """
-        index_bits, lower, upper, low, seen = queries
+        index_bits, order, lower, upper, low, seen = queries
         n, v = self.table.shape[1:]
-        shift = np.uint64(64 - self.m * self.lanes.bits)
+        shift, low = np.uint64(64 - self.m * self.lanes.bits), self.lanes.dtype.type(low)
         mask, tuples = np.uint64((1 << index_bits) - 1), v ** (w - 1)
         cost = 1 + -(-8 // self.table.itemsize)  # a prefix's word and its index or key
         # a hit's ranking holds about w + 12 int64, so the hits are ranked a
@@ -626,29 +696,27 @@ class _ColumnTable:
         for start, support, _, acc in self._sums(w - 1, cost, w - 1):
             words = acc.reshape(-1)
             span = len(words) // len(support)
-            low_bits = words.astype(np.intp)
-            low_bits &= low
-            kept = np.flatnonzero(seen[low_bits])
+            kept = seen.take(words & low).nonzero()[0]
             keys = words[kept].astype(np.uint64)
             keys <<= shift
-            keys |= support[kept // span, -1].astype(np.uint64) << np.uint64(index_bits)
+            keys |= support[kept // span, -1].view(np.uint64) << np.uint64(index_bits)
             keys |= kept.astype(np.uint64)
             keys.sort()
-            first = np.searchsorted(keys, lower)
-            counts = np.searchsorted(keys, upper) - first
-            ends = np.cumsum(counts)
+            first = keys.searchsorted(lower)
+            counts = keys.searchsorted(upper) - first
+            ends = counts.cumsum()
             if not ends[-1]:
                 continue
-            runs = np.searchsorted(ends, np.arange(0, ends[-1], per_run), side="right")
+            runs = ends.searchsorted(np.arange(0, ends[-1], per_run), side="right")
             for a, b in zip(runs, [*runs[1:], len(counts)]):
                 if a == b:
                     continue
                 run = counts[a:b]
                 query = np.repeat(np.arange(a, b), run)
                 # a hit's key: its query's first key, then its place among the query's hits
-                at = np.arange(len(query)) + np.repeat(first[a:b] - (np.cumsum(run) - run), run)
-                index = (keys[at] & mask).astype(np.int64)
-                last, value = np.divmod(query, v)
+                at = np.arange(len(query)) + np.repeat(first[a:b] - (run.cumsum() - run), run)
+                index = (keys[at] & mask).view(np.int64)
+                last, value = np.divmod(order[query], v)
                 supports = np.concatenate([support[index // span], last[:, None]], axis=1)
                 found.append(
                     _support_ranks(n, supports) * (tuples * v) + (start + index) % tuples * v + value

@@ -329,6 +329,28 @@ def test_measurements_are_screened_as_given():
     for y in ([65537, 2], [-65535, 2], [1.5, 2.0]):
         res = decode_l0(f, A, np.array(y), k_max=2)
         assert res.status == DecodeStatus.INFEASIBLE and res.solutions == [], y
+    # integer dtypes are screened by their range, the others by value;
+    # either way y is infeasible exactly where np.isin finds an entry
+    # outside 0..q-1, and otherwise decodes as its int16 values
+    cases = [
+        np.array([1, 2], dtype=np.int8), np.array([-1, 2], dtype=np.int8),
+        np.array([1, 5], dtype=np.int8), np.array([1, 2], dtype=np.uint8),
+        np.array([255, 2], dtype=np.uint8), np.array([1, 2], dtype=np.int64),
+        np.array([2**40 + 1, 2], dtype=np.int64), np.array([-(2**40), 2], dtype=np.int64),
+        np.array([1, 2], dtype=np.uint64), np.array([2**64 - 1, 2], dtype=np.uint64),
+        np.array([True, False]), np.array([True, True]),
+        np.array([1, 2], dtype=object), np.array([1, 7], dtype=object),
+        np.array([1, 2.5], dtype=object), np.array([1.0, 2.0]), np.array([1.5, 2.0]),
+        np.array([5.0, 2.0]),
+    ]
+    for y in cases:
+        res = decode_l0(f, A, y, k_max=2)
+        if not np.isin(y, np.arange(5)).all():
+            assert res.status == DecodeStatus.INFEASIBLE and res.solutions == [], y
+            continue
+        want = decode_l0(f, A, y.astype(np.int16), k_max=2)
+        assert (res.status, res.min_sparsity) == (want.status, want.min_sparsity), y
+        assert [s.tolist() for s in res.solutions] == [s.tolist() for s in want.solutions], y
 
 
 @pytest.mark.parametrize("y", [[0, 1, 0], [32, 0, 0]])

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -694,6 +698,10 @@ class TestEnumeration:
     def test_words_are_the_narrowest_type_that_holds_the_lanes(self, q, m, dtype):
         lanes = _lanes(q, m)
         assert (lanes.count, lanes.dtype) == (1, np.dtype(dtype))
+        # kept per (q, m), with its read-only lane shifts in the word type
+        assert _lanes(q, m) is lanes and not lanes.shifts.flags.writeable
+        assert lanes.shifts.dtype == lanes.dtype
+        assert lanes.shifts.tolist() == [lanes.bits * r for r in range(lanes.per)]
 
     @pytest.mark.parametrize("q", [61, 64])
     def test_split_level_memory_is_bounded_by_the_block(self, monkeypatch, q):
@@ -838,6 +846,119 @@ class TestEnumeration:
         assert level_members(5, 2, 3, [0, 39]).shape == (2, 5)
         with pytest.raises(ValueError):
             level_members(5, w, 3, ranks)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_kept_support_tables_match_unranking_and_combinations(self, monkeypatch, n):
+        # every weight w = 0..n of n columns: the kept table, read whole,
+        # by ranks and by slices, and each rank unranked on its own are
+        # itertools.combinations' lexicographic order, as are the members
+        # level_members builds on each route
+        rng = np.random.default_rng(n)
+        for w in range(n + 1):
+            want = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
+            want = want.reshape(math.comb(n, w), w)
+            table = model._support_table(n, w)
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert np.array_equal(table, want)
+            ranks = rng.permutation(len(want))
+            lo, hi = sorted(rng.integers(0, len(want) + 1, size=2))
+            # members of GF(3): support rank // 2^w, values from rank % 2^w
+            member_ranks = rng.integers(0, len(want) * 2**w, size=200)
+            members = []
+            for kept in (-1, math.comb(n, w) * w):  # unrank each rank, then read the table
+                monkeypatch.setattr(model, "_KEPT_ENTRIES", kept)
+                assert np.array_equal(model._supports(n, w, ranks), want[ranks])
+                assert np.array_equal(model._supports(n, w, slice(lo, hi)), want[lo:hi])
+                members.append(level_members(n, w, 3, member_ranks))
+            assert np.array_equal(*members)
+            for row, rank in zip(members[0], member_ranks):
+                assert np.array_equal(np.flatnonzero(row), want[rank // 2**w])
+
+    @pytest.mark.parametrize(
+        "n,w,kept", [(256, 2, True), (257, 2, False), (65536, 1, True), (65537, 1, False),
+                     (12, 3, True), (24, 4, True), (24, 5, False), (1000, 2, False)]
+    )
+    def test_supports_are_kept_up_to_the_bound(self, n, w, kept):
+        # a level of at most _KEPT_ENTRIES entries C(n, w) w reads its kept
+        # table, a larger one unranks; both give the same supports
+        assert (math.comb(n, w) * w <= model._KEPT_ENTRIES) == kept
+        ranks = np.array([0, 1, math.comb(n, w) // 2, math.comb(n, w) - 1])
+        with mock.patch.object(model, "_support_table", wraps=model._support_table) as table:
+            got = model._supports(n, w, ranks)
+        assert table.called == kept
+        assert np.array_equal(got, model._unrank_supports(n, w, ranks))
+
+    def test_level_members_above_the_bound_unranks(self):
+        # n = 1000, w = 2: C(1000, 2) 2 = 999,000 entries, above the bound,
+        # so the members come from unranking, in canonical order
+        n, q = 1000, 3
+        assert math.comb(n, 2) * 2 > model._KEPT_ENTRIES
+        pairs = list(itertools.combinations(range(n), 2))
+        size = len(pairs) * (q - 1) ** 2
+        ranks = np.array([0, 1, 5, 3993, size // 2 + 3, size - 2, size - 1])
+        with mock.patch.object(model, "_support_table", wraps=model._support_table) as table:
+            got = level_members(n, 2, q, ranks)
+        assert not table.called
+        for row, rank in zip(got, ranks):
+            (a, b), value = pairs[rank // 4], rank % 4
+            want = np.zeros(n, dtype=np.int16)
+            want[[a, b]] = value // 2 + 1, value % 2 + 1
+            assert np.array_equal(row, want)
+
+    def test_kept_support_tables_are_bounded_together(self):
+        # more tables than are kept, each as large as the bound allows:
+        # only _KEPT_TABLES stay, together at most _CHUNK_WORDS int64
+        model._support_table.cache_clear()
+        shapes = [(65536 - i, 1) for i in range(model._KEPT_TABLES + 4)] + [(256, 2), (51, 3)]
+        tracemalloc.start()
+        try:
+            for n, w in shapes:
+                assert model._support_table(n, w).nbytes <= 8 * model._KEPT_ENTRIES
+            model._binomials.cache_clear()  # the unranking's tables, not the kept ones
+            kept = tracemalloc.get_traced_memory()[0]
+            info = model._support_table.cache_info()
+        finally:
+            tracemalloc.stop()
+            model._support_table.cache_clear()
+        assert info.currsize == model._KEPT_TABLES
+        assert model._KEPT_TABLES * model._KEPT_ENTRIES == model._CHUNK_WORDS
+        assert kept <= 8 * model._CHUNK_WORDS + 64 * 1024, kept
+
+    def test_import_builds_no_kept_table(self):
+        # the kept tables and word layouts are built on first use, not at
+        # import, so importing ffcs costs what it did
+        code = (
+            "import ffcs; from ffcs import model; "
+            "print(model._support_table.cache_info().currsize, model._lanes.cache_info().currsize, "
+            "model._lane_sum.cache_info().currsize)"
+        )
+        path = os.pathsep.join(filter(None, [str(Path(ffcs.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "0", "0"]
+
+    @pytest.mark.parametrize(
+        "q,b,m,n,at_once",
+        [(16, 1, 7, 12, True), (13, 1, 7, 12, True), (2, 1, 20, 24, True), (2, 1, 65, 5, True),
+         (251, 1, 8, 3, True), (13, 20, 7, 12, False), (4, 400, 6, 10, False)],
+    )
+    def test_rows_pack_alike_at_once_and_one_by_one(self, monkeypatch, q, b, m, n, at_once):
+        # _pack_rows gathers all rows at once up to _GATHER_ENTRIES entries,
+        # as for one decode matrix, and a row at a time above; both give
+        # every scaled column v * A_j packed as pack_measurements packs it
+        field = make_field(q)
+        mats = np.random.default_rng(q * m).integers(0, q, size=(b, m, n)).astype(np.int16)
+        assert ((q - 1) * mats.size <= model._GATHER_ENTRIES) == at_once
+        count = _lanes(q, m).count
+        want = pack_measurements(field, field.mul_table[1:][:, mats].swapaxes(-1, -2))  # (v, b, n, count)
+        for entries in (0, (q - 1) * mats.size):
+            monkeypatch.setattr(model, "_GATHER_ENTRIES", entries)
+            columns = model._ColumnTable(field, mats)
+            if columns.axis == 1:  # (n, v, b * count)
+                got = columns.table.reshape(n, q - 1, b, count).transpose(1, 2, 0, 3)
+            else:  # (b * count, n, v)
+                got = columns.table.reshape(b, count, n, q - 1).transpose(3, 0, 2, 1)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "entry",
