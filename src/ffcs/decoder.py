@@ -12,14 +12,16 @@ feasibility check is exact, with no elimination shortcuts: a candidate
 of weight w is feasible exactly where the packed sum of its first w - 1
 scaled columns equals y less its last scaled column, in every lane of
 the measurement word.  model.measure_levels, the level kernel the Monte
-Carlo flags share, decides that equality for every candidate: by a
-sweep that compares each candidate's partial sum, or, from level 2 on
-where it costs less, by a join that sorts the words of level w - 1 and
-looks up each of those differences among them.  It yields each level's
-feasible ranks in canonical order, a level at a time, so the decoder
-stops at the first level that has any.  Only the feasible candidates
-are unranked into vectors (model.level_members).  error_events reads
-both of its flags off the decoder's one scan on y = A x.
+Carlo flags share, decides that equality for every candidate: levels 0
+and 1 by reading off where y and y less each scaled column are zero,
+and from level 2 on by a sweep that compares each candidate's partial
+sum or, where it costs less, by a join that sorts the words of level
+w - 1 and looks up each of those differences among them.  It yields
+each level's feasible ranks in canonical order, a level at a time, so
+the decoder stops at the first level that has any.  Only the feasible
+candidates are unranked into vectors (model.level_members).
+error_events reads both of its flags off the hit counts of the same
+scan on y = A x, and unranks nothing.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ class ErrorEvents:
     For this decoder the two are one event.  It counts ties as errors,
     so its output differs from x exactly when some x' != x of weight
     <= weight(x) is feasible: one lighter than x makes it stop at a
-    level below x's, one of x's weight makes a tie at x's level.  Both
+    level below x's, one of x's weight makes a tie at x's level.  x is
+    feasible, so the scan's first feasible level is at most weight(x),
+    and both flags are that level lying below weight(x) or holding two
+    or more candidates: the rule montecarlo's batch flags apply.  Both
     flags stay, as two predicates on the decoder's one scan.
     """
 
@@ -84,7 +89,6 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     if rows.ndim != 2 or y.shape != rows.shape[:1]:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     check_enumeration_cap(rows.shape[1], k_max, field.q)
-    _check_entries(field.q, rows)
     # every candidate measures integers in 0..q-1; y is screened as
     # given, since a cast to int16 would wrap or truncate it into them:
     # integers by their range, other types (floats, bools, objects) by value
@@ -93,6 +97,7 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     else:
         inside = np.isin(y, np.arange(field.q)).all()
     if not inside:
+        _check_entries(field.q, rows)  # the scan checks the matrix; unscanned, it is checked here
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
     return _first_feasible(field, rows, k_max, y)
 
@@ -111,11 +116,14 @@ def _first_feasible(field: FiniteField, rows: np.ndarray, k_max: int, y) -> Deco
 def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     """Evaluate both error events for a known signal x.
 
-    Both flags are read off decode_l0's scan on y = A x, which stops
-    by weight(x) since x is feasible: e0_error if its first feasible
-    level holds anything but x alone, e_error if it holds any x' != x,
-    lighter than x or tied with it.  x must weigh at most k_max, and |L|
-    at k_max must not be above model.ENUMERATION_CAP (10^8 candidates).
+    Both flags are read off the hit counts of decode_l0's scan on
+    y = A x.  x is feasible, so the scan stops by weight(x), and the
+    decoder's output is not x alone, and some x' != x no heavier than
+    x is feasible, exactly where that first feasible level lies below
+    weight(x) or holds two or more candidates.  A scan that finds no
+    feasible level up to weight(x) is a fault of the kernel and raises
+    RuntimeError.  x must weigh at most k_max, and |L| at k_max must
+    not be above model.ENUMERATION_CAP (10^8 candidates).
     """
     rows, xe = np.asarray(matrix), np.asarray(x)
     if rows.ndim != 2 or xe.shape != rows.shape[1:]:
@@ -125,10 +133,8 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
     y = measure_candidates(field, rows, xe[None, :])[:, 0]
     check_enumeration_cap(rows.shape[1], k_max, field.q)
-    result = _first_feasible(field, rows, k1, y)
-    e0_error = not (
-        result.status == DecodeStatus.UNIQUE
-        and np.array_equal(result.solutions[0], xe)
-    )
-    e_error = any(not np.array_equal(s, xe) for s in result.solutions)
-    return ErrorEvents(e0_error=e0_error, e_error=e_error)
+    for k, ranks in measure_levels(field, rows, k1, pack_measurements(field, y)):
+        if ranks.size:
+            error = k < k1 or ranks.size > 1
+            return ErrorEvents(e0_error=error, e_error=error)
+    raise RuntimeError(f"no member of weight <= {k1} measures A x: the level kernel missed x")

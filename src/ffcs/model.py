@@ -12,19 +12,24 @@ scans L level by level for the exhaustive decoder and the Monte Carlo
 flags, and yields per level its hits, the members that measure a
 target y.  A member hits exactly where the sum of its first w - 1
 scaled columns v * A[:, j] equals y - v * A_j for its last column j,
-a table built once per scan, and each level decides that equality for
-every member by one of two routes (_joins chooses from the shape).
-Every weight-w support carries the same (q-1)^w value tuples, so
-chunks of supports sum their columns as outer sums, in canonical
-order, without building a candidate.  The sweep compares each partial
-sum with its goals; the join, for one matrix, sorts the words of level
-w - 1 with their last columns and looks each goal up among them, which
-costs |L_{w-1}| sorted keys instead of |L_w| comparisons.  Both stay
+a table built once per scan.  Levels 0 and 1 sum no columns, so they
+are read off that goal table and the targets: the zero member hits
+where y = 0, member (j, v) where y - v * A_j = 0.  From level 2 on,
+each level decides the equality for every member by one of two
+routes (_joins chooses from the shape).  Every weight-w support
+carries the same (q-1)^w value tuples, so chunks of supports sum their
+columns as outer sums, in canonical order, without building a
+candidate.  The sweep compares each partial sum with its goals; the
+join, for one matrix, sorts the words of level w - 1 with their last
+columns and looks each goal up among them, which costs |L_{w-1}|
+sorted keys instead of |L_w| comparisons, and ranks a hit from its
+prefix's rank and support and its last column and value.  Both stay
 private, as do their chunks.  A level's supports come from a kept
 table of them in lexicographic order, built on first use, up to a
 bounded size, and are unranked above it.  level_starts gives the rank
 where each level begins, and level_members unranks just the candidates
-a caller keeps.  The kernel handles all m rows of a matrix at once:
+a caller keeps.
+The kernel handles all m rows of a matrix at once:
 each row is a lane of an unsigned machine word (SIMD within a
 register), e bits wide over GF(2^e) and one bit wider than p - 1 over
 prime p, so that a fold of two columns is one XOR, or for odd p an add
@@ -260,12 +265,25 @@ def _level_terms(n: int, w: int, q: int, ranks: np.ndarray, digits: int):
     return _supports(n, w, s), v[:, None] // place % (q - 1) + 1
 
 
-def _support_ranks(n: int, support: np.ndarray) -> np.ndarray:
-    """The lexicographic ranks of the increasing weight-w supports (len, w): _supports undone."""
-    w = support.shape[1]
+def _prefix_ranks(n: int, w: int, q: int, p: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """Each member p of level w - 1 as base: completed by column j and value v, it ranks base + j (q-1)^w + v - 1 at level w.
+
+    ``p`` holds canonical ranks of level w - 1 and ``prefix`` their
+    supports (len, w - 1); j is any column past a support's last (one
+    that ends at n - 1 has no completion, and its base is not used).
+    Mirrored, a weight-w support s_0 < ... < s_{w-1} has colex rank
+    sum_i C(n - 1 - s_i, w - i) (_unrank_supports), so its lexicographic
+    rank is C(n, w) - 1 less that sum, whose last term is n - 1 - j: the
+    supports that extend one prefix are consecutive, c + j.  The member
+    then ranks (c + j) (q-1)^w + t (q - 1) + v - 1, t the index of the
+    prefix's value tuple.
+    """
     binom = _binomials(n, w)
-    colex = sum(binom[w - 1 - i, n - 1 - support[:, i]] for i in range(w))
-    return comb(n, w) - 1 - colex
+    c = comb(n, w) - n
+    for i in range(w - 1):
+        c = c - binom[w - 1 - i, n - 1 - prefix[:, i]]
+    tuples = (q - 1) ** (w - 1)
+    return (c * tuples + p % tuples) * (q - 1)
 
 
 def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
@@ -308,19 +326,28 @@ class _Lanes:
     count: int
     dtype: np.dtype
     shifts: np.ndarray = dataclasses.field(compare=False, repr=False)
+    weights: np.ndarray = dataclasses.field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=64)
 def _lanes(q: int, m: int) -> _Lanes:
-    """The word layout of m measurements over GF(q), kept per (q, m) like its read-only shifts."""
+    """The word layout of m measurements over GF(q), kept per (q, m) like its read-only arrays.
+
+    ``weights`` (count, m) holds 2^shift of row r in word r // per and 0
+    elsewhere: lanes do not overlap, so a word's OR of its shifted rows
+    is their sum, weights @ rows.
+    """
     p, e = check_prime_power(q)
     bits = e if p == 2 else (p - 1).bit_length() + 1
     count = max(1, -(-m // (64 // bits)))
     per = -(-m // count)
     dtype = next(t for t in _WORD_TYPES if 8 * t.itemsize >= per * bits)
     shifts = (bits * (np.arange(count * per) % per)).astype(dtype)
-    shifts.setflags(write=False)
-    return _Lanes(bits, per, count, dtype, shifts)
+    weights = np.zeros((count, m), dtype=dtype)
+    weights[np.arange(m) // per, np.arange(m)] = np.left_shift(1, shifts[:m], dtype=dtype)
+    for table in (shifts, weights):
+        table.setflags(write=False)
+    return _Lanes(bits, per, count, dtype, shifts, weights)
 
 
 # the most entries (s, m, ...) that _pack_rows gathers at once
@@ -333,18 +360,17 @@ def _pack_rows(lanes: _Lanes, rows: np.ndarray, scale: np.ndarray) -> np.ndarray
     Row r packs as scale[:, rows[r]] into lane r % per of word r // per,
     and lanes do not overlap, so a word ORs its rows together.  All rows
     are gathered at once where that is at most _GATHER_ENTRIES entries,
-    as for one matrix of a decode; otherwise each row on its own, so the
-    build holds one row's index and values beside the words, not the
-    whole (s, m, ...) gather.
+    as for one matrix of a decode, and each word summed from them by
+    one product with the lane weights; otherwise each row on its own,
+    so the build holds one row's index and values beside the words, not
+    the whole (s, m, ...) gather.
     """
-    m, per = len(rows), lanes.per
-    words = np.zeros((lanes.count,) + scale.shape[:1] + rows.shape[1:], dtype=lanes.dtype)
-    if scale.shape[0] * rows.size <= _GATHER_ENTRIES:
-        vals = np.take(scale, rows, axis=1)
-        vals <<= lanes.shifts[:m].reshape((m,) + (1,) * (rows.ndim - 1))
-        for i, word in enumerate(words):
-            np.bitwise_or.reduce(vals[:, i * per : (i + 1) * per], axis=1, out=word)
-        return words
+    s, per = len(scale), lanes.per
+    shape = (lanes.count, s) + rows.shape[1:]
+    if s * rows.size <= _GATHER_ENTRIES:
+        vals = np.take(scale, rows, axis=1).reshape(s, len(rows), -1)
+        return np.matmul(lanes.weights, vals).swapaxes(0, 1).reshape(shape)
+    words = np.zeros(shape, dtype=lanes.dtype)
     for r, row in enumerate(rows):
         vals = np.take(scale, row, axis=1)
         vals <<= lanes.shifts[r]
@@ -441,7 +467,8 @@ def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int, targets):
     ``hits`` is the sorted int64 array of the flat indices r * b + i
     where matrix i measures the member at canonical rank r of level w
     as its target; for one matrix, the ranks.  Every member's
-    measurement is decided exactly, by the sweep or the join (see
+    measurement is decided exactly: levels 0 and 1 off the targets and
+    the goal table, the others by the sweep or the join (see
     _ColumnTable).  The targets are checked at the call, and a level is
     scanned only when reached, so a caller may stop early.
     """
@@ -449,10 +476,10 @@ def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int, targets):
 
 
 def _joins(n: int, w: int, q: int, m: int, b: int) -> bool:
-    """Whether level w of a scan of b (m, n) matrices over GF(q) takes the join, else the sweep.
+    """Whether level w >= 2 of a scan of b (m, n) matrices over GF(q) takes the join, else the sweep.
 
-    The join (_ColumnTable._join) needs one matrix, b = 1, w >= 2, one
-    word per packed measurement, and a sort key of that word, a column
+    The join (_ColumnTable._join) needs one matrix, b = 1, one word per
+    packed measurement, and a sort key of that word, a column
     below n and an index below the largest chunk of level w - 1 within
     64 bits.  It is then taken where it costs less.  It sums and looks
     up |L_{w-1}| prefixes, where the sweep forms |L_w| / (q - 1) partial
@@ -461,7 +488,7 @@ def _joins(n: int, w: int, q: int, m: int, b: int) -> bool:
     _PREFIX_COST |L_{w-1}| <= (_PREFIX_COST / (q - 1) + 1) |L_w|, that
     is _PREFIX_COST w <= (n - w + 1) (q - 1 + _PREFIX_COST).
     """
-    if b != 1 or w < 2 or _PREFIX_COST * w > (n - w + 1) * (q - 1 + _PREFIX_COST):
+    if b != 1 or _PREFIX_COST * w > (n - w + 1) * (q - 1 + _PREFIX_COST):
         return False
     lanes = _lanes(q, m)
     prefixes = min(comb(n, w - 1) * (q - 1) ** (w - 1), _CHUNK_WORDS)
@@ -480,8 +507,10 @@ class _ColumnTable:
 
     A member fits its target y exactly where the sum of its first w - 1
     scaled columns equals y - v * A_j, j and v its last column and
-    value; those goals are one table, built once per scan.  Each level
-    takes one of two exact routes to that equality (_joins chooses):
+    value; those goals are one table, built once per scan.  Levels 0
+    and 1 sum no columns and are one comparison each, of the targets
+    and of the goal table with zero (_base).  Each level from 2 on takes
+    one of two exact routes to that equality (_joins chooses):
 
     * The sweep (_chunks).  Every support of a level carries the same
       (q-1)^w value tuples, so a chunk of supports sums its first w - 1
@@ -494,7 +523,8 @@ class _ColumnTable:
       index), and the goal of last column j and value v then meets, by
       two binary searches, exactly the prefixes whose word equals it
       and whose last column lies below j: |L_{w-1}| prefixes and
-      n (q - 1) searches.
+      n (q - 1) searches.  A hit's rank is its prefix's (_prefix_ranks)
+      plus a term of its last column and value.
 
     A chunk spans at most _CHUNK_WORDS words: its members' words (and
     for the join their indices or keys), and the int64 columns that
@@ -561,7 +591,7 @@ class _ColumnTable:
             raise DimensionMismatch(
                 f"targets {targets.shape} are not {self.stack + (count,)} packed words"
             )
-        targets = targets.astype(self.lanes.dtype).reshape(-1)
+        targets = targets.astype(self.lanes.dtype, copy=False).reshape(-1)
         # goal, laid out like the table: the partial sum that meets the
         # targets where the last column is j and its value v is
         # targets + (-v) * A_j
@@ -571,12 +601,14 @@ class _ColumnTable:
         return self._scan(goal, targets, k_max)
 
     def _scan(self, goal: np.ndarray, targets: np.ndarray, k_max: int):
-        """Levels 0..k_max as (w, hits), each by the route _joins picks."""
+        """Levels 0..k_max as (w, hits): 0 and 1 by _base, the others by the route _joins picks."""
         b = len(targets) // self.lanes.count
         n, q = self.table.shape[self.axis - 1], self.field.q
         queries = None
         for w in range(k_max + 1):
-            if _joins(n, w, q, self.m, b):
+            if w < 2:
+                yield w, self._base(goal, targets, w).reshape(-1).nonzero()[0]
+            elif _joins(n, w, q, self.m, b):
                 queries = self._queries(goal) if queries is None else queries
                 yield w, self._join(queries, w)
             else:
@@ -594,7 +626,6 @@ class _ColumnTable:
         """
         table, axis = self.table, self.axis
         n, v = table.shape[axis - 1], table.shape[axis]
-        size = table.shape[2] if axis == 1 else table.shape[0]  # words per member
         # a unit costs its members' words and its supports: _level_terms,
         # where it unranks them, holds at most 3w + 4 int64 per rank,
         # counted here in table words
@@ -605,8 +636,6 @@ class _ColumnTable:
         span = v ** (w - lead)
         step = max(1, _CHUNK_WORDS // (span * cost + unranking))
         units = comb(n, w) * v**lead
-        # the partial sum of no columns, as the table's layout broadcasts it
-        zero = np.zeros((1, 1, size) if axis == 1 else (size, 1, 1), dtype=table.dtype)
         for lo in range(0, units, step):
             hi = min(lo + step, units)
             if lead:
@@ -615,33 +644,51 @@ class _ColumnTable:
             else:  # a unit is a support: a run of its level's, and no leading values
                 support = _supports(n, w, slice(lo, hi))
                 leading = support[:, :0]
-            acc = zero
-            for i in range(cols):
-                term = _take_column(table, axis, support, leading, i)
-                acc = term if i == 0 else _outer_sum(self.lane_sum, acc, term, axis)
+            acc = _take_column(table, axis, support, leading, 0)
+            for i in range(1, cols):
+                acc = _outer_sum(self.lane_sum, acc, _take_column(table, axis, support, leading, i), axis)
             yield lo * span, support, leading, acc
 
+    def _match(self, have: np.ndarray, want: np.ndarray, b: int) -> np.ndarray:
+        """mask[r, i]: whether matrix i's words of member r are equal in have and want.
+
+        Both are laid out like the table, their b * count words on the
+        last axis (axis 1) or the first (axis 2), and broadcast against
+        each other; the other axes hold the members, in order.  The word
+        axis is split into (b, count), and each matrix's words matched.
+        """
+        split = (b, self.lanes.count)
+        if self.axis == 1:
+            mask = match_words(have.reshape(have.shape[:-1] + split), want.reshape(want.shape[:-1] + split))
+            return mask.reshape(-1, b)
+        # (b, count, members...) with the count axis moved last
+        order = (0, *range(2, have.ndim + 1), 1)
+        have = have.reshape(split + have.shape[1:]).transpose(order)
+        want = want.reshape(split + want.shape[1:]).transpose(order)
+        return match_words(have, want).reshape(b, -1).T
+
+    def _base(self, goal: np.ndarray, targets: np.ndarray, w: int) -> np.ndarray:
+        """Level 0 or 1 as its (members, b) mask, read off the targets or the goal table.
+
+        A member of weight w <= 1 sums no columns before its last, so
+        its partial sum is zero: the zero member hits where its target
+        is 0, and member (j, v), at rank j (q - 1) + v - 1 of level 1,
+        where its goal y - v * A_j is.  The goal table lists those goals
+        in that order, so level 1 is one comparison of it with zero.
+        """
+        size = len(targets)
+        zero = np.zeros((1, 1, size) if self.axis == 1 else (size, 1, 1), dtype=targets.dtype)
+        return self._match(zero, goal if w else targets.reshape(zero.shape), size // self.lanes.count)
+
     def _chunks(self, goal: np.ndarray, targets: np.ndarray, w: int):
-        """Level w in order as (start, mask): mask[r, i] is whether matrix i meets goal at rank start + r."""
-        axis, count, size = self.axis, self.lanes.count, len(targets)
-        b = size // count
-        if w == 0:
-            yield 0, match_words(np.zeros(count, targets.dtype), targets.reshape(b, count))[None]
-            return
+        """Level w >= 2 in order as (start, mask): mask[r, i] is whether matrix i meets goal at rank start + r."""
+        axis, b = self.axis, len(targets) // self.lanes.count
         pre = (slice(None),) * axis
-        for start, support, leading, acc in self._sums(w, size, w - 1):
+        for start, support, leading, acc in self._sums(w, len(targets), w - 1):
             # every partial sum against the goal of every last value: (X, 1) against (1, V)
             have = acc[pre + (slice(None), None)]
             want = _take_column(goal, axis, support, leading, w - 1)[pre + (None,)]
-            # split the word axis, last or first, into (b, count) and match each matrix's words
-            if axis == 1:
-                have, want = (a.reshape(a.shape[:-1] + (b, count)) for a in (have, want))
-                yield start, match_words(have, want).reshape(-1, b)
-            else:  # (b, count, units, X, V) with the count axis moved last
-                have, want = (
-                    a.reshape((b, count) + a.shape[1:]).transpose(0, 2, 3, 4, 1) for a in (have, want)
-                )
-                yield start, match_words(have, want).reshape(b, -1).T
+            yield start, self._match(have, want, b)
 
     def _queries(self, goal: np.ndarray):
         """The join's key layout, queries and word filter for one matrix.
@@ -661,14 +708,14 @@ class _ColumnTable:
         goals = goal.reshape(-1)
         shift = np.uint64(64 - word_bits)
         upper = goals.astype(np.uint64) << shift
-        upper |= np.repeat(np.arange(n, dtype=np.uint64) << np.uint64(index_bits), v)
+        upper |= np.arange(n * v, dtype=np.uint64) // np.uint64(v) << np.uint64(index_bits)
         order = upper.argsort()
         upper = upper[order]
         # about 64 filter entries a goal, at most _CHUNK_WORDS
         low = (1 << min(word_bits, (64 * len(goals)).bit_length(), _CHUNK_WORDS.bit_length() - 1)) - 1
         seen = np.zeros(low + 1, dtype=bool)
-        seen[goals.astype(np.intp) & low] = True
-        return index_bits, order, upper >> shift << shift, upper, low, seen
+        seen[goals & self.lanes.dtype.type(low)] = True
+        return index_bits, order, upper & ~np.uint64((1 << (64 - word_bits)) - 1), upper, low, seen
 
     def _join(self, queries, w: int) -> np.ndarray:
         """Level w's hits for one matrix of one-word measurements (w >= 2), by sort and join.
@@ -679,9 +726,10 @@ class _ColumnTable:
         y - v * A_j.  Of a chunk of prefixes, those whose words pass the
         filter are keyed (word, last column, index in the chunk) in one
         uint64 and sorted, so each query's key range holds exactly the
-        prefixes that complete to a hit (_queries).  Each hit is ranked
-        from its prefix's support and value tuple, and the level's hits
-        are returned sorted.
+        prefixes that complete to a hit (_queries).  Each hit ranks as
+        its prefix's _prefix_ranks, from the prefix's rank and support,
+        plus j (q-1)^w + v - 1 for its query's last column j and value v;
+        the level's hits are returned sorted.
         """
         index_bits, order, lower, upper, low, seen = queries
         n, v = self.table.shape[1:]
@@ -700,27 +748,28 @@ class _ColumnTable:
             keys = words[kept].astype(np.uint64)
             keys <<= shift
             keys |= support[kept // span, -1].view(np.uint64) << np.uint64(index_bits)
-            keys |= kept.astype(np.uint64)
+            keys |= kept.view(np.uint64)
             keys.sort()
             first = keys.searchsorted(lower)
             counts = keys.searchsorted(upper) - first
             ends = counts.cumsum()
             if not ends[-1]:
                 continue
-            runs = ends.searchsorted(np.arange(0, ends[-1], per_run), side="right")
-            for a, b in zip(runs, [*runs[1:], len(counts)]):
+            # hit h, of query k, is the key at first[k] + h - (ends[k] - counts[k])
+            offset = first - ends + counts
+            total = int(ends[-1])
+            runs = [0] if total <= per_run else ends.searchsorted(np.arange(0, total, per_run), "right").tolist()
+            for a, b in zip(runs, runs[1:] + [len(counts)]):
                 if a == b:
                     continue
-                run = counts[a:b]
-                query = np.repeat(np.arange(a, b), run)
-                # a hit's key: its query's first key, then its place among the query's hits
-                at = np.arange(len(query)) + np.repeat(first[a:b] - (run.cumsum() - run), run)
+                query = np.repeat(np.arange(a, b), counts[a:b])
+                at = np.arange(ends[a] - counts[a], ends[b - 1]) + offset[query]
                 index = (keys[at] & mask).view(np.int64)
+                ranks = _prefix_ranks(n, w, v + 1, start + index, support[index // span])
+                # and its completion by the query's last column j and value v
                 last, value = np.divmod(order[query], v)
-                supports = np.concatenate([support[index // span], last[:, None]], axis=1)
-                found.append(
-                    _support_ranks(n, supports) * (tuples * v) + (start + index) % tuples * v + value
-                )
+                ranks += last * (tuples * v) + value
+                found.append(ranks)
         hits = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
         hits.sort()
         return hits

@@ -69,20 +69,22 @@ The error flags of a block come from one scan by model.measure_levels'
 kernel, the decoder's: it compares every trial matrix of the block
 with all of L at once, each candidate's m measurements by a matrix
 packed into one word (or a few, beyond 64 bits), and lays the trials'
-words innermost whenever they outnumber the q - 1 values.  A block of
-one trial, as where m |L| passes 2^19, takes the kernel's join from
-level 2 on, which sorts level w - 1 instead of comparing all of level
-w.  A trial's target is its signal's measurement, summed from the
-kernel's own table of scaled columns at the signal's unranked support
-and values, and the scan yields each level's feasible (candidate,
-trial) pairs, never t x m x |L| values.  The scan enumerates L
-sparsity-major, a level at a time, so the flags follow from each
-level's count of feasible candidates per trial, and a signal is just
-its rank: candidate_matrix builds L as rows only for sample_trials and
-run_trials' on_block, which read the signals.  The flags are the two
-predicates decoder.error_events reads off the decoder's scan, here
-read off each level's counts, and the test suite pins the two against
-each other, trial by trial, on sampled instances.
+words innermost whenever they outnumber the q - 1 values.  Levels 0
+and 1 of every block are read off the trials' targets and the
+kernel's goal table, where a target or a target less a scaled column
+is zero, and from level 2 on a block of one trial, as where m |L|
+passes 2^19, takes the kernel's join, which sorts level w - 1 instead
+of comparing all of level w.  A trial's target is its signal's
+measurement, summed from the kernel's own table of scaled columns at
+the signal's unranked support and values, and the scan yields each
+level's feasible (candidate, trial) pairs, never t x m x |L| values.
+The scan enumerates L sparsity-major, a level at a time, so the flags
+follow from each level's count of feasible candidates per trial, and a
+signal is just its rank: candidate_matrix builds L as rows only for
+sample_trials and run_trials' on_block, which read the signals.
+decoder.error_events reads its flags off the counts of its one scan by
+the same rule, and the test suite pins the two against each other,
+trial by trial, on sampled instances.
 """
 
 from __future__ import annotations

@@ -410,6 +410,70 @@ def test_error_events_sweep_once_up_to_the_weight_of_x(monkeypatch, weight):
     assert calls == [weight]
 
 
+def count_rule(f, A, x):
+    """(e0, e) from the hit counts of the scan of A x up to weight(x): its first level below weight(x), or two hits or more."""
+    k1 = int(np.count_nonzero(x))
+    y = model.pack_measurements(f, matvec(f, A, x))
+    counts = [len(hits) for _, hits in model.measure_levels(f, A, k1, y)]
+    first = next(w for w, c in enumerate(counts) if c)
+    error = first < k1 or counts[first] >= 2
+    return error, error
+
+
+# (q, A, x, flags): a lighter feasible member (column 2 = column 0 + column
+# 1), a tie at weight(x) (two equal columns), a unique x, and x = 0 beside
+# a zero column, whose weight-1 members also measure 0
+PLANTED_EVENTS = [
+    (3, [[1, 2, 0, 1], [0, 1, 1, 2]], [0, 0, 0, 0], (False, False)),
+    (3, [[1, 0, 1, 2], [0, 1, 1, 1]], [1, 1, 0, 0], (True, True)),
+    (5, [[1, 3, 3, 0], [2, 4, 4, 1]], [0, 2, 0, 0], (True, True)),
+    (5, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 4]], [0, 3, 1, 0], (False, False)),
+    (4, [[1, 0, 0], [0, 0, 1]], [0, 0, 0], (False, False)),
+]
+
+
+@pytest.mark.parametrize("q,A,x,flags", PLANTED_EVENTS)
+def test_error_events_read_flags_off_hit_counts(monkeypatch, q, A, x, flags):
+    # both flags come from the hit counts of the scan, the rule that
+    # montecarlo._error_flags applies, and match brute_events; no member
+    # is unranked or compared with x
+    def refuse(*args):
+        raise AssertionError("error_events unranked a member")
+
+    monkeypatch.setattr(decoder, "level_members", refuse)
+    f = make_field(q)
+    A, x = np.array(A, dtype=np.int16), np.array(x, dtype=np.int16)
+    ev = error_events(f, A, x, k_max=int(np.count_nonzero(x)) + 1)
+    assert (ev.e0_error, ev.e_error) == count_rule(f, A, x) == brute_events(f, A, x) == flags
+
+
+@pytest.mark.parametrize("q,n,k,m", RANDOM_GRID + [(13, 4, 2, 3), (16, 4, 2, 3)])
+def test_error_events_match_the_count_rule_on_random_instances(monkeypatch, q, n, k, m):
+    def refuse(*args):
+        raise AssertionError("error_events unranked a member")
+
+    monkeypatch.setattr(decoder, "level_members", refuse)
+    f = make_field(q)
+    flags = set()
+    for A, x in random_instances(q, n, k, m):
+        ev = error_events(f, A, x, k_max=k)
+        assert (ev.e0_error, ev.e_error) == count_rule(f, A, x) == brute_events(f, A, x), (A, x)
+        flags.add(ev.e_error)
+    assert flags == {False, True}
+
+
+def test_error_events_raise_where_the_scan_misses_x(monkeypatch):
+    # x measures A x, so a scan with no hit at or below weight(x) is a
+    # fault of the kernel, never an error flag
+    def miss(field, mats, k_max, targets):
+        return ((w, np.zeros(0, dtype=np.int64)) for w in range(k_max + 1))
+
+    monkeypatch.setattr(decoder, "measure_levels", miss)
+    A = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int16)
+    with pytest.raises(RuntimeError, match="missed x"):
+        error_events(make_field(3), A, np.array([0, 2, 0], dtype=np.int16), k_max=2)
+
+
 @pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [True, False, False]], ids=["float", "bool"])
 def test_error_events_reject_a_non_integer_signal(x):
     # an in-range float or bool x raised IndexError in the table gather

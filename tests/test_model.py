@@ -66,32 +66,44 @@ ROUTE_CASES = [
 
 
 def spy_chunks(on_chunk):
-    """Patch the sweep's private _ColumnTable._chunks to hand each chunk to on_chunk(w, start, mask)."""
-    chunks = model._ColumnTable._chunks
+    """Patch the sweep's private _ColumnTable._chunks to hand each chunk to on_chunk(w, start, mask).
+
+    Levels 0 and 1 take no chunk: _ColumnTable._base reads each off as
+    one mask, which the patch hands on as the level's one chunk, at 0.
+    """
+    chunks, base = model._ColumnTable._chunks, model._ColumnTable._base
 
     def spied(self, goal, targets, w):
         for start, mask in chunks(self, goal, targets, w):
             on_chunk(w, start, mask)
             yield start, mask
 
-    return mock.patch.object(model._ColumnTable, "_chunks", spied)
+    def spied_base(self, goal, targets, w):
+        mask = base(self, goal, targets, w)
+        on_chunk(w, 0, mask)
+        return mask
+
+    return mock.patch.multiple(model._ColumnTable, _chunks=spied, _base=spied_base)
 
 
 def swept_masks(field, mats, targets, k_max, want=None):
     """measure_levels' masks, concatenated over chunks and levels, as (|L|, b).
 
-    Every level takes the sweep, whose private chunks are the masks,
-    read by a spy on _ColumnTable._chunks.  Checks on the way that each
-    level's chunks cover it in order, that a chunk of more than one
-    member spans at most _CHUNK_WORDS words, and that the hits
-    measure_levels yields for the level are the flat indices of its
-    masks' true entries.  Given want (|L|, b, m), the reference
-    measurements, it also checks every lane of every member, whatever
-    the targets: a chunk's one comparison (match_words) sets each
-    member's partial sum against its goal y - v * A_j, so the partial
-    sum plus y minus the goal must be the member's measurement.
+    Every level from 2 on takes the sweep, whose private chunks are the
+    masks, and levels 0 and 1 are one mask each, all read by a spy
+    (spy_chunks).  Checks on the way that each level's chunks cover it
+    in order, that a chunk of more than one member spans at most
+    _CHUNK_WORDS words (levels 0 and 1, no chunks, compare the targets
+    and the goal table as they are), and that the hits measure_levels
+    yields for the level are the flat indices of its masks' true
+    entries.  Given want (|L|, b, m), the reference measurements, it
+    also checks every lane of every member, whatever the targets: a
+    chunk's one comparison (match_words) sets each member's partial sum
+    against its goal y - v * A_j, so the partial sum plus y minus the
+    goal must be the member's measurement.  At levels 0 and 1 the
+    partial sum is zero, so y - y must be 0 and y - goal must be v * A_j.
     """
-    m = mats.shape[-2]
+    m, n = mats.shape[-2:]
     count = _lanes(field.q, m).count
     b = targets.size // count
     ys = unpack_measurements(field, targets.reshape(b, count), m)
@@ -107,7 +119,10 @@ def swept_masks(field, mats, targets, k_max, want=None):
         nonlocal offset
         assert start == offset - level_start and mask.dtype == bool
         assert mask.shape == (len(mask), b)
-        assert len(mask) * targets.size <= max(model._CHUNK_WORDS, targets.size)
+        if w < 2:
+            assert len(mask) == (1 if w == 0 else n * (field.q - 1))
+        else:
+            assert len(mask) * targets.size <= max(model._CHUNK_WORDS, targets.size)
         ((have, goal),) = operands
         operands.clear()
         if want is not None:
@@ -556,6 +571,38 @@ class TestEnumeration:
         hits = swept_masks(field, A, pack_measurements(field, ys[0]), 1)[:, 0]
         assert hits.sum() == 1 + (q - 1) * zero_columns
 
+    @pytest.mark.parametrize(
+        "q,m,b,count,axis",
+        [(251, 10, 1, 2, 2), (251, 10, 3, 2, 2), (251, 10, 126, 2, 1), (16, 7, 1, 1, 2),
+         (16, 7, 16, 1, 1), (13, 7, 3, 1, 2), (13, 14, 7, 2, 1), (2, 65, 3, 2, 1), (4, 5, 1, 1, 2)],
+    )
+    def test_levels_0_and_1_read_every_lane_off_the_goals(self, q, m, b, count, axis):
+        # levels 0 and 1 compare the targets and the goal table with zero,
+        # with no chunk of the sweep; swept_masks reads each lane of those
+        # comparisons, so y - y must be 0 and y - goal must be v * A_j for
+        # every member, matrix and lane.  One matrix or a stack, laid out
+        # either way, one-word and two-word (q = 251, m = 10) targets; each
+        # matrix's target is a member's measurement, the first's one
+        # that no member attains where there is one
+        field = make_field(q)
+        n = 4
+        rng = np.random.default_rng(q * m + b)
+        mats = rng.integers(0, q, size=(b, m, n)).astype(np.int16)
+        mats[:, :, 1] = 0  # a zero column: its members measure 0
+        mats[:, :, 3] = mats[:, :, 2]  # repeated columns: their members tie
+        X = np.array(list(enumerate_signals(n, 1, q)), dtype=np.int16)
+        want = np.stack([measure_candidates(field, a, X).T for a in mats], axis=1)  # (|L|, b, m)
+        ys = want[rng.integers(0, len(X), size=b), np.arange(b)]
+        missing = unattained(q, want[:, 0], rng)
+        if len(missing):
+            ys[0] = missing[0]
+        assert (model._ColumnTable(field, mats).axis, _lanes(q, m).count) == (axis, count)
+        got = swept_masks(field, mats, pack_measurements(field, ys), 1, want)
+        assert np.array_equal(got, (want == ys).all(axis=-1))
+        if b == 1:
+            got = swept_masks(field, mats[0], pack_measurements(field, ys[0]), 1, want)
+            assert np.array_equal(got, (want == ys).all(axis=-1))
+
     @pytest.mark.parametrize("q,n,k,m", [(3, 5, 3, 4), (5, 4, 3, 2), (16, 3, 3, 5), (2, 7, 4, 3)])
     def test_chunk_size_does_not_change_masks(self, monkeypatch, q, n, k, m):
         # chunks of one word fix every value of a unit, of 7 words some
@@ -663,10 +710,22 @@ class TestEnumeration:
     )
     def test_chooser_joins_every_level_above_1_of_one_matrix(self, n, k, q, m):
         # the decode benchmark's shapes, the q = 2, n = 24, k = 5 scan and
-        # one-trial Monte Carlo blocks at n = 1000, k = 2; levels 0 and 1
-        # and every stack of matrices take the sweep
-        assert [model._joins(n, w, q, m, 1) for w in range(k + 1)] == [False, False] + [True] * (k - 1)
-        assert not any(model._joins(n, w, q, m, 2) for w in range(k + 1))
+        # one-trial Monte Carlo blocks at n = 1000, k = 2; every stack of
+        # matrices takes the sweep.  Levels 0 and 1 take neither route:
+        # the scan reads them off the targets and the goal table, without
+        # asking the chooser, here of a zero matrix that all of them fit
+        assert [model._joins(n, w, q, m, 1) for w in range(2, k + 1)] == [True] * (k - 1)
+        assert not any(model._joins(n, w, q, m, 2) for w in range(2, k + 1))
+
+        def refuse(*args):
+            raise AssertionError("levels 0 and 1 took a route")
+
+        field = make_field(q)
+        targets = pack_measurements(field, np.zeros(m, dtype=np.int16))
+        with mock.patch.object(model, "_joins", refuse):
+            with mock.patch.multiple(model._ColumnTable, _chunks=refuse, _join=refuse):
+                scan = measure_levels(field, np.zeros((m, n), dtype=np.int16), 1, targets)
+                assert [hits.tolist() for _, hits in scan] == [[0], list(range(n * (q - 1)))]
 
     @pytest.mark.parametrize(
         "n,w,q,m", [(5, 5, 16, 4), (7, 6, 5, 4), (5, 5, 7, 4), (6, 5, 4, 7), (10, 8, 2, 8)]
@@ -904,6 +963,28 @@ class TestEnumeration:
             want = np.zeros(n, dtype=np.int16)
             want[[a, b]] = value // 2 + 1, value % 2 + 1
             assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("n,w,q", [(5, 2, 3), (6, 3, 3), (6, 4, 2), (4, 2, 5), (7, 3, 2), (3, 3, 4), (5, 5, 3)])
+    def test_prefix_ranks_complete_each_prefix(self, n, w, q):
+        # member p of level w - 1, completed by a column j past its
+        # support's last and a value v, is the member at canonical rank
+        # _prefix_ranks + j (q-1)^w + v - 1 of level w, in
+        # enumerate_signals' order: the join's ranking of its hits
+        members = [tuple(x) for x in enumerate_signals(n, w, q) if np.count_nonzero(x) == w]
+        rank = {x: r for r, x in enumerate(members)}
+        prefixes = [x for x in enumerate_signals(n, w - 1, q) if np.count_nonzero(x) == w - 1]
+        p = np.arange(len(prefixes))
+        base = model._prefix_ranks(n, w, q, p, model._unrank_supports(n, w - 1, p // (q - 1) ** (w - 1)))
+        assert base.dtype == np.int64
+        completed = 0
+        for r, x in enumerate(prefixes):
+            for j in range(int(max(np.flatnonzero(x), default=-1)) + 1, n):
+                for v in range(1, q):
+                    y = x.copy()
+                    y[j] = v
+                    assert rank[tuple(y)] == base[r] + j * (q - 1) ** w + v - 1
+                    completed += 1
+        assert completed == len(members)
 
     def test_kept_support_tables_are_bounded_together(self):
         # more tables than are kept, each as large as the bound allows:

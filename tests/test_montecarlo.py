@@ -85,19 +85,25 @@ def test_levels_are_contiguous_and_nonempty(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_flag_blocks_sweep_each_level_in_one_chunk(monkeypatch, q):
-    # a full block at n = 10, k = 2, m = 6 keeps t m |L| <= 2^20, so each
-    # level of its sweep fits in one chunk of model._CHUNK_WORDS words
+    # a full block at n = 10, k = 2, m = 6 keeps t m |L| <= 2^20, so its
+    # level 2 sweep fits in one chunk of model._CHUNK_WORDS words, and
+    # levels 0 and 1 are one mask each, read off the targets and goals
     params = ModelParams(n=10, k=2, m=6, q=q, gamma=dense_gamma(q))
     n_cand = signal_set_size(params.n, params.k, q).total
     _, mats, idx = next(montecarlo._trial_blocks(params, 10**6, 0, n_cand))
     assert len(mats) == montecarlo._BLOCK_ELEMS // (params.m * max(n_cand, q * params.n))
-    # spy on the sweep's private chunks and on the hits it yields from them
-    levels, chunks = model._ColumnTable.levels, model._ColumnTable._chunks
+    # spy on the sweep's private chunks, the masks of levels 0 and 1, and
+    # on the hits the scan yields from them
+    levels, chunks, base = model._ColumnTable.levels, model._ColumnTable._chunks, model._ColumnTable._base
     spied, yielded = [], []
 
     def spied_chunks(self, goal, targets, w):
         spied.append(list(chunks(self, goal, targets, w)))
         yield from spied[-1]
+
+    def spied_base(self, goal, targets, w):
+        spied.append([(0, base(self, goal, targets, w))])
+        return spied[-1][0][1]
 
     def spied_levels(self, k_max, targets):
         for w, hits in levels(self, k_max, targets):
@@ -105,6 +111,7 @@ def test_flag_blocks_sweep_each_level_in_one_chunk(monkeypatch, q):
             yield w, hits
 
     monkeypatch.setattr(model._ColumnTable, "_chunks", spied_chunks)
+    monkeypatch.setattr(model._ColumnTable, "_base", spied_base)
     monkeypatch.setattr(model._ColumnTable, "levels", spied_levels)
     _error_flags(make_field(q), mats, idx, level_starts(params.n, params.k, q))
     assert [len(level) for level in spied] == [1, 1, 1]
