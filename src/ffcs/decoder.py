@@ -99,18 +99,22 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     if not inside:
         _check_entries(field.q, rows)  # the scan checks the matrix; unscanned, it is checked here
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
-    return _first_feasible(field, rows, k_max, y)
+    hits = _first_hits(field, rows, k_max, y)
+    if hits is None:
+        return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
+    k, ranks = hits
+    feasible = level_members(rows.shape[1], k, field.q, ranks)
+    feasible.setflags(write=False)
+    status = DecodeStatus.UNIQUE if len(feasible) == 1 else DecodeStatus.AMBIGUOUS
+    return DecodeResult(min_sparsity=k, solutions=list(feasible), status=status)
 
 
-def _first_feasible(field: FiniteField, rows: np.ndarray, k_max: int, y) -> DecodeResult:
-    """decode_l0's scan: the first level <= k_max that measures y, its members read-only."""
+def _first_hits(field: FiniteField, rows: np.ndarray, k_max: int, y):
+    """The first level <= k_max that measures y and its members' ranks, or None."""
     for k, ranks in measure_levels(field, rows, k_max, pack_measurements(field, y)):
         if ranks.size:
-            feasible = level_members(rows.shape[1], k, field.q, ranks)
-            feasible.setflags(write=False)
-            status = DecodeStatus.UNIQUE if len(feasible) == 1 else DecodeStatus.AMBIGUOUS
-            return DecodeResult(min_sparsity=k, solutions=list(feasible), status=status)
-    return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
+            return k, ranks
+    return None
 
 
 def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
@@ -133,8 +137,9 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
     y = measure_candidates(field, rows, xe[None, :])[:, 0]
     check_enumeration_cap(rows.shape[1], k_max, field.q)
-    for k, ranks in measure_levels(field, rows, k1, pack_measurements(field, y)):
-        if ranks.size:
-            error = k < k1 or ranks.size > 1
-            return ErrorEvents(e0_error=error, e_error=error)
-    raise RuntimeError(f"no member of weight <= {k1} measures A x: the level kernel missed x")
+    hits = _first_hits(field, rows, k1, y)
+    if hits is None:
+        raise RuntimeError(f"no member of weight <= {k1} measures A x: the level kernel missed x")
+    k, ranks = hits
+    error = k < k1 or ranks.size > 1
+    return ErrorEvents(e0_error=error, e_error=error)

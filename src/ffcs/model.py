@@ -758,7 +758,7 @@ class _ColumnTable:
             # hit h, of query k, is the key at first[k] + h - (ends[k] - counts[k])
             offset = first - ends + counts
             total = int(ends[-1])
-            runs = [0] if total <= per_run else ends.searchsorted(np.arange(0, total, per_run), "right").tolist()
+            runs = ends.searchsorted(np.arange(0, total, per_run), "right").tolist()
             for a, b in zip(runs, runs[1:] + [len(counts)]):
                 if a == b:
                     continue
