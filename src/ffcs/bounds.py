@@ -57,16 +57,24 @@ Only the S column a term reads depends on K, so the rest is kept across
 profile misses.  Per field order q, _BinomialPowerPrefix keeps the P
 triangle and a triangle of term weights, log C(h, j) plus the log P
 that term j of distance h reads.  Per (n, q), _BinomialRowPrefix keeps
-log j! up to n and the rows S_{n-h}, which a larger K lengthens from
-each row's last value.  One q and one (n, q) are kept at a time, as a
-curve sweeps K for one q before the next.  A profile miss gathers
-weights and S: the distances are evaluated a chunk at a time,
-_PROFILE_ELEMS // (K + 1) of them sharing one array of terms j = 0..h
-(T_h's b, then U_h's u), so most numpy calls are made once per chunk
-rather than once per distance, and a chunk's arrays hold about
-2 * _PROFILE_ELEMS entries whatever K is.  The tables grow a block of
-about _PROFILE_ELEMS entries at a time; at n = 1000, K = 500 they hold
-4.0 MB of P, 4.0 MB of weights and 2.0 MB of S rows.
+log j! up to n and the rows S_{n-h}, with room for a larger K to
+lengthen every row in place from its last value.  One q and one (n, q)
+are kept at a time, as a curve sweeps K for one q before the next.
+Both tables are log prefix sums along binomial rows, of ratio q - 2 for
+P and q - 1 for S, and _log_prefix_sums builds both, a block of rows
+one column at a time.
+
+Term j of distance h reads S_{n-h}(K - max(h - j, j)), so where j < h - K
+or j > K the cap leaves it no pair and the term is an exact zero.  A
+profile miss forms only the other terms.  The distances are taken a
+chunk at a time, _PROFILE_ELEMS // (K + 1) of them: their T_h runs (b up
+to h/2, reading the S row ascending) and U_h runs (u above it, reading
+it back down) make one array of at most _PROFILE_ELEMS terms, and their
+weights are one slice of the weight triangle.  Each distance then sums
+its exponentiated terms, zeros in place, as one 1-D sum, so no bit
+depends on the chunking.  The tables grow a block of about _TABLE_ELEMS
+entries at a time; at n = 1000, K = 500 they hold 4.0 MB of P, 4.0 MB of
+weights and 2.0 MB of S rows.
 """
 
 from __future__ import annotations
@@ -97,9 +105,16 @@ ORACLE_PAIR_CAP = 10**8
 _ORACLE_BLOCK = 1 << 20
 
 # a chunk of profile distances has _PROFILE_ELEMS // (K + 1) rows of at
-# most 2K + 1 terms, so its memory does not grow with K; the profile
-# tables grow by blocks of rows of about as many entries
+# most K + 1 terms and 2K + 1 weights, so its memory does not grow with K
 _PROFILE_ELEMS = 1 << 13
+
+# the kept profile tables grow a block of about _TABLE_ELEMS entries at a
+# time: wide enough for their column sweeps, and small beside the tables
+_TABLE_ELEMS = 1 << 15
+
+# below this many rows a block of binomial prefix sums is accumulated along
+# each row; from it on, one logaddexp per column over all rows is faster
+_SWEEP_ROWS = 32
 
 
 class PairVariant(str, Enum):
@@ -325,6 +340,30 @@ def _grown(flat: np.ndarray, size: int) -> np.ndarray:
     return grown
 
 
+def _log_binomial(lfact, top, a):
+    """log C(top, a) for 0 <= a <= top, elementwise, from log j!."""
+    return lfact[top] - lfact[a] - lfact[np.maximum(top - a, 0)]
+
+
+def _log_prefix_sums(acc, terms):
+    """Turn each row of a block of log terms into its log prefix sums, in
+    place, going on from acc[i], what row i summed before the block (-inf
+    for nothing).
+
+    The block is summed along its columns: one elementwise logaddexp per
+    column over every row, which gives each row the bits of one
+    logaddexp.accumulate along it at a fraction of the cost.  A block of
+    fewer than _SWEEP_ROWS rows takes that accumulate instead, since a
+    call per column costs more there.  Both log prefix-sum tables, P and
+    S, are built through here.
+    """
+    if len(terms) < _SWEEP_ROWS:
+        terms[:] = np.logaddexp.accumulate(np.hstack((acc[:, None], terms)), axis=1)[:, 1:]
+        return
+    for col in terms.T:
+        acc = np.logaddexp(acc, col, out=col)
+
+
 class _BinomialPowerPrefix:
     """log P_v(i) for v = 0, 1, ... and i = 0..v, for one field order q,
     and the term weights of each distance that read them.
@@ -334,7 +373,9 @@ class _BinomialPowerPrefix:
     starts at offset v(v + 1) / 2.  weights is a second triangle: entry
     j of row h is log C(h, j) plus the log P that term j of distance h
     reads, P_{h-j}(h - 2j) for T_h's b = j <= h / 2 and P_j(2j - h - 1)
-    for U_h's u = j above it.  It is the K-free part of every term.
+    for U_h's u = j above it.  It is the K-free part of every term.  New
+    rows come a block of whole rows at a time, so each block's rows of P
+    and of weights are contiguous slices of the triangles.
     """
 
     def __init__(self, q: int):
@@ -359,18 +400,25 @@ class _BinomialPowerPrefix:
         else:
             log_rpow = np.full(vmax + 1, NEG_INF)
             log_rpow[0] = 0.0
-        # a block of rows at a time; a row's columns past c = v are cut off
-        step = max(1, _PROFILE_ELEMS // (vmax + 1))
+        # a block of rows at a time, as many as _TABLE_ELEMS entries allow;
+        # a row's columns past c = v are cut off
+        step = max(1, _TABLE_ELEMS // (vmax + 1))
         for v0 in range(self.rows, vmax + 1, step):
             v = np.arange(v0, min(v0 + step, vmax + 1))[:, None]
             c = np.arange(v[-1, 0] + 1)
             inside = c <= v
             block = slice(_tri(v0), _tri(v[-1, 0] + 1))
-            log_cv = lfact[v] - lfact[c] - lfact[np.maximum(v - c, 0)]  # log C(v, c)
-            self.flat[block] = np.logaddexp.accumulate(log_cv + log_rpow[c], axis=1)[inside]
-            # these rows of P are in place, and the terms of distance v read rows <= v
-            p_at = np.where(c <= v // 2, _tri(v - c) + v - 2 * c, _tri(c) + 2 * c - v - 1)
-            self.weights[block] = (log_cv + self.flat[np.where(inside, p_at, 0)])[inside]
+            log_cv = _log_binomial(lfact, v, c)
+            sums = log_cv + log_rpow[c]
+            _log_prefix_sums(np.full(len(v), NEG_INF), sums)
+            self.flat[block] = sums[inside]
+            # these rows of P are in place, and the terms of distance v read
+            # rows <= v: P_{v-c}(v - 2c) for 2c <= v, P_c(2c - v - 1) above,
+            # both in row x = max(v - c, c); past c = v the index is only
+            # kept in range
+            x = np.maximum(v - c, c)
+            p_at = (x * (x + 5) >> 1) - v - (2 * c > v)
+            self.weights[block] = (log_cv + self.flat.take(p_at, mode="clip"))[inside]
         self.rows = vmax + 1
         return self.flat[: _tri(self.rows)]
 
@@ -388,17 +436,22 @@ class _BinomialRowPrefix:
     Row h starts at starts[h - 1] with a column 0 of -inf that stands for
     A < 0, where the cap leaves no term, and column A + 1 holds
     log S_{n-h}(A); past a = n - h the terms are -inf, so the prefix stays
-    flat where its binomial row ends.  A larger K lengthens every row by
-    the same number of columns and appends rows, a block of rows at a
-    time.  Each row goes on accumulating from its last stored value,
-    which gives the bits of one accumulate over the whole row.
+    flat where its binomial row ends.  The buffer has room for every K up
+    to cap: rows for h up to min(2 cap, n), each with the columns of
+    K = cap.  A larger K fills in the new columns and rows in place,
+    a block of columns across all rows at a time (_log_prefix_sums), and
+    each row goes on accumulating from its last stored value, which gives
+    the bits of one accumulate over the whole row.  A K above cap first
+    moves the rows to a buffer with room for at least 1.5 times the
+    old cap, so a rising K moves them only a few times; more room cost
+    resident memory and saved no time.
     """
 
     def __init__(self, n: int, q: int):
         self.n = n
         self.lfact = log_factorials(n)
         self.logq1 = math.log(q - 1)
-        self.k = 0
+        self.k = self.cap = 0
         self.flat = np.empty(0)
         self.starts = np.zeros(1, dtype=np.int64)
 
@@ -406,41 +459,45 @@ class _BinomialRowPrefix:
         """The rows, grown to serve every K up to at least k_max."""
         if k_max <= self.k:
             return self
+        if k_max > self.cap:
+            self._move(max(k_max, self.cap + self.cap // 2))
         hs = np.arange(1, min(2 * k_max, self.n) + 1)
-        starts = np.zeros(hs.size + 1, dtype=np.int64)
-        np.cumsum(k_max + 2 - (hs + 1) // 2, out=starts[1:])
-        grown = np.empty(starts[-1])
-        old = self.starts.size - 1
-        # each row accumulates on from its last stored column; a new row from column 0
-        col = np.where(hs <= old, self.k + 1 - (hs + 1) // 2, 0)
-        grown[starts[old:-1]] = NEG_INF
-        step = max(1, _PROFILE_ELEMS // (k_max + 2))
-        for lo, hi in ((0, old), (old, hs.size)):
-            for r0 in range(lo, hi, step):
-                r = slice(r0, min(r0 + step, hi))
-                if r0 < old:
-                    was = self.starts[r0 : r.stop + 1]
-                    shift = np.repeat(starts[r] - was[:-1], np.diff(was))
-                    grown[np.arange(was[0], was[-1]) + shift] = self.flat[was[0] : was[-1]]
-                self._accumulate(grown, starts[r] + col[r], hs[r], col[r], k_max)
-        self.flat, self.starts, self.k = grown, starts, k_max
+        half = (hs + 1) // 2
+        old = min(2 * self.k, self.n)
+        # the first column to fill: past the last stored one, or past a new row's column 0
+        col = np.where(hs <= old, self.k + 2 - half, 1)
+        at = self.starts[: hs.size] + col
+        self.flat[self.starts[old : hs.size]] = NEG_INF
+        acc = self.flat[at - 1]
+        R, a0, count = self.n - hs, col - 1, k_max + 2 - half - col
+        log_pow = np.arange(k_max + 1) * self.logq1
+        # a block of columns at a time over the rows still open, which come
+        # first: the existing rows gain k_max - k columns, a new row fewer
+        steps = int(count[0])
+        block = max(1, _TABLE_ELEMS // hs.size)
+        for t0 in range(0, steps, block):
+            t = np.arange(t0, min(t0 + block, steps))
+            m = int(np.count_nonzero(count > t0))
+            a = a0[:m, None] + t
+            sums = _log_binomial(self.lfact, R[:m, None], a) + log_pow[a]
+            sums[a > R[:m, None]] = NEG_INF  # past the end of the binomial row
+            _log_prefix_sums(acc[:m], sums)
+            acc = sums[:, -1]
+            done = t < count[:m, None]
+            self.flat[(at[:m, None] + t)[done]] = sums[done]
+        self.k = k_max
         return self
 
-    def _accumulate(self, grown, at, hs, col, k_max):
-        """Extend the rows hs from their column col, stored at grown[at],
-        through their last column, A = k_max - ceil(h/2).  The first row
-        gains the most columns."""
-        top = k_max - (hs + 1) // 2
-        a = col[:, None] + np.arange(top[0] - col[0] + 1)
-        R = self.n - hs[:, None]
-        terms = np.empty((hs.size, a.shape[1] + 1))
-        terms[:, 0] = grown[at]
-        row = self.lfact[R] - self.lfact[a] - self.lfact[np.maximum(R - a, 0)] + a * self.logq1
-        row[a > R] = NEG_INF
-        terms[:, 1:] = row
-        sums = np.logaddexp.accumulate(terms, axis=1)[:, 1:]
-        keep = a <= top[:, None]
-        grown[(at[:, None] + 1 + np.arange(a.shape[1]))[keep]] = sums[keep]
+    def _move(self, cap: int) -> None:
+        """Move the rows, room and all, to a buffer with room up to K = cap."""
+        hs = np.arange(1, min(2 * cap, self.n) + 1)
+        starts = np.zeros(hs.size + 1, dtype=np.int64)
+        np.cumsum(cap + 2 - (hs + 1) // 2, out=starts[1:])
+        grown = np.empty(starts[-1])
+        was = self.starts
+        rows = was.size - 1
+        grown[np.arange(was[-1]) + np.repeat(starts[:rows] - was[:-1], np.diff(was))] = self.flat
+        self.flat, self.starts, self.cap = grown, starts, cap
 
 
 # one (n, q) at a time, like the P rows: a curve sweeps K for one q before the next
@@ -456,26 +513,64 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
     table.upto(hlast)
     W = table.weights  # log C(h, j) + log P at _tri(h) + j
     rows = _binomial_row_prefix(n, q).upto(k_max)
-    lfact, S, starts = rows.lfact, rows.flat, rows.starts
-    out = np.full(2 * k_max + 1, NEG_INF)
+    hs = np.arange(1, hlast + 1)
+    # term j of distance h reads S_{n-h}(K - max(h - j, j)), an exact zero
+    # (A < 0) outside lo <= j <= min(h, K).  T_h's b = j runs from lo
+    # through mid and reads its S row ascending from s_lo; U_h's u = j runs
+    # above mid (not at all for RestrictedPairs) and reads it back down
+    # from s_up.
+    lo = np.maximum(hs - k_max, 0)
+    mid = hs // 2
+    tlen = mid - lo + 1
+    ulen = np.minimum(hs, k_max) - mid if variant is PairVariant.ALL_PAIRS else np.zeros_like(hs)
+    tri = _tri(hs)
+    s_lo = rows.starts[:hlast] + k_max + 1 - hs + lo
+    s_up = rows.starts[:hlast] + k_max - mid
+    offs = tri.tolist()
+    ends = (tri + (hs + 1 if variant is PairVariant.ALL_PAIRS else mid + 1)).tolist()
+    top = np.empty(hlast)
+    logs = []
+    red, log = np.add.reduce, math.log
     step = max(1, _PROFILE_ELEMS // (k_max + 1))
-    for h0 in range(1, hlast + 1, step):
-        hs = np.arange(h0, min(h0 + step, hlast + 1))
-        h = hs[:, None]  # one row per distance
-        # term j of distance h: T_h's b = j up to h // 2, U_h's u = j above
-        # it; both read S_{n-h}(K - max(h - j, j)), at column 0 where A < 0
-        j = np.arange(hs[-1] + 1)
-        last = h if variant is PairVariant.ALL_PAIRS else h // 2
-        keep = j <= last
-        col = np.maximum(k_max + 1 - np.maximum(h - j, j), 0)
-        terms = W[_tri(h) + np.minimum(j, last)] + S[starts[hs - 1][:, None] + col]
-        terms[~keep] = NEG_INF
-        # b = h // 2 keeps A >= 0, so top is finite; each row sums only its
-        # own terms, in the order of a 1-D sum, so every bit is kept
-        top = terms.max(axis=1)
-        e = np.exp(terms - top[:, None])
-        lse = top + np.array([math.log(e[i, : w + 1].sum()) for i, w in enumerate(last[:, 0])])
-        out[hs] = lse + lfact[n] - lfact[hs] - lfact[n - hs] + hs * rows.logq1
+    # a chunk has at most k_max + 1 terms and 2 k_max + 1 weights per distance
+    rows_at_most = min(step, hlast)
+    ramp = np.arange(rows_at_most * (k_max + 1))
+    ebuf = np.empty(rows_at_most * (2 * k_max + 1))
+    for r0 in range(0, hlast, step):
+        r = slice(r0, min(r0 + step, hlast))
+        rn = r.stop - r0
+        base = offs[r0]
+        # the chunk's T runs, then its U runs, one segment each
+        lens = np.concatenate((tlen[r], ulen[r]))
+        at = np.cumsum(lens) - lens
+        j = ramp[: int(at[-1] + lens[-1])]
+        pos = np.repeat(np.concatenate((tri[r] + lo[r], tri[r] + mid[r] + 1)) - base - at, lens)
+        pos += j
+        sat = np.repeat(np.concatenate((s_lo[r] - at[:rn], s_up[r] + at[rn:])), lens)
+        nt = int(at[rn])
+        sat[:nt] += j[:nt]
+        sat[nt:] -= j[nt:]
+        Wc = W[base : _tri(r.stop + 1)]
+        terms = Wc.take(pos)
+        terms += rows.flat.take(sat)
+        # every T run is nonempty, so top is finite; a U run is empty only
+        # where the S row leaves U_h no term
+        seg = np.maximum.reduceat(terms, at[lens > 0])
+        t = seg[:rn].copy()
+        up = ulen[r] > 0
+        t[up] = np.maximum(t[up], seg[rn:])
+        top[r] = t
+        terms -= np.repeat(np.concatenate((t, t)), lens)
+        np.exp(terms, out=terms)
+        # each row sums its own terms j = 0..h (0..mid for RestrictedPairs),
+        # zeros included, as one 1-D sum, so every bit is kept
+        e = ebuf[: Wc.size]
+        e.fill(0.0)
+        e[pos] = terms
+        logs += [log(red(e[a - base : b - base])) for a, b in zip(offs[r], ends[r])]
+    out = np.full(2 * k_max + 1, NEG_INF)
+    lfact = rows.lfact
+    out[1 : hlast + 1] = top + np.array(logs) + lfact[n] - lfact[hs] - lfact[n - hs] + hs * rows.logq1
     out.setflags(write=False)
     return out
 
@@ -485,7 +580,9 @@ def nh_log_profile(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarr
 
     Log-gamma/log-sum-exp evaluation of the regrouped closed form in the
     module docstring, O(K^2) per call, usable at n = 1000 where the exact
-    integers are astronomically large.  Distances are taken in chunks of
+    integers are astronomically large.  Only the terms a distance can
+    have, j from max(0, h - K) to min(h, K), are formed; the rest are
+    exact zeros.  Distances are taken in chunks of
     max(1, _PROFILE_ELEMS // (K + 1)); each row of a chunk sums its own
     terms in the order of a 1-D sum, so the result does not depend on
     the chunking, nor on the K asked for before: the kept tables hold
@@ -505,6 +602,19 @@ def _log_signal_set_size(n: int, k: int, q: int) -> float:
     """log |L| from the exact big-integer count; every bound evaluation of
     a curve point needs it, and the count itself is not cheap."""
     return log_of_int(signal_set_size(n, k, q).total)
+
+
+# a threshold search probes one (q, gamma, K) a dozen times before the next
+@lru_cache(maxsize=8)
+def _log_row_nullity(q: int, gamma: float, k: int) -> np.ndarray:
+    """log p_row(h) for h = 1..2K, -inf where the probability is 0; the
+    part of the log-domain union bound that does not depend on m.  The
+    returned array is cached and read-only."""
+    p_rows = _row_zero_linear(q, gamma, np.arange(1, 2 * k + 1, dtype=float))
+    with np.errstate(divide="ignore"):
+        log_p = np.where(p_rows > 0.0, np.log(np.maximum(p_rows, 1e-300)), NEG_INF)
+    log_p.setflags(write=False)
+    return log_p
 
 
 def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIRS) -> LogProb:
@@ -533,10 +643,7 @@ def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIR
             return LogProb(NEG_INF)
         return LogProb(logsumexp(np.array(terms)) - log_l)
     prof = nh_log_profile(n, k, q, variant)
-    p_rows = _row_zero_linear(q, params.gamma, np.arange(1, 2 * k + 1, dtype=float))
-    with np.errstate(divide="ignore"):
-        log_p = np.where(p_rows > 0.0, np.log(np.maximum(p_rows, 1e-300)), NEG_INF)
-    return LogProb(logsumexp(prof[1:] + m * log_p) - log_l)
+    return LogProb(logsumexp(prof[1:] + m * _log_row_nullity(q, params.gamma, k)) - log_l)
 
 
 def closed_dense_bound(n: int, k: int, q: int, m: int) -> LogProb:

@@ -289,6 +289,83 @@ class TestPairCounts:
             assert np.allclose(got, np.log(prefix.astype(float)), rtol=1e-12, atol=0), v
 
     @pytest.mark.parametrize(
+        "n,k", [(333, 1), (333, 2), (333, 166), (333, 167), (333, 250), (333, 333),
+                (1000, 1), (1000, 2), (1000, 297), (1000, 298), (1000, 499), (1000, 500)],
+    )
+    def test_log_profile_rows_at_the_window_edges(self, n, k):
+        # a distance h forms only the terms max(0, h - K) <= j <= min(h, K);
+        # the edges of that window move at h = K, K + 1 and 2K, and from
+        # h = 2(n - K) + 2 on, the S row it reads ends inside it (a > R at
+        # A = K - ceil(h/2) > n - h; at n = 333 for K = 250 and 333).  Odd
+        # and even K put odd and even h on every edge
+        hlast = min(2 * k, n)
+        edges = {k, k + 1, 2 * k, 2 * (n - k) + 1, 2 * (n - k) + 2, hlast - 1, hlast}
+        rows = sorted(h for h in edges if 1 <= h <= hlast)
+        assert any(h % 2 for h in rows) and any(h % 2 == 0 for h in rows)
+        for variant in (ALL, RESTRICTED):
+            got = nh_log_profile(n, k, 4, variant)
+            want = reference_log_profile(n, k, 4, variant)
+            assert np.array_equal(got[rows], want[rows]), (variant, rows)
+            assert np.array_equal(got, want), variant
+
+    def test_log_profile_survives_every_growth_pattern(self):
+        # cold tables, then per (n, q): K in steps of one (the S rows move
+        # to a larger buffer at K = 41), a jump, and smaller K served after
+        # the growth; profiles and tables match a single cold build
+        runs = {(1000, 4): [40, 41, 42, 43, 44, 300, 45, 120, 2, 301],
+                (333, 3): [1, 2, 3, 4, 5, 170, 6, 90, 171, 333]}
+        want = {}
+        for (n, q), ks in runs.items():
+            clear_profile_tables()
+            for k in ks:
+                for v in (ALL, RESTRICTED):
+                    want[n, k, q, v] = reference_log_profile(n, k, q, v)
+            cold = {"P": _binomial_power_prefix(q).upto(2 * max(ks)).copy(),
+                    "S": bounds._binomial_row_prefix(n, q).upto(max(ks))}
+            clear_profile_tables()
+            for k in ks:
+                for v in (ALL, RESTRICTED):
+                    assert np.array_equal(nh_log_profile(n, k, q, v), want[n, k, q, v]), (n, k, q, v)
+            grown = bounds._binomial_row_prefix(n, q)
+            assert np.array_equal(_binomial_power_prefix(q).upto(2 * max(ks)), cold["P"])
+            for h in range(1, min(2 * max(ks), n) + 1):
+                cols = max(ks) + 2 - (h + 1) // 2
+                a, b = grown.starts[h - 1], cold["S"].starts[h - 1]
+                assert np.array_equal(grown.flat[a : a + cols], cold["S"].flat[b : b + cols]), (n, q, h)
+
+    def test_logaddexp_column_sweep_matches_accumulate(self):
+        # the kept tables sum their binomial rows one column at a time
+        # across the rows (elementwise np.logaddexp), which must give the
+        # bits of np.logaddexp.accumulate along each row; a numpy whose two
+        # loops round differently fails here.  Inputs: the P terms of
+        # q = 2 (all -inf past c = 0), 3, 4, 16 and 256 over 600 rows, and
+        # the S terms at n = 1000, K = 500, -inf past the end of each row
+        lfact = log_factorials(1000)
+        blocks = []
+        for q in (2, 3, 4, 16, 256):
+            v, c = np.arange(600)[:, None], np.arange(600)
+            log_rpow = c * math.log(q - 2) if q > 2 else np.where(c == 0, 0.0, -np.inf)
+            blocks.append(bounds._log_binomial(lfact, v, c) + log_rpow)
+        h = np.arange(1, 1001)[:, None]
+        a = np.arange(501)
+        s_terms = bounds._log_binomial(lfact, 1000 - h, a) + a * math.log(3)
+        s_terms[a > 1000 - h] = -np.inf
+        blocks.append(s_terms)
+        assert np.isneginf(blocks[0]).any() and np.isneginf(blocks[-1]).any()
+        for terms in blocks:
+            want = np.logaddexp.accumulate(terms, axis=1)
+            acc = np.full(len(terms), -np.inf)
+            swept = np.empty_like(terms)
+            for col, out in zip(terms.T, swept.T):
+                acc = np.logaddexp(acc, col, out=out)
+            assert np.array_equal(swept, want)
+            # both routes of the tables' helper, going on from a stored column
+            for rows in (len(terms), bounds._SWEEP_ROWS - 1):
+                got = terms[:rows, 7:].copy()
+                bounds._log_prefix_sums(want[:rows, 6].copy(), got)
+                assert np.array_equal(got, want[:rows, 7:]), rows
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda: nh_count(4, 2, 6, ALL),
@@ -345,6 +422,30 @@ class TestUnionBound:
         log_l = log_of_int(signal_set_size(40, 6, 4).total)
         via_profile = float(logsumexp(prof[1:] + 18 * np.log(p)) - log_l)
         assert math.isclose(exact, via_profile, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("q", [2, 4, 16])
+    def test_cached_row_nullity_matches_a_fresh_computation(self, q):
+        # the log-domain bound reads its m-free row-nullity vector from a
+        # small cache; gamma = 1 at q = 2 makes every odd distance -inf
+        for gamma in (0.3, 10 * math.log(1000) / 1000, dense_gamma(q), 1.0):
+            for k in (1, 30, 297):
+                p_rows = bounds._row_zero_linear(q, gamma, np.arange(1, 2 * k + 1, dtype=float))
+                with np.errstate(divide="ignore"):
+                    fresh = np.where(p_rows > 0.0, np.log(np.maximum(p_rows, 1e-300)), -np.inf)
+                cached = bounds._log_row_nullity(q, gamma, k)
+                assert np.array_equal(cached, fresh) and not cached.flags.writeable
+                params = ModelParams(n=1000, k=k, m=5 * k, q=q, gamma=gamma)
+                log_l = log_of_int(signal_set_size(1000, k, q).total)
+                direct = bounds.logsumexp(nh_log_profile(1000, k, q, ALL)[1:] + 5 * k * fresh) - log_l
+                assert union_bound(params).log_value == direct
+        assert np.isneginf(bounds._log_row_nullity(2, 1.0, 3)[::2]).all()
+
+    def test_row_nullity_cache_stays_bounded(self):
+        bounds._log_row_nullity.cache_clear()
+        for k in range(1, 41):
+            union_bound(ModelParams(n=100, k=k, m=60, q=4, gamma=0.2))
+        info = bounds._log_row_nullity.cache_info()
+        assert info.misses == 40 and info.currsize == info.maxsize <= 16
 
     def test_restricted_variant_is_tighter(self):
         pa = union_bound(ModelParams(n=10, k=3, m=4, q=3, gamma=0.5), ALL)

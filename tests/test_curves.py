@@ -214,8 +214,10 @@ class TestMinMeasurements:
         # M as the exact bound would place it.  The smallest margin
         # measured is 4.7e-5 (q = 4, c = 1, K = 220, at M - 1); the 50
         # unachieved points (q = 2, c = 1) clear it by 0.51.
+        # q outside and c inside: the profiles do not depend on gamma, so
+        # each q's profiles are built once for all three c.
         band, n, log_target = 1e-8, 1000, math.log(1e-2)
-        for c, q in itertools.product((1, 5, 10), (2, 4, 16, 256)):
+        for q, c in itertools.product((2, 4, 16, 256), (1, 5, 10)):
             gamma = sparse_gamma(c, n)
             for k in default_k_grid(n):
                 got = min_measurements(n, k, q, gamma)
