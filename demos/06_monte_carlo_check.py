@@ -5,7 +5,11 @@ For a sweep of measurement counts, compares the observed error rates
 converse bound from below, and runs the equal-weight nullity check.
 """
 
-from ffcs import ModelParams, dense_gamma, equal_weight_nullity_test, make_field, run_trials
+import numpy as np
+
+from ffcs import ModelParams, dense_gamma, make_field, row_zero_prob_sparse, run_trials, sample_trials
+from ffcs.model import measure_candidates
+from ffcs.util import wilson_interval
 
 print("n=8, k=2, q=2, dense matrices, 10k trials per point")
 print(f"{'m':>3} {'e rate':>8} {'95% CI':>19} {'union bound':>12} {'converse':>9}")
@@ -18,6 +22,11 @@ for m in range(1, 9):
     )
 
 print("\nsame weight, same annihilation probability (q=4, gamma=0.3, weight 3, m=2):")
-rep = equal_weight_nullity_test(make_field(4), n=8, m=2, gamma=0.3, h=3, trials=30_000, seed=6)
-print(f"  vector 1 rate: {rep.rate_1:.4f}   vector 2 rate: {rep.rate_2:.4f}   analytic: {rep.analytic:.4f}")
-print(f"  rates consistent: {rep.rates_consistent}   match analytic: {rep.matches_analytic}")
+mats, _ = sample_trials(ModelParams(n=8, k=3, m=2, q=4, gamma=0.3), 30_000, seed=6)
+pair = np.array([[1, 1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0, 0, 0]], dtype=np.int16)  # weight 3 each
+hits = (measure_candidates(make_field(4), mats, pair) == 0).all(axis=1).sum(axis=0).tolist()
+(lo1, hi1), (lo2, hi2) = (wilson_interval(hit, 30_000) for hit in hits)
+analytic = row_zero_prob_sparse(4, 0.3, 3).linear ** 2
+print(f"  vector 1 rate: {hits[0] / 30_000:.4f}   vector 2 rate: {hits[1] / 30_000:.4f}   analytic: {analytic:.4f}")
+consistent, matches = lo1 <= hi2 and lo2 <= hi1, lo1 <= analytic <= hi1 and lo2 <= analytic <= hi2
+print(f"  rates consistent: {consistent}   match analytic: {matches}")

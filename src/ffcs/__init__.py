@@ -21,7 +21,6 @@ from .model import (
     SignalSetSize,
     candidate_matrix,
     dense_gamma,
-    enumerate_signals,
     matrix_from_json,
     matrix_to_json,
     matvec,
@@ -58,13 +57,7 @@ from .curves import (
     default_k_grid,
     min_measurements,
 )
-from .montecarlo import (
-    NullityReport,
-    TrialReport,
-    equal_weight_nullity_test,
-    run_trials,
-    sample_trials,
-)
+from .montecarlo import TrialReport, run_trials, sample_trials
 
 __all__ = [
     "__version__",
@@ -83,7 +76,6 @@ __all__ = [
     "dense_gamma",
     "sparse_gamma",
     "matvec",
-    "enumerate_signals",
     "candidate_matrix",
     "signal_to_json",
     "signal_from_json",
@@ -118,8 +110,6 @@ __all__ = [
     "curve",
     "default_k_grid",
     "TrialReport",
-    "NullityReport",
     "run_trials",
     "sample_trials",
-    "equal_weight_nullity_test",
 ]

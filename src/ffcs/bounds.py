@@ -57,9 +57,10 @@ Only the S column a term reads depends on K, so the rest is kept across
 profile misses.  Per field order q, _BinomialPowerPrefix keeps the P
 triangle and a triangle of term weights, log C(h, j) plus the log P
 that term j of distance h reads.  Per (n, q), _BinomialRowPrefix keeps
-log j! up to n and the rows S_{n-h}, with room for a larger K to
-lengthen every row in place from its last value.  One q and one (n, q)
-are kept at a time, as a curve sweeps K for one q before the next.
+log j! up to n, which the P rows read too, and the rows S_{n-h}, with
+room for a larger K to lengthen every row in place from its last value.
+One q and one (n, q) are kept at a time, as a curve sweeps K for one q
+before the next.
 Both tables are log prefix sums along binomial rows, of ratio q - 2 for
 P and q - 1 for S, and _log_prefix_sums builds both, a block of rows
 one column at a time.
@@ -384,8 +385,11 @@ class _BinomialPowerPrefix:
         self.flat = np.empty(0)
         self.weights = np.empty(0)
 
-    def upto(self, vmax: int) -> np.ndarray:
-        """The P triangle, both triangles grown to hold at least rows 0..vmax."""
+    def upto(self, vmax: int, lfact: np.ndarray) -> np.ndarray:
+        """The P triangle, both triangles grown to hold at least rows 0..vmax.
+
+        lfact holds log j! for j = 0..vmax at least (util.log_factorials).
+        """
         if vmax < self.rows:
             return self.flat[: _tri(self.rows)]
         if _tri(vmax + 1) > self.flat.size:
@@ -393,7 +397,6 @@ class _BinomialPowerPrefix:
             # only a few times; untouched room costs no resident memory
             size = _tri(max(vmax + 1, 2 * self.rows))
             self.flat, self.weights = _grown(self.flat, size), _grown(self.weights, size)
-        lfact = log_factorials(vmax)
         # log r^c with r = q - 2; for q = 2 only r^0 = 1 survives (no 0 * -inf)
         if self.q > 2:
             log_rpow = np.arange(vmax + 1) * math.log(self.q - 2)
@@ -509,10 +512,10 @@ def _binomial_row_prefix(n: int, q: int) -> _BinomialRowPrefix:
 @lru_cache(maxsize=64)
 def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarray:
     hlast = min(2 * k_max, n)
-    table = _binomial_power_prefix(q)
-    table.upto(hlast)
-    W = table.weights  # log C(h, j) + log P at _tri(h) + j
     rows = _binomial_row_prefix(n, q).upto(k_max)
+    table = _binomial_power_prefix(q)
+    table.upto(hlast, rows.lfact)  # log j! up to n >= hlast
+    W = table.weights  # log C(h, j) + log P at _tri(h) + j
     hs = np.arange(1, hlast + 1)
     # term j of distance h reads S_{n-h}(K - max(h - j, j)), an exact zero
     # (A < 0) outside lo <= j <= min(h, K).  T_h's b = j runs from lo

@@ -38,15 +38,13 @@ narrowest of 8 to 64 bits that holds the lanes; rows beyond 64 bits
 take further words.  The layout of (q, m) is kept after first use.
 pack_measurements lays a measurement out in the same words, and
 match_words compares them.  measure_candidates is the definition of
-A x, a table gather and a field sum, for explicit vectors (matvec, a
-signal's own measurements, the nullity test's vector pair), and the
-tests' oracle for the kernel.
+A x, a table gather and a field sum, for explicit vectors (matvec and
+error_events' signal), and the tests' oracle for the kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, log
@@ -156,9 +154,8 @@ def measure_candidates(field: FiniteField, rows: np.ndarray, cands: np.ndarray) 
     from the multiplication table and summed over j in the field, by XOR
     in characteristic 2, and otherwise in int64 and reduced once mod p.
     The gather holds (..., m, c, n) entries, so this is for explicit
-    vectors: matvec and error_events measure one, and the nullity test
-    measures its pair on windows sized on width >= q n, so t m 2 n <=
-    2**21 / q.  measure_levels sweeps whole levels of L.
+    vectors: matvec and error_events measure one.  measure_levels sweeps
+    whole levels of L.
     """
     if rows.shape[-1] != cands.shape[1]:
         raise DimensionMismatch(
@@ -169,23 +166,6 @@ def measure_candidates(field: FiniteField, rows: np.ndarray, cands: np.ndarray) 
     if field.p == 2:
         return np.bitwise_xor.reduce(terms, axis=-1)
     return (terms.sum(axis=-1, dtype=np.int64) % field.p).astype(np.int16)
-
-
-def enumerate_signals(n: int, k_max: int, q: int):
-    """Yield every member of L as an int16 array, in canonical order.
-
-    Order: sparsity-major, then lexicographic support, then lexicographic
-    nonzero values.  This is the tie-making order the exhaustive decoder
-    relies on, so it must never change.  It is the reference for
-    level_members and measure_levels, which the library uses instead.
-    """
-    for k in range(k_max + 1):
-        for support in itertools.combinations(range(n), k):
-            for values in itertools.product(range(1, q), repeat=k):
-                v = np.zeros(n, dtype=np.int16)
-                for pos, val in zip(support, values):
-                    v[pos] = val
-                yield v
 
 
 @lru_cache(maxsize=64)
@@ -288,6 +268,11 @@ def _prefix_ranks(n: int, w: int, q: int, p: np.ndarray, prefix: np.ndarray) -> 
 
 def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
     """The weight-w members of L at the given canonical ranks, as an int16 (len, n) array.
+
+    The canonical order is sparsity-major, then lexicographic support,
+    then lexicographic nonzero values.  This is the tie-making order the
+    exhaustive decoder relies on, so it must never change; the tests
+    hold a plain enumeration of L in this order as its reference.
 
     Raises ValueError unless 0 <= w <= n and every rank lies in
     [0, C(n, w) (q-1)^w), the size of the level.

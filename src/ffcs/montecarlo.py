@@ -2,7 +2,10 @@
 
 Samples (matrix, signal) instances at desk scale, detects both error
 events exactly against the full candidate set, and reports rates with
-Wilson 95% intervals alongside the analytic union and converse bounds.
+Wilson 95% intervals (util.wilson_interval) alongside the analytic union
+and converse bounds.  The row-nullity law those bounds rest on is
+checked exactly by bounds.convolution_oracle, and by Monte Carlo in the
+tests over sample_trials' matrices.
 
 Reproducibility scheme: trial i draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(trials)[i])``, i.e.
@@ -95,10 +98,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import fano_lower_bound, row_zero_prob_sparse, union_bound
+from .bounds import fano_lower_bound, union_bound
 from .field import FiniteField, make_field
 from .model import ModelParams, _ColumnTable, candidate_matrix, check_enumeration_cap
-from .model import level_starts, measure_candidates, unpack_measurements
+from .model import level_starts, unpack_measurements
 from .util import wilson_interval
 
 # a block spans at most this many (trial, row, candidate) triples
@@ -149,28 +152,6 @@ class TrialReport:
     union_bound_log: float
     union_bound_value: float  # capped into [0, 1]
     fano_value: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class NullityReport:
-    """Empirical annihilation frequencies for two equal-weight vectors."""
-
-    q: int
-    n: int
-    m: int
-    gamma: float
-    h: int
-    trials: int
-    hits_1: int
-    hits_2: int
-    rate_1: float
-    rate_2: float
-    ci_1: tuple[float, float]
-    ci_2: tuple[float, float]
-    analytic: float  # single-row nullity probability to the m-th power
-    rates_consistent: bool  # the two empirical CIs overlap
-    matches_analytic: bool  # analytic value inside both CIs
     seed: int
 
 
@@ -593,73 +574,3 @@ def run_trials(
         seed=seed,
     )
 
-
-def _pick_weight_h_vectors(n: int, q: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two distinct weight-h vectors, deterministically.
-
-    First vector: ones on positions 0..h-1.  Second: ones on the support
-    shifted by one position when h < n; with full support (h = n, needs
-    q > 2) the first entry becomes 2 instead.
-    """
-    if not 1 <= h <= n:
-        raise ValueError("h must lie in [1, n]")
-    d1 = np.zeros(n, dtype=np.int16)
-    d1[:h] = 1
-    d2 = np.zeros(n, dtype=np.int16)
-    if h < n:
-        d2[1 : h + 1] = 1
-    else:
-        if q <= 2:
-            raise ValueError("no two distinct full-weight vectors exist over GF(2)")
-        d2[:] = 1
-        d2[0] = 2
-    return d1, d2
-
-
-def equal_weight_nullity_test(
-    field: FiniteField,
-    n: int,
-    m: int,
-    gamma: float,
-    h: int,
-    trials: int,
-    seed: int,
-) -> NullityReport:
-    """Check that annihilation probability depends only on vector weight.
-
-    Estimates P(A d = 0) for two distinct weight-h vectors over sampled
-    matrices, confirms the two empirical rates are compatible, and
-    compares both against the analytic single-row value raised to the
-    m-th power.
-    """
-    d1, d2 = _pick_weight_h_vectors(n, field.q, h)
-    params = ModelParams(n=n, k=min(h, n), m=m, q=field.q, gamma=gamma)
-    pair = np.stack([d1, d2])
-    hits_1 = hits_2 = 0
-    for _, mats, _ in _trial_blocks(params, trials, seed, len(pair)):
-        null = (measure_candidates(field, mats, pair) == 0).all(axis=1)  # (t, 2)
-        hits_1 += int(null[:, 0].sum())
-        hits_2 += int(null[:, 1].sum())
-        del mats
-    ci_1 = wilson_interval(hits_1, trials)
-    ci_2 = wilson_interval(hits_2, trials)
-    analytic = row_zero_prob_sparse(field.q, gamma, h).linear ** m
-    return NullityReport(
-        q=field.q,
-        n=n,
-        m=m,
-        gamma=gamma,
-        h=h,
-        trials=trials,
-        hits_1=hits_1,
-        hits_2=hits_2,
-        rate_1=hits_1 / trials,
-        rate_2=hits_2 / trials,
-        ci_1=ci_1,
-        ci_2=ci_2,
-        analytic=analytic,
-        rates_consistent=ci_1[0] <= ci_2[1] and ci_2[0] <= ci_1[1],
-        matches_analytic=(ci_1[0] <= analytic <= ci_1[1])
-        and (ci_2[0] <= analytic <= ci_2[1]),
-        seed=seed,
-    )

@@ -44,7 +44,7 @@ def reference_log_profile(n, k_max, q, variant):
     hmax = 2 * k_max
     lfact = log_factorials(max(n, hmax))
     logq1 = math.log(q - 1)
-    P = _binomial_power_prefix(q).upto(hmax)
+    P = _binomial_power_prefix(q).upto(hmax, lfact)
     out = np.full(hmax + 1, -np.inf)
     for h in range(1, min(hmax, n) + 1):
         R = n - h
@@ -262,7 +262,7 @@ class TestPairCounts:
     def test_log_profile_memory_is_bounded_by_configuration(self):
         # one (2K x (K + 1)) float64 array at K = 500 would take 4.0 MB alone;
         # the tables a build reads are warmed first, as a curve leaves them
-        _binomial_power_prefix(4).upto(1000)
+        _binomial_power_prefix(4).upto(1000, log_factorials(1000))
         bounds._binomial_row_prefix(1000, 4).upto(500)
         bounds._nh_log_profile_cached.cache_clear()
         tracemalloc.start()
@@ -278,10 +278,10 @@ class TestPairCounts:
     def test_binomial_power_table_grows_to_the_exact_rows(self, q):
         # row v holds log sum_{c <= i} C(v, c) (q - 2)^c for i = 0..v, however
         # many steps the table grew in; a buffer handed out earlier keeps its rows
-        table = _BinomialPowerPrefix(q)
-        table.upto(4)
-        held = table.upto(9)
-        flat = table.upto(23)
+        table, lfact = _BinomialPowerPrefix(q), log_factorials(23)
+        table.upto(4, lfact)
+        held = table.upto(9, lfact)
+        flat = table.upto(23, lfact)
         assert table.rows == 24 and np.array_equal(held, flat[: held.size])
         for v in range(24):
             prefix = np.cumsum([math.comb(v, c) * (q - 2) ** c for c in range(v + 1)])
@@ -320,14 +320,15 @@ class TestPairCounts:
             for k in ks:
                 for v in (ALL, RESTRICTED):
                     want[n, k, q, v] = reference_log_profile(n, k, q, v)
-            cold = {"P": _binomial_power_prefix(q).upto(2 * max(ks)).copy(),
+            lfact = log_factorials(2 * max(ks))
+            cold = {"P": _binomial_power_prefix(q).upto(2 * max(ks), lfact).copy(),
                     "S": bounds._binomial_row_prefix(n, q).upto(max(ks))}
             clear_profile_tables()
             for k in ks:
                 for v in (ALL, RESTRICTED):
                     assert np.array_equal(nh_log_profile(n, k, q, v), want[n, k, q, v]), (n, k, q, v)
             grown = bounds._binomial_row_prefix(n, q)
-            assert np.array_equal(_binomial_power_prefix(q).upto(2 * max(ks)), cold["P"])
+            assert np.array_equal(_binomial_power_prefix(q).upto(2 * max(ks), lfact), cold["P"])
             for h in range(1, min(2 * max(ks), n) + 1):
                 cols = max(ks) + 2 - (h + 1) // 2
                 a, b = grown.starts[h - 1], cold["S"].starts[h - 1]

@@ -301,13 +301,16 @@ DUMP_SHA256 = {
 # recorded with the row-by-row kernel that packed words replaced.
 SIMULATE_TWO_WORD_SHA256 = "0ab83fa2891c1bcbff84499fbf77e047975096f45bfd7012bb93333165ade865"
 # sha256 of the curve CSV at n = 1000 on two sparse-gamma grids, the path
-# that builds the log pair-count profiles.  Recorded at version 0.1.0;
+# that builds the log pair-count profiles, and on the dense default grid
+# over the paper's four fields (200 points).  Recorded at version 0.1.0;
 # a faster profile build must leave every byte as it is.
 CURVE_SHA256 = {
     ("--q", "4", "--gamma", "c=10", "--grid", "0.01,0.05,0.1,0.2,0.3"):
         "eb5eaf80c6451b68e0f78b5a227488ae1f67499708b32ae3e07ddb52281e0439",
     ("--q", "2", "--q", "16", "--gamma", "c=5", "--variant", "restricted", "--grid", "0.02,0.1,0.25"):
         "af2695062f9a42d7035f3d96c0f1c7db02307ecae78f43310964e236ad0ddaf9",
+    ("--q", "2", "--q", "4", "--q", "16", "--q", "256"):
+        "1990a43e148091599afd45d31bc819f03dec8081ef9e4b7a2852a39fe09d1ea4",
 }
 
 
@@ -354,7 +357,7 @@ class TestGoldenOutputs:
         # other types and nestings the formatter may meet
         assert cli._indented_json(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("argv", list(CURVE_SHA256), ids=["q4-c10", "q2-q16-c5-restricted"])
+    @pytest.mark.parametrize("argv", list(CURVE_SHA256), ids=["q4-c10", "q2-q16-c5-restricted", "dense-default"])
     def test_curve_csv_bytes(self, capsys, argv):
         code, out, _ = run_cli(capsys, "curve", "--n", "1000", *argv)
         assert code == 0

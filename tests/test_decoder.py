@@ -11,12 +11,12 @@ from ffcs import (
     ModelParams,
     decode_l0,
     dense_gamma,
-    enumerate_signals,
     error_events,
     make_field,
     matvec,
     sample_trials,
 )
+from reference import enumerate_signals
 
 
 def brute_decode(field, A, y, k_max):

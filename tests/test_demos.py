@@ -1,5 +1,6 @@
 """Each narrative script under demos/, and the README's library quick start,
-runs to completion and prints something."""
+runs to completion and prints something, with numpy's overflow and
+deprecation warnings as errors, as the test suite itself runs."""
 
 import os
 import re
@@ -17,11 +18,15 @@ def test_demos_found():
     assert len(DEMOS) >= 6
 
 
+# the warnings pyproject.toml's filterwarnings turns into errors
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
+
+
 def _run(argv, cwd):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True
+        [sys.executable, *WARNINGS_AS_ERRORS, *argv], cwd=cwd, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -19,7 +19,6 @@ from ffcs import (
     ModelParams,
     candidate_matrix,
     dense_gamma,
-    enumerate_signals,
     make_field,
     matrix_from_json,
     matrix_to_json,
@@ -33,6 +32,7 @@ from ffcs import (
 from ffcs import model
 from ffcs.model import _lanes, level_members, match_words, measure_candidates
 from ffcs.model import measure_levels, pack_measurements, unpack_measurements
+from reference import enumerate_signals
 
 # 0.999 chi-square quantiles by degrees of freedom
 CHI2_999 = {2: 13.816, 3: 16.266, 18: 42.312}

@@ -10,12 +10,12 @@ from ffcs import (
     ModelParams,
     candidate_matrix,
     dense_gamma,
-    equal_weight_nullity_test,
     error_events,
     convolution_oracle,
     fano_lower_bound,
     make_field,
     matvec,
+    row_zero_prob_sparse,
     run_trials,
     sample_trials,
 )
@@ -23,6 +23,7 @@ from ffcs import model, montecarlo
 from ffcs.model import level_starts, measure_candidates, signal_set_size
 from ffcs.montecarlo import _PCG64Lanes, _SeedWords, _child_seed_words, _error_flags, _sample_trials
 from ffcs.montecarlo import _pcg_step
+from ffcs.util import wilson_interval
 
 
 class TestReproducibility:
@@ -271,31 +272,58 @@ class TestSandwich:
         assert 0.0 <= rep.fano_value <= 1.0
 
 
+def nullity_check(q, n, m, gamma, h, trials, seed):
+    """Annihilations of two weight-h vectors, ones on 0..h-1 and on 1..h, by sample_trials' matrices.
+
+    Returns the two hit counts, whether their Wilson intervals overlap,
+    whether both hold the analytic rate, and that rate.  A trial's matrix
+    comes first in its stream, so the k = h signal draw does not move it.
+    """
+    mats, _ = sample_trials(ModelParams(n=n, k=h, m=m, q=q, gamma=gamma), trials, seed)
+    pair = np.zeros((2, n), dtype=np.int16)
+    pair[0, :h] = 1
+    pair[1, 1 : h + 1] = 1
+    hits = tuple((measure_candidates(make_field(q), mats, pair) == 0).all(axis=1).sum(axis=0).tolist())
+    (lo1, hi1), (lo2, hi2) = (wilson_interval(hit, trials) for hit in hits)
+    analytic = row_zero_prob_sparse(q, gamma, h).linear ** m
+    return hits, lo1 <= hi2 and lo2 <= hi1, lo1 <= analytic <= hi1 and lo2 <= analytic <= hi2, analytic
+
+
 class TestNullity:
+    # the chance that a matrix annihilates a vector depends only on its weight
     def test_dense_matches_uniform_power(self):
-        f = make_field(3)
-        rep = equal_weight_nullity_test(f, n=8, m=2, gamma=dense_gamma(3), h=3, trials=20_000, seed=2)
-        assert rep.rates_consistent
-        assert rep.matches_analytic
-        assert math.isclose(rep.analytic, (1 / 3) ** 2, rel_tol=1e-12)
+        _, consistent, matches, analytic = nullity_check(3, 8, 2, dense_gamma(3), 3, 20_000, seed=2)
+        assert consistent
+        assert matches
+        assert math.isclose(analytic, (1 / 3) ** 2, rel_tol=1e-12)
 
     def test_forced_ones_never_annihilate(self):
-        f = make_field(2)
-        rep = equal_weight_nullity_test(f, n=4, m=1, gamma=1.0, h=1, trials=2000, seed=9)
-        assert rep.hits_1 == 0 and rep.hits_2 == 0
-        assert rep.analytic == 0.0
+        hits, _, _, analytic = nullity_check(2, 4, 1, 1.0, 1, 2000, seed=9)
+        assert hits == (0, 0)
+        assert analytic == 0.0
 
     def test_sparse_matches_convolution_power(self):
-        f = make_field(4)
-        rep = equal_weight_nullity_test(f, n=6, m=2, gamma=0.3, h=3, trials=40_000, seed=23)
-        expect = convolution_oracle(f, 0.3, 3).linear ** 2
-        assert math.isclose(rep.analytic, expect, rel_tol=1e-10)
-        assert rep.matches_analytic
-        assert rep.rates_consistent
+        _, consistent, matches, analytic = nullity_check(4, 6, 2, 0.3, 3, 40_000, seed=23)
+        expect = convolution_oracle(make_field(4), 0.3, 3).linear ** 2
+        assert math.isclose(analytic, expect, rel_tol=1e-10)
+        assert matches
+        assert consistent
 
-    def test_full_weight_needs_larger_field(self):
-        with pytest.raises(ValueError):
-            equal_weight_nullity_test(make_field(2), n=3, m=1, gamma=0.5, h=3, trials=10, seed=0)
+    @pytest.mark.parametrize(
+        "config,hits",
+        [
+            ((3, 8, 2, dense_gamma(3), 3, 20_000, 2), (2250, 2197)),
+            ((2, 4, 1, 1.0, 1, 2000, 9), (0, 0)),
+            ((4, 6, 2, 0.3, 3, 40_000, 23), (6812, 6804)),
+            ((4, 8, 2, 0.3, 3, 30_000, 6), (5154, 5118)),
+            ((4, 5, 2, 0.6, 2, 300, 8), (24, 33)),
+            ((7, 5, 2, 0.6, 2, 300, 8), (13, 9)),
+        ],
+        ids=["dense-q3", "forced-ones", "sparse-q4", "demo-06", "window-q4", "window-q7"],
+    )
+    def test_hit_counts_are_pinned(self, config, hits):
+        # exact counts, so a sampler drift that keeps the rates plausible still fails
+        assert nullity_check(*config)[0] == hits
 
 
 def test_cap_propagates():
@@ -418,27 +446,22 @@ class TestSeedContract:
     def test_block_size_does_not_change_results(self, monkeypatch):
         params = ModelParams(n=5, k=2, m=3, q=4, gamma=0.6)
         whole = run_trials(params, 300, seed=8)
-        f = make_field(4)
-        null_whole = equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8)
         # |L| = 106 candidates and m = 3: run_trials blocks of 7 and 83
         # trials, so every window boundary moves
         for per_block in (7, 83):
             monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * 106 * per_block)
             assert run_trials(params, 300, seed=8) == whole
-            assert equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8) == null_whole
 
     @pytest.mark.parametrize("lanes", [True, False])
     def test_window_and_block_edges_do_not_change_results(self, monkeypatch, lanes):
         # the draw window is always whole sweep blocks: here windows of
         # 1 block (83 trials, or 7 under a 5-trial constant, stepped as
         # lane groups of 5 and 2), 2 (14 trials) and 5 (35), and
-        # run_trials and the nullity test end mid-window and mid-block,
+        # run_trials ends mid-window and mid-block,
         # so every window and block edge moves; each draw path is forced
         params = ModelParams(n=5, k=2, m=3, q=7, gamma=0.6)
-        f = make_field(7)
         n_cand = signal_set_size(5, 2, 7).total
         whole = run_trials(params, 300, seed=8)
-        null_whole = equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8)
         monkeypatch.setattr(montecarlo, "_as_lanes", lambda width, t: lanes)
         for per_block, window in [(7, 5), (7, 20), (7, 37), (83, 100)]:
             monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 3 * n_cand * per_block)
@@ -446,7 +469,6 @@ class TestSeedContract:
             starts = [start for start, _, _ in montecarlo._trial_blocks(params, 300, 8, n_cand)]
             assert starts == list(range(0, 300, per_block))
             assert run_trials(params, 300, seed=8) == whole
-            assert equal_weight_nullity_test(f, n=5, m=2, gamma=0.6, h=2, trials=300, seed=8) == null_whole
 
 
 def test_memory_does_not_grow_with_trials():
@@ -505,7 +527,7 @@ class TestRawDraws:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 251, 256])
     def test_sampler_matches_generator_oracle(self, q, sparse, seed):
         # k = 0 leaves one candidate and draws no rank; n_candidates = 2
-        # is what equal_weight_nullity_test passes
+        # draws a rank of one bit
         gamma = 0.3 if sparse else dense_gamma(q)
         for m, n in RAW_SHAPES:
             for k in (0, 2):
