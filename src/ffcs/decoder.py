@@ -15,8 +15,9 @@ the measurement word.  model.measure_levels, the level kernel the Monte
 Carlo flags share, decides that equality for every candidate: levels 0
 and 1 by reading off where y and y less each scaled column are zero,
 and from level 2 on by a sweep that compares each candidate's partial
-sum or, where it costs less, by a join that sorts the words of level
-w - 1 and looks up each of those differences among them.  It yields
+sum or, where it costs less, by a join that sorts those differences
+by their first word and looks up each candidate of level w - 1 among
+them, confirming its other words.  It yields
 each level's feasible ranks in canonical order, a level at a time, so
 the decoder stops at the first level that has any.  Only the feasible
 candidates are unranked into vectors (model.level_members).

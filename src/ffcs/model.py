@@ -20,9 +20,10 @@ routes (_joins chooses from the shape).  Every weight-w support
 carries the same (q-1)^w value tuples, so chunks of supports sum their
 columns as outer sums, in canonical order, without building a
 candidate.  The sweep compares each partial sum with its goals; the
-join, for one matrix, sorts the words of level w - 1 with their last
-columns and looks each goal up among them, which costs |L_{w-1}|
-sorted keys instead of |L_w| comparisons, and ranks a hit from its
+join, for one matrix, sorts the goals by their first word and looks up
+the first word of each member of level w - 1 among them, confirming
+the last column and every other word per pair, which costs |L_{w-1}|
+lookups instead of |L_w| comparisons, and ranks a hit from its
 prefix's rank and support and its last column and value.  Both stay
 private, as do their chunks.  A level's supports come from a kept
 table of them in lexicographic order, built on first use, up to a
@@ -460,25 +461,18 @@ def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int, targets):
     return _ColumnTable(field, mats).levels(k_max, targets)
 
 
-def _joins(n: int, w: int, q: int, m: int, b: int) -> bool:
-    """Whether level w >= 2 of a scan of b (m, n) matrices over GF(q) takes the join, else the sweep.
+def _joins(n: int, w: int, q: int, b: int) -> bool:
+    """Whether level w >= 2 of a scan of b matrices of n columns over GF(q) takes the join, else the sweep.
 
-    The join (_ColumnTable._join) needs one matrix, b = 1, one word per
-    packed measurement, and a sort key of that word, a column
-    below n and an index below the largest chunk of level w - 1 within
-    64 bits.  It is then taken where it costs less.  It sums and looks
-    up |L_{w-1}| prefixes, where the sweep forms |L_w| / (q - 1) partial
-    sums and makes |L_w| comparisons; a prefix or a partial sum costs
-    about _PREFIX_COST comparisons, so the join is taken where
+    The join (_ColumnTable._join) needs one matrix, b = 1, and is taken
+    where it costs less.  It sums and looks up |L_{w-1}| prefixes, where
+    the sweep forms |L_w| / (q - 1) partial sums and makes |L_w|
+    comparisons; a prefix or a partial sum costs about _PREFIX_COST
+    comparisons, so the join is taken where
     _PREFIX_COST |L_{w-1}| <= (_PREFIX_COST / (q - 1) + 1) |L_w|, that
     is _PREFIX_COST w <= (n - w + 1) (q - 1 + _PREFIX_COST).
     """
-    if b != 1 or _PREFIX_COST * w > (n - w + 1) * (q - 1 + _PREFIX_COST):
-        return False
-    lanes = _lanes(q, m)
-    prefixes = min(comb(n, w - 1) * (q - 1) ** (w - 1), _CHUNK_WORDS)
-    used = m * lanes.bits + (n - 1).bit_length() + (prefixes - 1).bit_length()
-    return lanes.count == 1 and used <= 64
+    return b == 1 and _PREFIX_COST * w <= (n - w + 1) * (q - 1 + _PREFIX_COST)
 
 
 class _ColumnTable:
@@ -502,17 +496,19 @@ class _ColumnTable:
       columns as outer sums of the table's scaled columns, in canonical
       order, without building a candidate, and compares each partial
       sum with its goals: |L_w| comparisons per matrix.
-    * The join (_join), for one matrix.  The prefixes, level w - 1's
-      members, are summed in chunks the same way; those whose words'
-      low bits meet a goal's are sorted as keys (word, last column,
-      index), and the goal of last column j and value v then meets, by
-      two binary searches, exactly the prefixes whose word equals it
-      and whose last column lies below j: |L_{w-1}| prefixes and
-      n (q - 1) searches.  A hit's rank is its prefix's (_prefix_ranks)
-      plus a term of its last column and value.
+    * The join (_join), for one matrix.  The n (q - 1) goals are sorted
+      by their first word once per scan; the prefixes, level w - 1's
+      members, are summed in chunks the same way as the sweep's, and
+      the first word of each prefix that passes a filter of the goals'
+      low bits is looked up among them by two binary searches.  A
+      (prefix, goal) pair so found is a hit where the prefix's last
+      column lies below the goal's and every further word is equal:
+      |L_{w-1}| prefixes and about one pair per hit.  A hit's rank is
+      its prefix's (_prefix_ranks) plus a term of its last column and
+      value.
 
     A chunk spans at most _CHUNK_WORDS words: its members' words (and
-    for the join their indices or keys), and the int64 columns that
+    for the join their indices), and the int64 columns that
     unrank each unit, counted in words of the table's width.  Where a
     support's (q-1)^w tuples are more than that, they are split by their
     leading values, so no whole level is ever built.
@@ -532,7 +528,6 @@ class _ColumnTable:
         else:  # (b, count, n, q-1)
             self.axis, order, shape = 2, (2, 0, 3, 1), (-1, n, v)
         self.table = np.ascontiguousarray(packed.transpose(order)).reshape(shape)
-        self.m = m
 
     def member_words(self, weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """The (b, count) packed measurement, by matrix i, of the member of weight weights[i] at rank ranks[i] of its level.
@@ -593,7 +588,7 @@ class _ColumnTable:
         for w in range(k_max + 1):
             if w < 2:
                 yield w, self._base(goal, targets, w).reshape(-1).nonzero()[0]
-            elif _joins(n, w, q, self.m, b):
+            elif _joins(n, w, q, b):
                 queries = self._queries(goal) if queries is None else queries
                 yield w, self._join(queries, w)
             else:
@@ -675,84 +670,81 @@ class _ColumnTable:
             want = _take_column(goal, axis, support, leading, w - 1)[pre + (None,)]
             yield start, self._match(have, want, b)
 
-    def _queries(self, goal: np.ndarray):
-        """The join's key layout, queries and word filter for one matrix.
+    def _rows(self, words: np.ndarray) -> np.ndarray:
+        """One matrix's words laid out like the table, as a (members, count) view in member order."""
+        count = self.lanes.count
+        return words.reshape(-1, count) if self.axis == 1 else words.reshape(count, -1).T
 
-        A key is (word, column, index) from the top bit down, the index
-        taking the bits that the word and a column below n leave.  Query
-        j * (q-1) + v - 1, for last column j and value v, spans the keys
-        [(g, 0, 0), (g, j, 0)) of its goal word g.  The queries are
-        sorted once per scan, ``order`` holding their ids in sorted
-        order, so that each chunk's searches take them in key order.
-        The filter ``seen`` marks the low ``low`` bits of every goal
-        word: a word whose low bits it does not mark equals no goal.
+    def _queries(self, goal: np.ndarray):
+        """The join's goals for one matrix, sorted by their first word, and its word filter.
+
+        Goal j (q-1) + v - 1, for last column j and value v, is y - v * A_j
+        (_rows of the goal table).  The goals are sorted once per scan,
+        ``order`` holding their ids in sorted order and ``goals`` (count,
+        n (q-1)) each word of theirs in that order.  The filter ``seen``
+        marks the low bits ``low`` of every goal's first word: a first
+        word whose low bits it does not mark equals no goal's.
         """
-        n, v = self.table.shape[1:]
-        word_bits = self.m * self.lanes.bits
-        index_bits = 64 - word_bits - (n - 1).bit_length()
-        goals = goal.reshape(-1)
-        shift = np.uint64(64 - word_bits)
-        upper = goals.astype(np.uint64) << shift
-        upper |= np.arange(n * v, dtype=np.uint64) // np.uint64(v) << np.uint64(index_bits)
-        order = upper.argsort()
-        upper = upper[order]
+        goals = self._rows(goal)
+        order = goals[:, 0].argsort()
+        goals = np.ascontiguousarray(goals[order].T)
         # about 64 filter entries a goal, at most _CHUNK_WORDS
-        low = (1 << min(word_bits, (64 * len(goals)).bit_length(), _CHUNK_WORDS.bit_length() - 1)) - 1
-        seen = np.zeros(low + 1, dtype=bool)
-        seen[goals & self.lanes.dtype.type(low)] = True
-        return index_bits, order, upper & ~np.uint64((1 << (64 - word_bits)) - 1), upper, low, seen
+        bits = min(self.lanes.per * self.lanes.bits, (64 * len(order)).bit_length())
+        low = self.lanes.dtype.type((1 << min(bits, _CHUNK_WORDS.bit_length() - 1)) - 1)
+        seen = np.zeros(int(low) + 1, dtype=bool)
+        seen[goals[0] & low] = True
+        return order, goals, low, seen
 
     def _join(self, queries, w: int) -> np.ndarray:
-        """Level w's hits for one matrix of one-word measurements (w >= 2), by sort and join.
+        """Level w's hits for one matrix (w >= 2), by looking each prefix up among the sorted goals.
 
         A member of weight w splits, at its last column j and value v,
         into a prefix of weight w - 1, whose last column lies below j,
-        and v * A_j; it hits exactly where the prefix's word is the goal
-        y - v * A_j.  Of a chunk of prefixes, those whose words pass the
-        filter are keyed (word, last column, index in the chunk) in one
-        uint64 and sorted, so each query's key range holds exactly the
-        prefixes that complete to a hit (_queries).  Each hit ranks as
-        its prefix's _prefix_ranks, from the prefix's rank and support,
-        plus j (q-1)^w + v - 1 for its query's last column j and value v;
-        the level's hits are returned sorted.
+        and v * A_j; it hits exactly where the prefix's words are the
+        goal y - v * A_j.  Of a chunk of prefixes, those whose first
+        words pass the filter are looked up among the goals' first words
+        (_queries), each meeting a run of goals; the (prefix, goal)
+        pairs are expanded a run of prefixes at a time, and a pair is
+        kept where the prefix's last column lies below j and every other
+        word is equal.  Each hit ranks as its prefix's _prefix_ranks,
+        from the prefix's rank and support, plus j (q-1)^w + v - 1; the
+        level's hits are returned sorted.
         """
-        index_bits, order, lower, upper, low, seen = queries
-        n, v = self.table.shape[1:]
-        shift, low = np.uint64(64 - self.m * self.lanes.bits), self.lanes.dtype.type(low)
-        mask, tuples = np.uint64((1 << index_bits) - 1), v ** (w - 1)
-        cost = 1 + -(-8 // self.table.itemsize)  # a prefix's word and its index or key
-        # a hit's ranking holds about w + 12 int64, so the hits are ranked a
-        # run of queries at a time, a run holding one query or at most
-        # per_run hits
+        order, goals, low, seen = queries
+        n, v = self.table.shape[self.axis - 1], self.table.shape[self.axis]
+        count, tuples = self.lanes.count, v ** (w - 1)
+        cost = count + -(-8 // self.table.itemsize)  # a prefix's words and its index
+        # a pair's confirmation and a hit's ranking hold about w + 12
+        # int64, so the pairs are expanded a run of prefixes at a time, a
+        # run holding one prefix or at most per_run pairs
         per_run = max(1, _CHUNK_WORDS // (w + 12))
         found = []
         for start, support, _, acc in self._sums(w - 1, cost, w - 1):
-            words = acc.reshape(-1)
+            words = self._rows(acc)
             span = len(words) // len(support)
-            kept = seen.take(words & low).nonzero()[0]
-            keys = words[kept].astype(np.uint64)
-            keys <<= shift
-            keys |= support[kept // span, -1].view(np.uint64) << np.uint64(index_bits)
-            keys |= kept.view(np.uint64)
-            keys.sort()
-            first = keys.searchsorted(lower)
-            counts = keys.searchsorted(upper) - first
+            kept = seen.take(words[:, 0] & low).nonzero()[0]
+            heads = words[kept, 0]
+            lo = goals[0].searchsorted(heads)
+            counts = goals[0].searchsorted(heads, "right") - lo
             ends = counts.cumsum()
-            if not ends[-1]:
+            if not ends.size or not ends[-1]:
                 continue
-            # hit h, of query k, is the key at first[k] + h - (ends[k] - counts[k])
-            offset = first - ends + counts
-            total = int(ends[-1])
-            runs = ends.searchsorted(np.arange(0, total, per_run), "right").tolist()
+            # pair h, of prefix i, is the goal at lo[i] + h - (ends[i] - counts[i])
+            offset = lo - ends + counts
+            runs = ends.searchsorted(np.arange(0, int(ends[-1]), per_run), "right").tolist()
             for a, b in zip(runs, runs[1:] + [len(counts)]):
                 if a == b:
                     continue
-                query = np.repeat(np.arange(a, b), counts[a:b])
-                at = np.arange(ends[a] - counts[a], ends[b - 1]) + offset[query]
-                index = (keys[at] & mask).view(np.int64)
+                pair = np.repeat(np.arange(a, b), counts[a:b])
+                at = np.arange(ends[a] - counts[a], ends[b - 1]) + offset[pair]
+                index = kept[pair]
+                last, value = np.divmod(order[at], v)
+                match = support[index // span, -1] < last
+                for i in range(1, count):
+                    match &= words[index, i] == goals[i, at]
+                index, last, value = index[match], last[match], value[match]
                 ranks = _prefix_ranks(n, w, v + 1, start + index, support[index // span])
-                # and its completion by the query's last column j and value v
-                last, value = np.divmod(order[query], v)
+                # and its completion by the goal's last column j and value v
                 ranks += last * (tuples * v) + value
                 found.append(ranks)
         hits = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)

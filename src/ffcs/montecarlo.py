@@ -76,8 +76,9 @@ words innermost whenever they outnumber the q - 1 values.  Levels 0
 and 1 of every block are read off the trials' targets and the
 kernel's goal table, where a target or a target less a scaled column
 is zero, and from level 2 on a block of one trial, as where m |L|
-passes 2^19, takes the kernel's join, which sorts level w - 1 instead
-of comparing all of level w.  A trial's target is its signal's
+passes 2^19, takes the kernel's join, which looks level w - 1 up among
+the sorted goals instead of comparing all of level w, whatever the
+number of words.  A trial's target is its signal's
 measurement, summed from the kernel's own table of scaled columns at
 the signal's unranked support and values, and the scan yields each
 level's feasible (candidate, trial) pairs, never t x m x |L| values.

@@ -300,6 +300,11 @@ DUMP_SHA256 = {
 # pin and the q = 13 dump (5-bit lanes, 20 of a 32-bit word) were
 # recorded with the row-by-row kernel that packed words replaced.
 SIMULATE_TWO_WORD_SHA256 = "0ab83fa2891c1bcbff84499fbf77e047975096f45bfd7012bb93333165ade865"
+# sha256 of the simulate JSON at n = 1000, k = 2, q = 4, m = 60, c = 10,
+# 200 trials, seed 7: |L| = 4.5e6, so a block holds one trial, and its
+# two-word measurements take the one-matrix join from level 2 on.
+# Recorded while those scans still took the sweep.
+SIMULATE_JOIN_SHA256 = "d8de87dd9c458a6e31dbf45f10c1ef56656444060825cb66cfe8ef156a9257a4"
 # sha256 of the curve CSV at n = 1000 on two sparse-gamma grids, the path
 # that builds the log pair-count profiles, and on the dense default grid
 # over the paper's four fields (200 points).  Recorded at version 0.1.0;
@@ -331,6 +336,14 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_TWO_WORD_SHA256
+
+    def test_simulate_one_trial_join_json_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "1000", "--k", "2", "--q", "4", "--m", "60",
+            "--gamma", "c=10", "--trials", "200", "--seed", "7",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_JOIN_SHA256
 
     @pytest.mark.parametrize("q,gamma", list(DUMP_SHA256))
     def test_dump_bytes(self, capsys, tmp_path, q, gamma):

@@ -50,7 +50,7 @@ HIT_CASES = [
 
 def sweep_only():
     """Patch the route chooser so that every level of every scan takes the sweep."""
-    return mock.patch.object(model, "_joins", lambda n, w, q, m, b: False)
+    return mock.patch.object(model, "_joins", lambda n, w, q, b: False)
 
 
 def join_where_it_fits():
@@ -58,10 +58,12 @@ def join_where_it_fits():
     return mock.patch.object(model, "_PREFIX_COST", 0)
 
 
-# (q, n, k, m) of the one-matrix scans both routes are checked on
+# (q, n, k, m) of the one-matrix scans both routes are checked on; the
+# last four measure in two words, which q = 2, m = 70 lays innermost
 ROUTE_CASES = [
     (2, 8, 5, 3), (2, 10, 5, 40), (3, 6, 5, 3), (4, 6, 4, 3), (5, 5, 4, 3), (7, 5, 3, 3),
     (8, 5, 3, 3), (13, 4, 3, 3), (16, 4, 3, 3), (251, 3, 2, 3),
+    (251, 3, 2, 10), (4, 7, 4, 40), (2, 10, 5, 70), (16, 4, 3, 20),
 ]
 
 
@@ -686,7 +688,7 @@ class TestEnumeration:
         measured = measure_candidates(field, A, X).T
         ys = np.concatenate([measured[rng.integers(0, len(X), size=1)], unattained(q, measured, rng)])
         with join_where_it_fits():
-            assert all(model._joins(n, w, q, m, 1) for w in range(2, k + 1))
+            assert all(model._joins(n, w, q, 1) for w in range(2, k + 1))
         default = model._CHUNK_WORDS
         for y in ys:
             rank = np.flatnonzero((measured == y).all(axis=1))
@@ -703,6 +705,63 @@ class TestEnumeration:
                             assert hits.dtype == np.int64
                             assert np.array_equal(hits, ref), (route, chunk, w)
 
+    @pytest.mark.parametrize("q,n,k,m", [(4, 7, 4, 40), (2, 10, 5, 70)])
+    def test_join_confirms_goals_that_share_the_first_word(self, monkeypatch, q, n, k, m):
+        # two words, the matrix zero on the rows of word 0 and its third
+        # column a copy of the second: every member measures 0 in word 0,
+        # so each prefix the join looks up meets every goal there, and a
+        # pair is a hit only where word 1 is equal too.  The join's hits,
+        # the sweep's and the definition of A x's agree, for a member's
+        # measurement and one that no member attains, at chunks of 1, 7
+        # and 64 words too
+        field = make_field(q)
+        per = _lanes(q, m).per
+        X = np.array(list(enumerate_signals(n, k, q)), dtype=np.int16)
+        starts = np.cumsum((0,) + signal_set_size(n, k, q).per_sparsity)
+        rng = np.random.default_rng(q * 1000 + n * 10 + k)
+        A = rng.integers(0, q, size=(m, n)).astype(np.int16)
+        A[:per], A[:, 2] = 0, A[:, 1]
+        measured = measure_candidates(field, A, X).T
+        assert not pack_measurements(field, measured)[:, 0].any()
+        missing = unattained(q, measured[:, per:], rng)
+        ys = np.concatenate([measured[rng.integers(0, len(X), size=1)], np.pad(missing, ((0, 0), (per, 0)))])
+        assert len(ys) == 2
+        for y in ys:
+            rank = np.flatnonzero((measured == y).all(axis=1))
+            want = [rank[(lo <= rank) & (rank < hi)] - lo for lo, hi in zip(starts, starts[1:])]
+            for chunk in (model._CHUNK_WORDS, 1, 7, 64):
+                monkeypatch.setattr(model, "_CHUNK_WORDS", chunk)
+                for route, forced in (("join", join_where_it_fits), ("sweep", sweep_only)):
+                    with forced():
+                        got = measure_levels(field, A, k, pack_measurements(field, y))
+                        for (w, hits), ref in zip(got, want, strict=True):
+                            assert np.array_equal(hits, ref), (route, chunk, w)
+
+    def test_join_of_goals_that_share_the_first_word_is_bounded(self):
+        # n = 12, k = 3 over GF(16), m = 20 rows in two words, the ten of
+        # word 0 zero: all 14,850 prefixes of level 3 meet all 180 goals
+        # of y = 0 on their first word, 2.7 million pairs, which the join
+        # expands and confirms a run at a time.  Its hits are the sweep's,
+        # and it stays within the bound of the scan of all hits
+        field = make_field(16)
+        lanes = _lanes(16, 20)
+        A = np.random.default_rng(16).integers(0, 16, size=(20, 12)).astype(np.int16)
+        A[: lanes.per] = 0
+        targets = pack_measurements(field, np.zeros(20, dtype=np.int16))
+        bound = 2 * signal_set_size(12, 3, 16).total * 8 + 2 * model._CHUNK_WORDS * lanes.dtype.itemsize
+        swept = sweep_hits(field, A, 3, targets)[0]
+        with join_where_it_fits():
+            list(measure_levels(field, A, 1, targets))  # field tables outside the measurement
+            tracemalloc.start()
+            try:
+                joined = [hits for _, hits in measure_levels(field, A, 3, targets)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for hits, want in zip(joined, swept, strict=True):
+            assert np.array_equal(hits, want)
+        assert peak < bound, (peak, bound)
+
     @pytest.mark.parametrize(
         "n,k,q,m",
         [(12, 3, 16, 7), (12, 3, 13, 7), (12, 3, 16, 4), (12, 3, 16, 3), (12, 3, 13, 3),
@@ -714,8 +773,8 @@ class TestEnumeration:
         # matrices takes the sweep.  Levels 0 and 1 take neither route:
         # the scan reads them off the targets and the goal table, without
         # asking the chooser, here of a zero matrix that all of them fit
-        assert [model._joins(n, w, q, m, 1) for w in range(2, k + 1)] == [True] * (k - 1)
-        assert not any(model._joins(n, w, q, m, 2) for w in range(2, k + 1))
+        assert [model._joins(n, w, q, 1) for w in range(2, k + 1)] == [True] * (k - 1)
+        assert not any(model._joins(n, w, q, 2) for w in range(2, k + 1))
 
         def refuse(*args):
             raise AssertionError("levels 0 and 1 took a route")
@@ -732,15 +791,15 @@ class TestEnumeration:
     )
     def test_chooser_sweeps_a_level_near_the_size_of_its_prefixes(self, n, w, q, m):
         # where level w - 1 is about as large as level w, or larger, the
-        # join's prefixes outweigh the sweep's comparisons.  Only the
-        # sweep fits two words (m = 17 at q = 16), a word of 63 bits
-        # (m = 7 at q = 251), or 60 bits beside the 10 of a column below
-        # 1000
-        assert not model._joins(n, w, q, m, 1)
+        # join's prefixes outweigh the sweep's comparisons, whatever the
+        # number m of rows.  The chooser reads no m: the join takes two
+        # words (m = 17 at q = 16), a word of 63 bits (m = 7 at q = 251)
+        # and 60 bits at n = 1000 (m = 60 at q = 2) alike
+        assert not model._joins(n, w, q, 1)
         with join_where_it_fits():
-            assert model._joins(n, w, q, m, 1)
-            for shape in ((12, 2, 16, 17), (12, 2, 251, 7), (1000, 2, 2, 60)):
-                assert not model._joins(*shape, 1)
+            assert model._joins(n, w, q, 1)
+            for shape in ((12, 2, 16), (12, 2, 251), (1000, 2, 2)):
+                assert model._joins(*shape, 1)
 
     def test_targets_must_be_one_packed_measurement_per_matrix(self):
         field = make_field(13)
@@ -796,8 +855,8 @@ class TestEnumeration:
         # that unrank its support outweigh its words, so they count in
         # the chunk too.  A full sweep stays below two chunks' words of
         # the table's width, where one whole level would not.  The join,
-        # which keys the prefixes of every level above 1, holds the same
-        # bound
+        # which looks up the prefixes of every level above 1, holds the
+        # same bound
         field = make_field(q)
         itemsize = _lanes(q, m).dtype.itemsize
         A = np.random.default_rng(q + n).integers(0, q, size=(m, n)).astype(np.int16)
@@ -814,7 +873,7 @@ class TestEnumeration:
         assert hits >= 1  # the zero member
         assert peak < bound, (peak, bound)
         with join_where_it_fits():
-            assert all(model._joins(n, w, q, m, 1) for w in range(2, k + 1))
+            assert all(model._joins(n, w, q, 1) for w in range(2, k + 1))
             tracemalloc.start()
             try:
                 joined = sum(len(level) for _, level in measure_levels(field, A, k, targets))
@@ -828,8 +887,9 @@ class TestEnumeration:
         # a zero matrix measures every member as 0, so each level is all
         # hits: 757,531 of them at n = 12, k = 3 over GF(16), 6.1 MB as
         # int64.  Both routes hold the hits and their chunk's working
-        # set, and the join ranks its hits a run of at most about
-        # _CHUNK_WORDS int64 at a time, not all of a chunk's at once
+        # set, and the join expands and ranks its (prefix, goal) pairs a
+        # run of at most about _CHUNK_WORDS int64 at a time, not all of a
+        # chunk's at once
         field = make_field(16)
         A = np.zeros((7, 12), dtype=np.int16)
         targets = pack_measurements(field, np.zeros(7, dtype=np.int16))

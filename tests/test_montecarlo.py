@@ -134,29 +134,32 @@ def test_benchmark_simulate_blocks_take_the_sweep(q):
     for trials in (10_000, 100_000):
         for t in {block, trials % block} - {0}:
             assert t > 1
-            assert not any(model._joins(params.n, w, q, params.m, t) for w in range(params.k + 1))
+            assert not any(model._joins(params.n, w, q, t) for w in range(params.k + 1))
 
 
 @pytest.mark.parametrize(
-    "m,gamma,error", [(10, dense_gamma(4), True), (15, dense_gamma(4), False), (15, 0.069, True)]
+    "m,gamma,error",
+    [(10, dense_gamma(4), True), (15, dense_gamma(4), False), (15, 0.069, True), (60, 0.069, False)],
 )
 def test_one_trial_blocks_flag_alike_on_both_routes(monkeypatch, m, gamma, error):
     # n = 1000, k = 2 over GF(4): |L| = 4.5e6, so a block holds one
     # trial and its level 2 takes the join; the sweep, forced, gives the
     # same flags and measurements, trial by trial.  Dense, 4^10 words
     # hold 4.5e6 members and every trial errs, 4^15 almost none; at
-    # gamma = 0.069 (c = 10) zero and repeated columns make every trial err
+    # gamma = 0.069 (c = 10) zero and repeated columns make every trial
+    # err at m = 15, and none of these three at m = 60, whose
+    # measurements span two words
     params = ModelParams(n=1000, k=2, m=m, q=4, gamma=gamma)
     field = make_field(4)
     n_cand = signal_set_size(params.n, params.k, 4).total
     offsets = level_starts(params.n, params.k, 4)
-    assert model._joins(params.n, 2, 4, m, 1)
+    assert model._joins(params.n, 2, 4, 1)
     flagged = []
     for _, mats, idx in montecarlo._trial_blocks(params, 3, 11, n_cand):
         assert len(mats) == 1
         joined = _error_flags(field, mats, idx, offsets)
         with monkeypatch.context() as patch:
-            patch.setattr(model, "_joins", lambda n, w, q, m, b: False)
+            patch.setattr(model, "_joins", lambda n, w, q, b: False)
             swept = _error_flags(field, mats, idx, offsets)
         for a, b in zip(joined, swept, strict=True):
             assert np.array_equal(a, b)
