@@ -44,7 +44,6 @@ from .bounds import (
     nh_log_profile,
     nh_oracle,
     pair_total,
-    row_zero_prob_dense,
     row_zero_prob_sparse,
     sufficient_m,
     union_bound,
@@ -89,7 +88,6 @@ __all__ = [
     "LogProb",
     "PairVariant",
     "WeightEnumeration",
-    "row_zero_prob_dense",
     "row_zero_prob_sparse",
     "convolution_oracle",
     "nh_count",

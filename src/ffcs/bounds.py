@@ -54,14 +54,13 @@ sum_{b >= i} C(u, b) r^(u-b) = P_u(u - i).  Every term is positive, so
 log-sum-exp is stable, and with the P rows tabulated each h costs O(h).
 
 Only the S column a term reads depends on K, so the rest is kept across
-profile misses.  Per field order q, _BinomialPowerPrefix keeps the P
-triangle and a triangle of term weights, log C(h, j) plus the log P
-that term j of distance h reads.  Per (n, q), _BinomialRowPrefix keeps
-log j! up to n, which the P rows read too, and the rows S_{n-h}, with
-room for a larger K to lengthen every row in place from its last value.
-One q and one (n, q) are kept at a time, as a curve sweeps K for one q
-before the next.
-Both tables are log prefix sums along binomial rows, of ratio q - 2 for
+profile misses, in one _ProfileTables per (n, q): log j! up to n, the
+P triangle, a triangle of term weights, log C(h, j) plus the log P
+that term j of distance h reads, and the rows S_{n-h}, with room for a
+larger K to lengthen every row in place from its last value.  One
+(n, q) is kept at a time, as a curve sweeps K for one q before the
+next.
+P and S are both log prefix sums along binomial rows, of ratio q - 2 for
 P and q - 1 for S, and _log_prefix_sums builds both, a block of rows
 one column at a time.
 
@@ -179,15 +178,6 @@ class WeightEnumeration:
 
 
 # row-nullity probabilities ------------------------------------------------
-
-
-def row_zero_prob_dense(q: int) -> LogProb:
-    """Probability that one matrix row annihilates a fixed nonzero vector,
-    for entries uniform over GF(q): exactly 1/q, independent of the
-    vector's weight."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    return LogProb(log_value=-math.log(q))
 
 
 def _row_zero_linear(q: int, gamma: float, h):
@@ -365,38 +355,59 @@ def _log_prefix_sums(acc, terms):
         acc = np.logaddexp(acc, col, out=col)
 
 
-class _BinomialPowerPrefix:
-    """log P_v(i) for v = 0, 1, ... and i = 0..v, for one field order q,
-    and the term weights of each distance that read them.
+class _ProfileTables:
+    """The K-free tables of the log pair-count profile, for one (n, q).
 
-    Row v depends on q alone, so rows are kept across profile misses and
-    a larger K only appends rows.  The rows form a flat triangle: row v
-    starts at offset v(v + 1) / 2.  weights is a second triangle: entry
-    j of row h is log C(h, j) plus the log P that term j of distance h
-    reads, P_{h-j}(h - 2j) for T_h's b = j <= h / 2 and P_j(2j - h - 1)
-    for U_h's u = j above it.  It is the K-free part of every term.  New
+    ``lfact`` holds log j! for j = 0..n.  ``P`` holds log P_v(i) for
+    v = 0, 1, ... and i = 0..v as a flat triangle: row v starts at
+    offset v(v + 1) / 2.  Its rows depend on q alone, so a larger K only
+    appends rows.  ``weights`` is a second triangle: entry j of row h is
+    log C(h, j) plus the log P that term j of distance h reads,
+    P_{h-j}(h - 2j) for T_h's b = j <= h / 2 and P_j(2j - h - 1) for
+    U_h's u = j above it.  It is the K-free part of every term.  New
     rows come a block of whole rows at a time, so each block's rows of P
     and of weights are contiguous slices of the triangles.
+
+    ``S`` holds log S_{n-h}(A) for distances h = 1..min(2K, n) and
+    A = 0..K - ceil(h/2), the most any term of distance h reads.  Row h
+    starts at starts[h - 1] with a column 0 of -inf that stands for
+    A < 0, where the cap leaves no term, and column A + 1 holds
+    log S_{n-h}(A); past a = n - h the terms are -inf, so the prefix
+    stays flat where its binomial row ends.  The buffer has room for
+    every K up to cap: rows for h up to min(2 cap, n), each with the
+    columns of K = cap.  A larger K fills in the new columns and rows in
+    place, a block of columns across all rows at a time
+    (_log_prefix_sums), and each row goes on accumulating from its last
+    stored value, which gives the bits of one accumulate over the whole
+    row.  A K above cap first moves the rows to a buffer with room for
+    at least 1.5 times the old cap, so a rising K moves them only a few
+    times; more room cost resident memory and saved no time.
     """
 
-    def __init__(self, q: int):
-        self.q = q
-        self.rows = 0
-        self.flat = np.empty(0)
-        self.weights = np.empty(0)
+    def __init__(self, n: int, q: int):
+        self.n, self.q = n, q
+        self.lfact = log_factorials(n)
+        self.logq1 = math.log(q - 1)
+        self.rows = self.k = self.cap = 0
+        self.P = self.weights = self.S = np.empty(0)
+        self.starts = np.zeros(1, dtype=np.int64)
 
-    def upto(self, vmax: int, lfact: np.ndarray) -> np.ndarray:
-        """The P triangle, both triangles grown to hold at least rows 0..vmax.
+    def upto(self, k_max: int) -> "_ProfileTables":
+        """The tables, grown to serve every K up to at least k_max: P and
+        weights to rows 0..min(2 k_max, n), the S rows to K = k_max."""
+        if k_max > self.k:
+            self._grow_triangles(min(2 * k_max, self.n))
+            self._grow_rows(k_max)
+        return self
 
-        lfact holds log j! for j = 0..vmax at least (util.log_factorials).
-        """
+    def _grow_triangles(self, vmax: int) -> None:
         if vmax < self.rows:
-            return self.flat[: _tri(self.rows)]
-        if _tri(vmax + 1) > self.flat.size:
+            return
+        if _tri(vmax + 1) > self.P.size:
             # room for twice the rows, so a rising K copies the triangles
             # only a few times; untouched room costs no resident memory
             size = _tri(max(vmax + 1, 2 * self.rows))
-            self.flat, self.weights = _grown(self.flat, size), _grown(self.weights, size)
+            self.P, self.weights = _grown(self.P, size), _grown(self.weights, size)
         # log r^c with r = q - 2; for q = 2 only r^0 = 1 survives (no 0 * -inf)
         if self.q > 2:
             log_rpow = np.arange(vmax + 1) * math.log(self.q - 2)
@@ -411,57 +422,20 @@ class _BinomialPowerPrefix:
             c = np.arange(v[-1, 0] + 1)
             inside = c <= v
             block = slice(_tri(v0), _tri(v[-1, 0] + 1))
-            log_cv = _log_binomial(lfact, v, c)
+            log_cv = _log_binomial(self.lfact, v, c)
             sums = log_cv + log_rpow[c]
             _log_prefix_sums(np.full(len(v), NEG_INF), sums)
-            self.flat[block] = sums[inside]
+            self.P[block] = sums[inside]
             # these rows of P are in place, and the terms of distance v read
             # rows <= v: P_{v-c}(v - 2c) for 2c <= v, P_c(2c - v - 1) above,
             # both in row x = max(v - c, c); past c = v the index is only
             # kept in range
             x = np.maximum(v - c, c)
             p_at = (x * (x + 5) >> 1) - v - (2 * c > v)
-            self.weights[block] = (log_cv + self.flat.take(p_at, mode="clip"))[inside]
+            self.weights[block] = (log_cv + self.P.take(p_at, mode="clip"))[inside]
         self.rows = vmax + 1
-        return self.flat[: _tri(self.rows)]
 
-
-# one field order at a time: a curve sweeps K for one q before the next
-@lru_cache(maxsize=1)
-def _binomial_power_prefix(q: int) -> _BinomialPowerPrefix:
-    return _BinomialPowerPrefix(q)
-
-
-class _BinomialRowPrefix:
-    """log S_{n-h}(A) for distances h = 1..min(2K, n) and A = 0..K - ceil(h/2),
-    the most any term of distance h reads, for one (n, q).
-
-    Row h starts at starts[h - 1] with a column 0 of -inf that stands for
-    A < 0, where the cap leaves no term, and column A + 1 holds
-    log S_{n-h}(A); past a = n - h the terms are -inf, so the prefix stays
-    flat where its binomial row ends.  The buffer has room for every K up
-    to cap: rows for h up to min(2 cap, n), each with the columns of
-    K = cap.  A larger K fills in the new columns and rows in place,
-    a block of columns across all rows at a time (_log_prefix_sums), and
-    each row goes on accumulating from its last stored value, which gives
-    the bits of one accumulate over the whole row.  A K above cap first
-    moves the rows to a buffer with room for at least 1.5 times the
-    old cap, so a rising K moves them only a few times; more room cost
-    resident memory and saved no time.
-    """
-
-    def __init__(self, n: int, q: int):
-        self.n = n
-        self.lfact = log_factorials(n)
-        self.logq1 = math.log(q - 1)
-        self.k = self.cap = 0
-        self.flat = np.empty(0)
-        self.starts = np.zeros(1, dtype=np.int64)
-
-    def upto(self, k_max: int) -> "_BinomialRowPrefix":
-        """The rows, grown to serve every K up to at least k_max."""
-        if k_max <= self.k:
-            return self
+    def _grow_rows(self, k_max: int) -> None:
         if k_max > self.cap:
             self._move(max(k_max, self.cap + self.cap // 2))
         hs = np.arange(1, min(2 * k_max, self.n) + 1)
@@ -470,8 +444,8 @@ class _BinomialRowPrefix:
         # the first column to fill: past the last stored one, or past a new row's column 0
         col = np.where(hs <= old, self.k + 2 - half, 1)
         at = self.starts[: hs.size] + col
-        self.flat[self.starts[old : hs.size]] = NEG_INF
-        acc = self.flat[at - 1]
+        self.S[self.starts[old : hs.size]] = NEG_INF
+        acc = self.S[at - 1]
         R, a0, count = self.n - hs, col - 1, k_max + 2 - half - col
         log_pow = np.arange(k_max + 1) * self.logq1
         # a block of columns at a time over the rows still open, which come
@@ -487,35 +461,32 @@ class _BinomialRowPrefix:
             _log_prefix_sums(acc[:m], sums)
             acc = sums[:, -1]
             done = t < count[:m, None]
-            self.flat[(at[:m, None] + t)[done]] = sums[done]
+            self.S[(at[:m, None] + t)[done]] = sums[done]
         self.k = k_max
-        return self
 
     def _move(self, cap: int) -> None:
-        """Move the rows, room and all, to a buffer with room up to K = cap."""
+        """Move the S rows, room and all, to a buffer with room up to K = cap."""
         hs = np.arange(1, min(2 * cap, self.n) + 1)
         starts = np.zeros(hs.size + 1, dtype=np.int64)
         np.cumsum(cap + 2 - (hs + 1) // 2, out=starts[1:])
         grown = np.empty(starts[-1])
         was = self.starts
         rows = was.size - 1
-        grown[np.arange(was[-1]) + np.repeat(starts[:rows] - was[:-1], np.diff(was))] = self.flat
-        self.flat, self.starts, self.cap = grown, starts, cap
+        grown[np.arange(was[-1]) + np.repeat(starts[:rows] - was[:-1], np.diff(was))] = self.S
+        self.S, self.starts, self.cap = grown, starts, cap
 
 
-# one (n, q) at a time, like the P rows: a curve sweeps K for one q before the next
+# one (n, q) at a time: a curve sweeps K for one (n, q) before the next
 @lru_cache(maxsize=1)
-def _binomial_row_prefix(n: int, q: int) -> _BinomialRowPrefix:
-    return _BinomialRowPrefix(n, q)
+def _profile_tables(n: int, q: int) -> _ProfileTables:
+    return _ProfileTables(n, q)
 
 
 @lru_cache(maxsize=64)
 def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarray:
     hlast = min(2 * k_max, n)
-    rows = _binomial_row_prefix(n, q).upto(k_max)
-    table = _binomial_power_prefix(q)
-    table.upto(hlast, rows.lfact)  # log j! up to n >= hlast
-    W = table.weights  # log C(h, j) + log P at _tri(h) + j
+    tables = _profile_tables(n, q).upto(k_max)
+    W = tables.weights  # log C(h, j) + log P at _tri(h) + j
     hs = np.arange(1, hlast + 1)
     # term j of distance h reads S_{n-h}(K - max(h - j, j)), an exact zero
     # (A < 0) outside lo <= j <= min(h, K).  T_h's b = j runs from lo
@@ -527,8 +498,8 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
     tlen = mid - lo + 1
     ulen = np.minimum(hs, k_max) - mid if variant is PairVariant.ALL_PAIRS else np.zeros_like(hs)
     tri = _tri(hs)
-    s_lo = rows.starts[:hlast] + k_max + 1 - hs + lo
-    s_up = rows.starts[:hlast] + k_max - mid
+    s_lo = tables.starts[:hlast] + k_max + 1 - hs + lo
+    s_up = tables.starts[:hlast] + k_max - mid
     offs = tri.tolist()
     ends = (tri + (hs + 1 if variant is PairVariant.ALL_PAIRS else mid + 1)).tolist()
     top = np.empty(hlast)
@@ -555,7 +526,7 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
         sat[nt:] -= j[nt:]
         Wc = W[base : _tri(r.stop + 1)]
         terms = Wc.take(pos)
-        terms += rows.flat.take(sat)
+        terms += tables.S.take(sat)
         # every T run is nonempty, so top is finite; a U run is empty only
         # where the S row leaves U_h no term
         seg = np.maximum.reduceat(terms, at[lens > 0])
@@ -572,8 +543,8 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
         e[pos] = terms
         logs += [log(red(e[a - base : b - base])) for a, b in zip(offs[r], ends[r])]
     out = np.full(2 * k_max + 1, NEG_INF)
-    lfact = rows.lfact
-    out[1 : hlast + 1] = top + np.array(logs) + lfact[n] - lfact[hs] - lfact[n - hs] + hs * rows.logq1
+    lfact = tables.lfact
+    out[1 : hlast + 1] = top + np.array(logs) + lfact[n] - lfact[hs] - lfact[n - hs] + hs * tables.logq1
     out.setflags(write=False)
     return out
 

@@ -173,7 +173,7 @@ def _cmd_nh(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    if args.grid:
+    if args.grid is not None:
         ratios = [float(r) for r in args.grid.split(",")]
         if any(not 0.0 <= r <= 1.0 for r in ratios):
             raise ValueError("grid ratios must lie in [0, 1]")

@@ -304,7 +304,8 @@ class _Lanes:
     of two residues (at most 2p - 2) carries into, so lanes never spill
     into their neighbours.  ``count`` words of at most 64 bits hold the
     m rows, split as evenly as they go, and ``dtype`` is the narrowest
-    type that holds ``per`` lanes.
+    type that holds ``per`` lanes.  ``lane_sum`` is the field sum of
+    two word arrays, lane by lane (_lane_sum).
     """
 
     bits: int
@@ -313,6 +314,7 @@ class _Lanes:
     dtype: np.dtype
     shifts: np.ndarray = dataclasses.field(compare=False, repr=False)
     weights: np.ndarray = dataclasses.field(compare=False, repr=False)
+    lane_sum: object = dataclasses.field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=64)
@@ -333,7 +335,7 @@ def _lanes(q: int, m: int) -> _Lanes:
     weights[np.arange(m) // per, np.arange(m)] = np.left_shift(1, shifts[:m], dtype=dtype)
     for table in (shifts, weights):
         table.setflags(write=False)
-    return _Lanes(bits, per, count, dtype, shifts, weights)
+    return _Lanes(bits, per, count, dtype, shifts, weights, _lane_sum(p, bits, per, dtype))
 
 
 # the most entries (s, m, ...) that _pack_rows gathers at once
@@ -370,23 +372,19 @@ def pack_measurements(field: FiniteField, y) -> np.ndarray:
     Row r goes into lane r % per of word r // per: the layout of
     _lanes(q, m), the one measure_levels takes its targets in and sums
     columns in, so a partial sum meets a target where all their words
-    are equal (match_words).
+    are equal (match_words).  Each word is its rows' sum with the lane
+    weights, one product as in _pack_rows.
     """
     y = np.asarray(y)
-    *stack, m = y.shape
-    lanes = _lanes(field.q, m)
-    vals = np.zeros((*stack, lanes.count * lanes.per), dtype=lanes.dtype)
-    vals[..., :m] = y
-    vals <<= lanes.shifts
-    return np.bitwise_or.reduce(vals.reshape(*stack, lanes.count, lanes.per), axis=-1)
+    lanes = _lanes(field.q, y.shape[-1])
+    return y.astype(lanes.dtype) @ lanes.weights.T
 
 
 def unpack_measurements(field: FiniteField, words: np.ndarray, m: int) -> np.ndarray:
     """The (..., m) int16 measurements held in (..., count) words: pack_measurements undone."""
     lanes = _lanes(field.q, m)
-    shifts = (lanes.bits * np.arange(lanes.per)).astype(lanes.dtype)
     mask = lanes.dtype.type((1 << lanes.bits) - 1)
-    rows = (words[..., None] >> shifts) & mask
+    rows = (words[..., None] >> lanes.shifts[: lanes.per]) & mask
     return rows.reshape(words.shape[:-1] + (-1,))[..., :m].astype(np.int16)
 
 
@@ -402,8 +400,7 @@ def match_words(words: np.ndarray, packed: np.ndarray) -> np.ndarray:
     return match
 
 
-@lru_cache(maxsize=64)
-def _lane_sum(p: int, lanes: _Lanes):
+def _lane_sum(p: int, bits: int, per: int, dtype: np.dtype):
     """The lane-wise field sum over GF(p^e) of two word arrays, as a ufunc-like (a, b) -> words.
 
     In characteristic 2 it is XOR.  For odd p each lane of s = a + b is
@@ -414,11 +411,11 @@ def _lane_sum(p: int, lanes: _Lanes):
     """
     if p == 2:
         return np.bitwise_xor
-    word = lanes.dtype.type
-    ones = sum(1 << (lanes.bits * i) for i in range(lanes.per))
-    top = 1 << (lanes.bits - 1)
+    word = dtype.type
+    ones = sum(1 << (bits * i) for i in range(per))
+    top = 1 << (bits - 1)
     carry, high = word((top - p) * ones), word(top * ones)
-    shift, p = word(lanes.bits - 1), word(p)
+    shift, p = word(bits - 1), word(p)
 
     def lane_sum(a, b):
         s = a + b
@@ -518,7 +515,6 @@ class _ColumnTable:
         *stack, m, n = mats.shape
         _check_entries(field.q, mats)
         self.field, self.lanes, self.stack = field, _lanes(field.q, m), tuple(stack)
-        self.lane_sum = _lane_sum(field.p, self.lanes)
         v, rows = field.q - 1, mats.reshape(-1, m, n).swapaxes(0, 1)  # (m, b, n)
         # scaled[v - 1, x] = v * x in the word type, packed by _pack_rows: (count, q-1, b, n)
         scaled = field.mul_table[1:].astype(self.lanes.dtype)
@@ -559,7 +555,7 @@ class _ColumnTable:
             words = (which[:, None] * count + np.arange(count)) * word_step
             acc = flat.take(keys[:, :1] * key_step + words)
             for i in range(1, w):
-                acc = self.lane_sum(acc, flat.take(keys[:, i : i + 1] * key_step + words))
+                acc = self.lanes.lane_sum(acc, flat.take(keys[:, i : i + 1] * key_step + words))
             out[which] = acc
         return out
 
@@ -577,7 +573,7 @@ class _ColumnTable:
         # targets + (-v) * A_j
         neg = self.field.neg_table[1:] - 1
         words = (1, 1, -1) if self.axis == 1 else (-1, 1, 1)
-        goal = self.lane_sum(targets.reshape(words), self.table.take(neg, axis=self.axis))
+        goal = self.lanes.lane_sum(targets.reshape(words), self.table.take(neg, axis=self.axis))
         return self._scan(goal, targets, k_max)
 
     def _scan(self, goal: np.ndarray, targets: np.ndarray, k_max: int):
@@ -626,7 +622,7 @@ class _ColumnTable:
                 leading = support[:, :0]
             acc = _take_column(table, axis, support, leading, 0)
             for i in range(1, cols):
-                acc = _outer_sum(self.lane_sum, acc, _take_column(table, axis, support, leading, i), axis)
+                acc = _outer_sum(self.lanes.lane_sum, acc, _take_column(table, axis, support, leading, i), axis)
             yield lo * span, support, leading, acc
 
     def _match(self, have: np.ndarray, want: np.ndarray, b: int) -> np.ndarray:

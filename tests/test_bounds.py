@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -24,14 +25,13 @@ from ffcs import (
     nh_log_profile,
     nh_oracle,
     pair_total,
-    row_zero_prob_dense,
     row_zero_prob_sparse,
     signal_set_size,
     sufficient_m,
     union_bound,
 )
 from ffcs import bounds, cli
-from ffcs.bounds import _BinomialPowerPrefix, _binomial_power_prefix, _tri
+from ffcs.bounds import _profile_tables, _ProfileTables, _tri
 from ffcs.util import log_factorials, log_of_int
 
 ALL = PairVariant.ALL_PAIRS
@@ -44,7 +44,7 @@ def reference_log_profile(n, k_max, q, variant):
     hmax = 2 * k_max
     lfact = log_factorials(max(n, hmax))
     logq1 = math.log(q - 1)
-    P = _binomial_power_prefix(q).upto(hmax, lfact)
+    P = _profile_tables(n, q).upto(k_max).P
     out = np.full(hmax + 1, -np.inf)
     for h in range(1, min(hmax, n) + 1):
         R = n - h
@@ -67,15 +67,11 @@ def reference_log_profile(n, k_max, q, variant):
 
 def clear_profile_tables():
     """Drop the cached profiles and the tables their builds keep."""
-    for cache in (bounds._nh_log_profile_cached, bounds._binomial_power_prefix, bounds._binomial_row_prefix):
+    for cache in (bounds._nh_log_profile_cached, _profile_tables):
         cache.cache_clear()
 
 
 class TestRowNullity:
-    @pytest.mark.parametrize("q", [2, 4, 256])
-    def test_dense_value(self, q):
-        assert math.isclose(row_zero_prob_dense(q).linear, 1 / q, rel_tol=1e-15)
-
     def test_two_fold_binary(self):
         # sum of two entries from (0.75, 0.25) over GF(2): 0.75^2 + 0.25^2
         assert math.isclose(row_zero_prob_sparse(2, 0.25, 2).linear, 0.625, rel_tol=1e-12)
@@ -85,7 +81,7 @@ class TestRowNullity:
         want = convolution_oracle(make_field(3), 0.3, 3).linear
         assert math.isclose(got, want, abs_tol=1e-12)
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 16])
+    @pytest.mark.parametrize("q", [2, 3, 4, 16, 256])
     @pytest.mark.parametrize("h", [1, 2, 5, 64])
     def test_dense_gamma_collapses_to_uniform(self, q, h):
         got = row_zero_prob_sparse(q, dense_gamma(q), h).linear
@@ -262,8 +258,7 @@ class TestPairCounts:
     def test_log_profile_memory_is_bounded_by_configuration(self):
         # one (2K x (K + 1)) float64 array at K = 500 would take 4.0 MB alone;
         # the tables a build reads are warmed first, as a curve leaves them
-        _binomial_power_prefix(4).upto(1000, log_factorials(1000))
-        bounds._binomial_row_prefix(1000, 4).upto(500)
+        _profile_tables(1000, 4).upto(500)
         bounds._nh_log_profile_cached.cache_clear()
         tracemalloc.start()
         try:
@@ -277,12 +272,15 @@ class TestPairCounts:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_binomial_power_table_grows_to_the_exact_rows(self, q):
         # row v holds log sum_{c <= i} C(v, c) (q - 2)^c for i = 0..v, however
-        # many steps the table grew in; a buffer handed out earlier keeps its rows
-        table, lfact = _BinomialPowerPrefix(q), log_factorials(23)
-        table.upto(4, lfact)
-        held = table.upto(9, lfact)
-        flat = table.upto(23, lfact)
-        assert table.rows == 24 and np.array_equal(held, flat[: held.size])
+        # many steps the table grew in: to rows min(2K, n) = 4, 10 and 23 at
+        # n = 23; a buffer handed out earlier keeps its rows
+        table = _ProfileTables(23, q)
+        table.upto(2)
+        held = table.upto(5).P
+        assert table.rows == 11
+        flat = table.upto(12).P
+        assert table.rows == 24 and held is not flat
+        assert np.array_equal(held[: _tri(11)], flat[: _tri(11)])
         for v in range(24):
             prefix = np.cumsum([math.comb(v, c) * (q - 2) ** c for c in range(v + 1)])
             got = flat[v * (v + 1) // 2 : (v + 1) * (v + 2) // 2]
@@ -311,28 +309,31 @@ class TestPairCounts:
     def test_log_profile_survives_every_growth_pattern(self):
         # cold tables, then per (n, q): K in steps of one (the S rows move
         # to a larger buffer at K = 41), a jump, and smaller K served after
-        # the growth; profiles and tables match a single cold build
-        runs = {(1000, 4): [40, 41, 42, 43, 44, 300, 45, 120, 2, 301],
-                (333, 3): [1, 2, 3, 4, 5, 170, 6, 90, 171, 333]}
-        want = {}
-        for (n, q), ks in runs.items():
+        # the growth; then one q at n alternating, which rebuilds the tables
+        # at each change of n.  Profiles and tables match a single cold build
+        runs = [[(1000, 4, k) for k in (40, 41, 42, 43, 44, 300, 45, 120, 2, 301)],
+                [(333, 3, k) for k in (1, 2, 3, 4, 5, 170, 6, 90, 171, 333)],
+                [(1000, 4, 60), (333, 4, 150), (1000, 4, 130), (333, 4, 5), (333, 4, 90)]]
+        for run in runs:
             clear_profile_tables()
-            for k in ks:
-                for v in (ALL, RESTRICTED):
-                    want[n, k, q, v] = reference_log_profile(n, k, q, v)
-            lfact = log_factorials(2 * max(ks))
-            cold = {"P": _binomial_power_prefix(q).upto(2 * max(ks), lfact).copy(),
-                    "S": bounds._binomial_row_prefix(n, q).upto(max(ks))}
+            want = {(n, k, q, v): reference_log_profile(n, k, q, v) for n, q, k in run for v in (ALL, RESTRICTED)}
             clear_profile_tables()
-            for k in ks:
+            for n, q, k in run:
                 for v in (ALL, RESTRICTED):
                     assert np.array_equal(nh_log_profile(n, k, q, v), want[n, k, q, v]), (n, k, q, v)
-            grown = bounds._binomial_row_prefix(n, q)
-            assert np.array_equal(_binomial_power_prefix(q).upto(2 * max(ks), lfact), cold["P"])
-            for h in range(1, min(2 * max(ks), n) + 1):
-                cols = max(ks) + 2 - (h + 1) // 2
-                a, b = grown.starts[h - 1], cold["S"].starts[h - 1]
-                assert np.array_equal(grown.flat[a : a + cols], cold["S"].flat[b : b + cols]), (n, q, h)
+            # the kept tables are the last (n, q)'s, grown over its last stretch of K
+            n, q, _ = run[-1]
+            stretch = itertools.takewhile(lambda r: r[:2] == (n, q), reversed(run))
+            grown = _profile_tables(n, q)
+            cold = _ProfileTables(n, q).upto(max(k for *_, k in stretch))
+            assert (grown.rows, grown.k) == (cold.rows, cold.k)
+            size = _tri(grown.rows)
+            assert np.array_equal(grown.P[:size], cold.P[:size])
+            assert np.array_equal(grown.weights[:size], cold.weights[:size])
+            for h in range(1, min(2 * grown.k, n) + 1):
+                cols = grown.k + 2 - (h + 1) // 2
+                a, b = grown.starts[h - 1], cold.starts[h - 1]
+                assert np.array_equal(grown.S[a : a + cols], cold.S[b : b + cols]), (n, q, h)
 
     def test_logaddexp_column_sweep_matches_accumulate(self):
         # the kept tables sum their binomial rows one column at a time

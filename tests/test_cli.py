@@ -118,6 +118,7 @@ class TestCurveCommand:
             ["--n", "1", "--q", "2"],  # the default ratios all round to K = 0
             ["--n", "100", "--q", "2", "--grid", "0.001"],
             ["--n", "100", "--q", "2", "--grid", "0"],
+            ["--n", "100", "--q", "2", "--grid", ""],  # an empty grid, not the default one
         ],
     )
     def test_grid_without_sparsity_level_is_parameter_error(self, capsys, argv):
