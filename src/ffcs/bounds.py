@@ -185,7 +185,13 @@ def _row_zero_linear(q: int, gamma: float, h):
     # the dense point, but an integer power keeps the value real; h may be
     # an array of distances (base**h is then np.power)
     base = 1.0 - gamma / (1.0 - 1.0 / q)
-    return 1.0 / q + (1.0 - 1.0 / q) * base**h
+    p = 1.0 / q + (1.0 - 1.0 / q) * base**h
+    if base >= 0.0:
+        return p
+    # rounding misses p(1) = 1 - gamma by a residue of either sign near
+    # gamma = 1, clamped here; at gamma = 1 no row annihilates one entry
+    p = np.maximum(p, 0.0) if isinstance(p, np.ndarray) else max(0.0, p)
+    return p * (h != 1) if gamma == 1.0 else p
 
 
 def row_zero_prob_sparse(q: int, gamma: float, h: int) -> LogProb:
@@ -202,7 +208,7 @@ def row_zero_prob_sparse(q: int, gamma: float, h: int) -> LogProb:
         raise ValueError("h must be >= 1")
     if not 0.0 < gamma <= 1.0:
         raise InvalidGamma(f"gamma must lie in (0, 1], got {gamma}")
-    return LogProb.from_linear(max(0.0, _row_zero_linear(q, gamma, h)))
+    return LogProb.from_linear(_row_zero_linear(q, gamma, h))
 
 
 def convolution_oracle(field: FiniteField, gamma: float, h: int) -> LogProb:
@@ -586,7 +592,7 @@ def _log_row_nullity(q: int, gamma: float, k: int) -> np.ndarray:
     returned array is cached and read-only."""
     p_rows = _row_zero_linear(q, gamma, np.arange(1, 2 * k + 1, dtype=float))
     with np.errstate(divide="ignore"):
-        log_p = np.where(p_rows > 0.0, np.log(np.maximum(p_rows, 1e-300)), NEG_INF)
+        log_p = np.log(p_rows)
     log_p.setflags(write=False)
     return log_p
 
@@ -610,7 +616,7 @@ def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIR
         terms = []
         for h, nh in sorted(counts.items()):
             p = _row_zero_linear(q, params.gamma, h)
-            if p <= 0.0:
+            if p == 0.0:
                 continue
             terms.append(log_of_int(nh) + m * math.log(p))
         if not terms:

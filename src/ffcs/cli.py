@@ -61,15 +61,51 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
 
 
-def _json_out(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2) + "\n", out)
+def _json_out(payload: dict, out: str | Path | None) -> None:
+    _write(_indented_json(payload) + "\n", out)
+
+
+def _indented_json(value, indent: str = "") -> str:
+    """The text of every JSON artifact: json.dumps' two-space indented form, built fast.
+
+    json's C encoder does not indent, and its Python one was most of a
+    dump's time.  Here an int is str(), a finite float float.__repr__
+    and None null, as json writes them; a list of ints is joined at
+    once, and keys and any other scalar (a bool, a string, an infinite
+    float) go through json.dumps.
+    """
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_json_key(k)}: {_indented_json(v, indent + '  ')}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if {*map(type, value)} == {int}:
+            items = list(map(str, value))
+        else:
+            items = [_indented_json(v, indent + "  ") for v in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
+_json_key = cache(json.dumps)
 
 
 def _csv_out(header: list[str], rows: list[list], meta: dict, out: str | None) -> None:
@@ -160,12 +196,7 @@ def _cmd_nh(args) -> int:
             [h, counts_all.counts.get(h, 0), counts_res.counts.get(h, 0)]
             for h in hs
         ]
-        _csv_out(
-            ["h", "all_pairs", "restricted_pairs"],
-            rows,
-            _meta(args, verified=verified),
-            args.out,
-        )
+        _csv_out(["h", "all_pairs", "restricted_pairs"], rows, _meta(args), args.out)
     if verified is False:
         print("pair-count verification FAILED", file=sys.stderr)
         return 2
@@ -246,44 +277,9 @@ def _dump_writer(params: ModelParams, seed: int, dump_dir: Path):
                 "signal": signal_to_json(x, params.q, seed),
                 "y": y_i.astype(int).tolist(),
             }
-            (dump_dir / f"trial_{i:05d}.json").write_text(_indented_json(obj) + "\n")
+            _json_out(obj, dump_dir / f"trial_{i:05d}.json")
 
     return write_block
-
-
-def _indented_json(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2), fast for the dicts, int lists, floats and None of a dump.
-
-    json's C encoder does not indent, and its Python one was most of a
-    dump's time.  Here an int is str(), a finite float float.__repr__
-    and None null, as json writes them; a list of ints is joined at
-    once, and keys and any other scalar go through json.dumps.
-    """
-    kind = type(value)
-    if kind is int:
-        return str(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{_json_key(k)}: {_indented_json(v, indent + '  ')}" for k, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        if {*map(type, value)} == {int}:
-            items = list(map(str, value))
-        else:
-            items = [_indented_json(v, indent + "  ") for v in value]
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
-
-
-_json_key = cache(json.dumps)
 
 
 # parser ----------------------------------------------------------------------

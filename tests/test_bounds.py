@@ -28,6 +28,7 @@ from ffcs import (
     row_zero_prob_sparse,
     signal_set_size,
     sufficient_m,
+    supported_orders,
     union_bound,
 )
 from ffcs import bounds, cli
@@ -116,6 +117,22 @@ class TestRowNullity:
         assert val == 0.0  # sum of an odd number of forced ones is never 0
         val = row_zero_prob_sparse(2, 1.0, 4).linear
         assert math.isclose(val, 1.0, rel_tol=1e-12)
+        # every entry is nonzero, so no row annihilates a single one: the
+        # formula's rounding residue must not survive at any order
+        for q in supported_orders():
+            val = row_zero_prob_sparse(q, 1.0, 1).linear
+            assert val == 0.0 == convolution_oracle(make_field(q), 1.0, 1).linear, q
+
+    @pytest.mark.parametrize("q", [11, 17, 83, 173])
+    def test_gamma_just_below_one_stays_a_probability(self, q):
+        # p_row(1) = 1 - gamma = 1.1e-16 rounds to a residue of either sign,
+        # negative at q = 83 and 173; every consumer reads that as 0
+        gamma = math.nextafter(1.0, 0.0)
+        assert 0.0 <= row_zero_prob_sparse(q, gamma, 1).linear < 1e-15
+        for n in (4, 100):
+            below = union_bound(ModelParams(n=n, k=1, m=2, q=q, gamma=gamma)).log_value
+            at_one = union_bound(ModelParams(n=n, k=1, m=2, q=q, gamma=1.0)).log_value
+            assert math.isclose(below, at_one, rel_tol=1e-12)
 
     def test_invalid_gamma(self):
         with pytest.raises(InvalidGamma):

@@ -65,6 +65,18 @@ class TestBoundCommand:
         code, _, err = run_cli(capsys, "bound", "--n", "5", "--k", "9", "--m", "2", "--q", "2")
         assert code == 1 and "parameter error" in err
 
+    def test_no_row_annihilates_one_entry_at_gamma_one(self, capsys):
+        # the only confusable pair differs in one entry, and at gamma = 1
+        # every entry is nonzero: the union bound is exactly 0
+        code, out, _ = run_cli(capsys, "bound", "--n", "1", "--k", "1", "--m", "1", "--q", "3", "--gamma", "1")
+        assert code == 0
+        assert '"union_bound_log": -Infinity,' in out and '"union_bound_linear": 0.0,' in out
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "1", "--k", "1", "--m", "1", "--q", "3", "--gamma", "1", "--trials", "50",
+        )
+        obj = json.loads(out)
+        assert code == 0 and obj["e_errors"] == 0 and obj["union_bound_value"] == 0.0
+
 
 class TestNhCommand:
     def test_verified_table(self, capsys):
@@ -319,6 +331,25 @@ CURVE_SHA256 = {
         "1990a43e148091599afd45d31bc819f03dec8081ef9e4b7a2852a39fe09d1ea4",
 }
 
+# sha256 of the field, bound and nh artifacts, one argv each.  The bound
+# pins stay at n <= 64, where the union bound takes its exact-integer
+# branch.  Recorded while _json_out still called json.dumps, before every
+# JSON artifact went through the dump's formatter.
+ARTIFACT_SHA256 = {
+    ("bound", "--n", "10", "--k", "2", "--m", "6", "--q", "4", "--gamma", "0.3"):
+        "082397fc3b6a9ac4f1b94d7caa04414e89c7fd5e44fc8a73e15204b1c315f88e",
+    ("bound", "--n", "64", "--k", "10", "--m", "20", "--q", "16"):
+        "8f272df7f0a775fb4c90074705850327e946064955e2f6bf164e28c04f38bcc2",
+    ("bound", "--n", "40", "--k", "5", "--m", "12", "--q", "9", "--gamma", "c=5", "--variant", "restricted"):
+        "6bcee24dc75028f3deec7a93d44ee3801a94267898aa33fe92047d2811b5a671",
+    ("field", "--q", "256"): "65a5d146cc2cead9b9d2ea126d84709a05ecca0898e7f61576a12bc534d32a2a",
+    ("field", "--q", "251"): "6995f2e313938ea618aa9ad543ecb18cfce562a35a709eeb468794ca51eb86f3",
+    ("nh", "--n", "6", "--k", "3", "--q", "4", "--verify"):
+        "3fe66462b562b7aeee1f87798c9ae03899fda972b890fa10d385784b5731b062",
+    ("nh", "--n", "6", "--k", "3", "--q", "4", "--verify", "--format", "csv"):
+        "7c88d3b8b6d8c1e6918da40e7e585ccf3951b442e81a8a5af6f67caaae676045",
+}
+
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("q,gamma", list(SIMULATE_SHA256))
@@ -364,12 +395,24 @@ class TestGoldenOutputs:
             {}, [], (), 7, -3, 2**70, 0.3, -0.0, 1e-300, float("inf"), float("nan"), None, True, "k\u00e9\"",
             [[]], [{}], [1, True], [0.5, 1], [None, 2], (1, [2, (3,)]),
             {"a": [], "b": {}, "c": [[0, 1], [2]], "d": {"e": None, "f": 0.75}, "\u00e9": False},
+            # the shapes of the field, bound, nh and simulate payloads
+            float("-inf"), 2**64 + 1, False, {"add_table": "9f0c", "mul_table": "e1"}, [0.0, 0.00123],
+            {"verified": None, "all_pairs": {"1": 2**65, "2": 0}, "up": [True, False], "log": -math.inf},
         ],
     )
     def test_dump_writer_formats_json_as_json_dumps_indent_2(self, value):
-        # the --dump pins above cover the dump's own shape; these are the
+        # the pins above cover every artifact's own shape; these are the
         # other types and nestings the formatter may meet
         assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv", list(ARTIFACT_SHA256),
+        ids=["bound-q4-0.3", "bound-q16-dense", "bound-q9-c5-restricted", "field-q256", "field-q251", "nh-json", "nh-csv"],
+    )
+    def test_artifact_bytes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ARTIFACT_SHA256[argv]
 
     @pytest.mark.parametrize("argv", list(CURVE_SHA256), ids=["q4-c10", "q2-q16-c5-restricted", "dense-default"])
     def test_curve_csv_bytes(self, capsys, argv):
