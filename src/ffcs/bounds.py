@@ -202,8 +202,7 @@ def row_zero_prob_sparse(q: int, gamma: float, h: int) -> LogProb:
     excess at zero that decays geometrically in h.  At gamma = 1 - 1/q the
     excess vanishes and the dense value 1/q is recovered exactly.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    check_prime_power(q)
     if h < 1:
         raise ValueError("h must be >= 1")
     if not 0.0 < gamma <= 1.0:

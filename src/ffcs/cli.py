@@ -34,13 +34,10 @@ from .bounds import (
     union_bound,
 )
 from .curves import GammaMode, curve, default_k_grid
-from .errors import DivisionByZero, EnumerationCapExceeded
+from .errors import EnumerationCapExceeded
 from .field import check_prime_power, make_field
 from .model import ModelParams, matrix_to_json, signal_to_json
 from .montecarlo import run_trials
-
-# UnsupportedOrder, InvalidGamma and DimensionMismatch are ValueErrors
-_VALIDATION_ERRORS = (ValueError, DivisionByZero)
 
 
 class _UsageError(Exception):
@@ -371,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:  # UnsupportedOrder, InvalidGamma and DimensionMismatch too
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
     except (EnumerationCapExceeded, OSError, MemoryError) as exc:

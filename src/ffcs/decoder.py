@@ -11,18 +11,19 @@ This is the ground-truth oracle for the probabilistic machinery, so the
 feasibility check is exact, with no elimination shortcuts: a candidate
 of weight w is feasible exactly where the packed sum of its first w - 1
 scaled columns equals y less its last scaled column, in every lane of
-the measurement word.  model.measure_levels, the level kernel the Monte
-Carlo flags share, decides that equality for every candidate: levels 0
-and 1 by reading off where y and y less each scaled column are zero,
-and from level 2 on by a sweep that compares each candidate's partial
-sum or, where it costs less, by a join that sorts those differences
-by their first word and looks up each candidate of level w - 1 among
-them, confirming its other words.  It yields
-each level's feasible ranks in canonical order, a level at a time, so
-the decoder stops at the first level that has any.  Only the feasible
-candidates are unranked into vectors (model.level_members).
-error_events reads both of its flags off the hit counts of the same
-scan on y = A x, and unranks nothing.
+the measurement word.  model's level kernel (_ColumnTable), which the
+Monte Carlo flags share, decides that equality for every candidate:
+levels 0 and 1 by reading off where y and y less each scaled column are
+zero, and from level 2 on by a sweep that compares each candidate's
+partial sum or, where it costs less, by a join that sorts those
+differences by their first word and looks up each candidate of level
+w - 1 among them, confirming its other words.  It yields each level's
+feasible ranks in canonical order, a level at a time, so the decoder
+stops at the first level that has any.  Only the feasible candidates
+are unranked into vectors (model.level_members).  error_events reads
+both of its flags off the hit counts of the same scan on y = A x, and
+unranks nothing.  As in model, the public call that receives an array
+checks it, once, and the kernel trusts its callers.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .field import FiniteField
-from .model import _check_entries, check_enumeration_cap, level_members
-from .model import measure_candidates, measure_levels, pack_measurements
+from .model import _check_entries, _ColumnTable, check_enumeration_cap
+from .model import level_members, measure_candidates, pack_measurements
 
 
 class DecodeStatus(str, Enum):
@@ -90,6 +91,7 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     if rows.ndim != 2 or y.shape != rows.shape[:1]:
         raise DimensionMismatch(f"measurements {y.shape} do not match matrix {rows.shape}")
     check_enumeration_cap(rows.shape[1], k_max, field.q)
+    _check_entries(field.q, rows)
     # every candidate measures integers in 0..q-1; y is screened as
     # given, since a cast to int16 would wrap or truncate it into them:
     # integers by their range, other types (floats, bools, objects) by value
@@ -98,7 +100,6 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
     else:
         inside = np.isin(y, np.arange(field.q)).all()
     if not inside:
-        _check_entries(field.q, rows)  # the scan checks the matrix; unscanned, it is checked here
         return DecodeResult(min_sparsity=None, solutions=[], status=DecodeStatus.INFEASIBLE)
     hits = _first_hits(field, rows, k_max, y)
     if hits is None:
@@ -111,8 +112,8 @@ def decode_l0(field: FiniteField, matrix, y, k_max: int) -> DecodeResult:
 
 
 def _first_hits(field: FiniteField, rows: np.ndarray, k_max: int, y):
-    """The first level <= k_max that measures y and its members' ranks, or None."""
-    for k, ranks in measure_levels(field, rows, k_max, pack_measurements(field, y)):
+    """The first level <= k_max that measures y and its members' ranks, or None; rows come checked."""
+    for k, ranks in _ColumnTable(field, rows).levels(k_max, pack_measurements(field, y)):
         if ranks.size:
             return k, ranks
     return None
@@ -136,7 +137,7 @@ def error_events(field: FiniteField, matrix, x, k_max: int) -> ErrorEvents:
     k1 = int(np.count_nonzero(xe))
     if k1 > k_max:
         raise ValueError(f"x has weight {k1}, above k_max = {k_max}")
-    y = measure_candidates(field, rows, xe[None, :])[:, 0]
+    y = measure_candidates(field, rows, xe[None, :])[:, 0]  # checks A and x for the scan too
     check_enumeration_cap(rows.shape[1], k_max, field.q)
     hits = _first_hits(field, rows, k1, y)
     if hits is None:

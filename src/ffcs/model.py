@@ -30,17 +30,18 @@ table of them in lexicographic order, built on first use, up to a
 bounded size, and are unranked above it.  level_starts gives the rank
 where each level begins, and level_members unranks just the candidates
 a caller keeps.
-The kernel handles all m rows of a matrix at once:
-each row is a lane of an unsigned machine word (SIMD within a
-register), e bits wide over GF(2^e) and one bit wider than p - 1 over
-prime p, so that a fold of two columns is one XOR, or for odd p an add
-and a lane-wise conditional subtraction of p.  The word type is the
-narrowest of 8 to 64 bits that holds the lanes; rows beyond 64 bits
-take further words.  The layout of (q, m) is kept after first use.
-pack_measurements lays a measurement out in the same words, and
-match_words compares them.  measure_candidates is the definition of
-A x, a table gather and a field sum, for explicit vectors (matvec and
-error_events' signal), and the tests' oracle for the kernel.
+The kernel handles all m rows of a matrix at once: each row is a lane of
+an unsigned machine word (SIMD within a register), e bits wide over
+GF(2^e) and one bit wider than p - 1 over prime p, so that a fold of two
+columns is one XOR, or for odd p an add and a lane-wise conditional
+subtraction of p.  The word type is the narrowest of 8 to 64 bits that
+holds the lanes; rows beyond 64 bits take further words.  The layout of
+(q, m) is kept after first use.  pack_measurements lays a measurement
+out in the same words, and match_words compares them.
+measure_candidates is the definition of A x, a table gather and a field
+sum, for explicit vectors (matvec and error_events' signal), and the
+tests' oracle for the kernel.  The public call that receives an array
+checks it, once (_check_entries); the kernel trusts its callers.
 """
 
 from __future__ import annotations
@@ -452,9 +453,10 @@ def measure_levels(field: FiniteField, mats: np.ndarray, k_max: int, targets):
     as its target; for one matrix, the ranks.  Every member's
     measurement is decided exactly: levels 0 and 1 off the targets and
     the goal table, the others by the sweep or the join (see
-    _ColumnTable).  The targets are checked at the call, and a level is
+    _ColumnTable).  Its arrays are checked at the call, and a level is
     scanned only when reached, so a caller may stop early.
     """
+    _check_entries(field.q, mats)
     return _ColumnTable(field, mats).levels(k_max, targets)
 
 
@@ -508,12 +510,13 @@ class _ColumnTable:
     for the join their indices), and the int64 columns that
     unrank each unit, counted in words of the table's width.  Where a
     support's (q-1)^w tuples are more than that, they are split by their
-    leading values, so no whole level is ever built.
+    leading values, so no whole level is ever built.  Its callers check
+    the entries: measure_levels and decoder.decode_l0 theirs, error_events
+    through measure_candidates; montecarlo._error_flags draws them in range.
     """
 
     def __init__(self, field: FiniteField, mats: np.ndarray):
         *stack, m, n = mats.shape
-        _check_entries(field.q, mats)
         self.field, self.lanes, self.stack = field, _lanes(field.q, m), tuple(stack)
         v, rows = field.q - 1, mats.reshape(-1, m, n).swapaxes(0, 1)  # (m, b, n)
         # scaled[v - 1, x] = v * x in the word type, packed by _pack_rows: (count, q-1, b, n)

@@ -9,7 +9,9 @@ import pytest
 from scipy.special import logsumexp
 
 from ffcs import (
+    EnumerationCapExceeded,
     InvalidGamma,
+    LogProb,
     ModelParams,
     PairVariant,
     UnsupportedOrder,
@@ -139,6 +141,26 @@ class TestRowNullity:
             row_zero_prob_sparse(4, 0.0, 2)
         with pytest.raises(InvalidGamma):
             convolution_oracle(make_field(4), 1.5, 2)
+
+    @pytest.mark.parametrize(
+        "call,error,match",
+        [
+            (lambda: row_zero_prob_sparse(4, 0.3, 0), ValueError, "h must be >= 1"),
+            (lambda: convolution_oracle(make_field(4), 0.3, 0), ValueError, "h must be >= 1"),
+            (lambda: LogProb.from_linear(-0.1), ValueError, "cannot be negative"),
+            (lambda: binary_entropy(1.5), ValueError, r"p must lie in \[0, 1\]"),
+            (lambda: fano_lower_bound(10, 2, 2, -1), ValueError, "m must be >= 0"),
+            (lambda: nh_oracle(make_field(2), 20, 5), EnumerationCapExceeded, "oracle cap"),
+        ],
+        ids=["row-h0", "oracle-h0", "negative-probability", "entropy-above-1", "fano-m-1", "oracle-cap"],
+    )
+    def test_arguments_outside_the_domain_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_log_prob_overflows_to_inf_and_underflows_to_0(self):
+        assert LogProb(800.0).linear == math.inf
+        assert LogProb(-800.0).linear == 0.0
 
 
 class TestPairCounts:
@@ -390,6 +412,9 @@ class TestPairCounts:
             lambda: nh_count(4, 2, 6, ALL),
             lambda: nh_log_profile(100, 5, 6, ALL),
             lambda: ModelParams(n=10, k=2, m=5, q=6, gamma=0.5),
+            # GF(6) and GF(1) do not exist, so no row over them has a law
+            lambda: row_zero_prob_sparse(6, 0.3, 2),
+            lambda: row_zero_prob_sparse(1, 0.3, 2),
         ],
     )
     def test_non_prime_power_order_rejected(self, call):

@@ -87,6 +87,22 @@ class TestNhCommand:
         assert obj["all_pairs"] == {"1": 4, "2": 2}
         assert obj["restricted_pairs"] == {"1": 2, "2": 2}
 
+    def test_verification_failure_is_runtime_error(self, capsys, monkeypatch):
+        # an oracle that disagrees with the closed form exits 2, after the table
+        real = cli.nh_oracle
+
+        def disagree(*args):
+            tables = real(*args)
+            table = next(iter(tables.values()))
+            table.counts[1] += 1
+            return tables
+
+        monkeypatch.setattr(cli, "nh_oracle", disagree)
+        code, out, err = run_cli(capsys, "nh", "--n", "2", "--k", "1", "--q", "2", "--verify")
+        assert code == 2
+        assert json.loads(out)["verified"] is False
+        assert "pair-count verification FAILED" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "nh", "--n", "3", "--k", "1", "--q", "3", "--format", "csv")
         assert code == 0
@@ -437,6 +453,24 @@ class TestGammaValidation:
         assert "parameter error" in err
 
 
+class TestRangeValidation:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bound", "--n", "0", "--k", "0", "--m", "2", "--q", "2"], "n must be >= 1"),
+            (["bound", "--n", "5", "--k", "1", "--m", "0", "--q", "2"], "m must be >= 1"),
+            (["simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "2", "--trials", "0"], "trials must be >= 1"),
+            (["curve", "--n", "30", "--q", "2", "--grid", "1.5"], "grid ratios must lie in [0, 1]"),
+        ],
+        ids=["bound-n0", "bound-m0", "simulate-no-trials", "curve-grid-above-1"],
+    )
+    def test_out_of_range_value_is_parameter_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"parameter error: {message}" in err
+
+
 class TestFileErrors:
     def test_out_into_missing_directory_is_runtime_error(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -474,6 +508,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def test_pyproject_version_is_the_package_version():
+    # a release moves both; the artifacts' meta reports ffcs.__version__
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == ffcs.__version__
 
 
 def run_fresh(*argv):

@@ -97,6 +97,8 @@ class TestGammaMode:
             GammaMode.parse("sparse-ish")
         with pytest.raises(ValueError):
             GammaMode.sparse(-1)
+        with pytest.raises(ValueError, match="unknown gamma mode 'bogus'"):
+            GammaMode("bogus")
 
 
 class TestMinMeasurements:

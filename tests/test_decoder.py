@@ -14,6 +14,7 @@ from ffcs import (
     error_events,
     make_field,
     matvec,
+    run_trials,
     sample_trials,
 )
 from reference import enumerate_signals
@@ -395,13 +396,14 @@ def test_error_events_match_brute_flags_on_tied_instance():
 @pytest.mark.parametrize("weight", [0, 1, 2])
 def test_error_events_sweep_once_up_to_the_weight_of_x(monkeypatch, weight):
     # k_max = 3 is above every weight(x) here, so a sweep to k_max shows
-    calls, sweep = [], decoder.measure_levels
+    calls = []
 
-    def spy(field, mats, k_max, targets):
-        calls.append(k_max)
-        return sweep(field, mats, k_max, targets)
+    class Spy(model._ColumnTable):
+        def levels(self, k_max, targets):
+            calls.append(k_max)
+            return super().levels(k_max, targets)
 
-    monkeypatch.setattr(decoder, "measure_levels", spy)
+    monkeypatch.setattr(decoder, "_ColumnTable", Spy)
     f = make_field(3)
     A = np.array([[1, 2, 0, 1], [0, 1, 1, 2]], dtype=np.int16)
     x = np.zeros(4, dtype=np.int16)
@@ -465,13 +467,60 @@ def test_error_events_match_the_count_rule_on_random_instances(monkeypatch, q, n
 def test_error_events_raise_where_the_scan_misses_x(monkeypatch):
     # x measures A x, so a scan with no hit at or below weight(x) is a
     # fault of the kernel, never an error flag
-    def miss(field, mats, k_max, targets):
-        return ((w, np.zeros(0, dtype=np.int64)) for w in range(k_max + 1))
+    class Miss(model._ColumnTable):
+        def levels(self, k_max, targets):
+            return ((w, np.zeros(0, dtype=np.int64)) for w in range(k_max + 1))
 
-    monkeypatch.setattr(decoder, "measure_levels", miss)
+    monkeypatch.setattr(decoder, "_ColumnTable", Miss)
     A = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.int16)
     with pytest.raises(RuntimeError, match="missed x"):
         error_events(make_field(3), A, np.array([0, 2, 0], dtype=np.int16), k_max=2)
+
+
+def count_entry_checks(monkeypatch):
+    """The list of calls of model._check_entries, through model and the name decoder imports."""
+    calls, check = [], model._check_entries
+
+    def counted(q, *arrays):
+        calls.append(len(arrays))
+        return check(q, *arrays)
+
+    monkeypatch.setattr(model, "_check_entries", counted)
+    monkeypatch.setattr(decoder, "_check_entries", counted)
+    return calls
+
+
+CHECK_A = np.array([[1, 2, 0, 3], [0, 1, 1, 4]], dtype=np.int16)
+CHECK_X = np.array([0, 2, 0, 1], dtype=np.int16)
+# each takes GF(5) and y = A x, measured before the count
+ENTRY_CALLS = {
+    "decode_l0": lambda f, y: decode_l0(f, CHECK_A, y, k_max=2),
+    "decode_l0-y-outside": lambda f, y: decode_l0(f, CHECK_A, np.array([7, 0]), k_max=2),
+    "error_events": lambda f, y: error_events(f, CHECK_A, CHECK_X, k_max=2),
+    "measure_levels": lambda f, y: list(model.measure_levels(f, CHECK_A, 2, model.pack_measurements(f, y))),
+    "matvec": lambda f, y: matvec(f, CHECK_A, CHECK_X),
+}
+
+
+@pytest.mark.parametrize("call", list(ENTRY_CALLS))
+def test_each_public_call_checks_its_arrays_once(monkeypatch, call):
+    # the public call that receives an array checks it; the scan it
+    # builds (model._ColumnTable) trusts it and checks nothing again
+    f = make_field(5)
+    y = matvec(f, CHECK_A, CHECK_X)
+    calls = count_entry_checks(monkeypatch)
+    ENTRY_CALLS[call](f, y)
+    assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("trials", [1, 7, 1000])
+def test_monte_carlo_blocks_and_the_column_table_check_nothing(monkeypatch, trials):
+    # trials are drawn in 0..q-1, so no block is checked, in one block or
+    # several (400 trials a block here)
+    calls = count_entry_checks(monkeypatch)
+    run_trials(ModelParams(n=10, k=2, m=6, q=4, gamma=0.5), trials, seed=3)
+    model._ColumnTable(make_field(4), np.ones((2, 6, 10), dtype=np.int16))
+    assert calls == []
 
 
 @pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], [True, False, False]], ids=["float", "bool"])

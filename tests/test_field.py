@@ -142,6 +142,16 @@ def test_reduction_poly_exposed_only_for_extensions():
     assert f.poly_str() == "x^4 + x + 1"
 
 
+def test_fields_compare_and_hash_by_order_and_polynomial():
+    # two builds of one order are one field; other orders and objects are not
+    a, b = make_field(16), make_field(16)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != make_field(8) and make_field(2) != make_field(3) and a != 16
+    assert make_field(7) == make_field(7) and len({make_field(7), make_field(7), make_field(5)}) == 2
+    assert repr(a) == "FiniteField(q=16, poly=x^4 + x + 1)"
+    assert repr(make_field(13)) == "FiniteField(q=13)"
+
+
 def test_tables_immutable_and_checksums_stable():
     f1, f2 = make_field(8), make_field(8)
     assert f1.table_checksums() == f2.table_checksums()

@@ -326,6 +326,24 @@ class TestSampling:
         with pytest.raises(InvalidGamma):
             ModelParams(n=4, k=1, m=2, q=2, gamma=1.2)
 
+    @pytest.mark.parametrize(
+        "call,error,match",
+        [
+            (lambda: ModelParams(n=4, k=1, m=0, q=2, gamma=0.5), ValueError, "m must be >= 1"),
+            (lambda: signal_set_size(4, 5, 2), ValueError, r"k must lie in \[0, n\]"),
+            (lambda: sparse_gamma(1.0, 1), ValueError, "n must be >= 2"),
+            (
+                lambda: measure_candidates(make_field(3), np.ones((2, 3), dtype=np.int16), np.ones((1, 4), dtype=np.int16)),
+                DimensionMismatch,
+                "incompatible",
+            ),
+        ],
+        ids=["m0", "k-above-n", "sparse-n1", "candidate-columns"],
+    )
+    def test_invalid_parameters_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_sampling_reproducible_from_seed(self):
         params = ModelParams(n=8, k=3, m=5, q=4, gamma=0.6)
         a1, s1 = sample_trials(params, 20, seed=99)
@@ -807,6 +825,21 @@ class TestEnumeration:
         for targets in (np.zeros(3, dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64)):
             with pytest.raises(DimensionMismatch):
                 measure_levels(field, mats, 1, targets)
+
+    @pytest.mark.parametrize(
+        "entry,match", [(5, "outside GF"), (-1, "outside GF"), (1.0, "float"), (True, "bool")],
+        ids=["out-of-field", "negative", "float", "bool"],
+    )
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["one", "stack"])
+    def test_matrices_outside_the_field_rejected(self, entry, match, stack):
+        # measure_levels checks the matrices it receives; the column
+        # table it builds trusts them
+        field = make_field(5)
+        mats = np.zeros(stack + (2, 4), dtype=np.asarray(entry).dtype)
+        mats[..., 1, 2] = entry
+        targets = np.zeros(stack + (_lanes(5, 2).count,), dtype=_lanes(5, 2).dtype)
+        with pytest.raises(ValueError, match=match):
+            measure_levels(field, mats, 1, targets)
 
     @pytest.mark.parametrize(
         "q,m,dtype",
