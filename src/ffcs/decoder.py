@@ -73,8 +73,8 @@ class ErrorEvents:
     level below x's, one of x's weight makes a tie at x's level.  x is
     feasible, so the scan's first feasible level is at most weight(x),
     and both flags are that level lying below weight(x) or holding two
-    or more candidates: the rule montecarlo's batch flags apply.  Both
-    flags stay, as two predicates on the decoder's one scan.
+    or more candidates: the rule montecarlo's batch flags apply.
+    error_events computes that one event and reports it under both keys.
     """
 
     e0_error: bool

@@ -57,8 +57,8 @@ def check_prime_power(q: int) -> tuple[int, int]:
 
     GF(q) exists exactly for these q.  The analytic bounds depend on q
     alone and accept every prime power up to MAX_ANALYTIC_ORDER; building
-    a field's tables (make_field) further requires q prime or a power of
-    two, at most MAX_ORDER.
+    a field's tables further requires q prime or a power of two, at most
+    MAX_ORDER (check_table_order).
     """
     if q > MAX_ANALYTIC_ORDER:
         raise UnsupportedOrder(f"field orders above {MAX_ANALYTIC_ORDER} are not supported")
@@ -72,16 +72,31 @@ def check_prime_power(q: int) -> tuple[int, int]:
     raise UnsupportedOrder(f"q={q} is not a prime power, so GF({q}) does not exist")
 
 
+def check_table_order(q: int) -> tuple[int, int]:
+    """(p, m) for q = p^m prime or a power of two up to MAX_ORDER: the orders with tables.
+
+    Anything else raises UnsupportedOrder.  Every producer of field
+    elements admits q here; the analytic path asks check_prime_power.
+    """
+    if not isinstance(q, int) or q < 2:
+        raise UnsupportedOrder(f"field order must be an integer >= 2, got {q!r}")
+    if q > MAX_ORDER:
+        raise UnsupportedOrder(f"field orders above {MAX_ORDER} are not supported")
+    p, m = check_prime_power(q)
+    if m > 1 and p != 2:
+        raise UnsupportedOrder(f"q={q} is neither prime nor a supported power of two")
+    return p, m
+
+
 def supported_orders() -> list[int]:
-    """All field orders this module can construct: primes and powers of two up to MAX_ORDER."""
+    """All field orders this module can construct: those check_table_order admits."""
     orders = []
     for q in range(2, MAX_ORDER + 1):
         try:
-            p, m = check_prime_power(q)
+            check_table_order(q)
         except UnsupportedOrder:
             continue
-        if m == 1 or p == 2:
-            orders.append(q)
+        orders.append(q)
     return orders
 
 
@@ -101,24 +116,16 @@ class FiniteField:
     """
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 2:
-            raise UnsupportedOrder(f"field order must be an integer >= 2, got {q!r}")
-        if q > MAX_ORDER:
-            raise UnsupportedOrder(f"field orders above {MAX_ORDER} are not supported")
-        p, m = check_prime_power(q)
+        p, m = check_table_order(q)
         self.q, self.p, self.m = q, p, m
         if m == 1:
             self.poly_mask = None
             self.reduction_poly = None
             self._build_prime_tables()
-        elif p == 2:
+        else:
             self.poly_mask = _DEFAULT_POLY[m]
             self.reduction_poly = [(self.poly_mask >> i) & 1 for i in range(m + 1)]
             self._build_binary_tables()
-        else:
-            raise UnsupportedOrder(
-                f"q={q} is neither prime nor a supported power of two"
-            )
         self._finalize_tables()
 
     def _build_prime_tables(self) -> None:

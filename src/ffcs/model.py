@@ -7,29 +7,29 @@ nonzero value with probability gamma / (q - 1).  The one seeded draw
 of instances is montecarlo.sample_trials: matrices and signals are
 plain int16 arrays, the trials that ``ffcs simulate`` measures.
 
-Measurement: y = A x over GF(q).  measure_levels, the level kernel,
-scans L level by level for the exhaustive decoder and the Monte Carlo
-flags, and yields per level its hits, the members that measure a
-target y.  A member hits exactly where the sum of its first w - 1
-scaled columns v * A[:, j] equals y - v * A_j for its last column j,
-a table built once per scan.  Levels 0 and 1 sum no columns, so they
-are read off that goal table and the targets: the zero member hits
-where y = 0, member (j, v) where y - v * A_j = 0.  From level 2 on,
-each level decides the equality for every member by one of two
-routes (_joins chooses from the shape).  Every weight-w support
-carries the same (q-1)^w value tuples, so chunks of supports sum their
-columns as outer sums, in canonical order, without building a
-candidate.  The sweep compares each partial sum with its goals; the
-join, for one matrix, sorts the goals by their first word and looks up
-the first word of each member of level w - 1 among them, confirming
-the last column and every other word per pair, which costs |L_{w-1}|
-lookups instead of |L_w| comparisons, and ranks a hit from its
-prefix's rank and support and its last column and value.  Both stay
-private, as do their chunks.  A level's supports come from a kept
-table of them in lexicographic order, built on first use, up to a
-bounded size, and are unranked above it.  level_starts gives the rank
-where each level begins, and level_members unranks just the candidates
-a caller keeps.
+Measurement: y = A x over GF(q).  The level kernel (_ColumnTable,
+which the decoder and the Monte Carlo flags build; measure_levels is
+its checked entry) scans L level by level and yields per level its
+hits, the members that measure a target y.  A member hits exactly
+where the sum of its first w - 1 scaled columns v * A[:, j] equals
+y - v * A_j for its last column j, a table built once per scan.
+Levels 0 and 1 sum no columns, so they are read off that goal table
+and the targets: the zero member hits where y = 0, member (j, v)
+where y - v * A_j = 0.  From level 2 on, each level decides the
+equality for every member by one of two routes (_joins chooses from
+the shape).  Every weight-w support carries the same (q-1)^w value
+tuples, so chunks of supports sum their columns as outer sums, in
+canonical order, without building a candidate.  The sweep compares
+each partial sum with its goals; the join, for one matrix, sorts the
+goals by their first word and looks up the first word of each member
+of level w - 1 among them, confirming the last column and every other
+word per pair, which costs |L_{w-1}| lookups instead of |L_w|
+comparisons, and ranks a hit from its prefix's rank and support and
+its last column and value.  Both stay private, as do their chunks.  A
+level's supports come from a kept table of them in lexicographic
+order, built on first use, up to a bounded size, and are unranked
+above it.  level_starts gives the rank where each level begins, and
+level_members unranks just the candidates a caller keeps.
 The kernel handles all m rows of a matrix at once: each row is a lane of
 an unsigned machine word (SIMD within a register), e bits wide over
 GF(2^e) and one bit wider than p - 1 over prime p, so that a fold of two
@@ -54,7 +54,7 @@ from math import comb, log
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationCapExceeded, InvalidGamma
-from .field import FiniteField, check_prime_power
+from .field import FiniteField, check_prime_power, check_table_order
 
 # words (members x words per member) a chunk of the level sweep spans,
 # and entries a block of candidate_matrix; bounds the peak memory of every scan
@@ -276,9 +276,10 @@ def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
     exhaustive decoder relies on, so it must never change; the tests
     hold a plain enumeration of L in this order as its reference.
 
-    Raises ValueError unless 0 <= w <= n and every rank lies in
-    [0, C(n, w) (q-1)^w), the size of the level.
+    Raises UnsupportedOrder if GF(q) has no tables, and ValueError unless
+    0 <= w <= n and every rank lies in [0, C(n, w) (q-1)^w), the level.
     """
+    check_table_order(q)
     ranks = np.asarray(ranks, dtype=np.int64)
     if not 0 <= w <= n:
         raise ValueError(f"w must lie in [0, n], got {w}")
@@ -791,9 +792,10 @@ def level_starts(n: int, k_max: int, q: int) -> np.ndarray:
 def candidate_matrix(n: int, k_max: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Materialize all of L as a (|L|, n) matrix plus a weight vector.
 
-    Raises EnumerationCapExceeded before allocating anything if |L| is
-    above ENUMERATION_CAP (10^8 candidates).
+    Raises, before allocating anything, UnsupportedOrder if GF(q) has no
+    tables and EnumerationCapExceeded if |L| is above ENUMERATION_CAP.
     """
+    check_table_order(q)
     out = np.empty((check_enumeration_cap(n, k_max, q), n), dtype=np.int16)
     sizes = signal_set_size(n, k_max, q).per_sparsity
     step = max(1, _CHUNK_WORDS // n)

@@ -418,9 +418,8 @@ def _sample_trials(
     trial whose value or rank draw would reject in numpy's Lemire step
     is drawn again, whole, through Generator on its seed words; where
     2**16 mod (q - 1) and 2**32 mod |L| are 0 (q = 3 or 5, |L| a power
-    of two) none can.  So are all trials when q > 2**15 (int16 has no
-    room for the values and Generator raises) or |L| > 2**32 (the rank
-    is a 64-bit Lemire draw).  Over GF(2) the value draw,
+    of two) none can.  So are all trials when |L| > 2**32 (the rank is
+    a 64-bit Lemire draw).  Over GF(2) the value draw,
     integers(1, 2), is the constant 1 and consumes no bits of the
     stream, so it is not made: every nonzero entry is 1 and the rank
     reads the word after the uniforms.
@@ -429,7 +428,7 @@ def _sample_trials(
     mats = np.empty((len(words), params.m, params.n), dtype=np.int16)
     idx = np.empty(len(words), dtype=np.int64)
     redraw = np.ones(len(words), dtype=bool)
-    if params.q <= 2**15 and n_candidates <= 2**32:
+    if n_candidates <= 2**32:
         width, lo = _raw_width(params, n_candidates), 0
         while lo < len(words):
             t = min(len(words) - lo, _WINDOW_TRIALS)
@@ -475,9 +474,10 @@ def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarr
     """The (trials, m, n) matrices and (trials, n) signals of trials 0..trials-1, as int16.
 
     These are the instances run_trials(params, trials, seed) measures,
-    drawn from the same per-trial streams.  Raises
-    EnumerationCapExceeded if |L| is above model.ENUMERATION_CAP (10^8
-    candidates), since a signal is an index into all of L.
+    drawn from the same per-trial streams.  As there, it raises
+    UnsupportedOrder unless GF(q) has tables (field.check_table_order)
+    and EnumerationCapExceeded if |L| is above model.ENUMERATION_CAP
+    (10^8 candidates), since a signal is an index into all of L.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

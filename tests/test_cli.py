@@ -174,6 +174,20 @@ class TestFieldOrderValidation:
         assert out == ""
         assert "parameter error" in err
 
+    @pytest.mark.parametrize("q", ["9", "257"])
+    def test_orders_without_tables_are_parameter_errors_for_instances(self, capsys, tmp_path, q):
+        # the analytic path takes GF(9) and GF(257); field and simulate
+        # need tables, and a refused simulate leaves no dump directory
+        dump = tmp_path / "dump"
+        for argv in (
+            ["field", "--q", q],
+            ["simulate", "--n", "4", "--k", "1", "--m", "3", "--q", q, "--dump", str(dump)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert "parameter error" in err
+        assert not dump.exists()
+
     def test_prime_power_bounds_accepted(self, capsys):
         # GF(9) has no lookup tables here, but the analytic bounds depend
         # on q alone; n = 100 takes the log-domain profile path

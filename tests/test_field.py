@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffcs import DivisionByZero, UnsupportedOrder, check_axioms, make_field, supported_orders
-from ffcs.field import MAX_ANALYTIC_ORDER, MAX_ORDER, check_prime_power
+from ffcs.field import MAX_ANALYTIC_ORDER, MAX_ORDER, check_prime_power, check_table_order
 
 
 def clmul_mod(a: int, b: int, poly_mask: int, m: int) -> int:
@@ -117,6 +117,38 @@ def test_nonzero_scaling_permutes_field(q):
         assert image == list(range(q))
         nz_image = sorted(f.mul(beta, a) for a in f.nonzero_elements)
         assert nz_image == list(range(1, q))
+
+
+@pytest.mark.parametrize(
+    "q,message",
+    [
+        (12, "q=12 is not a prime power, so GF(12) does not exist"),
+        (9, "q=9 is neither prime nor a supported power of two"),
+        (25, "q=25 is neither prime nor a supported power of two"),
+        (27, "q=27 is neither prime nor a supported power of two"),
+        (1, "field order must be an integer >= 2, got 1"),
+        (0, "field order must be an integer >= 2, got 0"),
+        (257, "field orders above 256 are not supported"),
+        (512, "field orders above 256 are not supported"),
+        (2.0, "field order must be an integer >= 2, got 2.0"),
+    ],
+)
+def test_table_order_rule_and_make_field_refuse_alike(q, message):
+    # one rule, one message, whichever of the two is asked
+    for ask in (check_table_order, make_field):
+        with pytest.raises(UnsupportedOrder) as exc:
+            ask(q)
+        assert str(exc.value) == message
+
+
+def test_table_orders_are_the_supported_orders():
+    # primes and powers of two up to 256: 54 primes and 7 powers 4..256
+    orders = supported_orders()
+    assert len(orders) == 61
+    for q in orders:
+        p, m = check_table_order(q)
+        assert p**m == q and (m == 1 or p == 2)
+        assert (make_field(q).p, make_field(q).m) == (p, m)
 
 
 def test_supported_orders_contents():

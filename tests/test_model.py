@@ -999,6 +999,33 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             level_members(5, w, 3, ranks)
 
+    @pytest.mark.parametrize(
+        "n,k_max,q", [(3, 1, 6), (1, 1, 40009), (2, 1, 40009), (2, 1, 9), (2, 1, 257)]
+    )
+    def test_candidates_only_over_fields_with_tables(self, n, k_max, q):
+        # GF(6) does not exist, and GF(9), GF(257) and GF(40009) have no
+        # tables: nothing is allocated before the refusal, and no member
+        # is built, such as rank q - 2, whose entry q - 1 = 40008 int16
+        # would wrap to -25528
+        tracemalloc.start()
+        try:
+            with pytest.raises(ffcs.UnsupportedOrder):
+                candidate_matrix(n, k_max, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000, peak
+        with pytest.raises(ffcs.UnsupportedOrder):
+            level_members(n, 1, q, [q - 2])
+
+    def test_members_at_every_order_with_tables(self):
+        # every member of L at n = 3, k = 1 over each of the 61 orders,
+        # built and unranked, is the plain enumeration's
+        for q in ffcs.supported_orders():
+            reference = np.array(list(enumerate_signals(3, 1, q)), dtype=np.int16)
+            assert np.array_equal(candidate_matrix(3, 1, q)[0], reference)
+            assert np.array_equal(level_members(3, 1, q, np.arange(3 * (q - 1))), reference[1:])
+
     @pytest.mark.parametrize("n", range(17))
     def test_kept_support_tables_match_unranking_and_combinations(self, monkeypatch, n):
         # every weight w = 0..n of n columns: the kept table, read whole,

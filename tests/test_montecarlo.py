@@ -8,6 +8,7 @@ import pytest
 from ffcs import (
     EnumerationCapExceeded,
     ModelParams,
+    UnsupportedOrder,
     candidate_matrix,
     dense_gamma,
     error_events,
@@ -356,6 +357,22 @@ def test_sample_trials_rejects_what_run_trials_rejects():
         sample_trials(ModelParams(n=40, k=10, m=4, q=4, gamma=0.5), 10, seed=0)
 
 
+def test_run_trials_rejects_zero_trials():
+    # the CLI refuses --trials 0 itself, so only a library call gets here
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_trials(ModelParams(n=5, k=2, m=3, q=4, gamma=0.5), 0, seed=0)
+
+
+@pytest.mark.parametrize("q", [9, 257, 32771])
+def test_instances_are_drawn_only_over_fields_with_tables(q):
+    # prime powers the analytic path takes, but no tables are built for
+    # them; at 32771 numpy's int16 value draw would fail on its own
+    params = ModelParams(n=4, k=1, m=3, q=q, gamma=0.5)
+    for draw in (sample_trials, run_trials):
+        with pytest.raises(UnsupportedOrder):
+            draw(params, 5, seed=0)
+
+
 def _per_trial_draws(params, trials, seed, n_candidates):
     """The per-trial loop the streamed sampler replaced, kept as its oracle."""
     children = np.random.SeedSequence(seed).spawn(trials)
@@ -571,9 +588,8 @@ class TestRawDraws:
         assert redrawn == []
 
     def test_draws_past_the_raw_maps_go_to_the_generator(self, monkeypatch):
-        # a rank past 2**32 is numpy's 64-bit draw, and int16 values
-        # stop at q = 2**15, above which the Generator raises; at
-        # q = 2**16 + 1, 2**16 mod (q - 1) = 0, so no Lemire step rejects
+        # a rank past 2**32 is numpy's 64-bit draw; an order without
+        # tables, such as the prime 2**16 + 1, is refused before any draw
         params = ModelParams(n=4, k=1, m=3, q=4, gamma=0.5)
         redrawn = _spy_redraws(monkeypatch)
         mats, idx = _sample_trials(params, 20, 6, 2**40)
@@ -581,7 +597,7 @@ class TestRawDraws:
         expect_mats, expect_idx = _per_trial_draws(params, 20, 6, 2**40)
         assert np.array_equal(mats, expect_mats) and np.array_equal(idx, expect_idx)
         with pytest.raises(ValueError):
-            _sample_trials(ModelParams(n=4, k=1, m=3, q=2**16 + 1, gamma=0.5), 5, 6, 9)
+            sample_trials(ModelParams(n=4, k=1, m=3, q=2**16 + 1, gamma=0.5), 5, 6)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     @pytest.mark.parametrize(
