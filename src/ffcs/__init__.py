@@ -4,110 +4,53 @@ Exact GF(q) arithmetic, seeded signal/matrix draws, exhaustive
 minimum-weight (L0) recovery, closed-form and combinatorial bounds on
 the recovery error probability, measurement thresholds, and
 phase-transition curve generation.
+
+``import ffcs`` loads no submodule.  Each public name, and each
+submodule named as an attribute (``ffcs.decoder``), is imported on first
+use and then kept in the package namespace (PEP 562), so a caller that
+only builds fields pays for ``errors`` and ``field`` alone.  The CLI,
+``ffcs.cli``, imports every module its commands use when it is itself
+imported, so no command pays for an import on its first call.
 """
+
+import sys
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    EnumerationCapExceeded,
-    InvalidGamma,
-    UnsupportedOrder,
-)
-from .field import FiniteField, check_axioms, make_field, supported_orders
-from .model import (
-    ModelParams,
-    SignalSetSize,
-    candidate_matrix,
-    dense_gamma,
-    matrix_from_json,
-    matrix_to_json,
-    matvec,
-    signal_from_json,
-    signal_set_size,
-    signal_to_json,
-    sparse_gamma,
-)
-from .decoder import DecodeResult, DecodeStatus, ErrorEvents, decode_l0, error_events
-from .bounds import (
-    LogProb,
-    PairVariant,
-    WeightEnumeration,
-    binary_entropy,
-    closed_dense_bound,
-    convolution_oracle,
-    exponent_bound,
-    fano_lower_bound,
-    necessary_m,
-    nh_count,
-    nh_log_profile,
-    nh_oracle,
-    pair_total,
-    row_zero_prob_sparse,
-    sufficient_m,
-    union_bound,
-)
-from .curves import (
-    CurvePoint,
-    GammaMode,
-    MinMeasurements,
-    curve,
-    default_k_grid,
-    min_measurements,
-)
-from .montecarlo import TrialReport, run_trials, sample_trials
+# home module -> the public names it defines, in the order of __all__
+_EXPORTS = {
+    "errors": ("UnsupportedOrder", "DivisionByZero", "InvalidGamma", "DimensionMismatch",
+               "EnumerationCapExceeded"),
+    "field": ("FiniteField", "make_field", "check_axioms", "supported_orders"),
+    "model": ("ModelParams", "SignalSetSize", "signal_set_size", "dense_gamma", "sparse_gamma",
+              "matvec", "candidate_matrix", "signal_to_json", "signal_from_json",
+              "matrix_to_json", "matrix_from_json"),
+    "decoder": ("DecodeResult", "DecodeStatus", "ErrorEvents", "decode_l0", "error_events"),
+    "bounds": ("LogProb", "PairVariant", "WeightEnumeration", "row_zero_prob_sparse",
+               "convolution_oracle", "nh_count", "nh_oracle", "nh_log_profile", "pair_total",
+               "union_bound", "closed_dense_bound", "exponent_bound", "binary_entropy",
+               "sufficient_m", "necessary_m", "fano_lower_bound"),
+    "curves": ("GammaMode", "CurvePoint", "MinMeasurements", "min_measurements", "curve",
+               "default_k_grid"),
+    "montecarlo": ("TrialReport", "run_trials", "sample_trials"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "util"}
 
-__all__ = [
-    "__version__",
-    "UnsupportedOrder",
-    "DivisionByZero",
-    "InvalidGamma",
-    "DimensionMismatch",
-    "EnumerationCapExceeded",
-    "FiniteField",
-    "make_field",
-    "check_axioms",
-    "supported_orders",
-    "ModelParams",
-    "SignalSetSize",
-    "signal_set_size",
-    "dense_gamma",
-    "sparse_gamma",
-    "matvec",
-    "candidate_matrix",
-    "signal_to_json",
-    "signal_from_json",
-    "matrix_to_json",
-    "matrix_from_json",
-    "DecodeResult",
-    "DecodeStatus",
-    "ErrorEvents",
-    "decode_l0",
-    "error_events",
-    "LogProb",
-    "PairVariant",
-    "WeightEnumeration",
-    "row_zero_prob_sparse",
-    "convolution_oracle",
-    "nh_count",
-    "nh_oracle",
-    "nh_log_profile",
-    "pair_total",
-    "union_bound",
-    "closed_dense_bound",
-    "exponent_bound",
-    "binary_entropy",
-    "sufficient_m",
-    "necessary_m",
-    "fano_lower_bound",
-    "GammaMode",
-    "CurvePoint",
-    "MinMeasurements",
-    "min_measurements",
-    "curve",
-    "default_k_grid",
-    "TrialReport",
-    "run_trials",
-    "sample_trials",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    home = _HOME.get(name, name)
+    if home not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own path, so that -X importtime lists the submodule
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -52,6 +52,13 @@ _DEFAULT_POLY = {
 }
 
 
+def _integer_order(q: int) -> int:
+    """q if it is a Python int, else UnsupportedOrder: the type rule of both order checks."""
+    if not isinstance(q, int):
+        raise UnsupportedOrder(f"field order must be an integer >= 2, got {q!r}")
+    return q
+
+
 def check_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, p prime and m >= 1; raise UnsupportedOrder if none exist.
 
@@ -60,7 +67,7 @@ def check_prime_power(q: int) -> tuple[int, int]:
     a field's tables further requires q prime or a power of two, at most
     MAX_ORDER (check_table_order).
     """
-    if q > MAX_ANALYTIC_ORDER:
+    if _integer_order(q) > MAX_ANALYTIC_ORDER:
         raise UnsupportedOrder(f"field orders above {MAX_ANALYTIC_ORDER} are not supported")
     if q >= 2:
         p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
@@ -78,7 +85,7 @@ def check_table_order(q: int) -> tuple[int, int]:
     Anything else raises UnsupportedOrder.  Every producer of field
     elements admits q here; the analytic path asks check_prime_power.
     """
-    if not isinstance(q, int) or q < 2:
+    if _integer_order(q) < 2:
         raise UnsupportedOrder(f"field order must be an integer >= 2, got {q!r}")
     if q > MAX_ORDER:
         raise UnsupportedOrder(f"field orders above {MAX_ORDER} are not supported")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffcs import DivisionByZero, UnsupportedOrder, check_axioms, make_field, supported_orders
+from ffcs import DivisionByZero, ModelParams, UnsupportedOrder, check_axioms, make_field, supported_orders
 from ffcs.field import MAX_ANALYTIC_ORDER, MAX_ORDER, check_prime_power, check_table_order
 
 
@@ -139,6 +139,18 @@ def test_table_order_rule_and_make_field_refuse_alike(q, message):
         with pytest.raises(UnsupportedOrder) as exc:
             ask(q)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("q", [4.0, "4", np.int64(4)], ids=["float", "str", "np.int64"])
+def test_orders_that_are_not_ints_refused_on_both_paths(q):
+    # one type rule: the analytic path (check_prime_power, ModelParams)
+    # refuses what the table path (check_table_order, make_field) refuses
+    asks = [check_prime_power, lambda q: ModelParams(n=4, k=1, m=3, q=q, gamma=0.5),
+            check_table_order, make_field]
+    for ask in asks:
+        with pytest.raises(UnsupportedOrder) as exc:
+            ask(q)
+        assert str(exc.value) == f"field order must be an integer >= 2, got {q!r}"
 
 
 def test_table_orders_are_the_supported_orders():
