@@ -32,17 +32,18 @@ pin the rows to numpy's own spawn, for spawn keys past 2**32 and seeds
 past the pool's 4 words.
 
 Draws are read raw, not asked of a Generator per trial.  For small
-matrices, a group of trials is stepped as uint64 arrays, mapped word by
-word.  Each trial's PCG64 (O'Neill 2014; its 128-bit LCG and XSL-RR
-output are part of numpy's fixed bit stream, not a Generator algorithm)
-is one lane of _PCG64Lanes, seeded from its _child_seed_words row as
-numpy's pcg64_set_seed does, and each step is one multiply-add mod
-2**128 on (high, low) uint64 arrays for the whole group.  A step costs
-about 30 numpy calls however many lanes it steps, and a lane's word
-several times a word of numpy's own random_raw, so the lanes are the
-faster draw only for many trials of few words each; otherwise a trial
-builds its PCG64 and reads, in one random_raw call, the D words its
-draws consume (_as_lanes chooses; every byte is the same either way).
+matrices, a group of up to _WINDOW_TRIALS (6,400) trials is stepped as
+uint64 arrays, mapped word by word.  Each trial's PCG64 (O'Neill 2014;
+its 128-bit LCG and XSL-RR output are part of numpy's fixed bit stream,
+not a Generator algorithm) is one lane of _PCG64Lanes, seeded from its
+_child_seed_words row as numpy's pcg64_set_seed does, and each step is
+one multiply-add mod 2**128 on (high, low) uint64 arrays for the whole
+group.  A step costs about 30 numpy calls however many lanes it steps,
+and a lane's word several times a word of numpy's own random_raw, so
+the lanes are the faster draw only for many trials of few words each;
+otherwise a trial builds its PCG64 and reads, in one random_raw call,
+the D words its draws consume (_as_lanes chooses; every byte is the
+same either way).
 The words are mapped by numpy's own Generator maps: random() is
 (word >> 11) * 2**-53, so the zero mask is one integer comparison of the
 words; integers(1, q, dtype=int16) is Lemire's multiply-shift of 16-bit
@@ -64,7 +65,8 @@ to spare, its sweep's t x |L| comparisons, so memory depends on the
 configuration, not on the trials.  A window is as many whole blocks as
 hold at most _WINDOW_TRIALS trials and _BLOCK_ELEMS matrix entries, or
 one block, so that a q = 4 block of 400 trials does not pay a lane
-step's calls alone.  _trial_blocks is the one stream of those blocks;
+step's calls alone, and a GF(2) block of 3,120 at n = 10, m = 6 shares
+them with a second.  _trial_blocks is the one stream of those blocks;
 run_trials hands each measured block to its on_block callback, through
 which `ffcs simulate --dump` writes the trials it measured.
 
@@ -109,16 +111,23 @@ from .util import wilson_interval
 _BLOCK_ELEMS = 1 << 20
 # trials are drawn a window at a time: as many whole blocks as hold at
 # most _WINDOW_TRIALS trials and _BLOCK_ELEMS matrix entries, or one
-# block; a window's trials are drawn in groups of at most _WINDOW_TRIALS
-_WINDOW_TRIALS = 1 << 12
+# block; a window's trials are drawn in groups of at most _WINDOW_TRIALS.
+# Both sides are measured (n = 10, k = 2, m = 6, 2-core Xeon VM, numpy
+# 2.4): below 6,240 a GF(2) window there stays one block of 3,120 and
+# each lane step's fixed cost is shared by half as many lanes (bench
+# simulate wall_s 16 % higher at 4,096); from 6,500 on, n = 8, m = 5,
+# q = 3 windows hold four blocks of 1,625, and run_trials' memory peak
+# at 20,000 trials against 2,000 grows from 1.39x here to 2.29x at 8,192
+_WINDOW_TRIALS = 6400
 # a group of t trials of D raw words each is stepped as t PCG64 lanes
 # when D (t + _STEP_LANES) <= _SETUP_WORDS t, and else builds a PCG64
 # per trial and reads its words by random_raw, about _RAW_WORDS words
 # a group.  A lane step costs about 45 us of numpy calls, as much as
 # stepping _STEP_LANES more lanes, and a PCG64 built per trial about
 # as much as _SETUP_WORDS words stepped in lanes, less the words it
-# reads natively (2-core Xeon VM, numpy 2.4): so 4,096 lanes are the
-# faster draw up to D = 150, 1,024 up to D = 60
+# reads natively (2-core Xeon VM, numpy 2.4): so a full group of 6,400
+# lanes is the faster draw up to D = 182, 4,096 up to D = 150 and
+# 1,024 up to D = 60
 _STEP_LANES = 1 << 12
 _SETUP_WORDS = 300
 _RAW_WORDS = 1 << 13

@@ -348,6 +348,12 @@ SIMULATE_TWO_WORD_SHA256 = "0ab83fa2891c1bcbff84499fbf77e047975096f45bfd7012bb93
 # two-word measurements take the one-matrix join from level 2 on.
 # Recorded while those scans still took the sweep.
 SIMULATE_JOIN_SHA256 = "d8de87dd9c458a6e31dbf45f10c1ef56656444060825cb66cfe8ef156a9257a4"
+# sha256 of the simulate JSON at n = 6, k = 2, m = 5, q = 7, dense,
+# 20,000 trials, seed 3: blocks of 363 trials, draw windows of several
+# blocks (3,993 trials under 4,096-trial windows, 6,171 under 6,400),
+# and 31 trials whose Lemire value or rank draw rejects and is drawn
+# again through Generator.  Recorded with 4,096-trial windows.
+SIMULATE_WINDOWS_SHA256 = "65921bac945eb3857dde39654e2140f201faebfba6aa98e59f7a528b8e5b62df"
 # sha256 of the curve CSV at n = 1000 on two sparse-gamma grids, the path
 # that builds the log pair-count profiles, and on the dense default grid
 # over the paper's four fields (200 points).  Recorded at version 0.1.0;
@@ -406,6 +412,14 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_JOIN_SHA256
+
+    def test_simulate_across_draw_windows_json_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "6", "--k", "2", "--m", "5", "--q", "7",
+            "--trials", "20000", "--seed", "3",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_WINDOWS_SHA256
 
     @pytest.mark.parametrize("q,gamma", list(DUMP_SHA256))
     def test_dump_bytes(self, capsys, tmp_path, q, gamma):

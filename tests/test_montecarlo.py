@@ -722,9 +722,9 @@ class TestLaneStream:
         [
             # groups of at most _WINDOW_TRIALS lanes, the remainder too
             # while D (t + 4,096) <= 300 t; else _RAW_WORDS // D trials
-            (10, 6, 10_000, [("lanes", 4096), ("lanes", 4096), ("lanes", 1808)]),
-            (10, 6, 8292, [("lanes", 4096), ("lanes", 4096), ("raw", 100)]),
-            (1, 1, 9000, [("lanes", 4096), ("lanes", 4096), ("lanes", 808)]),
+            (10, 6, 10_000, [("lanes", 6400), ("lanes", 3600)]),
+            (10, 6, 6500, [("lanes", 6400), ("raw", 100)]),
+            (1, 1, 9000, [("lanes", 6400), ("lanes", 2600)]),
             (50, 20, 20, [("raw", 8), ("raw", 8), ("raw", 4)]),
         ],
     )
@@ -745,6 +745,40 @@ class TestLaneStream:
         monkeypatch.setattr(montecarlo, "_raw_take", spy_raw)
         _sample_trials(params, trials, 3, params.n + 1)
         assert groups == expect
+
+    @pytest.mark.parametrize("q,lanes,rest", [(2, 6240, [1280]), (3, 6083, [1751]), (4, 6400, [])])
+    def test_a_full_window_steps_as_one_lane_group(self, monkeypatch, q, lanes, rest):
+        # n = 10, k = 2, m = 6, dense: a window is two GF(2) blocks of
+        # 3,120 trials, seven GF(3) blocks of 869 or sixteen GF(4) blocks
+        # of 400, and each lane step covers the whole window; the last
+        # GF(4) window's 800 trials of 76 words take random_raw
+        params = ModelParams(n=10, k=2, m=6, q=q, gamma=dense_gamma(q))
+        groups = []
+        lanes_class = montecarlo._PCG64Lanes
+
+        def spy_lanes(words):
+            groups.append(len(words))
+            return lanes_class(words)
+
+        monkeypatch.setattr(montecarlo, "_PCG64Lanes", spy_lanes)
+        run_trials(params, 20_000, seed=0)
+        assert groups == [lanes] * (20_000 // lanes) + rest
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_wide_windows_keep_memory_flat_in_trials(self, q):
+        # windows of 6,240 and 6,400 trials at n = 10, k = 2, m = 6:
+        # five times the trials peak within 2 % of the memory
+        params = ModelParams(n=10, k=2, m=6, q=q, gamma=dense_gamma(q))
+        run_trials(params, 10, seed=0)  # field tables and caches outside the measurement
+        peaks = []
+        for trials in (20_000, 100_000):
+            tracemalloc.start()
+            try:
+                run_trials(params, trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.02), peaks
 
     def test_numpy_shifts_a_word_by_64_to_zero(self):
         # XSL-RR rotates by (x >> r) | (x << (64 - r)), which keeps x at
