@@ -149,6 +149,14 @@ def _check_entries(q: int, *arrays) -> None:
             raise ValueError(f"entries outside GF({q})")
 
 
+def _check_ranks(ranks, size: int) -> np.ndarray:
+    """The ranks as int64, raising ValueError unless each is an integer in [0, size): a cast takes 1.5 and True as 1."""
+    ranks = np.asarray(ranks)
+    if ranks.size and (ranks.dtype.kind in "bfc" or ranks.min() < 0 or ranks.max() >= size):
+        raise ValueError(f"ranks must be integers in [0, {size})")
+    return ranks.astype(np.int64, copy=False)
+
+
 def measure_candidates(field: FiniteField, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Apply (..., m, n) matrices to a (c, n) batch of vectors; returns (..., m, c) int16.
 
@@ -277,15 +285,12 @@ def level_members(n: int, w: int, q: int, ranks) -> np.ndarray:
     hold a plain enumeration of L in this order as its reference.
 
     Raises UnsupportedOrder if GF(q) has no tables, and ValueError unless
-    0 <= w <= n and every rank lies in [0, C(n, w) (q-1)^w), the level.
+    0 <= w <= n and every rank is an integer in the level, [0, C(n, w) (q-1)^w).
     """
     check_table_order(q)
-    ranks = np.asarray(ranks, dtype=np.int64)
     if not 0 <= w <= n:
         raise ValueError(f"w must lie in [0, n], got {w}")
-    size = comb(n, w) * (q - 1) ** w
-    if ranks.size and (ranks.min() < 0 or ranks.max() >= size):
-        raise ValueError(f"ranks must lie in [0, {size})")
+    ranks = _check_ranks(ranks, comb(n, w) * (q - 1) ** w)
     support, values = _level_terms(n, w, q, ranks, w)
     out = np.zeros((len(ranks), n), dtype=np.int16)
     out[np.arange(len(ranks))[:, None], support] = values
@@ -789,21 +794,27 @@ def level_starts(n: int, k_max: int, q: int) -> np.ndarray:
     return np.cumsum((0,) + signal_set_size(n, k_max, q).per_sparsity[:-1], dtype=np.int64)
 
 
-def candidate_matrix(n: int, k_max: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize all of L as a (|L|, n) matrix plus a weight vector.
+def candidate_matrix(n: int, k_max: int, q: int, ranks=None) -> tuple[np.ndarray, np.ndarray]:
+    """The members of L at the given canonical ranks, or all of L in order, as int16 rows plus their weights.
 
-    Raises, before allocating anything, UnsupportedOrder if GF(q) has no
-    tables and EnumerationCapExceeded if |L| is above ENUMERATION_CAP.
+    A row's weight is its rank's level (level_starts), where level_members
+    unranks it, in blocks of at most _CHUNK_WORDS entries.  Raises, before
+    allocating anything, UnsupportedOrder if GF(q) has no tables,
+    EnumerationCapExceeded if |L| is above ENUMERATION_CAP, and ValueError
+    unless every rank is an integer in [0, |L|).
     """
     check_table_order(q)
-    out = np.empty((check_enumeration_cap(n, k_max, q), n), dtype=np.int16)
-    sizes = signal_set_size(n, k_max, q).per_sparsity
+    total = check_enumeration_cap(n, k_max, q)
+    ranks = np.arange(total) if ranks is None else _check_ranks(ranks, total)
+    starts = level_starts(n, k_max, q)
+    weights = np.searchsorted(starts, ranks, side="right") - 1
+    out = np.empty((len(ranks), n), dtype=np.int16)
     step = max(1, _CHUNK_WORDS // n)
-    for w, (start, size) in enumerate(zip(level_starts(n, k_max, q), sizes)):
-        for first in range(0, size, step):
-            ranks = np.arange(first, min(first + step, size))
-            out[start + first : start + first + len(ranks)] = level_members(n, w, q, ranks)
-    weights = np.count_nonzero(out, axis=1).astype(np.int64)
+    for lo in range(0, len(ranks), step):
+        block = weights[lo : lo + step]
+        for w in np.unique(block):
+            rows = lo + np.flatnonzero(block == w)
+            out[rows] = level_members(n, int(w), q, ranks[rows] - starts[w])
     return out, weights
 
 

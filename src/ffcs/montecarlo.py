@@ -86,8 +86,7 @@ the signal's unranked support and values, and the scan yields each
 level's feasible (candidate, trial) pairs, never t x m x |L| values.
 The scan enumerates L sparsity-major, a level at a time, so the flags
 follow from each level's count of feasible candidates per trial, and a
-signal is just its rank: candidate_matrix builds L as rows only for
-sample_trials and run_trials' on_block, which read the signals.
+signal is just its rank.
 decoder.error_events reads its flags off the counts of its one scan by
 the same rule, and the test suite pins the two against each other,
 trial by trial, on sampled instances.
@@ -102,7 +101,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import fano_lower_bound, union_bound
-from .field import FiniteField, make_field
+from .field import FiniteField, check_table_order, make_field
 from .model import ModelParams, _ColumnTable, candidate_matrix, check_enumeration_cap
 from .model import level_starts, unpack_measurements
 from .util import wilson_interval
@@ -483,16 +482,17 @@ def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarr
     """The (trials, m, n) matrices and (trials, n) signals of trials 0..trials-1, as int16.
 
     These are the instances run_trials(params, trials, seed) measures,
-    drawn from the same per-trial streams.  As there, it raises
-    UnsupportedOrder unless GF(q) has tables (field.check_table_order)
-    and EnumerationCapExceeded if |L| is above model.ENUMERATION_CAP
-    (10^8 candidates), since a signal is an index into all of L.
+    drawn from the same per-trial streams, and only the drawn signals
+    are built.  As there, it raises UnsupportedOrder unless GF(q) has
+    tables (field.check_table_order) and EnumerationCapExceeded if |L|
+    is above model.ENUMERATION_CAP (10^8 candidates), before drawing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cands, _ = candidate_matrix(params.n, params.k, params.q)
-    mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
-    return mats, cands[idx]
+    check_table_order(params.q)
+    n_cand = check_enumeration_cap(params.n, params.k, params.q)
+    mats, idx = _sample_trials(params, trials, seed, n_cand)
+    return mats, candidate_matrix(params.n, params.k, params.q, idx)[0]
 
 
 def _error_flags(
@@ -544,15 +544,13 @@ def run_trials(
 
     ``on_block``, if given, is called once per block of trials as
     on_block(start, mats, signals, y): trial start + i drew the matrix
-    mats[i] and the signal signals[i] and measured y[i].  Only then is
-    all of L built, as candidate_matrix's (|L|, n) rows.
+    mats[i] and the signal signals[i] and measured y[i].
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     field = make_field(params.q)
     n_cand = check_enumeration_cap(params.n, params.k, params.q)
     offsets = level_starts(params.n, params.k, params.q)
-    cands = None if on_block is None else candidate_matrix(params.n, params.k, params.q)[0]
     e0_errors = e_errors = violations = 0
     for start, mats, idx in _trial_blocks(params, trials, seed, n_cand):
         e0_flags, e_flags, y = _error_flags(field, mats, idx, offsets)
@@ -560,7 +558,7 @@ def run_trials(
         e_errors += int(e_flags.sum())
         violations += int((e0_flags & ~e_flags).sum())
         if on_block is not None:
-            on_block(start, mats, cands[idx], y)
+            on_block(start, mats, candidate_matrix(params.n, params.k, params.q, idx)[0], y)
         del mats, idx
 
     e0_lo, e0_hi = wilson_interval(e0_errors, trials)

@@ -288,6 +288,23 @@ class TestSimulateCommand:
         assert drawn == [6, 4]
         assert len(list((tmp_path / "dump").iterdir())) == 10
 
+    def test_dump_at_n_1000_unranks_only_the_drawn_signals(self, capsys, tmp_path):
+        # |L| = 4,498,501 at n = 1000, k = 2, q = 4: a dump that built all
+        # of L as int16 rows would ask for 8.4 GiB and exit 2
+        dump = tmp_path / "dump"
+        code, _, err = run_cli(
+            capsys, "simulate", "--n", "1000", "--k", "2", "--m", "15", "--q", "4",
+            "--trials", "2", "--seed", "7", "--dump", str(dump),
+        )
+        assert code == 0, err
+        files = sorted(dump.iterdir())
+        assert [f.name for f in files] == ["trial_00000.json", "trial_00001.json"]
+        field = make_field(4)
+        for path in files:
+            inst = json.loads(path.read_text())
+            mat, sig = matrix_from_json(inst["matrix"]), signal_from_json(inst["signal"])
+            assert inst["y"] == matvec(field, mat, sig).tolist()
+
     def test_negative_seed_is_parameter_error(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--n", "5", "--k", "1", "--m", "2", "--q", "4",

@@ -31,7 +31,7 @@ from ffcs import (
 )
 from ffcs import model
 from ffcs.model import _lanes, level_members, match_words, measure_candidates
-from ffcs.model import measure_levels, pack_measurements, unpack_measurements
+from ffcs.model import level_starts, measure_levels, pack_measurements, unpack_measurements
 from reference import enumerate_signals
 
 # 0.999 chi-square quantiles by degrees of freedom
@@ -998,6 +998,58 @@ class TestEnumeration:
         assert level_members(5, 2, 3, [0, 39]).shape == (2, 5)
         with pytest.raises(ValueError):
             level_members(5, w, 3, ranks)
+
+    @pytest.mark.parametrize("ranks", [[1.5], [True], np.array([1.0]), np.array([0, 1], dtype=bool)])
+    def test_members_refuse_ranks_that_are_not_integers(self, ranks):
+        # an int64 cast would take 1.5, 1.0 and True as rank 1 (and False as 0)
+        with pytest.raises(ValueError, match=r"ranks must be integers in \[0, "):
+            level_members(4, 1, 3, ranks)
+        with pytest.raises(ValueError, match=r"ranks must be integers in \[0, "):
+            candidate_matrix(4, 2, 3, ranks)
+
+    @pytest.mark.parametrize("ranks", [[-1], [424996], [0, 424996], [-(2**40)]])
+    def test_candidate_matrix_refuses_ranks_outside_L_before_allocating(self, ranks):
+        # |L| = 424,996 at n = 20, k = 4, q = 4; a rank outside it would
+        # leave a row of np.empty unwritten, with a weight of -1 or k
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"ranks must be integers in \[0, 424996\)"):
+                candidate_matrix(20, 4, 4, ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000, peak
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 16])
+    @pytest.mark.parametrize("chunk_words", [model._CHUNK_WORDS, 24])
+    def test_candidate_matrix_at_ranks_is_those_rows_of_L(self, monkeypatch, q, chunk_words):
+        # shuffled, repeated, level-edge and empty ranks; with chunks of 24
+        # entries a block of ranks spans several levels, and L many blocks
+        monkeypatch.setattr(model, "_CHUNK_WORDS", chunk_words)
+        rng = np.random.default_rng(q)
+        for n, k in [(1, 1), (4, 2), (6, 0), (8, 3)]:
+            if q == 16 and n == 8:
+                k = 2
+            whole, weights = candidate_matrix(n, k, q)
+            assert np.array_equal(weights, np.count_nonzero(whole, axis=1))
+            total = len(whole)
+            starts = level_starts(n, k, q)
+            edges = np.unique(np.concatenate([starts, starts[1:] - 1, [total - 1]]))
+            cases = [
+                rng.permutation(total)[:50],
+                rng.integers(0, total, 40),
+                np.repeat(edges, 2),
+                rng.permutation(np.concatenate([edges, edges])),
+                np.array([], dtype=np.int64),
+                [],
+            ]
+            for ranks in cases:
+                rows, w = candidate_matrix(n, k, q, ranks)
+                ranks = np.asarray(ranks, dtype=np.int64)
+                assert rows.dtype == np.int16 and w.dtype == np.int64
+                assert rows.shape == (len(ranks), n)
+                assert np.array_equal(rows, whole[ranks]) and np.array_equal(w, weights[ranks])
+                assert np.array_equal(w, np.count_nonzero(rows, axis=1))
 
     @pytest.mark.parametrize(
         "n,k_max,q", [(3, 1, 6), (1, 1, 40009), (2, 1, 40009), (2, 1, 9), (2, 1, 257)]

@@ -182,6 +182,45 @@ def test_run_trials_memory_stays_below_the_candidate_matrix():
     assert peak < matrix_bytes, (peak, matrix_bytes)
 
 
+def test_sample_trials_and_on_block_memory_stay_below_the_candidate_matrix():
+    # both hand out signals, which candidate_matrix unranks from the drawn
+    # ranks alone: no (|L|, n) int16 matrix of L, 16.2 MiB at n = 20,
+    # k = 4, q = 4
+    n, k, q = 20, 4, 4
+    params = ModelParams(n=n, k=k, m=4, q=q, gamma=dense_gamma(q))
+    matrix_bytes = signal_set_size(n, k, q).total * n * 2
+    for draw in (
+        lambda: sample_trials(params, 3, seed=0),
+        lambda: run_trials(params, 3, seed=0, on_block=lambda *block: None),
+    ):
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes, (peak, matrix_bytes)
+
+
+def test_each_on_block_unranks_just_its_blocks_ranks(monkeypatch):
+    # |L| = 436 and m = 6: blocks of 400 trials
+    params = ModelParams(n=10, k=2, m=6, q=4, gamma=0.6)
+    _, idx = _sample_trials(params, 1000, 11, signal_set_size(10, 2, 4).total)
+    asked, blocks = [], []
+
+    def spy(n, k_max, q, ranks=None):
+        asked.append(None if ranks is None else np.array(ranks))
+        return candidate_matrix(n, k_max, q, ranks)
+
+    monkeypatch.setattr(montecarlo, "candidate_matrix", spy)
+    record = lambda start, mats, *_: blocks.append((start, len(mats), len(asked)))
+    run_trials(params, 1000, seed=11, on_block=record)
+    assert [start for start, _, _ in blocks] == [0, 400, 800]
+    assert [calls for _, _, calls in blocks] == [1, 2, 3]
+    for (start, t, _), ranks in zip(blocks, asked, strict=True):
+        assert ranks is not None and np.array_equal(ranks, idx[start : start + t])
+
+
 def test_run_trials_builds_the_candidate_matrix_only_for_on_block(monkeypatch):
     params = ModelParams(n=6, k=2, m=3, q=3, gamma=0.5)
     blocks = []
@@ -350,11 +389,33 @@ def test_sample_trials_are_the_measured_instances():
     assert all(np.array_equal(matvec(f, a, x), y_i) for a, x, y_i in zip(mats[:50], signals, y))
 
 
-def test_sample_trials_rejects_what_run_trials_rejects():
+def test_sample_trials_at_n_1000_are_the_measured_instances():
+    # |L| = 4,498,501: all of L as int16 rows would be 8.4 GiB, so only
+    # the drawn signals are unranked; blocks hold one trial each
+    params = ModelParams(n=1000, k=2, m=15, q=4, gamma=dense_gamma(4))
+    seen = []
+    run_trials(params, 3, seed=7, on_block=lambda start, *arrays: seen.append((start, arrays)))
+    assert [start for start, _ in seen] == [0, 1, 2]
+    mats, signals, y = (np.concatenate(a) for a in zip(*(arrays for _, arrays in seen)))
+    got_mats, got_signals = sample_trials(params, 3, seed=7)
+    assert np.array_equal(got_mats, mats) and np.array_equal(got_signals, signals)
+    f = make_field(4)
+    for a, x, y_i in zip(got_mats, got_signals, y, strict=True):
+        assert np.count_nonzero(x) <= 2
+        assert np.array_equal(matvec(f, a, x), y_i)
+
+
+def test_sample_trials_rejects_what_run_trials_rejects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(montecarlo, "_sample_trials", refuse)
     with pytest.raises(ValueError):
         sample_trials(ModelParams(n=5, k=2, m=3, q=4, gamma=0.5), 0, seed=0)
     with pytest.raises(EnumerationCapExceeded):
         sample_trials(ModelParams(n=40, k=10, m=4, q=4, gamma=0.5), 10, seed=0)
+    with pytest.raises(UnsupportedOrder):
+        sample_trials(ModelParams(n=4, k=1, m=3, q=32771, gamma=0.5), 5, seed=0)
 
 
 def test_run_trials_rejects_zero_trials():
