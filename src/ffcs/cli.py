@@ -3,7 +3,8 @@
 Subcommands: field, bound, nh, curve, simulate.  Data goes to stdout (or
 --out); diagnostics go to stderr only.  Exit codes: 0 success, 1
 parameter/usage error, 2 runtime failure such as more than the 10^8
-candidates of the enumeration cap, an unwritable file or exhausted memory.
+candidates of the enumeration cap, a fault of the level kernel, an
+unwritable file or exhausted memory.
 
 Every output embeds the tool version, the full parameter echo, the pair
 variant, and the seed, so any emitted artifact can be regenerated from
@@ -34,7 +35,6 @@ from .bounds import (
     union_bound,
 )
 from .curves import GammaMode, curve, default_k_grid
-from .errors import EnumerationCapExceeded
 from .field import check_prime_power, make_field
 from .model import ModelParams, matrix_to_json, signal_to_json
 from .montecarlo import run_trials
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UnsupportedOrder, InvalidGamma and DimensionMismatch too
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
-    except (EnumerationCapExceeded, OSError, MemoryError) as exc:
+    except (RuntimeError, OSError, MemoryError) as exc:  # EnumerationCapExceeded too
         print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

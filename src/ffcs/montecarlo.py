@@ -84,9 +84,10 @@ number of words.  A trial's target is its signal's
 measurement, summed from the kernel's own table of scaled columns at
 the signal's unranked support and values, and the scan yields each
 level's feasible (candidate, trial) pairs, never t x m x |L| values.
-The scan enumerates L sparsity-major, a level at a time, so the flags
-follow from each level's count of feasible candidates per trial, and a
-signal is just its rank.
+The scan enumerates L sparsity-major, a level at a time, so a trial's
+one flag (e0 and e are one event for this decoder) follows from each
+level's count of feasible candidates, and a signal is just its rank; a
+trial with no hit at its signal's level raises RuntimeError.
 decoder.error_events reads its flags off the counts of its one scan by
 the same rule, and the test suite pins the two against each other,
 trial by trial, on sampled instances.
@@ -157,7 +158,7 @@ class TrialReport:
     e0_ci_high: float
     e_ci_low: float
     e_ci_high: float
-    inclusion_violations: int  # trials flagged e0 but not e; must be 0
+    inclusion_violations: int  # always 0: e0 and e are one event; kept for the v1 JSON keys
     union_bound_log: float
     union_bound_value: float  # capped into [0, 1]
     fano_value: float
@@ -497,8 +498,8 @@ def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarr
 
 def _error_flags(
     field: FiniteField, mats: np.ndarray, idx: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """e0 flags, e flags and (t, m) measurements of trials whose signals are at ranks idx of L.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Error flags and (t, count) packed measurement words of trials whose signals are at ranks idx of L.
 
     One level scan (model.measure_levels' kernel) compares all of L,
     by every matrix of the block, with the trial's own measurement,
@@ -506,12 +507,12 @@ def _error_flags(
     read from the kernel's own table and summed.  Its hits r * t + i,
     counted by trial i, are each level's feasible candidates
     (``offsets``, from model.level_starts, says where each level
-    starts).  With k1 the signal's level and j the first level holding
-    a feasible candidate (j <= k1, since the signal itself is feasible):
-      e  : j < k1, or at least two feasible candidates at level k1;
-      e0 : j < k1, or at least two feasible candidates at level j.
+    starts).  A trial errs, e0 and e alike, where the first level holding
+    a feasible candidate lies below its signal's level k1 or holds two or
+    more; one with no hit at level k1 raises RuntimeError, since its
+    signal is feasible (decoder.ErrorEvents).
     """
-    t, m = mats.shape[:2]
+    t = len(idx)
     trial = np.arange(t)
     k1 = np.searchsorted(offsets, idx, side="right") - 1
     columns = _ColumnTable(field, mats)
@@ -519,11 +520,11 @@ def _error_flags(
     counts = np.zeros((t, len(offsets)), dtype=np.int64)
     for w, hits in columns.levels(len(offsets) - 1, signal):
         counts[:, w] = np.bincount(hits % t, minlength=t)
+    missed = np.flatnonzero(counts[trial, k1] == 0)
+    if missed.size:
+        raise RuntimeError(f"the level kernel missed the signal of trial {missed[0]} of its block")
     first = (counts > 0).argmax(axis=1)
-    lighter = first < k1
-    e_flags = lighter | (counts[trial, k1] >= 2)
-    e0_flags = lighter | (counts[trial, first] >= 2)
-    return e0_flags, e_flags, unpack_measurements(field, signal, m)
+    return (first < k1) | (counts[trial, first] >= 2), signal
 
 
 def run_trials(
@@ -535,12 +536,12 @@ def run_trials(
     """Estimate both error probabilities over `trials` sampled instances.
 
     Per trial: draw a matrix and a uniform signal from L, measure, and
-    flag e0 (decoder output differs from the truth, ambiguity included)
-    and e (a candidate no heavier than the truth collides with it).  A
-    zero error count is reported as-is; the Wilson interval then has a
-    one-sided shape with its lower edge at 0.  Raises
+    flag the one event that is both e0 (decoder output differs from the
+    truth, ambiguity included) and e (a candidate no heavier than the truth
+    collides with it).  A zero error count is reported as-is; the Wilson
+    interval then has a one-sided shape with its lower edge at 0.  Raises
     EnumerationCapExceeded if |L| is above model.ENUMERATION_CAP (10^8
-    candidates).
+    candidates), and RuntimeError if the kernel misses a trial's signal.
 
     ``on_block``, if given, is called once per block of trials as
     on_block(start, mats, signals, y): trial start + i drew the matrix
@@ -551,34 +552,31 @@ def run_trials(
     field = make_field(params.q)
     n_cand = check_enumeration_cap(params.n, params.k, params.q)
     offsets = level_starts(params.n, params.k, params.q)
-    e0_errors = e_errors = violations = 0
+    errors = 0
     for start, mats, idx in _trial_blocks(params, trials, seed, n_cand):
-        e0_flags, e_flags, y = _error_flags(field, mats, idx, offsets)
-        e0_errors += int(e0_flags.sum())
-        e_errors += int(e_flags.sum())
-        violations += int((e0_flags & ~e_flags).sum())
+        flags, words = _error_flags(field, mats, idx, offsets)
+        errors += int(flags.sum())
         if on_block is not None:
-            on_block(start, mats, candidate_matrix(params.n, params.k, params.q, idx)[0], y)
+            signals = candidate_matrix(params.n, params.k, params.q, idx)[0]
+            on_block(start, mats, signals, unpack_measurements(field, words, params.m))
         del mats, idx
 
-    e0_lo, e0_hi = wilson_interval(e0_errors, trials)
-    e_lo, e_hi = wilson_interval(e_errors, trials)
+    ci_low, ci_high = wilson_interval(errors, trials)
     ub = union_bound(params)
     return TrialReport(
         params=params,
         trials=trials,
-        e0_errors=e0_errors,
-        e_errors=e_errors,
-        e0_rate=e0_errors / trials,
-        e_rate=e_errors / trials,
-        e0_ci_low=e0_lo,
-        e0_ci_high=e0_hi,
-        e_ci_low=e_lo,
-        e_ci_high=e_hi,
-        inclusion_violations=violations,
+        e0_errors=errors,
+        e_errors=errors,
+        e0_rate=errors / trials,
+        e_rate=errors / trials,
+        e0_ci_low=ci_low,
+        e0_ci_high=ci_high,
+        e_ci_low=ci_low,
+        e_ci_high=ci_high,
+        inclusion_violations=0,
         union_bound_log=ub.log_value,
         union_bound_value=ub.capped_linear,
         fano_value=fano_lower_bound(params.n, params.k, params.q, params.m),
         seed=seed,
     )
-

@@ -334,6 +334,17 @@ class TestSimulateCommand:
         assert out == ""
         assert "runtime error: MemoryError" in err
 
+    def test_kernel_fault_is_runtime_error(self, capsys, kernel_misses_first_trial):
+        # a level kernel that misses a trial's own signal stops the run
+        # with exit 2 and one line, not a count or a traceback
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "10", "--k", "2", "--m", "6", "--q", "3",
+            "--gamma", "0.5", "--trials", "500",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "runtime error: the level kernel missed the signal of trial 0 of its block\n"
+
 
 # sha256 of the simulate JSON (no --dump) at n = 10, k = 2, m = 6, 2,000
 # trials, seed 0, and of the --dump files of n = 6, k = 2, m = 4, 30

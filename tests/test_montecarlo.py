@@ -21,7 +21,7 @@ from ffcs import (
     sample_trials,
 )
 from ffcs import model, montecarlo
-from ffcs.model import level_starts, measure_candidates, signal_set_size
+from ffcs.model import level_starts, measure_candidates, signal_set_size, unpack_measurements
 from ffcs.montecarlo import _PCG64Lanes, _SeedWords, _child_seed_words, _error_flags, _sample_trials
 from ffcs.montecarlo import _pcg_step
 from ffcs.util import wilson_interval
@@ -164,7 +164,7 @@ def test_one_trial_blocks_flag_alike_on_both_routes(monkeypatch, m, gamma, error
             swept = _error_flags(field, mats, idx, offsets)
         for a, b in zip(joined, swept, strict=True):
             assert np.array_equal(a, b)
-        flagged.append(bool(joined[1][0]))
+        flagged.append(bool(joined[0][0]))
     assert flagged == [error] * 3
 
 
@@ -228,11 +228,25 @@ def test_run_trials_builds_the_candidate_matrix_only_for_on_block(monkeypatch):
     assert blocks
 
     def refuse(*args):
-        raise AssertionError("candidate_matrix called without on_block")
+        raise AssertionError("candidate_matrix or unpack_measurements called without on_block")
 
+    # y is unpacked only for on_block too
     monkeypatch.setattr(montecarlo, "candidate_matrix", refuse)
+    monkeypatch.setattr(montecarlo, "unpack_measurements", refuse)
     plain = run_trials(params, 200, seed=4)
     assert (plain.e0_errors, plain.e_errors) == (with_block.e0_errors, with_block.e_errors)
+
+
+def test_a_kernel_that_misses_a_trials_signal_raises(kernel_misses_first_trial):
+    # trial 0 of the one block of 500 has no hit at all, so its own
+    # signal, feasible by construction, went unseen; a count taken over
+    # it (the first feasible level past the signal's) would be wrong
+    params = ModelParams(n=10, k=2, m=6, q=3, gamma=0.5)
+    with pytest.raises(RuntimeError, match=r"^the level kernel missed the signal of trial 0 of its block$"):
+        run_trials(params, 500, seed=0)
+    mats, idx = _sample_trials(params, 5, 0, signal_set_size(10, 2, 3).total)
+    with pytest.raises(RuntimeError, match="trial 0 of its block"):
+        _error_flags(make_field(3), mats, idx, level_starts(10, 2, 3))
 
 
 class TestFlagCorrectness:
@@ -267,17 +281,18 @@ class TestFlagCorrectness:
         field = make_field(q)
         cands, weights = candidate_matrix(n, k, q)
         mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
-        e0_flags, e_flags, y = _error_flags(field, mats, idx, level_starts(n, k, q))
+        flags, words = _error_flags(field, mats, idx, level_starts(n, k, q))
+        y = unpack_measurements(field, words, m)
         for i in range(trials):
             ev = error_events(field, mats[i], cands[idx[i]], k_max=k)
-            assert (e0_flags[i], e_flags[i]) == (ev.e0_error, ev.e_error), i
+            assert (flags[i], flags[i]) == (ev.e0_error, ev.e_error), i
             meas = measure_candidates(field, mats[i], cands)  # (m, |L|)
             confusable = (meas == meas[:, [idx[i]]]).all(axis=0) & (weights <= weights[idx[i]])
-            assert e_flags[i] == (confusable.sum() > 1), i  # x itself is one
+            assert flags[i] == (confusable.sum() > 1), i  # x itself is one
             assert np.array_equal(y[i], matvec(field, mats[i], cands[idx[i]])), i
-        assert 0 < e_flags.sum() < trials
+        assert 0 < flags.sum() < trials
         report = run_trials(params, trials, seed)
-        assert (report.e0_errors, report.e_errors) == (e0_flags.sum(), e_flags.sum())
+        assert (report.e0_errors, report.e_errors) == (flags.sum(), flags.sum())
 
     def test_inclusion_and_counts(self):
         params = ModelParams(n=8, k=2, m=4, q=2, gamma=0.5)

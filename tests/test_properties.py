@@ -39,7 +39,7 @@ from ffcs import (
 )
 from ffcs import montecarlo
 from ffcs.curves import _search_ceiling
-from ffcs.model import level_starts, measure_candidates
+from ffcs.model import level_starts, measure_candidates, unpack_measurements
 from ffcs.montecarlo import _error_flags, _sample_trials, _trial_blocks
 from ffcs.util import log_of_int, logsumexp
 
@@ -139,11 +139,12 @@ def test_flags_match_error_events_per_trial(config):
         blocks = list(_trial_blocks(params, trials, seed, len(cands)))
     assert len(blocks) == -(-trials // (per_block or trials))
     for start, mats, idx in blocks:
-        e0, e, y = _error_flags(field, mats, idx, offsets)
-        assert e0.shape == e.shape == (len(idx),) and y.shape == (len(idx), params.m)
+        flags, words = _error_flags(field, mats, idx, offsets)
+        y = unpack_measurements(field, words, params.m)
+        assert flags.shape == (len(idx),) and y.shape == (len(idx), params.m)
         for i, (A, j) in enumerate(zip(mats, idx)):
             ev = error_events(field, A, cands[j], k_max=params.k)
-            assert (e0[i], e[i]) == (ev.e0_error, ev.e_error), start + i
+            assert (flags[i], flags[i]) == (ev.e0_error, ev.e_error), start + i
             assert np.array_equal(y[i], matvec(field, A, cands[j])), start + i
 
 
