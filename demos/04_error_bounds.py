@@ -26,8 +26,8 @@ from ffcs import (
 print("pair counts at (n=4, k=2, q=3), analytic vs exhaustive oracle:")
 analytic = nh_count(4, 2, 3, PairVariant.ALL_PAIRS)
 oracle = nh_oracle(make_field(3), 4, 2)[PairVariant.ALL_PAIRS]
-print("  analytic:", analytic.counts)
-print("  oracle:  ", oracle.counts)
+print("  analytic:", analytic)
+print("  oracle:  ", oracle)
 
 print("\nsingle-row nullity probability, q=4, gamma=0.3:")
 for h in (1, 2, 4, 8, 16):

@@ -26,10 +26,10 @@ _EXPORTS = {
               "matvec", "candidate_matrix", "signal_to_json", "signal_from_json",
               "matrix_to_json", "matrix_from_json"),
     "decoder": ("DecodeResult", "DecodeStatus", "ErrorEvents", "decode_l0", "error_events"),
-    "bounds": ("LogProb", "PairVariant", "WeightEnumeration", "row_zero_prob_sparse",
-               "convolution_oracle", "nh_count", "nh_oracle", "nh_log_profile", "pair_total",
-               "union_bound", "closed_dense_bound", "exponent_bound", "binary_entropy",
-               "sufficient_m", "necessary_m", "fano_lower_bound"),
+    "bounds": ("LogProb", "PairVariant", "row_zero_prob_sparse", "convolution_oracle",
+               "nh_count", "nh_oracle", "nh_log_profile", "pair_total", "union_bound",
+               "closed_dense_bound", "exponent_bound", "binary_entropy", "sufficient_m",
+               "necessary_m", "fano_lower_bound"),
     "curves": ("GammaMode", "CurvePoint", "MinMeasurements", "min_measurements", "curve",
                "default_k_grid"),
     "montecarlo": ("TrialReport", "run_trials", "sample_trials"),

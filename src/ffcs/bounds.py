@@ -90,7 +90,7 @@ import numpy as np
 
 from .errors import EnumerationCapExceeded, InvalidGamma
 from .field import FiniteField, check_prime_power
-from .model import ModelParams, SignalSetSize, candidate_matrix, signal_set_size
+from .model import ModelParams, SignalSetSize, candidate_matrix, check_integer, check_signal_set, signal_set_size
 from .util import log_factorials, log_of_int, logsumexp
 
 NEG_INF = float("-inf")
@@ -165,18 +165,6 @@ class LogProb:
         return math.exp(self.capped_log)
 
 
-@dataclass(frozen=True)
-class WeightEnumeration:
-    """Exact ordered-pair counts by Hamming distance h = 1..2K."""
-
-    counts: dict[int, int]
-    variant: PairVariant
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 # row-nullity probabilities ------------------------------------------------
 
 
@@ -194,6 +182,15 @@ def _row_zero_linear(q: int, gamma: float, h):
     return p * (h != 1) if gamma == 1.0 else p
 
 
+def _check_row(gamma: float, h: int) -> None:
+    """Raise unless h is an integer >= 1 and gamma lies in (0, 1]."""
+    check_integer("h", h)
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    if not 0.0 < gamma <= 1.0:
+        raise InvalidGamma(f"gamma must lie in (0, 1], got {gamma}")
+
+
 def row_zero_prob_sparse(q: int, gamma: float, h: int) -> LogProb:
     """Probability that one gamma-sparse row annihilates a weight-h vector.
 
@@ -203,10 +200,7 @@ def row_zero_prob_sparse(q: int, gamma: float, h: int) -> LogProb:
     excess vanishes and the dense value 1/q is recovered exactly.
     """
     check_prime_power(q)
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidGamma(f"gamma must lie in (0, 1], got {gamma}")
+    _check_row(gamma, h)
     return LogProb.from_linear(_row_zero_linear(q, gamma, h))
 
 
@@ -217,10 +211,7 @@ def convolution_oracle(field: FiniteField, gamma: float, h: int) -> LogProb:
     table.  Exists purely to validate row_zero_prob_sparse; never used on
     any bound path.
     """
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidGamma(f"gamma must lie in (0, 1], got {gamma}")
+    _check_row(gamma, h)
     q = field.q
     pmf = np.full(q, gamma / (q - 1))
     pmf[0] = 1.0 - gamma
@@ -262,22 +253,21 @@ def _nh_count_cached(n: int, k_max: int, q: int, variant: PairVariant) -> tuple:
 
 
 def _check_signal_set(n: int, k: int, q: int) -> None:
-    """Raise ValueError unless k lies in [0, n] and GF(q) exists."""
-    if not 0 <= k <= n:
-        raise ValueError("k must lie in [0, n]")
+    """Raise ValueError unless n and k are sizes of L (model.check_signal_set) and GF(q) exists."""
+    check_signal_set(n, k)
     check_prime_power(q)
 
 
-def nh_count(n: int, k_max: int, q: int, variant: PairVariant) -> WeightEnumeration:
-    """Exact number of ordered signal pairs at each Hamming distance.
+def nh_count(n: int, k_max: int, q: int, variant: PairVariant) -> dict[int, int]:
+    """Exact number of ordered signal pairs at each Hamming distance, as a
+    fresh {h: N_h} dict over the distances with pairs, in ascending h.
 
     Closed form from the position-class derivation in the module
     docstring; validated term-for-term against nh_oracle on the small
     grid before being trusted anywhere else.
     """
     _check_signal_set(n, k_max, q)
-    items = _nh_count_cached(n, k_max, q, PairVariant(variant))
-    return WeightEnumeration(counts=dict(items), variant=PairVariant(variant))
+    return dict(_nh_count_cached(n, k_max, q, PairVariant(variant)))
 
 
 def pair_total(sizes: SignalSetSize, variant: PairVariant) -> int:
@@ -295,13 +285,13 @@ def pair_total(sizes: SignalSetSize, variant: PairVariant) -> int:
     return sum(w * acc for w, acc in zip(sizes.per_sparsity, lighter)) - sizes.total
 
 
-def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, WeightEnumeration]:
+def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, dict[int, int]]:
     """Pair counts by brute force: literally walk all of L x L.
 
-    Emits both variants from the same enumeration.  Refuses instances
-    with |L|^2 above ORACLE_PAIR_CAP.  A block of x is compared with all
-    of L at a time, at most _ORACLE_BLOCK (x, x', position) triples, so
-    memory does not grow with |L|^2 n.
+    Returns {variant: nh_count's {h: N_h}}, both from one enumeration.
+    Refuses instances with |L|^2 above ORACLE_PAIR_CAP.  A block of x is
+    compared with all of L at a time, at most _ORACLE_BLOCK (x, x',
+    position) triples, so memory does not grow with |L|^2 n.
     """
     total = signal_set_size(n, k_max, field.q).total
     if total * total > ORACLE_PAIR_CAP:
@@ -318,7 +308,7 @@ def nh_oracle(field: FiniteField, n: int, k_max: int) -> dict[PairVariant, Weigh
         counts[0] += np.bincount(dist.ravel(), minlength=counts.shape[1])
         counts[1] += np.bincount(dist[weights[None, :] <= w[:, None]], minlength=counts.shape[1])
     return {
-        variant: WeightEnumeration({h: int(c) for h, c in enumerate(row) if h and c}, variant)
+        variant: {h: int(c) for h, c in enumerate(row) if h and c}
         for variant, row in zip(PairVariant, counts)
     }
 
@@ -611,9 +601,8 @@ def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIR
         return LogProb(NEG_INF)
     log_l = _log_signal_set_size(n, k, q)
     if n <= EXACT_N_LIMIT:
-        counts = nh_count(n, k, q, variant).counts
         terms = []
-        for h, nh in sorted(counts.items()):
+        for h, nh in nh_count(n, k, q, variant).items():
             p = _row_zero_linear(q, params.gamma, h)
             if p == 0.0:
                 continue
@@ -629,6 +618,7 @@ def closed_dense_bound(n: int, k: int, q: int, m: int) -> LogProb:
     """(|L| - 1) q^-m with exact big-integer |L|; the dense-case closed form
     the union bound collapses to when rows are uniform."""
     _check_signal_set(n, k, q)
+    check_integer("m", m)
     total = signal_set_size(n, k, q).total
     return LogProb(log_of_int(total - 1) - m * math.log(q))
 
@@ -650,6 +640,7 @@ def exponent_bound(n: int, k: int, q: int, m: int) -> LogProb:
     an exact zero: with a singleton signal set nothing can be confused.
     """
     _check_signal_set(n, k, q)
+    check_integer("m", m)
     if k == 0:
         return LogProb(NEG_INF)
     log2 = math.log(2.0)
@@ -692,6 +683,7 @@ def fano_lower_bound(n: int, k: int, q: int, m: int) -> float:
     m = 0 (no measurements at all), unlike a full model instance.
     """
     _check_signal_set(n, k, q)
+    check_integer("m", m)
     if m < 0:
         raise ValueError("m must be >= 0")
     log_q_l = _log_signal_set_size(n, k, q) / math.log(q)

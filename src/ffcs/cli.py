@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .curves import GammaMode, curve, default_k_grid
 from .field import check_prime_power, make_field
-from .model import ModelParams, matrix_to_json, signal_to_json
+from .model import ModelParams, check_signal_set, matrix_to_json, signal_to_json
 from .montecarlo import run_trials
 
 
@@ -175,24 +175,18 @@ def _cmd_nh(args) -> int:
     verified = None
     if args.verify:
         oracle = nh_oracle(make_field(args.q), args.n, args.k)
-        verified = (
-            oracle[PairVariant.ALL_PAIRS].counts == counts_all.counts
-            and oracle[PairVariant.RESTRICTED_PAIRS].counts == counts_res.counts
-        )
-    hs = sorted(set(counts_all.counts) | set(counts_res.counts))
+        verified = oracle == {PairVariant.ALL_PAIRS: counts_all, PairVariant.RESTRICTED_PAIRS: counts_res}
+    hs = sorted(set(counts_all) | set(counts_res))
     if args.format == "json":
         payload = {
             "meta": _meta(args),
             "verified": verified,
-            "all_pairs": {str(h): counts_all.counts.get(h, 0) for h in hs},
-            "restricted_pairs": {str(h): counts_res.counts.get(h, 0) for h in hs},
+            "all_pairs": {str(h): counts_all.get(h, 0) for h in hs},
+            "restricted_pairs": {str(h): counts_res.get(h, 0) for h in hs},
         }
         _json_out(payload, args.out)
     else:
-        rows = [
-            [h, counts_all.counts.get(h, 0), counts_res.counts.get(h, 0)]
-            for h in hs
-        ]
+        rows = [[h, counts_all.get(h, 0), counts_res.get(h, 0)] for h in hs]
         _csv_out(["h", "all_pairs", "restricted_pairs"], rows, _meta(args), args.out)
     if verified is False:
         print("pair-count verification FAILED", file=sys.stderr)
@@ -343,8 +337,8 @@ def _build_parser() -> _Parser:
 def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "n", 1) < 1:
         raise ValueError("n must be >= 1")
-    if hasattr(args, "k") and not 0 <= args.k <= args.n:
-        raise ValueError("k must lie in [0, n]")
+    if hasattr(args, "k"):
+        check_signal_set(args.n, args.k)
     if getattr(args, "m", 1) < 1:
         raise ValueError("m must be >= 1")
     if hasattr(args, "target") and not 0.0 < args.target < 1.0:

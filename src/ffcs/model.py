@@ -85,8 +85,8 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 0 <= self.k <= self.n:
-            raise ValueError("k must lie in [0, n]")
+        check_signal_set(self.n, self.k)
+        check_integer("m", self.m)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         check_prime_power(self.q)
@@ -102,6 +102,20 @@ class SignalSetSize:
     total: int
 
 
+def check_integer(name: str, v) -> None:
+    """Raise ValueError naming the parameter unless v is a Python int and not a bool, as in _entries_from_json."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def check_signal_set(n: int, k: int) -> None:
+    """Raise ValueError unless the sizes of L, n and k, are integers with 0 <= k <= n."""
+    check_integer("n", n)
+    check_integer("k", k)
+    if not 0 <= k <= n:
+        raise ValueError("k must lie in [0, n]")
+
+
 def signal_set_size(n: int, k: int, q: int) -> SignalSetSize:
     """Exact count of vectors in GF(q)^n with at most k nonzeros.
 
@@ -109,8 +123,7 @@ def signal_set_size(n: int, k: int, q: int) -> SignalSetSize:
     each from the one before: C(n, j) j = C(n, j-1) (n - j + 1), so the
     division by j is exact.
     """
-    if not 0 <= k <= n:
-        raise ValueError("k must lie in [0, n]")
+    check_signal_set(n, k)
     per = [1]
     for j in range(1, k + 1):
         per.append(per[-1] * (n - j + 1) * (q - 1) // j)

@@ -151,8 +151,14 @@ class TestRowNullity:
             (lambda: binary_entropy(1.5), ValueError, r"p must lie in \[0, 1\]"),
             (lambda: fano_lower_bound(10, 2, 2, -1), ValueError, "m must be >= 0"),
             (lambda: nh_oracle(make_field(2), 20, 5), EnumerationCapExceeded, "oracle cap"),
+            (lambda: row_zero_prob_sparse(4, 0.3, 1.5), ValueError, "^h must be an integer, got 1.5$"),
+            (lambda: row_zero_prob_sparse(4, 0.9, 1.5), ValueError, "^h must be an integer, got 1.5$"),
+            (lambda: convolution_oracle(make_field(4), 0.3, 2.0), ValueError, "^h must be an integer, got 2.0$"),
         ],
-        ids=["row-h0", "oracle-h0", "negative-probability", "entropy-above-1", "fano-m-1", "oracle-cap"],
+        ids=[
+            "row-h0", "oracle-h0", "negative-probability", "entropy-above-1", "fano-m-1", "oracle-cap",
+            "row-h-float", "row-h-float-negative-base", "oracle-h-float",
+        ],
     )
     def test_arguments_outside_the_domain_rejected(self, call, error, match):
         with pytest.raises(error, match=match):
@@ -165,7 +171,7 @@ class TestRowNullity:
 
 class TestPairCounts:
     def test_tiny_binary_instance(self):
-        counts = nh_count(2, 1, 2, ALL).counts
+        counts = nh_count(2, 1, 2, ALL)
         assert counts == {1: 4, 2: 2}
         assert sum(counts.values()) == 2 * 3  # (|L| - 1) |L|
 
@@ -174,12 +180,12 @@ class TestPairCounts:
     def test_analytic_matches_oracle_both_variants(self, n, k, q):
         oracle = nh_oracle(make_field(q), n, k)
         for variant in (ALL, RESTRICTED):
-            assert nh_count(n, k, q, variant).counts == oracle[variant].counts
+            assert nh_count(n, k, q, variant) == oracle[variant]
 
     @pytest.mark.parametrize("n,k,q", [(2, 1, 2), (4, 2, 2), (6, 3, 3), (8, 4, 4), (12, 5, 2)])
     def test_all_pairs_mass_identity(self, n, k, q):
         total = signal_set_size(n, k, q).total
-        assert nh_count(n, k, q, ALL).total == (total - 1) * total
+        assert sum(nh_count(n, k, q, ALL).values()) == (total - 1) * total
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
     def test_pair_total_is_the_sum_of_the_counts(self, q):
@@ -187,7 +193,7 @@ class TestPairCounts:
             for k in range(n + 1):
                 sizes = signal_set_size(n, k, q)
                 for variant in (ALL, RESTRICTED):
-                    assert pair_total(sizes, variant) == nh_count(n, k, q, variant).total, (n, k, variant)
+                    assert pair_total(sizes, variant) == sum(nh_count(n, k, q, variant).values()), (n, k, variant)
 
     def test_oracle_memory_does_not_grow_with_all_pairs(self):
         # n = 40, k = 2, q = 2: |L| = 821, so the whole (|L|, |L|, n)
@@ -203,16 +209,16 @@ class TestPairCounts:
             tracemalloc.stop()
         assert peak < bound, peak
         for variant in (ALL, RESTRICTED):
-            assert oracle[variant].counts == nh_count(n, k, 2, variant).counts
+            assert oracle[variant] == nh_count(n, k, 2, variant)
 
     def test_zero_sparsity_has_no_pairs(self):
-        assert nh_count(5, 0, 3, ALL).counts == {}
-        assert nh_oracle(make_field(2), 4, 0)[ALL].counts == {}
+        assert nh_count(5, 0, 3, ALL) == {}
+        assert nh_oracle(make_field(2), 4, 0)[ALL] == {}
 
     def test_restricted_is_pointwise_at_most_all(self):
         for n, k, q in [(5, 2, 3), (6, 3, 2), (4, 2, 4)]:
-            a = nh_count(n, k, q, ALL).counts
-            r = nh_count(n, k, q, RESTRICTED).counts
+            a = nh_count(n, k, q, ALL)
+            r = nh_count(n, k, q, RESTRICTED)
             for h, c in r.items():
                 assert c <= a[h]
 
@@ -225,7 +231,7 @@ class TestPairCounts:
     )
     def test_log_profile_matches_exact_counts(self, n, k, q):
         for variant in (ALL, RESTRICTED):
-            counts = nh_count(n, k, q, variant).counts
+            counts = nh_count(n, k, q, variant)
             prof = nh_log_profile(n, k, q, variant)
             assert prof[0] == float("-inf")
             for h in range(1, 2 * k + 1):
@@ -609,6 +615,26 @@ class TestInputChecks:
     def test_necessary_m(self, n, k, q):
         with pytest.raises(ValueError):
             necessary_m(n, k, q)
+
+    # a float or a bool passes every range check and then rounds, fails or
+    # counts as 0 or 1 further on
+    @pytest.mark.parametrize(
+        "call,name,value",
+        [
+            (lambda: union_bound(ModelParams(n=10, k=2, m=6.5, q=4, gamma=0.5)), "m", 6.5),
+            (lambda: union_bound(ModelParams(n=100.0, k=2, m=6, q=4, gamma=0.5)), "n", 100.0),
+            (lambda: fano_lower_bound(10, 2, 4, 2.5), "m", 2.5),
+            (lambda: closed_dense_bound(10, 2, 4, 2.5), "m", 2.5),
+            (lambda: exponent_bound(10, 2, 4, 2.0), "m", 2.0),
+            (lambda: nh_count(6.0, 2, 4, PairVariant.ALL_PAIRS), "n", 6.0),
+            (lambda: nh_log_profile(100, 2.0, 4, PairVariant.ALL_PAIRS), "k", 2.0),
+            (lambda: sufficient_m(10, True, 4), "k", True),
+        ],
+        ids=["union-m", "union-n", "fano-m", "closed-m", "exponent-m", "nh-n", "profile-k", "sufficient-k-bool"],
+    )
+    def test_sizes_and_m_must_be_integers(self, call, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            call()
 
 
 def test_evaluate_bounds_bundle(capsys):

@@ -94,7 +94,7 @@ class TestNhCommand:
         def disagree(*args):
             tables = real(*args)
             table = next(iter(tables.values()))
-            table.counts[1] += 1
+            table[1] += 1
             return tables
 
         monkeypatch.setattr(cli, "nh_oracle", disagree)

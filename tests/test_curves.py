@@ -57,7 +57,7 @@ def rational_union_bound(n, k, q, gamma, variant):
     """
     u = (q - 1) * gamma.denominator
     v = u - q * gamma.numerator
-    counts = nh_count(n, k, q, variant).counts
+    counts = nh_count(n, k, q, variant)
     top = max(counts)
     terms = [(nh, (u**h + (q - 1) * v**h) * u ** (top - h)) for h, nh in counts.items()]
     size = signal_set_size(n, k, q).total
@@ -132,6 +132,10 @@ class TestMinMeasurements:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             min_measurements(10, 2, 2, 0.5, target=0.0)
+
+    def test_rejects_a_float_k(self):
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+            min_measurements(100, 2.5, 4, 0.3)
 
     @pytest.mark.parametrize("variant", list(PairVariant))
     @pytest.mark.parametrize("q,ks", [(2, [10, 250, 500]), (4, [20, 200, 500]), (16, [10, 300, 500]), (256, [50, 120, 500])])

@@ -332,13 +332,17 @@ class TestSampling:
             (lambda: ModelParams(n=4, k=1, m=0, q=2, gamma=0.5), ValueError, "m must be >= 1"),
             (lambda: signal_set_size(4, 5, 2), ValueError, r"k must lie in \[0, n\]"),
             (lambda: sparse_gamma(1.0, 1), ValueError, "n must be >= 2"),
+            (lambda: ModelParams(n=4, k=True, m=2, q=2, gamma=0.5), ValueError, "^k must be an integer, got True$"),
+            (lambda: ModelParams(n=4, k=1, m=2.0, q=2, gamma=0.5), ValueError, "^m must be an integer, got 2.0$"),
+            (lambda: signal_set_size(10.0, 2, 4), ValueError, "^n must be an integer, got 10.0$"),
+            (lambda: signal_set_size(10, 2.0, 4), ValueError, "^k must be an integer, got 2.0$"),
             (
                 lambda: measure_candidates(make_field(3), np.ones((2, 3), dtype=np.int16), np.ones((1, 4), dtype=np.int16)),
                 DimensionMismatch,
                 "incompatible",
             ),
         ],
-        ids=["m0", "k-above-n", "sparse-n1", "candidate-columns"],
+        ids=["m0", "k-above-n", "sparse-n1", "k-bool", "m-float", "size-n-float", "size-k-float", "candidate-columns"],
     )
     def test_invalid_parameters_rejected(self, call, error, match):
         with pytest.raises(error, match=match):

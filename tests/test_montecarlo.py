@@ -433,6 +433,11 @@ def test_sample_trials_rejects_what_run_trials_rejects(monkeypatch):
         sample_trials(ModelParams(n=4, k=1, m=3, q=32771, gamma=0.5), 5, seed=0)
 
 
+def test_run_trials_rejects_a_float_m():
+    with pytest.raises(ValueError, match="^m must be an integer, got 6.0$"):
+        run_trials(ModelParams(n=10, k=2, m=6.0, q=4, gamma=0.5), 10, seed=0)
+
+
 def test_run_trials_rejects_zero_trials():
     # the CLI refuses --trials 0 itself, so only a library call gets here
     with pytest.raises(ValueError, match="trials must be >= 1"):

@@ -1,6 +1,7 @@
 """Property tests: the measurement kernel, the batch error flags (summed and
 per trial), the one error event, matvec, the log pair-count profile,
-log-sum-exp, the threshold search and the JSON round-trip.
+log-sum-exp, the threshold search and the JSON round-trip; and that the
+suite's own settings report a failing property as a failure.
 
 Each property holds for every instance; hypothesis draws the instances
 (deterministically, see conftest.py).
@@ -8,8 +9,11 @@ Each property holds for every instance; hypothesis draws the instances
 
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -189,7 +193,7 @@ def profile_configs(draw):
 @settings(max_examples=40)
 def test_log_profile_matches_exact_counts(config):
     n, k, q, variant = config
-    counts = nh_count(n, k, q, variant).counts
+    counts = nh_count(n, k, q, variant)
     prof = nh_log_profile(n, k, q, variant)
     assert len(prof) == 2 * k + 1 and prof[0] == -math.inf
     for h in range(1, 2 * k + 1):
@@ -278,3 +282,24 @@ def test_json_round_trip(q, m, n, gamma, seed, draw_seed):
     assert np.array_equal(sig, entries) and np.count_nonzero(sig) == np.count_nonzero(entries)
     assert mat_obj["seed"] == sig_obj["seed"] == seed
     assert mat_obj["q"] == sig_obj["q"] == q
+
+
+def test_a_failing_property_is_reported_and_the_run_goes_on(tmp_path):
+    # hypothesis' plugin reports a failing @given test through an import
+    # that warns; under the suite's warning filters that must not end the run
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_after_it():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
