@@ -16,9 +16,9 @@ print(f"{'m':>3} {'e rate':>8} {'95% CI':>19} {'union bound':>12} {'converse':>9
 for m in range(1, 9):
     params = ModelParams(n=8, k=2, m=m, q=2, gamma=dense_gamma(2))
     rep = run_trials(params, 10_000, seed=11)
-    ci = f"[{rep.e_ci_low:.4f}, {rep.e_ci_high:.4f}]"
+    ci = f"[{rep.ci_low:.4f}, {rep.ci_high:.4f}]"
     print(
-        f"{m:>3} {rep.e_rate:>8.4f} {ci:>19} {rep.union_bound_value:>12.4f} {rep.fano_value:>9.4f}"
+        f"{m:>3} {rep.rate:>8.4f} {ci:>19} {rep.union_bound_value:>12.4f} {rep.fano_value:>9.4f}"
     )
 
 print("\nsame weight, same annihilation probability (q=4, gamma=0.3, weight 3, m=2):")

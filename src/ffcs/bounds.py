@@ -252,12 +252,6 @@ def _nh_count_cached(n: int, k_max: int, q: int, variant: PairVariant) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def _check_signal_set(n: int, k: int, q: int) -> None:
-    """Raise ValueError unless n and k are sizes of L (model.check_signal_set) and GF(q) exists."""
-    check_signal_set(n, k)
-    check_prime_power(q)
-
-
 def nh_count(n: int, k_max: int, q: int, variant: PairVariant) -> dict[int, int]:
     """Exact number of ordered signal pairs at each Hamming distance, as a
     fresh {h: N_h} dict over the distances with pairs, in ascending h.
@@ -266,7 +260,7 @@ def nh_count(n: int, k_max: int, q: int, variant: PairVariant) -> dict[int, int]
     docstring; validated term-for-term against nh_oracle on the small
     grid before being trusted anywhere else.
     """
-    _check_signal_set(n, k_max, q)
+    check_signal_set(n, k_max, q)
     return dict(_nh_count_cached(n, k_max, q, PairVariant(variant)))
 
 
@@ -559,7 +553,7 @@ def nh_log_profile(n: int, k_max: int, q: int, variant: PairVariant) -> np.ndarr
     nh_count to ~1e-15 relative wherever both run.  The returned array
     is cached and read-only.
     """
-    _check_signal_set(n, k_max, q)
+    check_signal_set(n, k_max, q)
     return _nh_log_profile_cached(n, k_max, q, PairVariant(variant))
 
 
@@ -617,7 +611,7 @@ def union_bound(params: ModelParams, variant: PairVariant = PairVariant.ALL_PAIR
 def closed_dense_bound(n: int, k: int, q: int, m: int) -> LogProb:
     """(|L| - 1) q^-m with exact big-integer |L|; the dense-case closed form
     the union bound collapses to when rows are uniform."""
-    _check_signal_set(n, k, q)
+    check_signal_set(n, k, q)
     check_integer("m", m)
     total = signal_set_size(n, k, q).total
     return LogProb(log_of_int(total - 1) - m * math.log(q))
@@ -639,7 +633,7 @@ def exponent_bound(n: int, k: int, q: int, m: int) -> LogProb:
     with k * 2^{n Hb(k/n)} (q-1)^k.  The k = 0 prefactor makes the bound
     an exact zero: with a singleton signal set nothing can be confused.
     """
-    _check_signal_set(n, k, q)
+    check_signal_set(n, k, q)
     check_integer("m", m)
     if k == 0:
         return LogProb(NEG_INF)
@@ -656,7 +650,7 @@ def exponent_bound(n: int, k: int, q: int, m: int) -> LogProb:
 def sufficient_m(n: int, k: int, q: int) -> int:
     """Smallest measurement count above the achievability threshold
     (n Hb(k/n) + k log2(q-1)) / log2(q)."""
-    _check_signal_set(n, k, q)
+    check_signal_set(n, k, q)
     if k == 0:
         return 0
     rhs = (n * binary_entropy(k / n) + k * math.log2(q - 1)) / math.log2(q)
@@ -669,7 +663,7 @@ def necessary_m(n: int, k: int, q: int) -> float:
     Any measurement count strictly below this leaves a positive error
     probability no decoder can remove.
     """
-    _check_signal_set(n, k, q)
+    check_signal_set(n, k, q)
     val = (k * math.log(q - 1) if k else 0.0) + log_of_int(comb(n, k))
     return val / math.log(q) - 1.0
 
@@ -682,7 +676,7 @@ def fano_lower_bound(n: int, k: int, q: int, m: int) -> float:
     uncertainty forces max(0, (log_q |L| - m - 1) / log_q |L|).  Accepts
     m = 0 (no measurements at all), unlike a full model instance.
     """
-    _check_signal_set(n, k, q)
+    check_signal_set(n, k, q)
     check_integer("m", m)
     if m < 0:
         raise ValueError("m must be >= 0")

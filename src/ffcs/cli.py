@@ -240,13 +240,14 @@ def _cmd_simulate(args) -> int:
     payload = {
         "meta": _meta(args, gamma_value=gamma, gamma_label=label),
         "trials": report.trials,
-        "e0_errors": report.e0_errors,
-        "e_errors": report.e_errors,
-        "e0_rate": report.e0_rate,
-        "e_rate": report.e_rate,
-        "e0_ci": [report.e0_ci_low, report.e0_ci_high],
-        "e_ci": [report.e_ci_low, report.e_ci_high],
-        "inclusion_violations": report.inclusion_violations,
+        # e0 and e are one event: the v1 keys hold it twice, and never a violation
+        "e0_errors": report.errors,
+        "e_errors": report.errors,
+        "e0_rate": report.rate,
+        "e_rate": report.rate,
+        "e0_ci": [report.ci_low, report.ci_high],
+        "e_ci": [report.ci_low, report.ci_high],
+        "inclusion_violations": 0,
         "union_bound_log": report.union_bound_log,
         "union_bound_value": report.union_bound_value,
         "fano_value": report.fano_value,
@@ -338,7 +339,7 @@ def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "n", 1) < 1:
         raise ValueError("n must be >= 1")
     if hasattr(args, "k"):
-        check_signal_set(args.n, args.k)
+        check_signal_set(args.n, args.k, args.q)
     if getattr(args, "m", 1) < 1:
         raise ValueError("m must be >= 1")
     if hasattr(args, "target") and not 0.0 < args.target < 1.0:

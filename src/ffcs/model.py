@@ -85,11 +85,10 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        check_signal_set(self.n, self.k)
+        check_signal_set(self.n, self.k, self.q)
         check_integer("m", self.m)
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        check_prime_power(self.q)
         if not 0.0 < self.gamma <= 1.0:
             raise InvalidGamma(f"gamma must lie in (0, 1], got {self.gamma}")
 
@@ -108,12 +107,13 @@ def check_integer(name: str, v) -> None:
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-def check_signal_set(n: int, k: int) -> None:
-    """Raise ValueError unless the sizes of L, n and k, are integers with 0 <= k <= n."""
+def check_signal_set(n: int, k: int, q: int) -> None:
+    """Raise ValueError unless n and k are integers with 0 <= k <= n and GF(q) exists (UnsupportedOrder)."""
     check_integer("n", n)
     check_integer("k", k)
     if not 0 <= k <= n:
         raise ValueError("k must lie in [0, n]")
+    check_prime_power(q)
 
 
 def signal_set_size(n: int, k: int, q: int) -> SignalSetSize:
@@ -123,7 +123,7 @@ def signal_set_size(n: int, k: int, q: int) -> SignalSetSize:
     each from the one before: C(n, j) j = C(n, j-1) (n - j + 1), so the
     division by j is exact.
     """
-    check_signal_set(n, k)
+    check_signal_set(n, k, q)
     per = [1]
     for j in range(1, k + 1):
         per.append(per[-1] * (n - j + 1) * (q - 1) // j)

@@ -1,11 +1,11 @@
 """Empirical verification harness for the analytic bounds.
 
-Samples (matrix, signal) instances at desk scale, detects both error
-events exactly against the full candidate set, and reports rates with
-Wilson 95% intervals (util.wilson_interval) alongside the analytic union
-and converse bounds.  The row-nullity law those bounds rest on is
-checked exactly by bounds.convolution_oracle, and by Monte Carlo in the
-tests over sample_trials' matrices.
+Samples (matrix, signal) instances at desk scale, detects the one error
+event (e0 and e coincide) exactly against the full candidate set, and
+reports its rate with a Wilson 95% interval (util.wilson_interval)
+alongside the analytic union and converse bounds.  The row-nullity law
+those bounds rest on is checked exactly by bounds.convolution_oracle,
+and by Monte Carlo in the tests over sample_trials' matrices.
 
 Reproducibility scheme: trial i draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(trials)[i])``, i.e.
@@ -150,15 +150,10 @@ class TrialReport:
 
     params: ModelParams
     trials: int
-    e0_errors: int
-    e_errors: int
-    e0_rate: float
-    e_rate: float
-    e0_ci_low: float
-    e0_ci_high: float
-    e_ci_low: float
-    e_ci_high: float
-    inclusion_violations: int  # always 0: e0 and e are one event; kept for the v1 JSON keys
+    errors: int  # trials with the one error event, both e0 and e
+    rate: float
+    ci_low: float  # Wilson 95% interval of rate
+    ci_high: float
     union_bound_log: float
     union_bound_value: float  # capped into [0, 1]
     fano_value: float
@@ -533,7 +528,7 @@ def run_trials(
     seed: int,
     on_block: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> TrialReport:
-    """Estimate both error probabilities over `trials` sampled instances.
+    """Estimate the error probability over `trials` sampled instances.
 
     Per trial: draw a matrix and a uniform signal from L, measure, and
     flag the one event that is both e0 (decoder output differs from the
@@ -566,15 +561,10 @@ def run_trials(
     return TrialReport(
         params=params,
         trials=trials,
-        e0_errors=errors,
-        e_errors=errors,
-        e0_rate=errors / trials,
-        e_rate=errors / trials,
-        e0_ci_low=ci_low,
-        e0_ci_high=ci_high,
-        e_ci_low=ci_low,
-        e_ci_high=ci_high,
-        inclusion_violations=0,
+        errors=errors,
+        rate=errors / trials,
+        ci_low=ci_low,
+        ci_high=ci_high,
         union_bound_log=ub.log_value,
         union_bound_value=ub.capped_linear,
         fano_value=fano_lower_bound(params.n, params.k, params.q, params.m),

@@ -17,6 +17,7 @@ from ffcs import (
     EnumerationCapExceeded,
     InvalidGamma,
     ModelParams,
+    UnsupportedOrder,
     candidate_matrix,
     dense_gamma,
     make_field,
@@ -336,13 +337,17 @@ class TestSampling:
             (lambda: ModelParams(n=4, k=1, m=2.0, q=2, gamma=0.5), ValueError, "^m must be an integer, got 2.0$"),
             (lambda: signal_set_size(10.0, 2, 4), ValueError, "^n must be an integer, got 10.0$"),
             (lambda: signal_set_size(10, 2.0, 4), ValueError, "^k must be an integer, got 2.0$"),
+            (lambda: signal_set_size(10, 2, 6), UnsupportedOrder, r"^q=6 is not a prime power, so GF\(6\) does not exist$"),
+            (lambda: signal_set_size(10, 2, 1), UnsupportedOrder, r"^q=1 is not a prime power, so GF\(1\) does not exist$"),
+            (lambda: signal_set_size(10, 2, 4.0), UnsupportedOrder, "^field order must be an integer >= 2, got 4.0$"),
             (
                 lambda: measure_candidates(make_field(3), np.ones((2, 3), dtype=np.int16), np.ones((1, 4), dtype=np.int16)),
                 DimensionMismatch,
                 "incompatible",
             ),
         ],
-        ids=["m0", "k-above-n", "sparse-n1", "k-bool", "m-float", "size-n-float", "size-k-float", "candidate-columns"],
+        ids=["m0", "k-above-n", "sparse-n1", "k-bool", "m-float", "size-n-float", "size-k-float",
+             "size-q6", "size-q1", "size-q-float", "candidate-columns"],
     )
     def test_invalid_parameters_rejected(self, call, error, match):
         with pytest.raises(error, match=match):

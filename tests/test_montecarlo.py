@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -32,18 +33,18 @@ class TestReproducibility:
         params = ModelParams(n=6, k=2, m=3, q=2, gamma=0.5)
         r1 = run_trials(params, 500, seed=11)
         r2 = run_trials(params, 500, seed=11)
-        assert (r1.e0_errors, r1.e_errors) == (r2.e0_errors, r2.e_errors)
+        assert r1.errors == r2.errors
 
     def test_different_seed_differs(self):
         params = ModelParams(n=6, k=2, m=3, q=2, gamma=0.5)
         r1 = run_trials(params, 500, seed=1)
         r2 = run_trials(params, 500, seed=2)
-        assert (r1.e0_errors, r1.e_errors) != (r2.e0_errors, r2.e_errors)
+        assert r1.errors != r2.errors
 
 
 # (e0_errors, e_errors, inclusion_violations) of 2,000 trials at seed 7,
 # recorded before the row-at-a-time flag kernel replaced the
-# (trials, m, |L|) comparison
+# (trials, m, |L|) comparison; the report's one count fills the first two
 GOLDEN_COUNTS = [
     ((10, 2, 6, 2, "dense"), (1006, 1006, 0)),
     ((10, 2, 6, 2, 0.3), (1269, 1269, 0)),
@@ -65,7 +66,7 @@ def test_golden_counts(config, counts):
     n, k, m, q, gamma = config
     gamma = dense_gamma(q) if gamma == "dense" else gamma
     rep = run_trials(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma), 2000, seed=7)
-    assert (rep.e0_errors, rep.e_errors, rep.inclusion_violations) == counts
+    assert (rep.errors, rep.errors, 0) == counts
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -234,7 +235,7 @@ def test_run_trials_builds_the_candidate_matrix_only_for_on_block(monkeypatch):
     monkeypatch.setattr(montecarlo, "candidate_matrix", refuse)
     monkeypatch.setattr(montecarlo, "unpack_measurements", refuse)
     plain = run_trials(params, 200, seed=4)
-    assert (plain.e0_errors, plain.e_errors) == (with_block.e0_errors, with_block.e_errors)
+    assert plain.errors == with_block.errors
 
 
 def test_a_kernel_that_misses_a_trials_signal_raises(kernel_misses_first_trial):
@@ -265,8 +266,8 @@ class TestFlagCorrectness:
             ev = error_events(field, mats[i], cands[idx[i]], k_max=params.k)
             e0 += ev.e0_error
             e += ev.e_error
-        assert report.e0_errors == e0
-        assert report.e_errors == e
+        assert report.errors == e0
+        assert report.errors == e
 
     @pytest.mark.parametrize(
         "q,n,k,m,gamma", [(13, 4, 2, 3, 0.5), (251, 4, 1, 8, 0.15)]
@@ -292,34 +293,34 @@ class TestFlagCorrectness:
             assert np.array_equal(y[i], matvec(field, mats[i], cands[idx[i]])), i
         assert 0 < flags.sum() < trials
         report = run_trials(params, trials, seed)
-        assert (report.e0_errors, report.e_errors) == (flags.sum(), flags.sum())
+        assert report.errors == flags.sum()
 
     def test_inclusion_and_counts(self):
         params = ModelParams(n=8, k=2, m=4, q=2, gamma=0.5)
         rep = run_trials(params, 2000, seed=3)
-        assert rep.e0_errors <= rep.e_errors <= rep.trials
-        assert rep.e0_rate == rep.e0_errors / rep.trials
-        assert rep.e_ci_low <= rep.e_rate <= rep.e_ci_high
+        assert 0 <= rep.errors <= rep.trials
+        assert rep.rate == rep.errors / rep.trials
+        assert rep.ci_low <= rep.rate <= rep.ci_high
 
     def test_zero_error_run_reports_one_sided_interval(self):
         # square dense system at tiny sparsity: errors essentially never
         params = ModelParams(n=6, k=1, m=12, q=4, gamma=dense_gamma(4))
         rep = run_trials(params, 300, seed=5)
-        assert rep.e_errors == 0
-        assert rep.e_ci_low == 0.0
-        assert rep.e_ci_high > 0.0
+        assert rep.errors == 0
+        assert rep.ci_low == 0.0
+        assert rep.ci_high > 0.0
 
 
 class TestSandwich:
     def test_rate_below_union_bound(self):
         params = ModelParams(n=8, k=2, m=8, q=2, gamma=0.5)
         rep = run_trials(params, 10_000, seed=7)
-        assert rep.e_ci_low <= rep.union_bound_value
+        assert rep.ci_low <= rep.union_bound_value
 
     def test_rate_above_fano_bound(self):
         params = ModelParams(n=6, k=2, m=1, q=2, gamma=0.5)
         rep = run_trials(params, 10_000, seed=7)
-        assert rep.e0_ci_high >= rep.fano_value
+        assert rep.ci_high >= rep.fano_value
         assert rep.fano_value == fano_lower_bound(6, 2, 2, 1)
 
     def test_report_carries_analytic_references(self):
@@ -328,6 +329,14 @@ class TestSandwich:
         assert rep.union_bound_value <= 1.0
         assert math.isfinite(rep.union_bound_log) or rep.union_bound_log == float("-inf")
         assert 0.0 <= rep.fano_value <= 1.0
+
+    def test_report_holds_the_one_error_event_once(self):
+        # the simulate JSON's e0 and e keys are both written from these four
+        fields = [f.name for f in dataclasses.fields(montecarlo.TrialReport)]
+        assert fields == ["params", "trials", "errors", "rate", "ci_low", "ci_high",
+                          "union_bound_log", "union_bound_value", "fano_value", "seed"]
+        rep = run_trials(ModelParams(n=8, k=2, m=4, q=3, gamma=0.5), 500, seed=2)
+        assert (rep.ci_low, rep.ci_high) == wilson_interval(rep.errors, 500)
 
 
 def nullity_check(q, n, m, gamma, h, trials, seed):

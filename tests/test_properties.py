@@ -109,9 +109,8 @@ def test_batch_flags_match_error_events(config):
     cands, _ = candidate_matrix(params.n, params.k, params.q)
     mats, idx = _sample_trials(params, trials, seed, cands.shape[0])
     events = [error_events(field, A, cands[j], k_max=params.k) for A, j in zip(mats, idx)]
-    assert report.e0_errors == sum(ev.e0_error for ev in events)
-    assert report.e_errors == sum(ev.e_error for ev in events)
-    assert report.inclusion_violations == 0
+    assert report.errors == sum(ev.e0_error for ev in events)
+    assert report.errors == sum(ev.e_error for ev in events)
 
 
 @st.composite
@@ -158,9 +157,6 @@ def test_e0_and_e_are_one_event(config):
     # the decoder counts ties as errors, so its output differs from x
     # exactly when some x' != x no heavier than x is feasible
     params, seed = config
-    report = run_trials(params, 200, seed)
-    assert report.e0_errors == report.e_errors
-    assert report.inclusion_violations == 0
     field = make_field(params.q)
     cands, _ = candidate_matrix(params.n, params.k, params.q)
     mats, idx = _sample_trials(params, 12, seed, cands.shape[0])
