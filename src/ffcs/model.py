@@ -502,6 +502,15 @@ class _ColumnTable:
     The wider of the word and value axes is laid out innermost:
     (n, q-1, words) with axis 1, else (words, n, q-1) with axis 2.
 
+    The stack is read as (m, n, b) rows, matrix innermost.  That is the
+    storage of a Monte Carlo window drawn as PCG64 lanes (montecarlo),
+    where each entry's trials are contiguous, so _pack_rows gathers
+    along contiguous matrices, and for one-word measurements its
+    (count, q-1, n, b) words reach axis 1's layout by moving whole runs
+    of b words.  A C-order stack, such as a decode's one matrix, is
+    read through the same strided view; the table is the same either
+    way.
+
     A member fits its target y exactly where the sum of its first w - 1
     scaled columns equals y - v * A_j, j and v its last column and
     value; those goals are one table, built once per scan.  Levels 0
@@ -537,14 +546,14 @@ class _ColumnTable:
     def __init__(self, field: FiniteField, mats: np.ndarray):
         *stack, m, n = mats.shape
         self.field, self.lanes, self.stack = field, _lanes(field.q, m), tuple(stack)
-        v, rows = field.q - 1, mats.reshape(-1, m, n).swapaxes(0, 1)  # (m, b, n)
-        # scaled[v - 1, x] = v * x in the word type, packed by _pack_rows: (count, q-1, b, n)
+        v, rows = field.q - 1, mats.reshape(-1, m, n).transpose(1, 2, 0)  # (m, n, b)
+        # scaled[v - 1, x] = v * x in the word type, packed by _pack_rows: (count, q-1, n, b)
         scaled = field.mul_table[1:].astype(self.lanes.dtype)
         packed = _pack_rows(self.lanes, rows, scaled)
-        if rows.shape[1] * self.lanes.count > v:  # (n, q-1, b, count)
-            self.axis, order, shape = 1, (3, 1, 2, 0), (n, v, -1)
+        if rows.shape[2] * self.lanes.count > v:  # (n, q-1, b, count)
+            self.axis, order, shape = 1, (2, 1, 3, 0), (n, v, -1)
         else:  # (b, count, n, q-1)
-            self.axis, order, shape = 2, (2, 0, 3, 1), (-1, n, v)
+            self.axis, order, shape = 2, (3, 0, 2, 1), (-1, n, v)
         self.table = np.ascontiguousarray(packed.transpose(order)).reshape(shape)
 
     def member_words(self, weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -44,6 +44,13 @@ the lanes are the faster draw only for many trials of few words each;
 otherwise a trial builds its PCG64 and reads, in one random_raw call,
 the D words its draws consume (_as_lanes chooses; every byte is the
 same either way).
+A window drawn as lanes is trial-innermost: (trials, m, n) values
+stored as (m n, trials), so the word a lane step yields for every trial
+lands in one contiguous row, not at a stride of m n entries, and
+model._ColumnTable packs along those rows.  A window drawn by
+random_raw, one trial's words a call, stays C-order.  sample_trials
+and on_block hand out the values as drawn; their layout is not part
+of the contract, and no copy is made.
 The words are mapped by numpy's own Generator maps: random() is
 (word >> 11) * 2**-53, so the zero mask is one integer comparison of the
 words; integers(1, q, dtype=int16) is Lemire's multiply-shift of 16-bit
@@ -122,12 +129,15 @@ _WINDOW_TRIALS = 6400
 # a group of t trials of D raw words each is stepped as t PCG64 lanes
 # when D (t + _STEP_LANES) <= _SETUP_WORDS t, and else builds a PCG64
 # per trial and reads its words by random_raw, about _RAW_WORDS words
-# a group.  A lane step costs about 45 us of numpy calls, as much as
-# stepping _STEP_LANES more lanes, and a PCG64 built per trial about
-# as much as _SETUP_WORDS words stepped in lanes, less the words it
-# reads natively (2-core Xeon VM, numpy 2.4): so a full group of 6,400
-# lanes is the faster draw up to D = 182, 4,096 up to D = 150 and
-# 1,024 up to D = 60
+# a group.  A lane step costs about as much as stepping _STEP_LANES
+# more lanes, and a PCG64 built per trial about as much as
+# _SETUP_WORDS words stepped in lanes, less the words it reads
+# natively: so the rule steps a full group of 6,400 lanes up to
+# D = 182, 4,096 up to D = 150 and 1,024 up to D = 60.  Into
+# trial-innermost windows the lanes measure faster than that, up to
+# about D = 255-320, 210-270 and 76-80 (q = 4 to q = 2, k = 1,
+# gamma = 0.5, best of 5, 2-core Xeon VM, numpy 2.4), so between those
+# bounds the rule errs toward random_raw
 _STEP_LANES = 1 << 12
 _SETUP_WORDS = 300
 _RAW_WORDS = 1 << 13
@@ -427,13 +437,22 @@ def _sample_trials(
     integers(1, 2), is the constant 1 and consumes no bits of the
     stream, so it is not made: every nonzero entry is 1 and the rank
     reads the word after the uniforms.
+
+    The matrices are trial-innermost, stored as (m, n, trials), where
+    _as_lanes steps the first group as lanes, else C-order; a later,
+    shorter group takes its own route into the same array.
     """
     words = _child_seed_words(seed, start, stop)
-    mats = np.empty((len(words), params.m, params.n), dtype=np.int16)
+    width = _raw_width(params, n_candidates)
+    if n_candidates <= 2**32 and _as_lanes(width, min(len(words), _WINDOW_TRIALS)):
+        # trial-innermost: a lane step writes each entry's trials as one row
+        mats = np.empty((params.m, params.n, len(words)), dtype=np.int16).transpose(2, 0, 1)
+    else:
+        mats = np.empty((len(words), params.m, params.n), dtype=np.int16)
     idx = np.empty(len(words), dtype=np.int64)
     redraw = np.ones(len(words), dtype=bool)
     if n_candidates <= 2**32:
-        width, lo = _raw_width(params, n_candidates), 0
+        lo = 0
         while lo < len(words):
             t = min(len(words) - lo, _WINDOW_TRIALS)
             if _as_lanes(width, t):
@@ -459,9 +478,11 @@ def _trial_blocks(params: ModelParams, trials: int, seed: int, n_candidates: int
     window at a time: as many whole blocks as hold at most
     _WINDOW_TRIALS trials and _BLOCK_ELEMS matrix entries, or one
     block, so the window depends on (n, k, m, q), never on the trials;
-    the blocks are views into it.  A block still referenced keeps its
-    whole window alive, so this generator and its callers drop theirs
-    before the next window is drawn: the draws peak at one window.
+    the blocks are views into it, trial-innermost where the window is
+    drawn as lanes (_sample_trials), the layout model._ColumnTable
+    reads its stack in.  A block still referenced keeps its whole
+    window alive, so this generator and its callers drop theirs before
+    the next window is drawn: the draws peak at one window.
     """
     width = max(n_candidates, params.q * params.n)
     block = max(1, _BLOCK_ELEMS // (params.m * width))
@@ -482,6 +503,9 @@ def sample_trials(params: ModelParams, trials: int, seed: int) -> tuple[np.ndarr
     are built.  As there, it raises UnsupportedOrder unless GF(q) has
     tables (field.check_table_order) and EnumerationCapExceeded if |L|
     is above model.ENUMERATION_CAP (10^8 candidates), before drawing.
+    The values are the contract, not their memory layout: the matrices
+    are returned as drawn, trial-innermost where the trials were
+    stepped as PCG64 lanes, with no copy into C order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -571,6 +571,28 @@ class TestEnumeration:
         got = swept_masks(field, mats, pack_measurements(field, ys), k, want)
         assert np.array_equal(got, (want == ys).all(axis=2))
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("b", [1, 300])
+    @pytest.mark.parametrize("q", [2, 3, 4, 7, 13, 16, 251])
+    def test_table_is_the_same_from_either_layout_of_the_stack(self, q, b, count):
+        # a Monte Carlo block of a lane window is trial-innermost, (m, n, t)
+        # in memory, and a view of a wider window; a decode's matrix and a
+        # random_raw window are C-order.  b = 1 and b = 300 lay out both
+        # table axes, and take both of _pack_rows' gathers
+        field = make_field(q)
+        m = next(m for m in itertools.count(6) if _lanes(q, m).count == count)
+        n = 5
+        rng = np.random.default_rng(q * 1000 + b + count)
+        mats = rng.integers(0, q, size=(b, m, n)).astype(np.int16)
+        window = np.empty((m, n, b + 7), dtype=np.int16).transpose(2, 0, 1)
+        window[3 : 3 + b] = mats
+        inner = window[3 : 3 + b]
+        assert inner.strides[0] == inner.itemsize and np.array_equal(inner, mats)
+        want, got = model._ColumnTable(field, mats), model._ColumnTable(field, inner)
+        assert got.axis == want.axis == (1 if b * count > q - 1 else 2)
+        assert got.table.dtype == want.table.dtype and got.table.shape == want.table.shape
+        assert got.table.tobytes() == want.table.tobytes()
+
     @pytest.mark.parametrize("q,m", [(3, 4), (3, 22), (13, 7), (13, 14), (251, 3), (251, 8),
                                      (4, 5), (16, 17), (256, 9)])
     def test_masks_at_levels_0_and_1(self, q, m):

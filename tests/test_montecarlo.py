@@ -854,6 +854,39 @@ class TestLaneStream:
         run_trials(params, 20_000, seed=0)
         assert groups == [lanes] * (20_000 // lanes) + rest
 
+    def test_window_layout_follows_the_draw_route(self, monkeypatch):
+        # `ffcs simulate --n 10 --k 2 --m 6 --q 7 --seed 3 --trials 6500`:
+        # a window of 62 blocks of 103 trials steps as one lane group and
+        # is trial-innermost, the last window's 114 trials of 76 words
+        # take random_raw and are C-order, and a few trials reject a
+        # value and are redrawn through Generator
+        params = ModelParams(n=10, k=2, m=6, q=7, gamma=dense_gamma(7))
+        n_cand = signal_set_size(10, 2, 7).total
+        trials, seed = 6500, 3
+        groups, redrawn = [], _spy_redraws(monkeypatch)
+        lanes_class = montecarlo._PCG64Lanes
+
+        def spy_lanes(words):
+            groups.append(len(words))
+            return lanes_class(words)
+
+        monkeypatch.setattr(montecarlo, "_PCG64Lanes", spy_lanes)
+        blocks = []
+        run_trials(params, trials, seed, on_block=lambda start, *arrays: blocks.append((start, arrays)))
+        assert groups == [6386] and redrawn
+        for start, (mats, _, _) in blocks:
+            if start < 6386:
+                assert mats.strides[0] == mats.itemsize, start
+            else:
+                assert mats.flags.c_contiguous, start
+        expect_mats, expect_idx = _per_trial_draws(params, trials, seed, n_cand)
+        expect_signals = candidate_matrix(params.n, params.k, params.q, expect_idx)[0]
+        measured = [np.concatenate(a) for a in zip(*((m, x) for _, (m, x, _) in blocks))]
+        for mats, signals in (measured, sample_trials(params, trials, seed)):
+            assert len(mats) == len(signals) == trials
+            for i, (a, x) in enumerate(zip(mats, signals)):
+                assert np.array_equal(a, expect_mats[i]) and np.array_equal(x, expect_signals[i]), i
+
     @pytest.mark.parametrize("q", [2, 4])
     def test_wide_windows_keep_memory_flat_in_trials(self, q):
         # windows of 6,240 and 6,400 trials at n = 10, k = 2, m = 6:
