@@ -33,17 +33,19 @@ past the pool's 4 words.
 
 Draws are read raw, not asked of a Generator per trial.  For small
 matrices, a group of up to _WINDOW_TRIALS (6,400) trials is stepped as
-uint64 arrays, mapped word by word.  Each trial's PCG64 (O'Neill 2014;
-its 128-bit LCG and XSL-RR output are part of numpy's fixed bit stream,
-not a Generator algorithm) is one lane of _PCG64Lanes, seeded from its
+uint64 arrays.  Each trial's PCG64 (O'Neill 2014; its 128-bit LCG and
+XSL-RR output are part of numpy's fixed bit stream, not a Generator
+algorithm) is one lane of _PCG64Lanes, seeded from its
 _child_seed_words row as numpy's pcg64_set_seed does, and each step is
-one multiply-add mod 2**128 on (high, low) uint64 arrays for the whole
-group.  A step costs about 30 numpy calls however many lanes it steps,
-and a lane's word several times a word of numpy's own random_raw, so
-the lanes are the faster draw only for many trials of few words each;
-otherwise a trial builds its PCG64 and reads, in one random_raw call,
-the D words its draws consume (_as_lanes chooses; every byte is the
-same either way).
+one multiply-add mod 2**128 on one (2, trials) (high, low) uint64
+array for the whole group.  A word costs 21 numpy calls however many
+lanes it steps: rows that take the same operation share a call, and
+every operand is a 0-d array, which a call takes faster than a numpy
+scalar.  Still a lane's word costs several times a word of numpy's own
+random_raw, so the lanes are the faster draw only for many trials of
+few words each; otherwise a trial builds its PCG64 and reads, in one
+random_raw call, the D words its draws consume (_as_lanes chooses;
+every byte is the same either way).
 A window drawn as lanes is trial-innermost: (trials, m, n) values
 stored as (m n, trials), so the word a lane step yields for every trial
 lands in one contiguous row, not at a stride of m n entries, and
@@ -51,19 +53,24 @@ model._ColumnTable packs along those rows.  A window drawn by
 random_raw, one trial's words a call, stays C-order.  sample_trials
 and on_block hand out the values as drawn; their layout is not part
 of the contract, and no copy is made.
+Both routes hand out words word-major, c words of every trial as a
+(c, trials) block, and one mapper, _map_words, writes them into the
+window's (m n, trials) rows: a lane block's rows are the lane words
+themselves and land in contiguous rows, a random_raw block is a
+transposed view of its (trials, D) words.  So the lanes build no
+(trials, words) block of raw words, and there is one copy of the maps.
 The words are mapped by numpy's own Generator maps: random() is
 (word >> 11) * 2**-53, so the zero mask is one integer comparison of the
 words; integers(1, q, dtype=int16) is Lemire's multiply-shift of 16-bit
 halves of the following uint32 halves, low first; integers(0, |L|) is
-Lemire's map of the next uint32.  Lanes map each word as it is
-produced, so no (trials, words) block of raw words is built.  A Lemire
-step that would reject makes numpy draw again and shifts every later
-draw, so such a trial is drawn again, whole, through Generator on its
-seed words: about 0.4 % of trials reject a value at q = 7 and m n = 60,
-and about 2 % reject the rank near |L| = 10^8.  The tests pin the lanes
-to numpy's random_raw and both draws to numpy's own spawn and
-default_rng, rejections included, and guard the maps themselves against
-a numpy that changes them.
+Lemire's map of the next uint32.  A Lemire step that would reject
+makes numpy draw again and shifts every later draw, so such a trial is
+drawn again, whole, through Generator on its seed words: about 0.4 %
+of trials reject a value at q = 7 and m n = 60, and about 2 % reject
+the rank near |L| = 10^8.  The tests pin the lanes to numpy's
+random_raw and both draws to numpy's own spawn and default_rng,
+rejections included, and guard the maps themselves against a numpy
+that changes them.
 
 Trials are drawn a window at a time and measured and flagged in blocks
 of t trials, t sized so that t x m x max(|L|, q n) is at most
@@ -133,11 +140,12 @@ _WINDOW_TRIALS = 6400
 # more lanes, and a PCG64 built per trial about as much as
 # _SETUP_WORDS words stepped in lanes, less the words it reads
 # natively: so the rule steps a full group of 6,400 lanes up to
-# D = 182, 4,096 up to D = 150 and 1,024 up to D = 60.  Into
-# trial-innermost windows the lanes measure faster than that, up to
-# about D = 255-320, 210-270 and 76-80 (q = 4 to q = 2, k = 1,
-# gamma = 0.5, best of 5, 2-core Xeon VM, numpy 2.4), so between those
-# bounds the rule errs toward random_raw
+# D = 182, 4,096 up to D = 150 and 1,024 up to D = 60.  With each lane
+# word written straight into its window row the lanes measure faster
+# than that, up to about D = 440-600, 340-350 and 130 (q = 2 to q = 4,
+# k = 1, gamma = 0.5, best of 5, 2-core Xeon VM, numpy 2.4), so between
+# those bounds the rule errs toward random_raw; no bench workload draws
+# such widths, so neither side of a new pair is measured there
 _STEP_LANES = 1 << 12
 _SETUP_WORDS = 300
 _RAW_WORDS = 1 << 13
@@ -152,6 +160,14 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# the lane step's operands as 0-d uint64 arrays: _PCG_MULT's low and
+# high words, the low word's 32-bit halves, the low-half mask and shifts
+_U_A_LO, _U_A_HI, _U_A0, _U_A1, _U_M32, _U_32, _U_58, _U_64 = (
+    np.array(v, dtype=np.uint64)
+    for v in (_PCG_MULT & _M64, _PCG_MULT >> 64, _PCG_MULT & _M32,
+              _PCG_MULT >> 32 & _M32, _M32, 32, 58, 64)
+)
 
 
 @dataclass(frozen=True)
@@ -254,53 +270,52 @@ def _as_lanes(width: int, t: int) -> bool:
     return width * (t + _STEP_LANES) <= _SETUP_WORDS * t
 
 
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc: tuple, buf: np.ndarray) -> None:
-    """(hi, lo) <- (hi, lo) _PCG_MULT + inc mod 2**128, in place, on uint64 word arrays.
+def _pcg_step(state: np.ndarray, inc: tuple, buf: tuple) -> None:
+    """state <- state _PCG_MULT + inc mod 2**128, in place, on a (2, t) (high, low) uint64 array.
 
-    ``inc`` is (high, low, low & M32, low >> 32), arrays that broadcast
-    against hi, and ``buf`` four scratch arrays of hi's shape.  The
-    high word of lo A_lo + inc_lo, A_lo the low word of _PCG_MULT,
-    comes from 32-bit partial products with inc_lo's halves added in,
-    so it carries the low word's sum; no partial sum reaches 2**64.
+    ``inc`` is the (2, t) (high, low) words of inc and the (2, t) 32-bit
+    halves (low, high) of its low word, and ``buf`` is two (2, t) and
+    one (t,) scratch arrays.  With lo = b 2**32 + a, A_lo = m1 2**32 +
+    m0 the low word of _PCG_MULT and inc_lo = i1 2**32 + i0, the high
+    word of lo A_lo + inc_lo is b m1 + (s >> 32), where s = b m0 + a m1
+    + i1 + ((a m0 + i0) >> 32): it carries the low word's sum, and s
+    stays below 2**64 because m0 + m1 < 2**32 - 1.  Rows that take the
+    same operation share one call, and every operand is a 0-d array,
+    which a ufunc call takes faster than a numpy scalar.
     """
-    a, b, c, d = buf
-    m32, s32 = np.uint64(_M32), np.uint64(32)
-    m_lo = np.uint64(_PCG_MULT & _M64)
-    m0, m1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
-    np.bitwise_and(lo, m32, out=a)
-    np.right_shift(lo, s32, out=b)
-    np.multiply(a, m0, out=c)
-    c += inc[2]
-    c >>= s32
-    np.multiply(b, m0, out=d)
-    d += c
-    d += inc[3]
-    a *= m1
-    np.bitwise_and(d, m32, out=c)
-    a += c
-    b *= m1
-    d >>= s32
-    b += d
-    a >>= s32
-    b += a  # the high word of lo A_lo + inc_lo
-    hi *= m_lo
-    np.multiply(lo, np.uint64(_PCG_MULT >> 64), out=a)
-    hi += a
-    hi += b
-    hi += inc[0]
-    lo *= m_lo
-    lo += inc[1]
+    hi, lo = state
+    inc_words, inc_halves = inc
+    halves, sums, cross = buf
+    np.bitwise_and(lo, _U_M32, halves[0])
+    np.right_shift(lo, _U_32, halves[1])
+    np.multiply(halves, _U_A0, sums)
+    sums += inc_halves
+    low, mid = sums
+    low >>= _U_32
+    mid += low
+    halves *= _U_A1
+    mid += halves[0]
+    mid >>= _U_32
+    mid += halves[1]  # the high word of lo A_lo + inc_lo
+    np.multiply(lo, _U_A_HI, cross)
+    state *= _U_A_LO
+    state += inc_words
+    hi += cross
+    hi += mid
 
 
 class _PCG64Lanes:
     """numpy's PCG64 of every trial of a group, stepped at once on uint64 arrays.
 
-    Each trial's stream is a lane: its 128-bit state is a (high, low)
-    pair of entries of two uint64 arrays, and every sum and product
-    wraps in array arithmetic (numpy warns on scalar overflow, not on
-    arrays).  take(n) returns the next n words of every trial, those
-    ``np.random.PCG64(_SeedWords(w)).random_raw(...)`` returns, as a
-    (t, n) array.
+    Each trial's stream is a lane: its 128-bit state is one column of a
+    (2, t) (high, low) uint64 array, and every sum and product wraps in
+    array arithmetic (numpy warns on scalar overflow, not on arrays).
+    next(out) writes every trial's next word, the one
+    ``np.random.PCG64(_SeedWords(w)).random_raw()`` returns, into the
+    (t,) row out; take(c) fills c rows of a (c, t) block it keeps and
+    reuses, so a returned block holds until the next take.  The block
+    is word-major because a window drawn as lanes is trial-innermost:
+    each row is one matrix entry of every trial.
     """
 
     def __init__(self, words: np.ndarray):
@@ -309,45 +324,71 @@ class _PCG64Lanes:
         # srandom steps from 0 (to inc), adds the initial state and
         # steps again.  A word is the XSL-RR output of the next state.
         one = np.uint64(1)
-        inc_lo = words[:, 3] << one | one
-        self._inc = (words[:, 2] << one | words[:, 3] >> np.uint64(63), inc_lo,
-                     inc_lo & np.uint64(_M32), inc_lo >> np.uint64(32))
-        self._buf = np.empty((4, len(words)), dtype=np.uint64)
-        self.lo = inc_lo + words[:, 1]
-        self.hi = self._inc[0] + words[:, 0]
-        self.hi += self.lo < inc_lo  # the low word's sum wrapped
-        _pcg_step(self.hi, self.lo, self._inc, self._buf)
+        inc = np.stack([words[:, 2] << one | words[:, 3] >> np.uint64(63), words[:, 3] << one | one])
+        self._inc = (inc, np.stack([inc[1] & _U_M32, inc[1] >> _U_32]))
+        self._buf = (np.empty_like(inc), np.empty_like(inc), np.empty_like(inc[0]))
+        self._state = inc + words[:, :2].T
+        self._state[0] += self._state[1] < inc[1]  # the low word's sum wrapped
+        self._block = np.empty((0, len(words)), dtype=np.uint64)
+        _pcg_step(self._state, self._inc, self._buf)
 
-    def take(self, n: int) -> np.ndarray:
-        out = np.empty((len(self.hi), n), dtype=np.uint64)
-        x, r = self._buf[:2]
-        for word in out.T:
-            _pcg_step(self.hi, self.lo, self._inc, self._buf)
-            # XSL-RR: (hi ^ lo) rotated right by the top 6 bits of hi;
-            # numpy shifts a uint64 left by 64 to 0, so a rotation by 0
-            # keeps x
-            np.bitwise_xor(self.hi, self.lo, out=x)
-            np.right_shift(self.hi, np.uint64(58), out=r)
-            np.right_shift(x, r, out=word)
-            np.subtract(np.uint64(64), r, out=r)
-            x <<= r
-            word |= x
-        return out
+    def next(self, out: np.ndarray) -> None:
+        _pcg_step(self._state, self._inc, self._buf)
+        # XSL-RR: (hi ^ lo) rotated right by the top 6 bits of hi; numpy
+        # shifts a uint64 left by 64 to 0, so a rotation by 0 keeps x
+        hi, lo = self._state
+        x, r = self._buf[0]
+        np.bitwise_xor(hi, lo, x)
+        np.right_shift(hi, _U_58, r)
+        np.right_shift(x, r, out)
+        np.subtract(_U_64, r, r)
+        x <<= r
+        out |= x
+
+    def take(self, c: int) -> np.ndarray:
+        if len(self._block) < c:
+            self._block = np.empty((c, self._block.shape[1]), dtype=np.uint64)
+        block = self._block[:c]
+        for row in block:
+            self.next(row)
+        return block
 
 
 def _raw_take(words: np.ndarray, width: int):
-    """take(n) over the group's raw words, one random_raw call per trial."""
+    """take(c) over the group's raw words, one random_raw call per trial.
+
+    The words are read trial-major into a (t, width) block, a row per
+    random_raw call, and handed out word-major as transposed views of
+    its columns, (c, t) like the lanes' blocks.  A (width, t) block,
+    each call's words written at a stride of t, drew 14.4-14.8 against
+    11.1-11.6 us per trial at n = 50, k = 2, m = 20, q = 2 (best of 5,
+    2-core Xeon VM, numpy 2.4).
+    """
     raw = np.empty((len(words), width), dtype=np.uint64)
     for i, w in enumerate(words):
         raw[i] = np.random.PCG64(_SeedWords(w)).random_raw(width)
     taken = 0
 
-    def take(n: int) -> np.ndarray:
+    def take(c: int) -> np.ndarray:
         nonlocal taken
-        taken += n
-        return raw[:, taken - n : taken]
+        taken += c
+        return raw[:, taken - c : taken].T
 
     return take
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The (c, 4, t) uint16 halves, low first, of a (c, t) block of uint64 words, of any strides.
+
+    A view of a lane block or a transposed random_raw block, read
+    through whichever axis is contiguous; only a block contiguous along
+    neither axis, which no draw route hands out, is copied first.
+    """
+    words = words.astype("<u8", copy=False)
+    if words.strides[0] == words.itemsize:
+        return words.T.view("<u2").reshape(words.shape[1], -1, 4).transpose(1, 2, 0)
+    words = np.ascontiguousarray(words)
+    return words.view("<u2").reshape(len(words), -1, 4).transpose(0, 2, 1)
 
 
 def _map_words(
@@ -356,20 +397,25 @@ def _map_words(
     """Map a group's raw words to matrices and ranks as numpy's Generator would.
 
     ``take(c)`` returns the group's next c words of each trial as a
-    (t, c) array, and is asked for at most ``chunk`` words at a time.
+    (c, t) array, and is asked for at most ``chunk`` words at a time.
     Writes the (t, m, n) matrices into ``mats`` and the signal ranks
     into ``idx``, and returns the trials whose Lemire step would have
     rejected, where numpy draws again and every later draw moves: those
     rows of mats and idx are not the trial's and must be redrawn.
+
+    Both routes write the (m n, t) row view of mats, a row per matrix
+    entry, which is contiguous where the window is trial-innermost, so
+    a block of words maps into its rows by whole-row calls, and the
+    value steps run in scratch arrays allocated once for the group.
     """
     t, cells, q = len(idx), params.m * params.n, params.q
-    out = mats.reshape(t, cells)
+    rows = mats.reshape(t, cells).T
     # Generator.random: (word >> 11) * 2**-53, exact, so the entry is
     # nonzero where word >> 11 < ceil(gamma 2**53), gamma in (0, 1]
-    below = np.uint64((math.ceil(params.gamma * 2**53) << 11) - 1)
+    below = np.array((math.ceil(params.gamma * 2**53) << 11) - 1, dtype=np.uint64)
     for j in range(0, cells, chunk):
         c = min(chunk, cells - j)
-        np.less_equal(take(c), below, out=out[:, j : j + c])
+        np.less_equal(take(c), below, rows[j : j + c])
     redraw = np.zeros(t, dtype=bool)
     halves = 0
     if q > 2:
@@ -379,28 +425,38 @@ def _map_words(
         # rejects where the low 16 bits of the product fall below
         # 2**16 mod (q - 1)
         halves, n_words = (cells + 1) // 2, (cells + 3) // 4
+        # scratch in the rows' own memory order: word-major for lanes,
+        # trial-major ("F") for a transposed random_raw block
+        shape, order = (4 * min(chunk, n_words), t), "F" if rows.strides[0] < rows.strides[1] else "C"
+        scaled = np.empty(shape, dtype=np.uint32, order=order)
+        low = np.empty(shape, dtype=np.uint16, order=order)
+        reject = np.empty(shape, dtype=bool, order=order)
+        q1, below16 = np.array(q - 1, dtype=np.uint32), 2**16 % (q - 1)
         for j in range(0, n_words, chunk):
             value_words = take(min(chunk, n_words - j))
-            u16 = value_words.astype("<u8", copy=False).view("<u2")[:, : cells - 4 * j]
-            scaled = np.multiply(u16, np.uint32(q - 1), dtype=np.uint32)
-            reject = scaled.astype(np.uint16) < 2**16 % (q - 1)
-            if reject.any():
-                redraw |= reject.any(axis=1)
-            values = (scaled >> np.uint32(16)).astype(np.int16)
-            values += np.int16(1)
-            out[:, 4 * j : 4 * j + values.shape[1]] *= values
+            c, n_values = len(value_words), min(4 * len(value_words), cells - 4 * j)
+            np.multiply(_halves(value_words), q1, scaled[: 4 * c].reshape(c, 4, t), dtype=np.uint32)
+            if below16:
+                np.copyto(low[:n_values], scaled[:n_values], casting="unsafe")
+                np.less(low[:n_values], below16, reject[:n_values])
+                if reject[:n_values].any():
+                    redraw |= reject[:n_values].any(axis=0)
+            values = low[:n_values].view(np.int16)
+            np.right_shift(scaled[:n_values], 16, values, casting="unsafe")
+            values += 1
+            rows[4 * j : 4 * j + n_values] *= values
     if n_candidates > 1:
         # integers(0, |L|): u32 |L| >> 32, rejecting where the low 32
         # bits fall below 2**32 mod |L|; u32 is the buffered high half of
         # the last value word when the values took an odd number of
         # uint32, else the low half of a word of its own
         if halves % 2:
-            u32 = value_words[:, -1] >> np.uint64(32)
+            u32 = value_words[-1] >> _U_32
         else:
-            u32 = take(1)[:, 0] & np.uint64(_M32)
+            u32 = take(1)[0] & _U_M32
         u32 *= np.uint64(n_candidates)
-        np.right_shift(u32, np.uint64(32), out=idx, casting="unsafe")
-        redraw |= (u32 & np.uint64(_M32)) < np.uint64(2**32 % n_candidates)
+        np.right_shift(u32, _U_32, idx, casting="unsafe")
+        redraw |= (u32 & _U_M32) < np.uint64(2**32 % n_candidates)
     else:
         idx[:] = 0
     return redraw
@@ -423,12 +479,13 @@ def _sample_trials(
     Each trial draws from its own child stream, so a window holds the
     same draws whatever the windows around it.  The trials are drawn in
     groups, and each group's raw words are mapped by numpy's own
-    Generator maps (_map_words), so no (trials, words) block of raw
-    words is built.  A group of up to _WINDOW_TRIALS trials is stepped
-    as uint64 arrays, one PCG64 lane per trial (_PCG64Lanes), where
-    _as_lanes finds that faster for its size and the trials' D raw
-    words; else a group of about _RAW_WORDS words' trials builds a
-    PCG64 per trial and reads its D words in one random_raw call.  A
+    Generator maps (_map_words), a word-major block at a time, so a
+    lane group builds no (trials, words) block of raw words.  A group
+    of up to _WINDOW_TRIALS trials is stepped as uint64 arrays, one
+    PCG64 lane per trial (_PCG64Lanes), where _as_lanes finds that
+    faster for its size and the trials' D raw words; else a group of
+    about _RAW_WORDS words' trials builds a PCG64 per trial and reads
+    its D words in one random_raw call.  A
     trial whose value or rank draw would reject in numpy's Lemire step
     is drawn again, whole, through Generator on its seed words; where
     2**16 mod (q - 1) and 2**32 mod |L| are 0 (q = 3 or 5, |L| a power

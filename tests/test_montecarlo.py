@@ -24,7 +24,7 @@ from ffcs import (
 from ffcs import model, montecarlo
 from ffcs.model import level_starts, measure_candidates, signal_set_size, unpack_measurements
 from ffcs.montecarlo import _PCG64Lanes, _SeedWords, _child_seed_words, _error_flags, _sample_trials
-from ffcs.montecarlo import _pcg_step
+from ffcs.montecarlo import _halves, _pcg_step, _raw_take
 from ffcs.util import wilson_interval
 
 
@@ -753,11 +753,12 @@ CARRY_ROWS = [
 
 
 def _raw_words(words, width):
-    return np.stack([np.random.PCG64(_SeedWords(w)).random_raw(width) for w in words])
+    return np.stack([np.random.PCG64(_SeedWords(w)).random_raw(width) for w in words], axis=1)
 
 
 def _take(lanes, chunks):
-    return np.concatenate([lanes.take(c) for c in chunks], axis=1)
+    # a lane block holds until the next take, so each is copied out
+    return np.concatenate([lanes.take(c).copy() for c in chunks], axis=0)
 
 
 class TestLaneStream:
@@ -788,15 +789,43 @@ class TestLaneStream:
             for add_lo in (to_wrap - 1, to_wrap, to_wrap + 1, to_wrap & 2**32 - 1, 2**64 - 1):
                 rows.append((h, l, int(rng.integers(0, 2**64, dtype=np.uint64)), add_lo % 2**64))
         h, l, add_hi, add_lo = (np.array(col, dtype=np.uint64) for col in zip(*rows))
-        add = (add_hi, add_lo, add_lo & np.uint64(2**32 - 1), add_lo >> np.uint64(32))
-        _pcg_step(h, l, add, np.empty((4, len(rows)), dtype=np.uint64))
+        state = np.stack([h, l])
+        add = (np.stack([add_hi, add_lo]), np.stack([add_lo & np.uint64(2**32 - 1), add_lo >> np.uint64(32)]))
+        _pcg_step(state, add, (np.empty_like(state), np.empty_like(state), np.empty_like(h)))
         expect = [((a << 64 | b) * mult + (c << 64 | d)) % 2**128 for a, b, c, d in rows]
-        assert [int(a) << 64 | int(b) for a, b in zip(h, l)] == expect
+        assert [int(a) << 64 | int(b) for a, b in zip(*state)] == expect
 
     @pytest.mark.parametrize("t", [1, 2, 7, 97])
     def test_lanes_of_any_window_match_random_raw(self, t):
         words = _child_seed_words(11, 2**32 - 3, 2**32 - 3 + t)
         assert np.array_equal(_take(_PCG64Lanes(words), [5, 64, 1]), _raw_words(words, 70))
+
+    @pytest.mark.parametrize("chunks", [[1] * 9, [3, 7, 20, 1], [61], [4, 1, 1, 4]])
+    def test_lane_and_raw_takes_hand_out_the_same_blocks(self, chunks):
+        # both routes hand _map_words word-major (c, t) blocks: the lanes
+        # their rows, random_raw a transposed view of its (t, D) words
+        words = np.concatenate(
+            [np.array(CARRY_ROWS, dtype=np.uint64), _child_seed_words(2**130 + 7, 0, 29)]
+        )
+        lanes, raw = _PCG64Lanes(words), _raw_take(words, sum(chunks))
+        for c in chunks:
+            block, view = lanes.take(c), raw(c)
+            assert block.shape == view.shape == (c, len(words))
+            assert np.array_equal(block, view)
+
+    def test_halves_view_reads_any_strides(self):
+        # a lane block is C-order, a random_raw block a transposed view
+        # with an offset, a one-row block has a row stride of its own,
+        # and a block strided along both axes comes from no draw route
+        words = _child_seed_words(3, 0, 37)
+        raw = _raw_take(words, 12)
+        raw(4)
+        raw_view, raw_row = raw(7), raw(1)
+        lane_block = _PCG64Lanes(words).take(6)
+        for block in (lane_block, raw_view, raw_row, lane_block[2:3], lane_block[::2, ::3]):
+            c, t = block.shape
+            flat = np.ascontiguousarray(block).view("<u2").reshape(c, t, 4)
+            assert np.array_equal(_halves(block), flat.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("q,trials", [(2, 1), (7, 3), (4, 130)])
     def test_large_matrices_match_the_oracle(self, q, trials):
