@@ -66,14 +66,17 @@ one column at a time.
 
 Term j of distance h reads S_{n-h}(K - max(h - j, j)), so where j < h - K
 or j > K the cap leaves it no pair and the term is an exact zero.  A
-profile miss forms only the other terms.  The distances are taken a
-chunk at a time, _PROFILE_ELEMS // (K + 1) of them: their T_h runs (b up
-to h/2, reading the S row ascending) and U_h runs (u above it, reading
-it back down) make one array of at most _PROFILE_ELEMS terms, and their
-weights are one slice of the weight triangle.  Each distance then sums
-its exponentiated terms, zeros in place, as one 1-D sum, so no bit
-depends on the chunking.  The tables grow a block of about _TABLE_ELEMS
-entries at a time; at n = 1000, K = 500 they hold 4.0 MB of P, 4.0 MB of
+profile miss forms only the other terms, one run j = lo..hi per distance
+(T_h's b = j up to h/2, then for AllPairs U_h's u = j above it).  One
+run, with max(h - j, j) formed in place, is the least code and measured
+no slower than an ascending T_h run and a descending U_h run, which
+spared the max but doubled the segments.  The distances are taken a
+chunk at a time, _PROFILE_ELEMS // (K + 1) of them, so their runs make
+one array of at most _PROFILE_ELEMS terms, and their weights are one
+slice of the weight triangle.  Each distance then sums its
+exponentiated terms, zeros in place, as one 1-D sum, so no bit depends
+on the chunking.  The tables grow a block of about _TABLE_ELEMS entries
+at a time; at n = 1000, K = 500 they hold 4.0 MB of P, 4.0 MB of
 weights and 2.0 MB of S rows.
 """
 
@@ -417,11 +420,10 @@ class _ProfileTables:
             self.P[block] = sums[inside]
             # these rows of P are in place, and the terms of distance v read
             # rows <= v: P_{v-c}(v - 2c) for 2c <= v, P_c(2c - v - 1) above,
-            # both in row x = max(v - c, c); past c = v the index is only
-            # kept in range
+            # both in row x = max(v - c, c)
             x = np.maximum(v - c, c)
             p_at = (x * (x + 5) >> 1) - v - (2 * c > v)
-            self.weights[block] = (log_cv + self.P.take(p_at, mode="clip"))[inside]
+            self.weights[block] = log_cv[inside] + self.P[p_at[inside]]
         self.rows = vmax + 1
 
     def _grow_rows(self, k_max: int) -> None:
@@ -477,20 +479,16 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
     tables = _profile_tables(n, q).upto(k_max)
     W = tables.weights  # log C(h, j) + log P at _tri(h) + j
     hs = np.arange(1, hlast + 1)
-    # term j of distance h reads S_{n-h}(K - max(h - j, j)), an exact zero
-    # (A < 0) outside lo <= j <= min(h, K).  T_h's b = j runs from lo
-    # through mid and reads its S row ascending from s_lo; U_h's u = j runs
-    # above mid (not at all for RestrictedPairs) and reads it back down
-    # from s_up.
+    # term j of distance h reads S_{n-h}(K - max(h - j, j)), column
+    # K + 1 - max(h - j, j) of its S row, and is an exact zero (A < 0)
+    # outside lo <= j <= min(h, K); RestrictedPairs stops at h // 2
     lo = np.maximum(hs - k_max, 0)
-    mid = hs // 2
-    tlen = mid - lo + 1
-    ulen = np.minimum(hs, k_max) - mid if variant is PairVariant.ALL_PAIRS else np.zeros_like(hs)
+    hi = np.minimum(hs, k_max) if variant is PairVariant.ALL_PAIRS else hs // 2
+    lens = hi - lo + 1
     tri = _tri(hs)
-    s_lo = tables.starts[:hlast] + k_max + 1 - hs + lo
-    s_up = tables.starts[:hlast] + k_max - mid
+    s_at = tables.starts[:hlast] + k_max + 1  # the column of A = K
     offs = tri.tolist()
-    ends = (tri + (hs + 1 if variant is PairVariant.ALL_PAIRS else mid + 1)).tolist()
+    ends = (tri + (hs if variant is PairVariant.ALL_PAIRS else hs // 2) + 1).tolist()
     top = np.empty(hlast)
     logs = []
     red, log = np.add.reduce, math.log
@@ -501,33 +499,29 @@ def _nh_log_profile_cached(n: int, k_max: int, q: int, variant: PairVariant) -> 
     ebuf = np.empty(rows_at_most * (2 * k_max + 1))
     for r0 in range(0, hlast, step):
         r = slice(r0, min(r0 + step, hlast))
-        rn = r.stop - r0
         base = offs[r0]
-        # the chunk's T runs, then its U runs, one segment each
-        lens = np.concatenate((tlen[r], ulen[r]))
-        at = np.cumsum(lens) - lens
-        j = ramp[: int(at[-1] + lens[-1])]
-        pos = np.repeat(np.concatenate((tri[r] + lo[r], tri[r] + mid[r] + 1)) - base - at, lens)
+        run = lens[r]
+        at = np.cumsum(run) - run
+        # j, then the position of term j's weight and its S column, in place
+        j = np.repeat(lo[r] - at, run)
+        j += ramp[: j.size]
+        pos = np.repeat(tri[r] - base, run)
         pos += j
-        sat = np.repeat(np.concatenate((s_lo[r] - at[:rn], s_up[r] + at[rn:])), lens)
-        nt = int(at[rn])
-        sat[:nt] += j[:nt]
-        sat[nt:] -= j[nt:]
-        Wc = W[base : _tri(r.stop + 1)]
-        terms = Wc.take(pos)
+        x = np.repeat(hs[r], run)
+        x -= j
+        np.maximum(x, j, out=x)
+        sat = np.repeat(s_at[r], run)
+        sat -= x
+        terms = W[base:].take(pos)
         terms += tables.S.take(sat)
-        # every T run is nonempty, so top is finite; a U run is empty only
-        # where the S row leaves U_h no term
-        seg = np.maximum.reduceat(terms, at[lens > 0])
-        t = seg[:rn].copy()
-        up = ulen[r] > 0
-        t[up] = np.maximum(t[up], seg[rn:])
+        # every run is nonempty and its terms finite, so top is finite
+        t = np.maximum.reduceat(terms, at)
         top[r] = t
-        terms -= np.repeat(np.concatenate((t, t)), lens)
+        terms -= np.repeat(t, run)
         np.exp(terms, out=terms)
-        # each row sums its own terms j = 0..h (0..mid for RestrictedPairs),
-        # zeros included, as one 1-D sum, so every bit is kept
-        e = ebuf[: Wc.size]
+        # each row sums its own terms j = 0..h (0..h // 2 for
+        # RestrictedPairs), zeros included, as one 1-D sum, so every bit is kept
+        e = ebuf[: _tri(r.stop + 1) - base]
         e.fill(0.0)
         e[pos] = terms
         logs += [log(red(e[a - base : b - base])) for a, b in zip(offs[r], ends[r])]

@@ -380,6 +380,42 @@ class TestPairCounts:
                 a, b = grown.starts[h - 1], cold.starts[h - 1]
                 assert np.array_equal(grown.S[a : a + cols], cold.S[b : b + cols]), (n, q, h)
 
+    def test_table_growth_reads_no_unwritten_room(self, monkeypatch):
+        # the room _grown adds to the triangles is left unwritten; filled
+        # with a signaling NaN, any arithmetic that reads it raises, even
+        # where the result is cut off afterwards
+        def poisoned(flat, size):
+            grown = np.full(size, 0x7FF0000000000001, dtype=np.uint64).view(np.float64)
+            grown[: flat.size] = flat
+            return grown
+
+        want = _ProfileTables(1000, 4).upto(300)
+        monkeypatch.setattr(bounds, "_grown", poisoned)
+        with np.errstate(invalid="raise"):
+            got = _ProfileTables(1000, 4).upto(300)
+        size = _tri(want.rows)
+        assert got.rows == want.rows
+        assert np.array_equal(got.P[:size], want.P[:size])
+        assert np.array_equal(got.weights[:size], want.weights[:size])
+
+    @pytest.mark.parametrize("n", [333, 1000])
+    @pytest.mark.parametrize("q", [2, 4, 256])
+    def test_log_profile_does_not_depend_on_chunk_size(self, monkeypatch, n, q):
+        # chunks of one distance, of one full run (K + 1 terms), of three
+        # runs and a term, and of every distance at once; the runs of each
+        # chunk are indexed from its first weight
+        default = bounds._PROFILE_ELEMS
+        for k in (1, 2, 166, 167, 297, 298, 333):
+            for v in (ALL, RESTRICTED):
+                monkeypatch.setattr(bounds, "_PROFILE_ELEMS", default)
+                bounds._nh_log_profile_cached.cache_clear()
+                want = nh_log_profile(n, k, q, v)
+                for elems in (1, k + 1, 3 * (k + 1) + 1, 1 << 16):
+                    monkeypatch.setattr(bounds, "_PROFILE_ELEMS", elems)
+                    bounds._nh_log_profile_cached.cache_clear()
+                    assert np.array_equal(nh_log_profile(n, k, q, v), want), (k, v, elems)
+        bounds._nh_log_profile_cached.cache_clear()
+
     def test_logaddexp_column_sweep_matches_accumulate(self):
         # the kept tables sum their binomial rows one column at a time
         # across the rows (elementwise np.logaddexp), which must give the
