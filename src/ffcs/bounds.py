@@ -54,12 +54,17 @@ sum_{b >= i} C(u, b) r^(u-b) = P_u(u - i).  Every term is positive, so
 log-sum-exp is stable, and with the P rows tabulated each h costs O(h).
 
 Only the S column a term reads depends on K, so the rest is kept across
-profile misses, in one _ProfileTables per (n, q): log j! up to n, the
-P triangle, a triangle of term weights, log C(h, j) plus the log P
-that term j of distance h reads, and the rows S_{n-h}, with room for a
-larger K to lengthen every row in place from its last value.  One
-(n, q) is kept at a time, as a curve sweeps K for one q before the
-next.
+profile misses, in one _ProfileTables per (n, q): log j! up to n, a
+triangle of term weights, log C(h, j) plus the log P that term j of
+distance h reads, and the rows S_{n-h}, with room for a larger K to
+lengthen every row in place from its last value.  One (n, q) is kept
+at a time, as a curve sweeps K for one q before the next.
+Term j of distance h reads P row max(h - j, j), and a profile of K
+forms only terms whose row is at most K (below), so the tables build P
+rows up to K only and keep none: each new row goes straight into the
+weights that read it, and a weight is written at the first K whose
+profile can read it.  The weight rows reach min(2K, n), and P built
+that far would be four times the entries any profile reads.
 P and S are both log prefix sums along binomial rows, of ratio q - 2 for
 P and q - 1 for S, and _log_prefix_sums builds both, a block of rows
 one column at a time.
@@ -76,8 +81,8 @@ one array of at most _PROFILE_ELEMS terms, and their weights are one
 slice of the weight triangle.  Each distance then sums its
 exponentiated terms, zeros in place, as one 1-D sum, so no bit depends
 on the chunking.  The tables grow a block of about _TABLE_ELEMS entries
-at a time; at n = 1000, K = 500 they hold 4.0 MB of P, 4.0 MB of
-weights and 2.0 MB of S rows.
+at a time; at n = 1000, K = 500 they hold 4.0 MB of weights, about
+half of them written, and 2.0 MB of S rows.
 """
 
 from __future__ import annotations
@@ -350,15 +355,18 @@ def _log_prefix_sums(acc, terms):
 class _ProfileTables:
     """The K-free tables of the log pair-count profile, for one (n, q).
 
-    ``lfact`` holds log j! for j = 0..n.  ``P`` holds log P_v(i) for
-    v = 0, 1, ... and i = 0..v as a flat triangle: row v starts at
-    offset v(v + 1) / 2.  Its rows depend on q alone, so a larger K only
-    appends rows.  ``weights`` is a second triangle: entry j of row h is
+    ``lfact`` holds log j! for j = 0..n.  ``weights`` is a flat
+    triangle, row h at offset h(h + 1) / 2: entry j of row h is
     log C(h, j) plus the log P that term j of distance h reads,
     P_{h-j}(h - 2j) for T_h's b = j <= h / 2 and P_j(2j - h - 1) for
-    U_h's u = j above it.  It is the K-free part of every term.  New
-    rows come a block of whole rows at a time, so each block's rows of P
-    and of weights are contiguous slices of the triangles.
+    U_h's u = j above it, both in P row x = max(h - j, j).  It is the
+    K-free part of every term.  P itself, log P_x(i) for i = 0..x,
+    depends on q alone and is not kept: the first ``rows`` rows, up to
+    min(K, n), have been built, a block of whole rows at a time, and
+    each went straight into the entries that read it, (x + j, j) and
+    (x + j, x) for x + j <= n.  So the weight rows reach min(2K, n), but
+    only the entries with max(h - j, j) <= K, the ones a profile of K
+    reads, are written; a larger K writes more of the rest.
 
     ``S`` holds log S_{n-h}(A) for distances h = 1..min(2K, n) and
     A = 0..K - ceil(h/2), the most any term of distance h reads.  Row h
@@ -381,50 +389,49 @@ class _ProfileTables:
         self.lfact = log_factorials(n)
         self.logq1 = math.log(q - 1)
         self.rows = self.k = self.cap = 0
-        self.P = self.weights = self.S = np.empty(0)
+        self.weights = self.S = np.empty(0)
         self.starts = np.zeros(1, dtype=np.int64)
 
     def upto(self, k_max: int) -> "_ProfileTables":
-        """The tables, grown to serve every K up to at least k_max: P and
-        weights to rows 0..min(2 k_max, n), the S rows to K = k_max."""
+        """The tables, grown to serve every K up to at least k_max: the
+        weights that read P rows 0..min(k_max, n), the S rows to K = k_max."""
         if k_max > self.k:
-            self._grow_triangles(min(2 * k_max, self.n))
+            self._grow_weights(k_max)
             self._grow_rows(k_max)
         return self
 
-    def _grow_triangles(self, vmax: int) -> None:
-        if vmax < self.rows:
-            return
-        if _tri(vmax + 1) > self.P.size:
-            # room for twice the rows, so a rising K copies the triangles
+    def _grow_weights(self, k_max: int) -> None:
+        n, lfact = self.n, self.lfact
+        hmax, xmax = min(2 * k_max, n), min(k_max, n)
+        if _tri(hmax + 1) > self.weights.size:
+            # room for twice the rows, so a rising K copies the triangle
             # only a few times; untouched room costs no resident memory
-            size = _tri(max(vmax + 1, 2 * self.rows))
-            self.P, self.weights = _grown(self.P, size), _grown(self.weights, size)
+            size = _tri(max(hmax + 1, 2 * (min(2 * self.k, n) + 1)))
+            self.weights = _grown(self.weights, size)
         # log r^c with r = q - 2; for q = 2 only r^0 = 1 survives (no 0 * -inf)
         if self.q > 2:
-            log_rpow = np.arange(vmax + 1) * math.log(self.q - 2)
+            log_rpow = np.arange(xmax + 1) * math.log(self.q - 2)
         else:
-            log_rpow = np.full(vmax + 1, NEG_INF)
+            log_rpow = np.full(xmax + 1, NEG_INF)
             log_rpow[0] = 0.0
-        # a block of rows at a time, as many as _TABLE_ELEMS entries allow;
-        # a row's columns past c = v are cut off
-        step = max(1, _TABLE_ELEMS // (vmax + 1))
-        for v0 in range(self.rows, vmax + 1, step):
-            v = np.arange(v0, min(v0 + step, vmax + 1))[:, None]
-            c = np.arange(v[-1, 0] + 1)
-            inside = c <= v
-            block = slice(_tri(v0), _tri(v[-1, 0] + 1))
-            log_cv = _log_binomial(self.lfact, v, c)
-            sums = log_cv + log_rpow[c]
-            _log_prefix_sums(np.full(len(v), NEG_INF), sums)
-            self.P[block] = sums[inside]
-            # these rows of P are in place, and the terms of distance v read
-            # rows <= v: P_{v-c}(v - 2c) for 2c <= v, P_c(2c - v - 1) above,
-            # both in row x = max(v - c, c)
-            x = np.maximum(v - c, c)
-            p_at = (x * (x + 5) >> 1) - v - (2 * c > v)
-            self.weights[block] = log_cv[inside] + self.P[p_at[inside]]
-        self.rows = vmax + 1
+        # a block of P rows at a time, as many as _TABLE_ELEMS entries
+        # allow; a row's columns past c = x are cut off
+        step = max(1, _TABLE_ELEMS // (xmax + 1))
+        for x0 in range(self.rows, xmax + 1, step):
+            x = np.arange(x0, min(x0 + step, xmax + 1))[:, None]
+            c = np.arange(x[-1, 0] + 1)
+            sums = _log_binomial(lfact, x, c) + log_rpow[c]
+            _log_prefix_sums(np.full(len(x), NEG_INF), sums)
+            P = sums.ravel()
+            # row x of P goes to the terms of distance h = x + j <= n that
+            # read it: T_h's b = j, W[h, j] = log C(h, j) + log P_x(x - j),
+            # and for j < x U_h's u = x, W[h, x] = log C(h, x) + log P_x(x - j - 1)
+            for u in (0, 1):
+                i, j = np.nonzero((c + u <= x) & (x + c <= n))
+                xi = x0 + i
+                h, col = xi + j, xi if u else j
+                self.weights[_tri(h) + col] = _log_binomial(lfact, h, col) + P[i * c.size + xi - j - u]
+        self.rows = xmax + 1
 
     def _grow_rows(self, k_max: int) -> None:
         if k_max > self.cap:

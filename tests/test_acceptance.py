@@ -7,10 +7,12 @@ finishes in seconds.  Tolerances are pinned here and nowhere else.
 """
 
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
+from reference import exact_error_probability
 
 from ffcs import (
     GammaMode,
@@ -35,6 +37,7 @@ from ffcs import (
     supported_orders,
     union_bound,
 )
+from ffcs import montecarlo
 
 ALL = PairVariant.ALL_PAIRS
 RESTRICTED = PairVariant.RESTRICTED_PAIRS
@@ -259,3 +262,57 @@ def test_criterion_10_field_axioms_all_supported_orders():
     for q in orders:
         check_axioms(make_field(q))
     _report(10, "field axioms", True, f"{len(orders)} orders: q = 2 .. 256")
+
+
+# (n, k, q, m, gamma) at toy sizes, each with its exact P(e) listed in
+# well under a second: GF(2), the primes 3 and 7, and the binary
+# extension fields 4 and 8, whose q - 1 = 3 and 7 make numpy's Lemire
+# value draw reject now and then
+EXACT_CONFIGS = [
+    (5, 2, 2, 4, "dense"), (5, 2, 2, 4, 0.3), (4, 2, 2, 5, "dense"), (4, 2, 2, 5, 0.1),
+    (3, 2, 3, 3, "dense"), (3, 2, 3, 3, 0.3), (4, 1, 3, 3, 0.1),
+    (4, 2, 4, 2, "dense"), (4, 2, 4, 2, 0.3), (5, 1, 4, 2, 0.1),
+    (3, 1, 7, 2, 0.3), (3, 1, 8, 2, "dense"),
+]
+EXACT_TRIALS = 50_000
+# the family level, fixed before the first run: |z| <= 3.29 has a
+# two-sided level of 0.001 per config, so all 12 hold with probability
+# about 0.988 when run_trials samples the ensemble it claims to
+EXACT_Z = 3.29
+
+
+def test_criterion_11_monte_carlo_covers_the_exact_error_probability(monkeypatch):
+    """run_trials' error count is binomial around the exact P(e) at toy sizes."""
+    # the draw routes are spied on: every config steps its trials as
+    # PCG64 lanes, the q = 7 config reads its last 68 trials through
+    # random_raw (a small window), and trials whose Lemire step rejects
+    # are drawn again through Generator
+    seen = Counter()
+
+    def spy(name):
+        real = getattr(montecarlo, name)
+
+        def counted(*args, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+
+    for name in ("_PCG64Lanes", "_raw_take", "_generator_draws"):
+        spy(name)
+    rows, misses = [], []
+    for index, (n, k, q, m, g) in enumerate(EXACT_CONFIGS, start=1):
+        gamma = dense_gamma(q) if g == "dense" else g
+        exact = exact_error_probability(n, k, q, gamma, m)
+        rep = run_trials(ModelParams(n=n, k=k, m=m, q=q, gamma=gamma), EXACT_TRIALS, seed=MASTER_SEED + index)
+        z = (rep.errors - EXACT_TRIALS * exact) / math.sqrt(EXACT_TRIALS * exact * (1.0 - exact))
+        rows.append(f"{(n, k, q, m, g)}: {rep.rate:.4f} vs {exact:.4f} (z = {z:+.2f})")
+        if abs(z) > EXACT_Z:
+            misses.append(rows[-1])
+    routes = {name: seen[name] for name in ("_PCG64Lanes", "_raw_take", "_generator_draws")}
+    ok = not misses and all(routes.values())
+    detail = f"{len(EXACT_CONFIGS)} configs x {EXACT_TRIALS} trials, |z| <= {EXACT_Z}, routes {routes}"
+    if misses:
+        detail += " | missed: " + "; ".join(misses)
+    _report(11, "Monte Carlo covers the exact error probability", ok, detail + " | " + "; ".join(rows))
+    assert ok, detail

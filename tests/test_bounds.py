@@ -41,13 +41,24 @@ ALL = PairVariant.ALL_PAIRS
 RESTRICTED = PairVariant.RESTRICTED_PAIRS
 
 
+def reference_log_p(lfact, q, vmax):
+    """log P_v(i) = log sum_{c <= i} C(v, c) (q - 2)^c for v = 0..vmax and
+    i = 0..v, each row one np.logaddexp.accumulate, as a flat triangle
+    (row v at _tri(v))."""
+    c = np.arange(vmax + 1)
+    log_rpow = c * math.log(q - 2) if q > 2 else np.where(c == 0, 0.0, -np.inf)
+    rows = [np.logaddexp.accumulate(lfact[v] - lfact[: v + 1] - lfact[v::-1] + log_rpow[: v + 1]) for v in c]
+    return np.concatenate(rows)
+
+
 def reference_log_profile(n, k_max, q, variant):
     """nh_log_profile one distance at a time: the same terms and the same
-    arithmetic order, so the chunked build must match it bit for bit."""
+    arithmetic order, so the chunked build must match it bit for bit.  It
+    builds its own P rows, so it reads nothing of the kept tables."""
     hmax = 2 * k_max
     lfact = log_factorials(max(n, hmax))
     logq1 = math.log(q - 1)
-    P = _profile_tables(n, q).upto(k_max).P
+    P = reference_log_p(lfact, q, min(hmax, n))
     out = np.full(hmax + 1, -np.inf)
     for h in range(1, min(hmax, n) + 1):
         R = n - h
@@ -66,6 +77,22 @@ def reference_log_profile(n, k_max, q, variant):
         lse = top + math.log(np.exp(terms - top).sum())
         out[h] = lse + lfact[n] - lfact[h] - lfact[R] + h * logq1
     return out
+
+
+def written_weights(n, k_max):
+    """Flat positions of the weights the tables hold for K = k_max: entry j
+    of each row h <= min(2K, n) whose P row max(h - j, j) is at most K."""
+    h, j = np.tril_indices(min(2 * k_max, n) + 1)
+    return (_tri(h) + j)[np.maximum(h - j, j) <= k_max]
+
+
+def poisoned_grown(flat, size):
+    """bounds._grown with its room filled with a signaling NaN: any
+    arithmetic that reads an unwritten entry raises under
+    np.errstate(invalid="raise"), even where the result is cut off."""
+    grown = np.full(size, 0x7FF0000000000001, dtype=np.uint64).view(np.float64)
+    grown[: flat.size] = flat
+    return grown
 
 
 def clear_profile_tables():
@@ -287,9 +314,11 @@ class TestPairCounts:
                         assert np.array_equal(nh_log_profile(n, k, q, v), want[n, k, q, v]), (n, k, q, v)
 
     def test_cold_log_profile_memory(self):
-        # at n = 1000, K = 500 the tables retain P and the term weights, two
-        # 1001-row triangles of 4.0 MB each, and 2.0 MB of staircase S rows;
-        # they grow a block of rows at a time, with no whole-table temporary
+        # at n = 1000, K = 500 the tables retain the term weights, a 1001-row
+        # triangle of 4.0 MB with the half that reads P rows up to K written,
+        # and 2.0 MB of staircase S rows, 5.8 MB in all; they keep no P and
+        # grow a block of rows at a time, with no whole-table temporary, to
+        # a peak of 7.1 MB
         clear_profile_tables()
         tracemalloc.start()
         try:
@@ -316,20 +345,24 @@ class TestPairCounts:
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_binomial_power_table_grows_to_the_exact_rows(self, q):
-        # row v holds log sum_{c <= i} C(v, c) (q - 2)^c for i = 0..v, however
-        # many steps the table grew in: to rows min(2K, n) = 4, 10 and 23 at
-        # n = 23; a buffer handed out earlier keeps its rows
+        # weight j of distance h is log C(h, j) P_x(i) with P_x(i) =
+        # sum_{c <= i} C(x, c) (q - 2)^c, x = max(h - j, j) <= K and i = h - 2j
+        # (2j <= h) or 2j - h - 1, however many steps the table grew in: P
+        # rows to min(K, n) = 2, 5 and 12, weight rows to min(2K, n) = 4, 10
+        # and 23 at n = 23; a buffer handed out earlier keeps its weights
         table = _ProfileTables(23, q)
         table.upto(2)
-        held = table.upto(5).P
-        assert table.rows == 11
-        flat = table.upto(12).P
-        assert table.rows == 24 and held is not flat
-        assert np.array_equal(held[: _tri(11)], flat[: _tri(11)])
-        for v in range(24):
-            prefix = np.cumsum([math.comb(v, c) * (q - 2) ** c for c in range(v + 1)])
-            got = flat[v * (v + 1) // 2 : (v + 1) * (v + 2) // 2]
-            assert np.allclose(got, np.log(prefix.astype(float)), rtol=1e-12, atol=0), v
+        held = table.upto(5).weights
+        assert table.rows == 6 and held.size >= _tri(11)
+        flat = table.upto(12).weights
+        assert table.rows == 13 and flat.size >= _tri(24) and held is not flat
+        early = written_weights(23, 5)
+        assert np.array_equal(held[early], flat[early])
+        for h in range(24):
+            for j in range(max(0, h - 12), min(h, 12) + 1):
+                x, i = max(h - j, j), h - 2 * j if 2 * j <= h else 2 * j - h - 1
+                exact = math.comb(h, j) * sum(math.comb(x, c) * (q - 2) ** c for c in range(i + 1))
+                assert np.allclose(flat[_tri(h) + j], math.log(exact), rtol=1e-12, atol=0), (h, j)
 
     @pytest.mark.parametrize(
         "n,k", [(333, 1), (333, 2), (333, 166), (333, 167), (333, 250), (333, 333),
@@ -372,31 +405,51 @@ class TestPairCounts:
             grown = _profile_tables(n, q)
             cold = _ProfileTables(n, q).upto(max(k for *_, k in stretch))
             assert (grown.rows, grown.k) == (cold.rows, cold.k)
-            size = _tri(grown.rows)
-            assert np.array_equal(grown.P[:size], cold.P[:size])
-            assert np.array_equal(grown.weights[:size], cold.weights[:size])
+            written = written_weights(n, grown.k)
+            assert np.array_equal(grown.weights[written], cold.weights[written])
             for h in range(1, min(2 * grown.k, n) + 1):
                 cols = grown.k + 2 - (h + 1) // 2
                 a, b = grown.starts[h - 1], cold.starts[h - 1]
                 assert np.array_equal(grown.S[a : a + cols], cold.S[b : b + cols]), (n, q, h)
 
     def test_table_growth_reads_no_unwritten_room(self, monkeypatch):
-        # the room _grown adds to the triangles is left unwritten; filled
-        # with a signaling NaN, any arithmetic that reads it raises, even
-        # where the result is cut off afterwards
-        def poisoned(flat, size):
-            grown = np.full(size, 0x7FF0000000000001, dtype=np.uint64).view(np.float64)
-            grown[: flat.size] = flat
-            return grown
-
+        # the room _grown adds to the weight triangle is left unwritten
+        # until a K reads it; the growth itself reads none of it
         want = _ProfileTables(1000, 4).upto(300)
-        monkeypatch.setattr(bounds, "_grown", poisoned)
+        monkeypatch.setattr(bounds, "_grown", poisoned_grown)
         with np.errstate(invalid="raise"):
             got = _ProfileTables(1000, 4).upto(300)
-        size = _tri(want.rows)
+        written = written_weights(1000, 300)
         assert got.rows == want.rows
-        assert np.array_equal(got.P[:size], want.P[:size])
-        assert np.array_equal(got.weights[:size], want.weights[:size])
+        assert np.array_equal(got.weights[written], want.weights[written])
+
+    @pytest.mark.parametrize("n", [333, 1000])
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_no_profile_reads_an_unwritten_weight(self, monkeypatch, n, q):
+        # a K writes the weights of P rows up to K only, and every profile
+        # must read no other: K in steps of one, then the bench's bands
+        # (smaller K served from larger tables), and at n = 333 K past n/2,
+        # where the weight rows stop at n
+        ks = list(range(1, 41)) + [28 + 30 * i for i in range(10)] + ([250, 333] if n == 333 else [])
+
+        def profiles():
+            clear_profile_tables()
+            out = {}
+            for k in ks:
+                bounds._nh_log_profile_cached.cache_clear()
+                for v in (ALL, RESTRICTED):
+                    out[k, v] = nh_log_profile(n, k, q, v)
+            return out
+
+        want = profiles()
+        monkeypatch.setattr(bounds, "_grown", poisoned_grown)
+        try:
+            with np.errstate(invalid="raise"):
+                got = profiles()
+        finally:
+            clear_profile_tables()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
     @pytest.mark.parametrize("n", [333, 1000])
     @pytest.mark.parametrize("q", [2, 4, 256])
